@@ -20,11 +20,11 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/report.hpp"
+#include "campaign/work_stealing_pool.hpp"
 #include "explore/explorer.hpp"
 #include "programs/registry.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
-#include "support/thread_pool.hpp"
 
 namespace lazyhb::bench {
 
@@ -50,17 +50,19 @@ inline std::vector<const programs::ProgramSpec*> selectCorpus(
   return selected;
 }
 
-/// Run `explore(spec)` for every selected benchmark across a thread pool;
-/// results land in a vector parallel to the selection.
+/// Run `explore(spec)` for every selected benchmark across a work-stealing
+/// pool; results land in a vector parallel to the selection.
 template <typename Result>
 std::vector<Result> runCorpus(
     const std::vector<const programs::ProgramSpec*>& corpus, int jobs,
     const std::function<Result(const programs::ProgramSpec&)>& explore) {
   std::vector<Result> results(corpus.size());
-  support::ThreadPool pool(jobs);
-  pool.parallelFor(corpus.size(), [&](std::size_t i) {
-    results[i] = explore(*corpus[i]);
-  });
+  std::vector<campaign::WorkStealingPool::Task> tasks;
+  tasks.reserve(corpus.size());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    tasks.push_back([&, i] { results[i] = explore(*corpus[i]); });
+  }
+  campaign::WorkStealingPool(jobs).run(std::move(tasks));
   return results;
 }
 
@@ -79,23 +81,16 @@ inline campaign::CampaignOptions campaignOptions(
   return co;
 }
 
-/// Honour a bench's --out flag: write the campaign's versioned JSON report.
-/// The config block is echoed from the CampaignOptions the run actually
-/// used, so the report stays self-describing. Returns false when --out was
-/// given but the file could not be written — callers must fail their exit
-/// status, or a pipeline depending on the BENCH_*.json artifact sees
-/// success with no report.
+/// Honour a bench's --out flag: write the campaign's versioned JSON report
+/// (its config block echoes what the campaign ran with). Returns false when
+/// --out was given but the file could not be written — callers must fail
+/// their exit status, or a pipeline depending on the BENCH_*.json artifact
+/// sees success with no report.
 [[nodiscard]] inline bool maybeWriteReport(
-    const support::Options& options,
-    const campaign::CampaignOptions& campaignOptions,
-    const campaign::CampaignResult& result) {
+    const support::Options& options, const campaign::CampaignResult& result) {
   const std::string out = options.getString("out");
   if (out.empty()) return true;
-  campaign::ReportConfig config;
-  config.scheduleLimit = campaignOptions.explorer.scheduleLimit;
-  config.maxEventsPerSchedule = campaignOptions.explorer.maxEventsPerSchedule;
-  config.seed = campaignOptions.seed;
-  if (!campaign::writeReportFile(out, result, config)) return false;
+  if (!campaign::writeReportFile(out, result)) return false;
   if (out != "-") std::printf("report: %s\n", out.c_str());
   return true;
 }

@@ -64,6 +64,6 @@ int main(int argc, char** argv) {
               " 910,007 of the unique HBRs on them are redundant (80%%)\n");
   std::printf("Campaign: %.2fs wall (%.2fs cpu), %d job(s)\n",
               result.wallSeconds, result.cpuSeconds, result.jobs);
-  if (!bench::maybeWriteReport(options, campaignOptions, result)) return 1;
+  if (!bench::maybeWriteReport(options, result)) return 1;
   return result.inequalityViolations == 0 ? 0 : 1;
 }

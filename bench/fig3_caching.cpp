@@ -76,6 +76,6 @@ int main(int argc, char** argv) {
               " explored 8,969 (84%%) more terminal lazy HBRs across them\n");
   std::printf("Campaign: %.2fs wall (%.2fs cpu), %d job(s)\n",
               result.wallSeconds, result.cpuSeconds, result.jobs);
-  if (!bench::maybeWriteReport(options, campaignOptions, result)) return 1;
+  if (!bench::maybeWriteReport(options, result)) return 1;
   return result.inequalityViolations == 0 ? 0 : 1;
 }

@@ -393,7 +393,7 @@ void BM_DfsDeepTreeDefaultBudget(benchmark::State& state) {
   // docs/performance.md records the measured numbers). Counts are
   // byte-identical to an unlimited-budget run either way.
   gDeepStores = static_cast<int>(state.range(0));
-  explore::CheckpointStats last{};
+  CheckpointStats last{};
   for (auto _ : state) {
     explore::ExplorerOptions options;
     options.scheduleLimit = 4;
@@ -424,7 +424,7 @@ void BM_DfsDeepTreeTsoDefaultBudget(benchmark::State& state) {
   // images. The budget must bind the same way it does under SC — evictions
   // without count drift — with buffers live across almost every stage.
   gDeepStores = static_cast<int>(state.range(0));
-  explore::CheckpointStats last{};
+  CheckpointStats last{};
   for (auto _ : state) {
     explore::ExplorerOptions options;
     options.scheduleLimit = 4;

@@ -30,11 +30,12 @@
 
 #include "lazyhb/progress.hpp"
 #include "lazyhb/scenario.hpp"
+#include "lazyhb/stats.hpp"
 
 namespace lazyhb {
 
 inline constexpr const char* kTestReportSchemaName = "lazyhb-test-report";
-inline constexpr int kTestReportSchemaVersion = 2;
+inline constexpr int kTestReportSchemaVersion = 3;
 
 /// A property violation with the schedule that reproduces it (feed the
 /// schedule to lazyhb::traceSchedule, or to `lazyhb replay --schedule`).
@@ -51,17 +52,6 @@ struct TestRace {
   int secondEvent = -1;
 };
 
-/// Snapshot of the strategy's HBR prefix cache (all-zero when the strategy
-/// consults no cache).
-struct TestCacheStats {
-  bool enabled = false;
-  std::uint64_t lookups = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t insertions = 0;
-  std::uint64_t entries = 0;
-  std::uint64_t approxBytes = 0;
-};
-
 /// Per-theorem equivalence-checker tallies (populated when checkTheorems
 /// is on; a nonzero `conflicts` falsifies the theorem or exposes a
 /// fingerprint collision).
@@ -72,8 +62,12 @@ struct TestTheoremStats {
   std::uint64_t conflicts = 0;
 };
 
-/// The self-describing result of one Session::run.
-struct TestReport {
+/// The self-describing result of one Session::run: every statistic the
+/// engine reports (the ExplorationStats base — the extended §3 chain reads
+/// distinctStates <= distinctValueClasses <= distinctLazyHbrs <=
+/// distinctHbrs <= schedulesExecuted), the configuration echo and the
+/// findings.
+struct TestReport : ExplorationStats {
   // Identity and configuration echo.
   std::string scenario;  ///< registered scenario name; empty for ad-hoc programs
   std::string family;    ///< scenario family; empty for ad-hoc programs
@@ -86,29 +80,9 @@ struct TestReport {
   /// Memory model the exploration ran under: "sc" | "tso".
   std::string memoryModel = "sc";
 
-  // Exploration counts (the extended §3 chain reads distinctStates <=
-  // distinctValueClasses <= distinctLazyHbrs <= distinctHbrs <=
-  // schedulesExecuted).
-  std::uint64_t schedulesExecuted = 0;
-  std::uint64_t terminalSchedules = 0;
-  std::uint64_t prunedSchedules = 0;
-  std::uint64_t violationSchedules = 0;
-  std::uint64_t totalEvents = 0;
-  std::uint64_t eventsElided = 0;
-  std::uint64_t eventsReplayed = 0;
-  std::uint64_t distinctHbrs = 0;
-  std::uint64_t distinctLazyHbrs = 0;
-  /// Distinct terminal observation (value-class) fingerprints — same
-  /// operations, same values observed, same visible state. Schema v2.
-  std::uint64_t distinctValueClasses = 0;
-  std::uint64_t distinctStates = 0;
-  bool hitScheduleLimit = false;
-  bool complete = false;  ///< search space fully explored
-
   // Findings.
   std::vector<TestViolation> violations;
   std::vector<TestRace> races;
-  TestCacheStats cache;
   TestTheoremStats theorem21;  ///< full HBR -> state (when checkTheorems)
   TestTheoremStats theorem22;  ///< lazy HBR -> state (when checkTheorems)
   /// Value class -> state (when checkTheorems): the observation-centric

@@ -34,31 +34,24 @@
 #include <vector>
 
 #include "lazyhb/progress.hpp"
+#include "lazyhb/stats.hpp"
 
 namespace lazyhb {
 
+/// The lazyhb-bench-report schema Suite::run and `lazyhb bench` write
+/// (docs/bench-report-schema.md).
 inline constexpr const char* kSuiteReportSchemaName = "lazyhb-bench-report";
-inline constexpr int kSuiteReportSchemaVersion = 5;
+inline constexpr int kSuiteReportSchemaVersion = 9;
 
 /// One (scenario, strategy) cell of the suite matrix — the public mirror of
-/// the campaign report's cell block.
-struct SuiteCell {
+/// the campaign report's cell block: every statistic (the ExplorationStats
+/// base; the §3 chain reads distinctStates <= distinctValueClasses <=
+/// distinctLazyHbrs <= distinctHbrs <= schedulesExecuted) plus the cell's
+/// identity and supervisor verdicts.
+struct SuiteCell : ExplorationStats {
   std::string scenario;
   std::string family;
   std::string strategy;
-
-  // Exploration counts (the §3 chain reads
-  // states <= lazyHbrs <= hbrs <= schedules).
-  std::uint64_t schedules = 0;
-  std::uint64_t terminal = 0;
-  std::uint64_t pruned = 0;
-  std::uint64_t violations = 0;
-  std::uint64_t events = 0;
-  std::uint64_t hbrs = 0;
-  std::uint64_t lazyHbrs = 0;
-  std::uint64_t states = 0;
-  bool complete = false;
-  bool hitScheduleLimit = false;
 
   // Supervisor / durability provenance.
   bool timedOut = false;       ///< final attempt hit the cell timeout
@@ -77,8 +70,7 @@ struct SuiteCell {
 struct SuiteReport {
   std::vector<SuiteCell> cells;  ///< scenario-major, strategy-minor
 
-  std::uint64_t totalSchedules = 0;
-  std::uint64_t totalEvents = 0;
+  ExplorationStats totals;       ///< every cell's statistics, folded
   int inequalityViolations = 0;  ///< cells whose §3 chain failed (expect 0)
   double wallSeconds = 0.0;
 
@@ -96,9 +88,9 @@ struct SuiteReport {
     return inequalityViolations == 0;
   }
 
-  /// The versioned lazyhb-bench-report JSON document (schema v5,
-  /// newline-terminated) — the same document `lazyhb bench --out` writes,
-  /// accepted by `lazyhb merge` and tools/bench_diff.py.
+  /// The versioned lazyhb-bench-report JSON document (newline-terminated)
+  /// — the same document `lazyhb bench --out` writes, accepted by
+  /// `lazyhb merge` and tools/bench_diff.py.
   [[nodiscard]] const std::string& toJson() const noexcept { return json_; }
 
   /// One human-readable summary line (no trailing newline).

@@ -3,9 +3,10 @@
 // Session is a thin, loss-free adapter: run() maps the builder's config
 // onto ExplorerOptions, constructs the explorer through the same
 // campaign::ExplorerSpec factory every other consumer uses, and copies the
-// ExplorationResult field-for-field into the public TestReport. No count is
-// computed differently from the direct construction path — the parity test
-// suite (tests/test_session.cpp) pins byte-identity.
+// ExplorationResult's statistics whole into the public TestReport (both
+// extend ExplorationStats). No count is computed differently from the
+// direct construction path — the parity test suite (tests/test_session.cpp)
+// pins byte-identity.
 
 #include "lazyhb/session.hpp"
 
@@ -15,6 +16,7 @@
 #include <utility>
 
 #include "campaign/explorer_spec.hpp"
+#include "campaign/report.hpp"
 #include "explore/explorer.hpp"
 #include "explore/replay.hpp"
 #include "memory/memory_model.hpp"
@@ -215,20 +217,7 @@ TestReport Session::run(const Program& program) const {
   report.checkpointable = config_.checkpointable;
   report.memoryModel = config_.memoryModel;
 
-  report.schedulesExecuted = result.schedulesExecuted;
-  report.terminalSchedules = result.terminalSchedules;
-  report.prunedSchedules = result.prunedSchedules;
-  report.violationSchedules = result.violationSchedules;
-  report.totalEvents = result.totalEvents;
-  report.eventsElided = result.eventsElided;
-  report.eventsReplayed = result.eventsReplayed;
-  report.distinctHbrs = result.distinctHbrs;
-  report.distinctLazyHbrs = result.distinctLazyHbrs;
-  report.distinctValueClasses = result.distinctValueClasses;
-  report.distinctStates = result.distinctStates;
-  report.hitScheduleLimit = result.hitScheduleLimit;
-  report.complete = result.complete;
-
+  static_cast<ExplorationStats&>(report) = result;
   for (const explore::ViolationRecord& violation : result.violations) {
     TestViolation v;
     v.kind = runtime::outcomeName(violation.kind);
@@ -237,13 +226,6 @@ TestReport Session::run(const Program& program) const {
     report.violations.push_back(std::move(v));
   }
   report.races = toRaces(result.races);
-
-  report.cache.enabled = result.cacheStats.enabled;
-  report.cache.lookups = result.cacheStats.lookups;
-  report.cache.hits = result.cacheStats.hits;
-  report.cache.insertions = result.cacheStats.insertions;
-  report.cache.entries = result.cacheStats.entries;
-  report.cache.approxBytes = result.cacheStats.approxBytes;
 
   report.theorem21 = toTheoremStats(result.theorem21);
   report.theorem22 = toTheoremStats(result.theorem22);
@@ -286,19 +268,7 @@ std::string TestReport::toJson() const {
   json.endObject();
 
   json.key("counts").beginObject();
-  json.field("schedules", schedulesExecuted);
-  json.field("terminal", terminalSchedules);
-  json.field("pruned", prunedSchedules);
-  json.field("violations", violationSchedules);
-  json.field("events", totalEvents);
-  json.field("events_elided", eventsElided);
-  json.field("events_replayed", eventsReplayed);
-  json.field("hbrs", distinctHbrs);
-  json.field("lazy_hbrs", distinctLazyHbrs);
-  json.field("value_classes", distinctValueClasses);
-  json.field("states", distinctStates);
-  json.field("complete", complete);
-  json.field("hit_schedule_limit", hitScheduleLimit);
+  campaign::writeTopStats(json, *this);
   json.endObject();
 
   json.key("violations").beginArray();
@@ -323,15 +293,7 @@ std::string TestReport::toJson() const {
   }
   json.endArray();
 
-  if (cache.enabled) {
-    json.key("cache").beginObject();
-    json.field("lookups", cache.lookups);
-    json.field("hits", cache.hits);
-    json.field("insertions", cache.insertions);
-    json.field("entries", cache.entries);
-    json.field("approx_bytes", cache.approxBytes);
-    json.endObject();
-  }
+  campaign::writeStatBlocks(json, *this);
 
   auto writeTheorem = [&json](const char* name, const TestTheoremStats& t) {
     json.key(name).beginObject();

@@ -4,7 +4,7 @@
 // the CLI's `bench` subcommand drives — plus campaign::writeReportJson for
 // the rendered document, so a SuiteReport::toJson() is merge- and
 // diff-compatible with `lazyhb bench --out` byte-for-byte (modulo wall
-// times). No count is computed in this file.
+// times). No count is computed or copied field by field in this file.
 
 #include "lazyhb/suite.hpp"
 
@@ -141,34 +141,15 @@ SuiteReport Suite::run() const {
 
   const campaign::CampaignResult result = campaign::runCampaign(options);
 
-  campaign::ReportConfig reportConfig;
-  reportConfig.scheduleLimit = config_.scheduleLimit;
-  reportConfig.maxEventsPerSchedule = config_.maxEventsPerSchedule;
-  reportConfig.seed = config_.seed;
-  reportConfig.incremental = config_.incremental;
-  reportConfig.workers = config_.workers;
-  reportConfig.memoryModel = config_.memoryModel;
-  reportConfig.shardIndex = config_.shardIndex;
-  reportConfig.shardCount = config_.shardCount;
-
   SuiteReport report;
-  report.json_ = campaign::writeReportJson(result, reportConfig);
+  report.json_ = campaign::writeReportJson(result);
   report.cells.reserve(result.cells.size());
   for (const campaign::CellResult& cell : result.cells) {
     SuiteCell out;
+    static_cast<ExplorationStats&>(out) = cell.stats;
     out.scenario = cell.program;
     out.family = cell.family;
     out.strategy = cell.explorer;
-    out.schedules = cell.stats.schedulesExecuted;
-    out.terminal = cell.stats.terminalSchedules;
-    out.pruned = cell.stats.prunedSchedules;
-    out.violations = cell.stats.violationSchedules;
-    out.events = cell.stats.totalEvents;
-    out.hbrs = cell.stats.distinctHbrs;
-    out.lazyHbrs = cell.stats.distinctLazyHbrs;
-    out.states = cell.stats.distinctStates;
-    out.complete = cell.stats.complete;
-    out.hitScheduleLimit = cell.stats.hitScheduleLimit;
     out.timedOut = cell.timedOut;
     out.fromCheckpoint = cell.fromCheckpoint;
     out.attempts = cell.attempts;
@@ -178,16 +159,15 @@ SuiteReport Suite::run() const {
     out.inequalityDiagnostic = cell.inequalityDiagnostic;
     report.cells.push_back(std::move(out));
   }
-  report.totalSchedules = result.totalSchedules;
-  report.totalEvents = result.totalEvents;
+  report.totals = result.totals;
   report.inequalityViolations = result.inequalityViolations;
   report.wallSeconds = result.wallSeconds;
   report.cellsFromCheckpoint = result.cellsFromCheckpoint;
   report.cellsTimedOut = result.cellsTimedOut;
   report.cellsFailed = result.cellsFailed;
   report.cellsRetried = result.cellsRetried;
-  report.shardIndex = result.shardIndex;
-  report.shardCount = result.shardCount;
+  report.shardIndex = result.config.shardIndex;
+  report.shardCount = result.config.shardCount;
   return report;
 }
 
@@ -203,8 +183,8 @@ std::string SuiteReport::summary() const {
              std::to_string(shardCount) + ")")
                 .c_str()
           : "",
-      static_cast<unsigned long long>(totalSchedules),
-      static_cast<unsigned long long>(totalEvents), wallSeconds,
+      static_cast<unsigned long long>(totals.schedulesExecuted),
+      static_cast<unsigned long long>(totals.totalEvents), wallSeconds,
       inequalityViolations == 0
           ? "holds on all cells"
           : ("VIOLATED on " + std::to_string(inequalityViolations) + " cell(s)")

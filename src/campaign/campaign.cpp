@@ -27,6 +27,30 @@ const CellResult* cellFor(const std::vector<const CellResult*>& row,
   return nullptr;
 }
 
+/// Logical and executed (non-elided) events per second; 0 without time.
+double eventsPerSecond(const ExplorationStats& stats, double seconds) {
+  return seconds > 0.0 ? static_cast<double>(stats.totalEvents) / seconds : 0.0;
+}
+double executedEventsPerSecond(const ExplorationStats& stats, double seconds) {
+  const std::uint64_t executed = stats.totalEvents - stats.eventsElided;
+  return seconds > 0.0 ? static_cast<double>(executed) / seconds : 0.0;
+}
+
+/// The configuration echo of a campaign run with `options`.
+CampaignConfig configEcho(const CampaignOptions& options) {
+  CampaignConfig config;
+  config.scheduleLimit = options.explorer.scheduleLimit;
+  config.maxEventsPerSchedule = options.explorer.maxEventsPerSchedule;
+  config.seed = options.seed;
+  config.incremental = options.explorer.incremental;
+  config.workers = options.explorer.workers;
+  config.snapshotBudgetBytes = options.explorer.snapshotBudgetBytes;
+  config.memoryModel = memory::memoryModelName(options.explorer.memoryModel);
+  config.shardIndex = options.shardIndex;
+  config.shardCount = options.shardCount;
+  return config;
+}
+
 ProgramSummary summarizeProgram(const std::vector<const CellResult*>& row) {
   ProgramSummary s;
   s.id = row.front()->programId;
@@ -97,7 +121,9 @@ CampaignResult foldCells(std::vector<CellResult> cells,
   result.perExplorer.resize(explorerOrder.size());
   for (std::size_t e = 0; e < explorerOrder.size(); ++e) {
     result.perExplorer[e].explorer = explorerOrder[e];
+    result.perExplorer[e].stats = explore::emptyStatFold();
   }
+  result.totals = explore::emptyStatFold();
   const auto explorerIndex = [&](const std::string& name) {
     for (std::size_t e = 0; e < explorerOrder.size(); ++e) {
       if (explorerOrder[e] == name) return e;
@@ -109,31 +135,11 @@ CampaignResult foldCells(std::vector<CellResult> cells,
   for (const CellResult& cell : result.cells) {
     ExplorerTotals& totals = result.perExplorer[explorerIndex(cell.explorer)];
     ++totals.cells;
-    totals.schedules += cell.stats.schedulesExecuted;
-    totals.terminal += cell.stats.terminalSchedules;
-    totals.pruned += cell.stats.prunedSchedules;
-    totals.violations += cell.stats.violationSchedules;
-    totals.events += cell.stats.totalEvents;
-    totals.eventsElided += cell.stats.eventsElided;
-    totals.eventsReplayed += cell.stats.eventsReplayed;
-    totals.hbrs += cell.stats.distinctHbrs;
-    totals.lazyHbrs += cell.stats.distinctLazyHbrs;
-    totals.valueClasses += cell.stats.distinctValueClasses;
-    totals.states += cell.stats.distinctStates;
+    explore::foldStats(totals.stats, cell.stats);
     totals.wallSeconds += cell.wallSeconds;
-    totals.cacheEntries += cell.stats.cacheStats.entries;
-    totals.cacheHits += cell.stats.cacheStats.hits;
-    totals.cacheApproxBytes += cell.stats.cacheStats.approxBytes;
-    totals.checkpointStages += cell.stats.checkpointStats.stages;
-    totals.checkpointBytesStaged += cell.stats.checkpointStats.bytesStaged;
-    totals.checkpointEvictions += cell.stats.checkpointStats.evictions;
-    totals.checkpointReplayFallbacks += cell.stats.checkpointStats.replayFallbacks;
     if (!cell.inequalityHolds()) ++totals.inequalityViolations;
 
-    result.totalSchedules += cell.stats.schedulesExecuted;
-    result.totalEvents += cell.stats.totalEvents;
-    result.totalEventsElided += cell.stats.eventsElided;
-    result.totalEventsReplayed += cell.stats.eventsReplayed;
+    explore::foldStats(result.totals, cell.stats);
     result.cpuSeconds += cell.wallSeconds;
     if (!cell.inequalityHolds()) ++result.inequalityViolations;
     if (cell.fromCheckpoint) ++result.cellsFromCheckpoint;
@@ -143,21 +149,13 @@ CampaignResult foldCells(std::vector<CellResult> cells,
   }
 
   for (ExplorerTotals& totals : result.perExplorer) {
-    if (totals.wallSeconds > 0.0) {
-      totals.eventsPerSecond =
-          static_cast<double>(totals.events) / totals.wallSeconds;
-      totals.executedEventsPerSecond =
-          static_cast<double>(totals.events - totals.eventsElided) /
-          totals.wallSeconds;
-    }
+    totals.eventsPerSecond = eventsPerSecond(totals.stats, totals.wallSeconds);
+    totals.executedEventsPerSecond =
+        executedEventsPerSecond(totals.stats, totals.wallSeconds);
   }
-  if (result.cpuSeconds > 0.0) {
-    result.eventsPerSecond =
-        static_cast<double>(result.totalEvents) / result.cpuSeconds;
-    result.executedEventsPerSecond =
-        static_cast<double>(result.totalEvents - result.totalEventsElided) /
-        result.cpuSeconds;
-  }
+  result.eventsPerSecond = eventsPerSecond(result.totals, result.cpuSeconds);
+  result.executedEventsPerSecond =
+      executedEventsPerSecond(result.totals, result.cpuSeconds);
 
   // Per-program summaries: each maximal run of cells sharing a program id
   // (the cells arrive program-major) is one row — possibly a partial row
@@ -258,18 +256,10 @@ CampaignResult runCampaign(const CampaignOptions& options) {
   std::unique_ptr<CampaignJournal> journal;
   if (!options.checkpointDir.empty()) {
     JournalConfig config;
-    config.scheduleLimit = options.explorer.scheduleLimit;
-    config.maxEventsPerSchedule = options.explorer.maxEventsPerSchedule;
-    config.seed = options.seed;
-    config.incremental = options.explorer.incremental;
-    config.workers = options.explorer.workers;
-    config.snapshotBudgetBytes = options.explorer.snapshotBudgetBytes;
-    config.memoryModel = memory::memoryModelName(options.explorer.memoryModel);
+    static_cast<CampaignConfig&>(config) = configEcho(options);
     config.detectRaces = options.explorer.detectRaces;
     config.checkTheorems = options.explorer.checkTheorems;
     config.stopOnFirstViolation = options.explorer.stopOnFirstViolation;
-    config.shardIndex = options.shardIndex;
-    config.shardCount = options.shardCount;
     config.explorers = explorerNames;
     for (const programs::ProgramSpec* spec : corpus) {
       config.programs.push_back(spec->name);
@@ -396,14 +386,9 @@ CampaignResult runCampaign(const CampaignOptions& options) {
         }
         cell.attempts = attempt;
         cell.timedOut = cell.stats.timedOut;
-        if (cell.wallSeconds > 0.0) {
-          cell.eventsPerSecond =
-              static_cast<double>(cell.stats.totalEvents) / cell.wallSeconds;
-          cell.executedEventsPerSecond =
-              static_cast<double>(cell.stats.totalEvents -
-                                  cell.stats.eventsElided) /
-              cell.wallSeconds;
-        }
+        cell.eventsPerSecond = eventsPerSecond(cell.stats, cell.wallSeconds);
+        cell.executedEventsPerSecond =
+            executedEventsPerSecond(cell.stats, cell.wallSeconds);
         if (!cell.failed()) {
           // A timed-out prefix still satisfies the §3 chain (every count is
           // a prefix of the full run's), so the check stays on.
@@ -444,13 +429,12 @@ CampaignResult runCampaign(const CampaignOptions& options) {
   result.wallSeconds = secondsSince(campaignStart);
   result.tasksStolen = pool.tasksStolen();
   result.jobs = pool.workerCount();
-  result.shardIndex = options.shardIndex;
-  result.shardCount = options.shardCount;
+  result.config = configEcho(options);
 
   if (options.onProgress) {
     ProgressEvent event;
     event.kind = ProgressEvent::Kind::CampaignFinished;
-    event.schedulesExecuted = result.totalSchedules;
+    event.schedulesExecuted = result.totals.schedulesExecuted;
     event.scheduleLimit = options.explorer.scheduleLimit;
     event.wallSeconds = result.wallSeconds;
     emitEvent(std::move(event));

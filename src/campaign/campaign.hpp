@@ -101,31 +101,36 @@ struct ProgramSummary {
 struct ExplorerTotals {
   std::string explorer;
   std::uint64_t cells = 0;
-  std::uint64_t schedules = 0;
-  std::uint64_t terminal = 0;
-  std::uint64_t pruned = 0;
-  std::uint64_t violations = 0;
-  std::uint64_t events = 0;
-  std::uint64_t eventsElided = 0;    ///< prefix events skipped via rollback
-  std::uint64_t eventsReplayed = 0;  ///< prefix events re-executed to diverge
-  std::uint64_t hbrs = 0;      ///< summed distinct terminal HBRs
-  std::uint64_t lazyHbrs = 0;  ///< summed distinct terminal lazy HBRs
-  std::uint64_t valueClasses = 0;  ///< summed distinct terminal value classes
-  std::uint64_t states = 0;    ///< summed distinct terminal states
-  double wallSeconds = 0.0;    ///< summed per-cell wall time (CPU view)
+  ExplorationStats stats;    ///< the cells' statistics, folded by the stat table
+  double wallSeconds = 0.0;  ///< summed per-cell wall time (CPU view)
   double eventsPerSecond = 0.0;          ///< logical events / wallSeconds
   double executedEventsPerSecond = 0.0;  ///< (events - eventsElided) / wallSeconds
-  std::uint64_t cacheEntries = 0;
-  std::uint64_t cacheHits = 0;
-  std::uint64_t cacheApproxBytes = 0;
-  /// Summed incremental-checkpoint economics (schema v6; zero when the
-  /// explorer ran non-incrementally). Perf diagnostics only — bench_diff
-  /// never count-compares them.
-  std::uint64_t checkpointStages = 0;
-  std::uint64_t checkpointBytesStaged = 0;
-  std::uint64_t checkpointEvictions = 0;
-  std::uint64_t checkpointReplayFallbacks = 0;
   int inequalityViolations = 0;
+};
+
+/// The configuration a campaign ran with: echoed into its report's config
+/// block, and — with the journal-only fields of JournalConfig — into its
+/// journal manifest.
+struct CampaignConfig {
+  std::uint64_t scheduleLimit = 0;
+  std::uint32_t maxEventsPerSchedule = 0;
+  std::uint64_t seed = 0;
+  bool incremental = true;
+  /// Intra-scenario worker threads per cell (--workers). Mandatory in a
+  /// v4+ config block, so a report can never hide the parallelism it ran
+  /// with.
+  int workers = 1;
+  /// Snapshot byte budget per cell (0 = unlimited). Mandatory in a v6+
+  /// config block: a budget small enough to force evictions changes wall
+  /// time, so two reports are only comparable with it in view.
+  std::uint64_t snapshotBudgetBytes = 0;
+  /// "sc" or "tso". Mandatory in a v8+ config block: counts are only
+  /// comparable under one memory model.
+  std::string memoryModel = "sc";
+  /// The slice of the cell matrix this run covered: the cells with
+  /// index % shardCount == shardIndex. An unsharded campaign is 0/1.
+  int shardIndex = 0;
+  int shardCount = 1;
 };
 
 struct CampaignResult {
@@ -134,10 +139,8 @@ struct CampaignResult {
   std::vector<CellResult> cells;
   std::vector<ProgramSummary> programs;
   std::vector<ExplorerTotals> perExplorer;
-  std::uint64_t totalSchedules = 0;
-  std::uint64_t totalEvents = 0;
-  std::uint64_t totalEventsElided = 0;    ///< summed over all cells
-  std::uint64_t totalEventsReplayed = 0;  ///< summed over all cells
+  ExplorationStats totals;  ///< every cell's statistics, folded by the stat table
+  CampaignConfig config;    ///< what the campaign ran with
   double eventsPerSecond = 0.0;          ///< logical events / cpuSeconds
   double executedEventsPerSecond = 0.0;  ///< executed events / cpuSeconds
   int inequalityViolations = 0;  ///< cells whose §3 chain failed (expect 0)
@@ -145,11 +148,6 @@ struct CampaignResult {
   double cpuSeconds = 0.0;       ///< sum of per-cell wall times
   std::uint64_t tasksStolen = 0; ///< work-stealing load-balance diagnostic
   int jobs = 1;                  ///< worker threads actually used
-
-  // Sharding: this run executed the cells with index % shardCount ==
-  // shardIndex (0-based). An unsharded campaign is the 0/1 shard.
-  int shardIndex = 0;
-  int shardCount = 1;
 
   // Durability / supervisor tallies.
   std::size_t cellsFromCheckpoint = 0;  ///< satisfied from the journal

@@ -33,21 +33,13 @@
 namespace lazyhb::campaign {
 
 /// Everything that can change a cell's counts (plus the shard slice, so two
-/// shards never share a journal directory by accident). Field-for-field
-/// equality with the on-disk manifest gates a resume.
-struct JournalConfig {
-  std::uint64_t scheduleLimit = 0;
-  std::uint32_t maxEventsPerSchedule = 0;
-  std::uint64_t seed = 0;
-  bool incremental = true;
-  int workers = 1;
-  std::uint64_t snapshotBudgetBytes = 0;
-  std::string memoryModel = "sc";  ///< TSO and SC counts must never mix
+/// shards never share a journal directory by accident): the campaign's
+/// config echo plus the journal-only fields. Field-for-field equality with
+/// the on-disk manifest gates a resume.
+struct JournalConfig : CampaignConfig {
   bool detectRaces = false;
   bool checkTheorems = false;
   bool stopOnFirstViolation = false;
-  int shardIndex = 0;
-  int shardCount = 1;
   /// Explorer / program name lists in matrix order — cell indices are only
   /// meaningful relative to these.
   std::vector<std::string> explorers;

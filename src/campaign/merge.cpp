@@ -14,7 +14,7 @@ namespace {
 
 struct ParsedReport {
   std::string label;
-  ReportConfig config;
+  CampaignConfig config;
   std::vector<std::string> explorers;
   std::vector<CellResult> cells;
   std::vector<MergeSource> sources;  ///< flattened provenance contribution
@@ -34,14 +34,14 @@ ParsedReport parseReport(const std::string& document, const std::string& label) 
   const auto root = support::JsonValue::parse(document, &parseError);
   if (root == nullptr) raise(label, "not valid JSON (" + parseError + ")");
   if (!root->isObject()) raise(label, "not a report object");
-  if (root->stringAt("schema") != kReportSchemaName) {
-    raise(label, "not a " + std::string(kReportSchemaName) + " document");
+  if (root->stringAt("schema") != kSuiteReportSchemaName) {
+    raise(label, "not a " + std::string(kSuiteReportSchemaName) + " document");
   }
   const auto version = root->intAt("version", -1);
-  if (version != kReportSchemaVersion) {
+  if (version != kSuiteReportSchemaVersion) {
     raise(label, "schema version " + std::to_string(version) +
                      " (mergeable reports are version " +
-                     std::to_string(kReportSchemaVersion) + ")");
+                     std::to_string(kSuiteReportSchemaVersion) + ")");
   }
 
   const support::JsonValue* config = root->find("config");
@@ -52,7 +52,6 @@ ParsedReport parseReport(const std::string& document, const std::string& label) 
   report.config.maxEventsPerSchedule =
       static_cast<std::uint32_t>(config->uintAt("max_events"));
   report.config.seed = config->uintAt("seed");
-  report.config.quick = config->boolAt("quick");
   report.config.incremental = config->boolAt("incremental", true);
   if (!config->has("workers")) {
     raise(label, "config.workers is missing (mandatory since schema v4)");
@@ -121,21 +120,22 @@ ParsedReport parseReport(const std::string& document, const std::string& label) 
   return report;
 }
 
-/// The count fields the determinism contract covers — two clean runs of one
-/// configuration must agree on all of these.
-bool countsEqual(const CellResult& a, const CellResult& b) {
-  return a.stats.schedulesExecuted == b.stats.schedulesExecuted &&
-         a.stats.terminalSchedules == b.stats.terminalSchedules &&
-         a.stats.prunedSchedules == b.stats.prunedSchedules &&
-         a.stats.violationSchedules == b.stats.violationSchedules &&
-         a.stats.totalEvents == b.stats.totalEvents &&
-         a.stats.eventsElided == b.stats.eventsElided &&
-         a.stats.eventsReplayed == b.stats.eventsReplayed &&
-         a.stats.distinctHbrs == b.stats.distinctHbrs &&
-         a.stats.distinctLazyHbrs == b.stats.distinctLazyHbrs &&
-         a.stats.distinctStates == b.stats.distinctStates &&
-         a.stats.complete == b.stats.complete &&
-         a.stats.hitScheduleLimit == b.stats.hitScheduleLimit;
+/// The contract statistics on which two copies of a cell disagree, as
+/// "<path> <a> vs <b>" items; empty when they agree. Two clean runs of one
+/// configuration agree on every contract statistic and may differ on any
+/// scoreboard one.
+std::string contractConflicts(const ExplorationStats& a,
+                              const ExplorationStats& b) {
+  std::string conflicts;
+  explore::forEachStat(
+      [&](const explore::StatSpec& spec, const auto& x, const auto& y) {
+        if (spec.klass != explore::StatClass::Contract || x == y) return;
+        if (!conflicts.empty()) conflicts += ", ";
+        conflicts += explore::statPath(spec) + " " + std::to_string(x) +
+                     " vs " + std::to_string(y);
+      },
+      a, b);
+  return conflicts;
 }
 
 std::string serializeCell(const CellResult& cell) {
@@ -157,14 +157,6 @@ bool preferred(const CellResult& a, const CellResult& b) {
   return serializeCell(a) <= serializeCell(b);
 }
 
-std::string describeCounts(const CellResult& cell) {
-  return "schedules=" + std::to_string(cell.stats.schedulesExecuted) +
-         " hbrs=" + std::to_string(cell.stats.distinctHbrs) +
-         " lazy_hbrs=" + std::to_string(cell.stats.distinctLazyHbrs) +
-         " states=" + std::to_string(cell.stats.distinctStates) +
-         " events=" + std::to_string(cell.stats.totalEvents);
-}
-
 void checkConfigCompatible(const ParsedReport& base, const ParsedReport& other) {
   const auto mismatch = [&](const std::string& field) {
     throw std::runtime_error(
@@ -177,7 +169,6 @@ void checkConfigCompatible(const ParsedReport& base, const ParsedReport& other) 
     mismatch("max_events");
   }
   if (other.config.seed != base.config.seed) mismatch("seed");
-  if (other.config.quick != base.config.quick) mismatch("quick");
   if (other.config.incremental != base.config.incremental) mismatch("incremental");
   if (other.config.workers != base.config.workers) mismatch("workers");
   if (other.config.snapshotBudgetBytes != base.config.snapshotBudgetBytes) {
@@ -230,11 +221,13 @@ MergeOutcome mergeReports(const std::vector<std::string>& documents,
       CellResult& kept = it->second;
       const bool bothClean = !kept.failed() && !kept.timedOut &&
                              !cell.failed() && !cell.timedOut;
-      if (bothClean && !countsEqual(kept, cell)) {
+      const std::string conflicts =
+          bothClean ? contractConflicts(kept.stats, cell.stats) : std::string();
+      if (!conflicts.empty()) {
         throw std::runtime_error(
             "lazyhb: conflicting counts for cell (" + cell.program + ", " +
             cell.explorer + ") while merging '" + report.label +
-            "': " + describeCounts(kept) + " vs " + describeCounts(cell) +
+            "': " + conflicts +
             " — two clean runs of one configuration can never disagree, so "
             "the inputs do not come from the same campaign configuration");
       }
@@ -242,13 +235,7 @@ MergeOutcome mergeReports(const std::vector<std::string>& documents,
     }
   }
 
-  MergeOutcome outcome;
-  outcome.config = reports.front().config;
-  // The merged report is not a shard: its coverage is the union, described
-  // by the merge provenance block rather than a shard slice.
-  outcome.config.shardIndex = 0;
-  outcome.config.shardCount = 1;
-
+  const std::uint64_t scheduleLimit = reports.front().config.scheduleLimit;
   std::vector<CellResult> cells;
   cells.reserve(merged.size());
   for (auto& entry : merged) {
@@ -257,11 +244,17 @@ MergeOutcome mergeReports(const std::vector<std::string>& documents,
     // report must not inherit inequality verdicts it cannot verify.
     if (!cell.failed()) {
       cell.inequalityDiagnostic =
-          core::checkCountingChain(cell.counts(), outcome.config.scheduleLimit);
+          core::checkCountingChain(cell.counts(), scheduleLimit);
     }
     cells.push_back(std::move(cell));
   }
+  MergeOutcome outcome;
   outcome.result = foldCells(std::move(cells), explorerOrder);
+  outcome.result.config = reports.front().config;
+  // The merged report is not a shard: its coverage is the union, described
+  // by the merge provenance block rather than a shard slice.
+  outcome.result.config.shardIndex = 0;
+  outcome.result.config.shardCount = 1;
 
   // Cross-report aggregates with no per-cell decomposition: wall time is
   // the slowest input (shards run concurrently); steal counts just sum.

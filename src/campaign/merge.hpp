@@ -1,6 +1,6 @@
 // lazyhb/campaign/merge.hpp
 //
-// Merging schema-v5 campaign reports: the gather half of the shard/merge
+// Merging campaign reports: the gather half of the shard/merge
 // workflow (`lazyhb bench --shard i/N` on N hosts, `lazyhb merge` once).
 // The merge is associative and commutative over reports with compatible
 // configurations, so shards can be merged in any grouping and order and
@@ -8,14 +8,17 @@
 //
 // Cell semantics:
 //   * disjoint cells — union.
-//   * duplicate cells with identical counts — deduplicated (one copy kept,
-//     chosen by a deterministic, order-independent preference).
+//   * duplicate cells with identical contract statistics (the
+//     StatClass::Contract rows of explore/explorer.hpp's statistics table)
+//     — deduplicated (one copy kept, chosen by a deterministic,
+//     order-independent preference); scoreboard statistics may differ.
 //   * duplicate cells where one copy timed out or failed — the healthy /
 //     deeper copy wins (a resumed shard overlaps a partial one).
-//   * duplicate CLEAN cells with different counts — a hard error: two
-//     complete runs of one configuration can never disagree under the
-//     determinism contract, so differing counts mean the inputs lie about
-//     their configuration (or a bug worth hearing about).
+//   * duplicate CLEAN cells with different contract statistics — a hard
+//     error naming each differing statistic and both values: two complete
+//     runs of one configuration can never disagree under the determinism
+//     contract, so differing counts mean the inputs lie about their
+//     configuration (or a bug worth hearing about).
 //
 // Aggregates are never merged numerically: the merged cell set is re-folded
 // through campaign::foldCells — the same fold a direct run uses — and every
@@ -32,11 +35,11 @@
 
 namespace lazyhb::campaign {
 
-/// A merged campaign: the re-folded result, the common configuration, and
-/// the provenance block for the output report.
+/// A merged campaign: the re-folded result (its config is the inputs'
+/// common configuration, unsharded) and the provenance block for the output
+/// report.
 struct MergeOutcome {
   CampaignResult result;
-  ReportConfig config;
   MergeProvenance provenance;
 };
 

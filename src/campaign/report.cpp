@@ -1,6 +1,7 @@
 #include "campaign/report.hpp"
 
 #include <cstdio>
+#include <type_traits>
 
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
@@ -39,37 +40,68 @@ void writeProgram(support::JsonWriter& json, const ProgramSummary& program) {
   json.endObject();
 }
 
+void writeStatRows(support::JsonWriter& json, const ExplorationStats& stats,
+                   explore::StatBlock block) {
+  explore::forEachStat(
+      [&](const explore::StatSpec& spec, const auto& field) {
+        if (spec.block == block) json.field(spec.key, field);
+      },
+      stats);
+}
+
 void writeExplorerTotals(support::JsonWriter& json, const ExplorerTotals& t) {
   json.beginObject();
   json.field("explorer", t.explorer);
   json.field("cells", t.cells);
-  json.field("schedules", t.schedules);
-  json.field("terminal", t.terminal);
-  json.field("pruned", t.pruned);
-  json.field("violations", t.violations);
-  json.field("events", t.events);
-  json.field("events_elided", t.eventsElided);
-  json.field("events_replayed", t.eventsReplayed);
-  json.field("hbrs", t.hbrs);
-  json.field("lazy_hbrs", t.lazyHbrs);
-  json.field("value_classes", t.valueClasses);
-  json.field("states", t.states);
+  writeTopStats(json, t.stats);
   json.field("wall_seconds", t.wallSeconds);
   json.field("events_per_second", t.eventsPerSecond);
   json.field("executed_events_per_second", t.executedEventsPerSecond);
-  json.field("cache_entries", t.cacheEntries);
-  json.field("cache_hits", t.cacheHits);
-  json.field("cache_approx_bytes", t.cacheApproxBytes);
-  json.field("checkpoint_stages", t.checkpointStages);
-  json.field("checkpoint_bytes_staged", t.checkpointBytesStaged);
-  json.field("checkpoint_evictions", t.checkpointEvictions);
-  json.field("checkpoint_replay_fallbacks", t.checkpointReplayFallbacks);
   json.field("inequality_violations",
              static_cast<std::int64_t>(t.inequalityViolations));
+  writeStatBlocks(json, t.stats);
   json.endObject();
 }
 
 }  // namespace
+
+void writeTopStats(support::JsonWriter& json, const ExplorationStats& stats) {
+  writeStatRows(json, stats, explore::StatBlock::Top);
+}
+
+void writeStatBlocks(support::JsonWriter& json, const ExplorationStats& stats) {
+  using explore::StatBlock;
+  for (const StatBlock block :
+       {StatBlock::Cache, StatBlock::Checkpoint, StatBlock::Tso}) {
+    if (!explore::statBlockPresent(stats, block)) continue;
+    json.key(explore::statBlockName(block)).beginObject();
+    writeStatRows(json, stats, block);
+    json.endObject();
+  }
+}
+
+void readStats(const support::JsonValue& value, ExplorationStats* stats) {
+  explore::forEachStat(
+      [&](const explore::StatSpec& spec, auto& field) {
+        const char* blockName = explore::statBlockName(spec.block);
+        const support::JsonValue* block =
+            blockName == nullptr ? &value : value.find(blockName);
+        if (block == nullptr) return;
+        using Field = std::remove_cvref_t<decltype(field)>;
+        if constexpr (std::is_same_v<Field, bool>) {
+          field = block->boolAt(spec.key);
+        } else {
+          field = block->uintAt(spec.key);
+        }
+      },
+      *stats);
+  // The cache and checkpoint blocks exist exactly when their stats are on.
+  using explore::StatBlock;
+  stats->cacheStats.enabled =
+      value.find(explore::statBlockName(StatBlock::Cache)) != nullptr;
+  stats->checkpointStats.enabled =
+      value.find(explore::statBlockName(StatBlock::Checkpoint)) != nullptr;
+}
 
 void writeCellJson(support::JsonWriter& json, const CellResult& cell) {
   json.beginObject();
@@ -77,21 +109,7 @@ void writeCellJson(support::JsonWriter& json, const CellResult& cell) {
   json.field("program", cell.program);
   json.field("family", cell.family);
   json.field("explorer", cell.explorer);
-  json.field("schedules", cell.stats.schedulesExecuted);
-  json.field("terminal", cell.stats.terminalSchedules);
-  json.field("pruned", cell.stats.prunedSchedules);
-  json.field("violations", cell.stats.violationSchedules);
-  json.field("hbrs", cell.stats.distinctHbrs);
-  json.field("lazy_hbrs", cell.stats.distinctLazyHbrs);
-  // Schema v7: distinct terminal value classes — the observation-centric
-  // count the extended §3 chain runs through.
-  json.field("value_classes", cell.stats.distinctValueClasses);
-  json.field("states", cell.stats.distinctStates);
-  json.field("events", cell.stats.totalEvents);
-  json.field("events_elided", cell.stats.eventsElided);
-  json.field("events_replayed", cell.stats.eventsReplayed);
-  json.field("complete", cell.stats.complete);
-  json.field("hit_schedule_limit", cell.stats.hitScheduleLimit);
+  writeTopStats(json, cell.stats);
   json.field("wall_seconds", cell.wallSeconds);
   json.field("events_per_second", cell.eventsPerSecond);
   json.field("executed_events_per_second", cell.executedEventsPerSecond);
@@ -105,39 +123,7 @@ void writeCellJson(support::JsonWriter& json, const CellResult& cell) {
   if (cell.attempts > 1) json.field("attempts", static_cast<std::int64_t>(cell.attempts));
   if (cell.failed()) json.field("error", cell.error);
   if (cell.fromCheckpoint) json.field("from_checkpoint", true);
-  if (cell.stats.cacheStats.enabled) {
-    const explore::PrefixCacheStats& cache = cell.stats.cacheStats;
-    json.key("cache").beginObject();
-    json.field("lookups", cache.lookups);
-    json.field("hits", cache.hits);
-    json.field("insertions", cache.insertions);
-    json.field("entries", cache.entries);
-    json.field("approx_bytes", cache.approxBytes);
-    json.endObject();
-  }
-  if (cell.stats.checkpointStats.enabled) {
-    // Schema v6: the incremental engine's checkpoint economics. Staging and
-    // eviction are pure performance policy, so these are diagnostics for
-    // the bench_diff scoreboard, never count-compared.
-    const explore::CheckpointStats& ckpt = cell.stats.checkpointStats;
-    json.key("checkpoint").beginObject();
-    json.field("stages", ckpt.stages);
-    json.field("bytes_staged", ckpt.bytesStaged);
-    json.field("evictions", ckpt.evictions);
-    json.field("replay_fallbacks", ckpt.replayFallbacks);
-    json.endObject();
-  }
-  if (cell.stats.flushEvents > 0 || cell.stats.fenceEvents > 0 ||
-      cell.stats.maxBufferedStores > 0) {
-    // Schema v8: TSO store-buffer activity. Emitted only when nonzero, so
-    // every SC cell block stays byte-identical to its v7 encoding.
-    json.key("tso").beginObject();
-    json.field("flush_events", cell.stats.flushEvents);
-    json.field("fence_events", cell.stats.fenceEvents);
-    json.field("max_buffered_stores",
-               static_cast<std::uint64_t>(cell.stats.maxBufferedStores));
-    json.endObject();
-  }
+  writeStatBlocks(json, cell.stats);
   if (cell.stats.parallel.workers > 0) {
     // Schema v4: how the cell's intra-scenario sharding distributed work.
     // All *count* fields above are byte-identical to a sequential run; this
@@ -183,20 +169,7 @@ bool parseCellJson(const support::JsonValue& value, CellResult* cell,
   if (cell->program.empty() || cell->explorer.empty()) {
     return fail("cell has an empty program or explorer name");
   }
-  cell->stats.schedulesExecuted = value.uintAt("schedules");
-  cell->stats.terminalSchedules = value.uintAt("terminal");
-  cell->stats.prunedSchedules = value.uintAt("pruned");
-  cell->stats.violationSchedules = value.uintAt("violations");
-  cell->stats.distinctHbrs = value.uintAt("hbrs");
-  cell->stats.distinctLazyHbrs = value.uintAt("lazy_hbrs");
-  // Absent in pre-v7 cell blocks; 0 means "not recorded" downstream.
-  cell->stats.distinctValueClasses = value.uintAt("value_classes");
-  cell->stats.distinctStates = value.uintAt("states");
-  cell->stats.totalEvents = value.uintAt("events");
-  cell->stats.eventsElided = value.uintAt("events_elided");
-  cell->stats.eventsReplayed = value.uintAt("events_replayed");
-  cell->stats.complete = value.boolAt("complete");
-  cell->stats.hitScheduleLimit = value.boolAt("hit_schedule_limit");
+  readStats(value, &cell->stats);
   cell->wallSeconds = value.doubleAt("wall_seconds");
   cell->eventsPerSecond = value.doubleAt("events_per_second");
   cell->executedEventsPerSecond = value.doubleAt("executed_events_per_second");
@@ -208,27 +181,6 @@ bool parseCellJson(const support::JsonValue& value, CellResult* cell,
   cell->attempts = static_cast<int>(value.intAt("attempts", 1));
   cell->error = value.stringAt("error");
   cell->fromCheckpoint = value.boolAt("from_checkpoint");
-  if (const support::JsonValue* cache = value.find("cache")) {
-    cell->stats.cacheStats.enabled = true;
-    cell->stats.cacheStats.lookups = cache->uintAt("lookups");
-    cell->stats.cacheStats.hits = cache->uintAt("hits");
-    cell->stats.cacheStats.insertions = cache->uintAt("insertions");
-    cell->stats.cacheStats.entries = cache->uintAt("entries");
-    cell->stats.cacheStats.approxBytes = cache->uintAt("approx_bytes");
-  }
-  if (const support::JsonValue* ckpt = value.find("checkpoint")) {
-    cell->stats.checkpointStats.enabled = true;
-    cell->stats.checkpointStats.stages = ckpt->uintAt("stages");
-    cell->stats.checkpointStats.bytesStaged = ckpt->uintAt("bytes_staged");
-    cell->stats.checkpointStats.evictions = ckpt->uintAt("evictions");
-    cell->stats.checkpointStats.replayFallbacks = ckpt->uintAt("replay_fallbacks");
-  }
-  if (const support::JsonValue* tso = value.find("tso")) {
-    cell->stats.flushEvents = tso->uintAt("flush_events");
-    cell->stats.fenceEvents = tso->uintAt("fence_events");
-    cell->stats.maxBufferedStores =
-        static_cast<std::uint32_t>(tso->uintAt("max_buffered_stores"));
-  }
   if (const support::JsonValue* parallel = value.find("parallel")) {
     cell->stats.parallel.workers = static_cast<int>(parallel->intAt("workers"));
     cell->stats.parallel.frontierJobs = parallel->uintAt("frontier_jobs");
@@ -247,12 +199,12 @@ bool parseCellJson(const support::JsonValue& value, CellResult* cell,
 }
 
 std::string writeReportJson(const CampaignResult& result,
-                            const ReportConfig& config,
                             const MergeProvenance* provenance) {
+  const CampaignConfig& config = result.config;
   support::JsonWriter json;
   json.beginObject();
-  json.field("schema", kReportSchemaName);
-  json.field("version", kReportSchemaVersion);
+  json.field("schema", kSuiteReportSchemaName);
+  json.field("version", kSuiteReportSchemaVersion);
 
   json.key("config").beginObject();
   json.field("limit", config.scheduleLimit);
@@ -260,7 +212,6 @@ std::string writeReportJson(const CampaignResult& result,
   json.field("seed", config.seed);
   json.field("jobs", result.jobs);
   json.field("workers", static_cast<std::int64_t>(config.workers));
-  json.field("quick", config.quick);
   json.field("incremental", config.incremental);
   json.field("snapshot_budget", config.snapshotBudgetBytes);
   json.field("memory_model", config.memoryModel);
@@ -295,10 +246,7 @@ std::string writeReportJson(const CampaignResult& result,
 
   json.key("totals").beginObject();
   json.field("cells", static_cast<std::uint64_t>(result.cells.size()));
-  json.field("schedules", result.totalSchedules);
-  json.field("events", result.totalEvents);
-  json.field("events_elided", result.totalEventsElided);
-  json.field("events_replayed", result.totalEventsReplayed);
+  writeTopStats(json, result.totals);
   json.field("wall_seconds", result.wallSeconds);
   json.field("cpu_seconds", result.cpuSeconds);
   json.field("events_per_second", result.eventsPerSecond);
@@ -320,6 +268,7 @@ std::string writeReportJson(const CampaignResult& result,
     json.field("cells_from_checkpoint",
                static_cast<std::uint64_t>(result.cellsFromCheckpoint));
   }
+  writeStatBlocks(json, result.totals);
   json.key("per_explorer").beginArray();
   for (const ExplorerTotals& totals : result.perExplorer) {
     writeExplorerTotals(json, totals);
@@ -344,9 +293,8 @@ std::string writeReportJson(const CampaignResult& result,
 }
 
 bool writeReportFile(const std::string& path, const CampaignResult& result,
-                     const ReportConfig& config,
                      const MergeProvenance* provenance) {
-  const std::string document = writeReportJson(result, config, provenance);
+  const std::string document = writeReportJson(result, provenance);
   if (path == "-") {
     std::fputs(document.c_str(), stdout);
     return true;

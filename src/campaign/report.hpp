@@ -2,14 +2,16 @@
 //
 // The versioned, machine-readable campaign report (BENCH_*.json). The
 // schema is documented in docs/bench-report-schema.md; bump
-// kReportSchemaVersion on any field change a consumer could observe.
+// kSuiteReportSchemaVersion on any field change a consumer could observe.
 // Writing goes through support::JsonWriter, reading through
 // support::JsonValue — no third-party JSON dependency.
 //
-// The per-cell block serializers are exposed because three producers must
-// agree byte-for-byte on the cell encoding: the report writer, the campaign
-// journal (campaign/checkpoint.hpp stores one cell block per file), and the
-// report merger (campaign/merge.hpp re-reads cell blocks from inputs).
+// The statistics codec and the per-cell block serializers are exposed
+// because several producers must agree byte-for-byte: the report writer,
+// the campaign journal (campaign/checkpoint.hpp stores one cell block per
+// file), the report merger (campaign/merge.hpp re-reads cell blocks from
+// inputs) and the single-run test report (TestReport::toJson). Every
+// statistic is read and written through the table in explore/explorer.hpp.
 
 #pragma once
 
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "lazyhb/suite.hpp"
 
 namespace lazyhb::support {
 class JsonWriter;
@@ -26,37 +29,17 @@ struct JsonValue;
 
 namespace lazyhb::campaign {
 
-inline constexpr const char* kReportSchemaName = "lazyhb-bench-report";
-inline constexpr int kReportSchemaVersion = 8;
+/// Write the statistics the table places at the top level as fields of the
+/// open JSON object.
+void writeTopStats(support::JsonWriter& json, const ExplorationStats& stats);
 
-/// The campaign configuration echoed into the report, so a BENCH_*.json is
-/// self-describing and two reports are comparable at a glance.
-struct ReportConfig {
-  std::uint64_t scheduleLimit = 0;
-  std::uint32_t maxEventsPerSchedule = 0;
-  std::uint64_t seed = 0;
-  bool quick = false;
-  bool incremental = true;  ///< --incremental toggle the campaign ran with
-  /// Intra-scenario worker threads per cell (--workers). Mandatory in a
-  /// v4+ config block: tools/bench_diff.py rejects such reports without it,
-  /// so a report can never silently hide the parallelism it ran with.
-  int workers = 1;
-  /// Snapshot byte budget per cell (--snapshot-budget, 0 = unlimited).
-  /// Mandatory in a v6 config block, for the same reason as workers: a
-  /// budget small enough to force evictions changes wall time, so two
-  /// reports are only comparable with it in view.
-  std::uint64_t snapshotBudgetBytes = 0;
-  /// Memory model every cell ran under ("sc" or "tso"). Mandatory in a v8
-  /// config block: two reports are only count-comparable under the same
-  /// model, so bench_diff refuses v8 reports without it.
-  std::string memoryModel = "sc";
-  /// Which slice of the cell matrix this report covers (schema v5): the
-  /// cells with index % shardCount == shardIndex. The config block carries
-  /// a "shard" object only when shardCount > 1 — an unsharded report is
-  /// byte-compatible with a v4 consumer that ignores the version.
-  int shardIndex = 0;
-  int shardCount = 1;
-};
+/// Write every optional statistics block present in `stats` (cache,
+/// checkpoint, tso) as a nested object of the open JSON object.
+void writeStatBlocks(support::JsonWriter& json, const ExplorationStats& stats);
+
+/// Read back the statistics writeTopStats/writeStatBlocks wrote into the
+/// object `value`; absent fields read as zero.
+void readStats(const support::JsonValue& value, ExplorationStats* stats);
 
 /// Where a merged report's cells came from: one entry per (transitively)
 /// merged input. Emitted as the top-level "merge" block; absent from
@@ -86,16 +69,15 @@ void writeCellJson(support::JsonWriter& json, const CellResult& cell);
                                  CellResult* cell, std::string* error);
 
 /// Serialize the campaign into the versioned report JSON (a full document,
-/// newline-terminated). `provenance`, when non-null and non-empty, becomes
-/// the top-level "merge" block.
+/// newline-terminated); the config block echoes result.config.
+/// `provenance`, when non-null and non-empty, becomes the top-level "merge"
+/// block.
 [[nodiscard]] std::string writeReportJson(
-    const CampaignResult& result, const ReportConfig& config,
-    const MergeProvenance* provenance = nullptr);
+    const CampaignResult& result, const MergeProvenance* provenance = nullptr);
 
 /// Write the report to `path` ("-" means stdout). Returns false (with a
 /// message on stderr) when the file cannot be written.
 bool writeReportFile(const std::string& path, const CampaignResult& result,
-                     const ReportConfig& config,
                      const MergeProvenance* provenance = nullptr);
 
 }  // namespace lazyhb::campaign

@@ -25,9 +25,9 @@
 //     (a shared or unseeded RNG would make steal patterns — and with them
 //     any order-sensitive downstream state — drift between runs).
 //
-// Tasks are independent and must not throw (support::ThreadPool's contract,
-// kept here): an experiment harness has no meaningful recovery from a lost
-// result, so an escaping exception terminates the process via noexcept.
+// Tasks are independent and must not throw: an experiment harness has no
+// meaningful recovery from a lost result, so an escaping exception
+// terminates the process via noexcept.
 //
 // This pool is deliberately simple — one mutex over the deques, not a
 // lock-free Chase–Lev deque. Tasks run for milliseconds to minutes, so

@@ -623,16 +623,16 @@ int cmdBench(int argc, char** argv) {
     table.beginRow();
     table.cell(t.explorer);
     table.cell(t.cells);
-    table.cell(t.schedules);
-    table.cell(t.terminal);
-    table.cell(t.pruned);
-    table.cell(t.violations);
-    table.cell(t.hbrs);
-    table.cell(t.lazyHbrs);
-    table.cell(t.valueClasses);
-    table.cell(t.states);
-    table.cell(t.cacheEntries);
-    table.cell(static_cast<double>(t.cacheApproxBytes) / (1024.0 * 1024.0));
+    table.cell(t.stats.schedulesExecuted);
+    table.cell(t.stats.terminalSchedules);
+    table.cell(t.stats.prunedSchedules);
+    table.cell(t.stats.violationSchedules);
+    table.cell(t.stats.distinctHbrs);
+    table.cell(t.stats.distinctLazyHbrs);
+    table.cell(t.stats.distinctValueClasses);
+    table.cell(t.stats.distinctStates);
+    table.cell(t.stats.cacheStats.entries);
+    table.cell(static_cast<double>(t.stats.cacheStats.approxBytes) / (1024.0 * 1024.0));
     table.cell(t.wallSeconds);
   }
   std::printf("campaign: %zu programs x %zu explorers = %zu cells, "
@@ -640,10 +640,10 @@ int cmdBench(int argc, char** argv) {
               result.programs.size(), result.perExplorer.size(),
               result.cells.size(), result.jobs,
               static_cast<unsigned long long>(result.tasksStolen));
-  if (result.shardCount > 1) {
+  if (result.config.shardCount > 1) {
     std::printf("shard %d/%d: this report covers only its slice of the "
                 "matrix; merge slices with `lazyhb merge`\n",
-                result.shardIndex + 1, result.shardCount);
+                result.config.shardIndex + 1, result.config.shardCount);
   }
   if (result.cellsFromCheckpoint > 0 || result.cellsTimedOut > 0 ||
       result.cellsFailed > 0 || result.cellsRetried > 0) {
@@ -654,36 +654,40 @@ int cmdBench(int argc, char** argv) {
   }
   std::fputs(table.toText().c_str(), stdout);
   if (options.getFlag("csv")) {
-    support::Table cells({"program_id", "program", "family", "explorer",
-                          "schedules", "terminal", "pruned", "violations",
-                          "hbrs", "lazy_hbrs", "value_classes", "states",
-                          "events", "wall_seconds"});
+    // One column per statistic of the table, after the cell's identity.
+    std::vector<std::string> headers = {"program_id", "program", "family",
+                                        "explorer"};
+    const ExplorationStats none;
+    explore::forEachStat(
+        [&](const explore::StatSpec& spec, const auto&) {
+          headers.push_back(explore::statPath(spec));
+        },
+        none);
+    headers.push_back("wall_seconds");
+    support::Table cells(headers);
     for (const campaign::CellResult& cell : result.cells) {
       cells.beginRow();
       cells.cell(static_cast<std::int64_t>(cell.programId));
       cells.cell(cell.program);
       cells.cell(cell.family);
       cells.cell(cell.explorer);
-      cells.cell(cell.stats.schedulesExecuted);
-      cells.cell(cell.stats.terminalSchedules);
-      cells.cell(cell.stats.prunedSchedules);
-      cells.cell(cell.stats.violationSchedules);
-      cells.cell(cell.stats.distinctHbrs);
-      cells.cell(cell.stats.distinctLazyHbrs);
-      cells.cell(cell.stats.distinctValueClasses);
-      cells.cell(cell.stats.distinctStates);
-      cells.cell(cell.stats.totalEvents);
+      explore::forEachStat(
+          [&](const explore::StatSpec&, const auto& field) {
+            cells.cell(static_cast<std::uint64_t>(field));
+          },
+          cell.stats);
       cells.cell(cell.wallSeconds, 4);
     }
     std::fputs("\n--- CSV ---\n", stdout);
     std::fputs(cells.toCsv().c_str(), stdout);
   }
+  const ExplorationStats& totals = result.totals;
   std::printf("totals: %s schedules, %s events (%s elided, %s replayed), "
               "%.2fs wall (%.2fs cpu), %.1fx parallel speedup\n",
-              support::withCommas(result.totalSchedules).c_str(),
-              support::withCommas(result.totalEvents).c_str(),
-              support::withCommas(result.totalEventsElided).c_str(),
-              support::withCommas(result.totalEventsReplayed).c_str(),
+              support::withCommas(totals.schedulesExecuted).c_str(),
+              support::withCommas(totals.totalEvents).c_str(),
+              support::withCommas(totals.eventsElided).c_str(),
+              support::withCommas(totals.eventsReplayed).c_str(),
               result.wallSeconds, result.cpuSeconds,
               result.wallSeconds > 0.0 ? result.cpuSeconds / result.wallSeconds
                                        : 0.0);
@@ -702,22 +706,9 @@ int cmdBench(int argc, char** argv) {
     }
   }
 
-  campaign::ReportConfig reportConfig;
-  reportConfig.scheduleLimit = limit;
-  reportConfig.maxEventsPerSchedule = campaignOptions.explorer.maxEventsPerSchedule;
-  reportConfig.seed = campaignOptions.seed;
-  reportConfig.quick = quick;
-  reportConfig.incremental = campaignOptions.explorer.incremental;
-  reportConfig.workers = workers;
-  reportConfig.snapshotBudgetBytes = campaignOptions.explorer.snapshotBudgetBytes;
-  reportConfig.memoryModel = memoryModel;
-  reportConfig.shardIndex = campaignOptions.shardIndex;
-  reportConfig.shardCount = campaignOptions.shardCount;
   const std::string out = options.getString("out");
   if (!out.empty()) {
-    if (!campaign::writeReportFile(out, result, reportConfig)) {
-      return kExitIo;
-    }
+    if (!campaign::writeReportFile(out, result)) return kExitIo;
     if (out != "-") std::printf("report: %s\n", out.c_str());
   }
   return result.inequalityViolations == 0 ? kExitOk : kExitViolation;
@@ -751,7 +742,7 @@ bool readDocument(const std::string& path, std::string* out) {
 int cmdMerge(int argc, char** argv) {
   support::Options options(
       "lazyhb merge [report.json ...]",
-      "merge shard/resume bench reports (schema v5) into one report: "
+      "merge shard/resume bench reports into one report: "
       "disjoint cells union, identical duplicates dedupe, totals and the "
       "section-3 check are recomputed from the merged cells; conflicting "
       "duplicate counts are a hard error");
@@ -781,8 +772,7 @@ int cmdMerge(int argc, char** argv) {
   }
 
   const std::string out = options.getString("out");
-  if (!campaign::writeReportFile(out, merged.result, merged.config,
-                                 &merged.provenance)) {
+  if (!campaign::writeReportFile(out, merged.result, &merged.provenance)) {
     return kExitIo;
   }
   if (out != "-") {

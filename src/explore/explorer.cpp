@@ -1,6 +1,8 @@
 #include "explore/explorer.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <type_traits>
 
 #include "support/diagnostics.hpp"
 
@@ -18,10 +20,186 @@ std::uint64_t defaultSnapshotBudgetBytes() noexcept {
   return value;
 }
 
+const char* statBlockName(StatBlock block) noexcept {
+  switch (block) {
+    case StatBlock::Top:
+      return nullptr;
+    case StatBlock::Cache:
+      return "cache";
+    case StatBlock::Checkpoint:
+      return "checkpoint";
+    case StatBlock::Tso:
+      return "tso";
+  }
+  return nullptr;
+}
+
+std::string statPath(const StatSpec& spec) {
+  const char* block = statBlockName(spec.block);
+  return block == nullptr ? spec.key : std::string(block) + "." + spec.key;
+}
+
+bool statBlockPresent(const ExplorationStats& stats, StatBlock block) noexcept {
+  switch (block) {
+    case StatBlock::Top:
+      return true;
+    case StatBlock::Cache:
+      return stats.cacheStats.enabled;
+    case StatBlock::Checkpoint:
+      return stats.checkpointStats.enabled;
+    case StatBlock::Tso:
+      return stats.flushEvents > 0 || stats.fenceEvents > 0 ||
+             stats.maxBufferedStores > 0;
+  }
+  return false;
+}
+
+ExplorationStats emptyStatFold() {
+  ExplorationStats stats;
+  forEachStat(
+      [](const StatSpec& spec, auto& field) {
+        if (spec.fold == StatFold::And) field = true;
+      },
+      stats);
+  return stats;
+}
+
+void foldStats(ExplorationStats& into, const ExplorationStats& from) {
+  forEachStat(
+      [](const StatSpec& spec, auto& acc, const auto& value) {
+        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(acc)>, bool>) {
+          acc = spec.fold == StatFold::And ? acc && value : acc || value;
+        } else {
+          acc = spec.fold == StatFold::Max ? std::max(acc, value) : acc + value;
+        }
+      },
+      into, from);
+  into.cacheStats.enabled = into.cacheStats.enabled || from.cacheStats.enabled;
+  into.checkpointStats.enabled =
+      into.checkpointStats.enabled || from.checkpointStats.enabled;
+}
+
+CacheStats cacheStatsOf(const core::HbrCache& cache) {
+  const core::HbrCache::Stats counts = cache.stats();
+  CacheStats stats;
+  stats.enabled = true;
+  stats.lookups = counts.lookups;
+  stats.hits = counts.hits;
+  stats.insertions = counts.insertions;
+  stats.entries = cache.size();
+  stats.approxBytes = cache.approxMemoryBytes();
+  return stats;
+}
+
+ScheduleTally::ScheduleTally(const ExplorerOptions& options,
+                             std::size_t keepViolations)
+    : checkTheorems_(options.checkTheorems),
+      detectRaces_(options.detectRaces),
+      keepViolations_(keepViolations) {
+  config_.maxEventsPerSchedule = options.maxEventsPerSchedule;
+  config_.memoryModel = options.memoryModel;
+}
+
+runtime::Outcome ScheduleTally::execute(PrefixReplayEngine& engine,
+                                        trace::TraceRecorder& recorder,
+                                        const Program& program,
+                                        runtime::Scheduler& scheduler) {
+  const PrefixReplayEngine::Session session =
+      engine.beginSchedule(config_, &recorder);
+  runtime::Execution& exec = *session.exec;
+  const runtime::Outcome outcome =
+      session.resumed ? exec.resume(scheduler) : exec.run(program, scheduler);
+
+  ++result_.schedulesExecuted;
+  result_.totalEvents += exec.events().size();
+  // The execution's store-buffer counters are checkpoint/rollback-aware, so
+  // at schedule end they read this full schedule's totals in every
+  // incremental replay mode, exactly like totalEvents.
+  result_.flushEvents += exec.flushEventCount();
+  result_.fenceEvents += exec.fenceEventCount();
+  result_.maxBufferedStores =
+      std::max<std::uint64_t>(result_.maxBufferedStores, exec.maxBufferedStores());
+
+  switch (outcome) {
+    case runtime::Outcome::Terminal: {
+      ++result_.terminalSchedules;
+      const support::Hash128 hbr = recorder.fingerprint(trace::Relation::Full);
+      const support::Hash128 lazy = recorder.fingerprint(trace::Relation::Lazy);
+      const support::Hash128 value = recorder.fingerprint(trace::Relation::Value);
+      const support::Hash128 state = exec.stateFingerprint();
+      hbrs_.insert(hbr);
+      lazyHbrs_.insert(lazy);
+      valueClasses_.insert(value);
+      states_.insert(state);
+      if (checkTheorems_) {
+        thm21_.record(hbr, state);
+        thm22_.record(lazy, state);
+        thmValue_.record(value, state);
+      }
+      break;
+    }
+    case runtime::Outcome::Deadlock:
+    case runtime::Outcome::AssertionFailure:
+    case runtime::Outcome::UsageError: {
+      ++result_.violationSchedules;
+      if (result_.violations.size() < keepViolations_) {
+        const runtime::Violation& v = exec.violation();
+        result_.violations.push_back(ViolationRecord{v.kind, v.message, v.schedule});
+      }
+      break;
+    }
+    case runtime::Outcome::Abandoned:
+      ++result_.prunedSchedules;
+      break;
+    case runtime::Outcome::EventLimit:
+      break;  // counted as executed, contributes no terminal data
+  }
+
+  if (detectRaces_) races_.ingest(recorder);
+  return outcome;
+}
+
+void ScheduleTally::addReplayStats(const PrefixReplayEngine& engine) {
+  result_.eventsElided += engine.eventsElided();
+  result_.eventsReplayed += engine.eventsReplayed();
+  CheckpointStats& checkpoint = result_.checkpointStats;
+  checkpoint.enabled = checkpoint.enabled || engine.incremental();
+  checkpoint.stages += engine.stagesCreated();
+  checkpoint.bytesStaged += engine.bytesStaged();
+  checkpoint.evictions += engine.evictions();
+  checkpoint.replayFallbacks += engine.replayFallbacks();
+}
+
+void ScheduleTally::absorb(const ScheduleTally& other) {
+  foldStats(result_, other.result_);
+  hbrs_.insert(other.hbrs_.begin(), other.hbrs_.end());
+  lazyHbrs_.insert(other.lazyHbrs_.begin(), other.lazyHbrs_.end());
+  valueClasses_.insert(other.valueClasses_.begin(), other.valueClasses_.end());
+  states_.insert(other.states_.begin(), other.states_.end());
+  result_.violations.insert(result_.violations.end(),
+                            other.result_.violations.begin(),
+                            other.result_.violations.end());
+}
+
+ExplorationResult& ScheduleTally::finish() {
+  result_.distinctHbrs = hbrs_.size();
+  result_.distinctLazyHbrs = lazyHbrs_.size();
+  result_.distinctValueClasses = valueClasses_.size();
+  result_.distinctStates = states_.size();
+  if (checkTheorems_) {
+    result_.theorem21 = thm21_.stats();
+    result_.theorem22 = thm22_.stats();
+    result_.theoremValue = thmValue_.stats();
+  }
+  result_.races = races_.distinctRaces();
+  return result_;
+}
+
 ExplorerBase::ExplorerBase(ExplorerOptions options)
     : options_(options),
       recorder_(trace::TraceRecorder::Options{options.keepPredecessors,
                                               options.detectRaces}),
+      tally_(options, options.maxViolationsKept),
       engine_(stackPool_, recorder_, options.incremental,
               options.checkpointable &&
                   runtime::Execution::checkpointingSupported(),
@@ -36,113 +214,38 @@ ExplorationResult ExplorerBase::explore(const Program& program) {
                     std::chrono::duration<double>(options_.wallTimeoutSeconds));
   }
   runSearch(program);
-  result_.distinctHbrs = terminalHbrs_.size();
-  result_.distinctLazyHbrs = terminalLazyHbrs_.size();
-  result_.distinctValueClasses = terminalValueClasses_.size();
-  result_.distinctStates = terminalStates_.size();
-  result_.eventsElided = engine_.eventsElided();
-  result_.eventsReplayed = engine_.eventsReplayed();
-  result_.checkpointStats.enabled = engine_.incremental();
-  result_.checkpointStats.stages = engine_.stagesCreated();
-  result_.checkpointStats.bytesStaged = engine_.bytesStaged();
-  result_.checkpointStats.evictions = engine_.evictions();
-  result_.checkpointStats.replayFallbacks = engine_.replayFallbacks();
-  if (options_.checkTheorems) {
-    result_.theorem21 = thm21_.stats();
-    result_.theorem22 = thm22_.stats();
-    result_.theoremValue = thmValue_.stats();
-  }
-  result_.races = raceAggregator_.distinctRaces();
+  tally_.addReplayStats(engine_);
   if (const core::HbrCache* cache = prefixCache()) {
-    result_.cacheStats.enabled = true;
-    result_.cacheStats.lookups = cache->stats().lookups;
-    result_.cacheStats.hits = cache->stats().hits;
-    result_.cacheStats.insertions = cache->stats().insertions;
-    result_.cacheStats.entries = cache->size();
-    result_.cacheStats.approxBytes = cache->approxMemoryBytes();
+    result().cacheStats = cacheStatsOf(*cache);
   }
-  return result_;
+  return tally_.finish();
 }
 
 bool ExplorerBase::budgetExhausted() const noexcept {
-  return deadlineExpired_ || result_.schedulesExecuted >= options_.scheduleLimit;
+  return deadlineExpired_ ||
+         tally_.result().schedulesExecuted >= options_.scheduleLimit;
 }
 
 bool ExplorerBase::shouldStopForViolation() const noexcept {
-  return options_.stopOnFirstViolation && !result_.violations.empty();
+  return options_.stopOnFirstViolation && !tally_.result().violations.empty();
 }
 
 runtime::Outcome ExplorerBase::executeSchedule(const Program& program,
                                                runtime::Scheduler& scheduler) {
+  ExplorationResult& result = tally_.result();
   if (budgetExhausted()) {
-    result_.hitScheduleLimit = true;
+    result.hitScheduleLimit = true;
   }
-  runtime::Config config;
-  config.maxEventsPerSchedule = options_.maxEventsPerSchedule;
-  config.memoryModel = options_.memoryModel;
-  const PrefixReplayEngine::Session session = engine_.beginSchedule(config, &recorder_);
-  runtime::Execution& exec = *session.exec;
   const runtime::Outcome outcome =
-      session.resumed ? exec.resume(scheduler) : exec.run(program, scheduler);
-
-  ++result_.schedulesExecuted;
-  result_.totalEvents += exec.events().size();
-  // Store-buffer stats. The engine's counters are checkpoint/rollback-aware
-  // (snapshotted scalars), so at schedule end they always read this full
-  // schedule's totals — summing them here is byte-identical across the
-  // incremental replay modes, exactly like totalEvents.
-  result_.flushEvents += exec.flushEventCount();
-  result_.fenceEvents += exec.fenceEventCount();
-  if (exec.maxBufferedStores() > result_.maxBufferedStores) {
-    result_.maxBufferedStores = exec.maxBufferedStores();
-  }
-
-  switch (outcome) {
-    case runtime::Outcome::Terminal: {
-      ++result_.terminalSchedules;
-      const support::Hash128 hbr = recorder_.fingerprint(trace::Relation::Full);
-      const support::Hash128 lazy = recorder_.fingerprint(trace::Relation::Lazy);
-      const support::Hash128 value = recorder_.fingerprint(trace::Relation::Value);
-      const support::Hash128 state = exec.stateFingerprint();
-      terminalHbrs_.insert(hbr);
-      terminalLazyHbrs_.insert(lazy);
-      terminalValueClasses_.insert(value);
-      terminalStates_.insert(state);
-      if (options_.checkTheorems) {
-        thm21_.record(hbr, state);
-        thm22_.record(lazy, state);
-        thmValue_.record(value, state);
-      }
-      break;
-    }
-    case runtime::Outcome::Deadlock:
-    case runtime::Outcome::AssertionFailure:
-    case runtime::Outcome::UsageError: {
-      ++result_.violationSchedules;
-      if (result_.violations.size() < options_.maxViolationsKept) {
-        const runtime::Violation& v = exec.violation();
-        result_.violations.push_back(ViolationRecord{v.kind, v.message, v.schedule});
-      }
-      break;
-    }
-    case runtime::Outcome::Abandoned:
-      ++result_.prunedSchedules;
-      break;
-    case runtime::Outcome::EventLimit:
-      break;  // counted as executed, contributes no terminal data
-  }
-
-  if (options_.detectRaces) {
-    raceAggregator_.ingest(recorder_);
-  }
+      tally_.execute(engine_, recorder_, program, scheduler);
   if (options_.onScheduleTick && options_.tickIntervalSchedules > 0 &&
-      result_.schedulesExecuted % options_.tickIntervalSchedules == 0) {
-    options_.onScheduleTick(result_.schedulesExecuted);
+      result.schedulesExecuted % options_.tickIntervalSchedules == 0) {
+    options_.onScheduleTick(result.schedulesExecuted);
   }
   if (options_.wallTimeoutSeconds > 0.0 && !deadlineExpired_ &&
       std::chrono::steady_clock::now() >= deadline_) {
     deadlineExpired_ = true;
-    result_.timedOut = true;
+    result.timedOut = true;
   }
   return outcome;
 }

@@ -30,6 +30,7 @@
 #include "core/hbr_cache.hpp"
 #include "core/race_detector.hpp"
 #include "explore/prefix_replay.hpp"
+#include "lazyhb/stats.hpp"
 #include "memory/memory_model.hpp"
 #include "runtime/execution.hpp"
 #include "support/hash.hpp"
@@ -125,34 +126,6 @@ struct ViolationRecord {
   std::vector<int> schedule;  ///< thread picked at each step; replayable
 };
 
-/// Snapshot of an explorer's HBR prefix cache at the end of the search.
-/// All-zero (enabled == false) for strategies that consult no cache; the
-/// approximate footprint makes cache growth visible per campaign cell.
-struct PrefixCacheStats {
-  bool enabled = false;
-  std::uint64_t lookups = 0;
-  std::uint64_t hits = 0;        ///< prefixes pruned as already seen
-  std::uint64_t insertions = 0;
-  std::uint64_t entries = 0;     ///< fingerprints resident at the end
-  std::uint64_t approxBytes = 0; ///< HbrCache::approxMemoryBytes()
-};
-
-/// Checkpoint economics of the incremental prefix-replay engine for one
-/// exploration (PrefixReplayEngine). All-zero with enabled == false when
-/// incremental mode is off. Stage/eviction placement is a pure performance
-/// policy — observable schedule counts are byte-identical regardless — so
-/// these feed the bench report scoreboard, never count comparisons.
-struct CheckpointStats {
-  bool enabled = false;
-  std::uint64_t stages = 0;          ///< distinct depths staged over the run
-  std::uint64_t bytesStaged = 0;     ///< sum of approx bytes at staging time
-  std::uint64_t evictions = 0;       ///< stages dropped to honour the budget
-  /// prepareNext calls where an evicted stage would have served the
-  /// divergence better than the deepest surviving one (the cost of the
-  /// budget: extra replay distance).
-  std::uint64_t replayFallbacks = 0;
-};
-
 /// Per-worker share of a parallel exploration (explore/parallel_explorer.hpp):
 /// how many schedules the worker ran and how many frontier tasks it stole.
 /// The campaign report (schema v4) surfaces these so load imbalance is
@@ -175,27 +148,11 @@ struct ParallelStats {
   std::vector<WorkerShare> byWorker;
 };
 
-struct ExplorationResult {
-  std::uint64_t schedulesExecuted = 0;
-  std::uint64_t terminalSchedules = 0;
-  std::uint64_t violationSchedules = 0;
-  std::uint64_t prunedSchedules = 0;   ///< abandoned mid-run (cache/sleep)
-  std::uint64_t totalEvents = 0;       ///< logical events, elided ones included
-  /// Prefix events never re-executed thanks to runtime rollback. The
-  /// honest throughput metric divides executed events (totalEvents -
-  /// eventsElided) by wall time, so elision is not double-counted as speed.
-  std::uint64_t eventsElided = 0;
-  /// Prefix events re-executed to reach a divergence point (the residual
-  /// redundancy; their recording cost is elided whenever a recorder
-  /// checkpoint covered them).
-  std::uint64_t eventsReplayed = 0;
-  std::uint64_t distinctHbrs = 0;      ///< terminal full-HBR fingerprints
-  std::uint64_t distinctLazyHbrs = 0;  ///< terminal lazy-HBR fingerprints
-  std::uint64_t distinctValueClasses = 0;  ///< terminal value-class fingerprints
-  std::uint64_t distinctStates = 0;    ///< terminal state fingerprints
-  bool hitScheduleLimit = false;
-  bool complete = false;               ///< search space fully explored
-  /// wallTimeoutSeconds expired mid-search: the counts above are a
+/// Everything one exploration produced: the reported statistics (the
+/// ExplorationStats base, one row each in the table below) plus the
+/// findings only the engine and the test report carry.
+struct ExplorationResult : ExplorationStats {
+  /// wallTimeoutSeconds expired mid-search: the counts are a
   /// wall-clock-dependent prefix of the full exploration.
   bool timedOut = false;
   std::vector<ViolationRecord> violations;
@@ -206,17 +163,150 @@ struct ExplorationResult {
   /// Theorems 2.1/2.2, populated when checkTheorems is on).
   core::EquivalenceChecker::Stats theoremValue;
   std::vector<trace::RaceReport> races;
-  /// TSO store-buffer activity across all schedules (all zero under SC):
-  /// flush events committed, fence events committed, and the deepest any
-  /// thread's buffer got. Deterministic at any worker count / replay mode.
-  std::uint64_t flushEvents = 0;
-  std::uint64_t fenceEvents = 0;
-  std::uint32_t maxBufferedStores = 0;
-  PrefixCacheStats cacheStats;  ///< zero unless the strategy uses an HbrCache
-  CheckpointStats checkpointStats;  ///< zero unless incremental replay ran
-  ParallelStats parallel;       ///< zero-workers unless sharded (see above)
+  ParallelStats parallel;  ///< zero-workers unless sharded (see above)
 
   [[nodiscard]] bool foundViolation() const noexcept { return !violations.empty(); }
+};
+
+// --- the statistics table ------------------------------------------------------
+
+/// The report object a statistic is written in: the cell (or totals)
+/// object itself, or one of its optional blocks (see statBlockPresent).
+enum class StatBlock { Top, Cache, Checkpoint, Tso };
+
+/// Contract statistics are byte-identical at any --jobs, --workers,
+/// --incremental and --snapshot-budget, so `lazyhb merge`,
+/// tools/bench_diff.py and the golden tests compare them. Scoreboard
+/// statistics depend on how the search ran (replay policy, worker split,
+/// heap layout): reported, never compared.
+enum class StatClass { Contract, Scoreboard };
+
+/// How a statistic combines when explorations fold together: parallel
+/// workers into one result, cells into per-explorer and campaign totals.
+enum class StatFold { Sum, Max, Or, And };
+
+struct StatSpec {
+  const char* key;  ///< JSON key within its block
+  StatBlock block;
+  StatClass klass;
+  StatFold fold;
+};
+
+/// The statistics table: calls visit(spec, field...) once per statistic of
+/// ExplorationStats, in report order, passing that statistic's member of
+/// every `stats` argument — so one walk writes, reads, compares or folds
+/// several results in lockstep. The report codec, the merge conflict
+/// check, the folds and the CSV columns all walk this table; a new
+/// statistic is a member of ExplorationStats plus one row here. Walked per
+/// exploration and per report, never per schedule.
+template <typename Visit, typename... Stats>
+void forEachStat(Visit&& visit, Stats&... stats) {
+  using enum StatBlock;
+  using enum StatClass;
+  using enum StatFold;
+  visit(StatSpec{"schedules", Top, Contract, Sum}, stats.schedulesExecuted...);
+  visit(StatSpec{"terminal", Top, Contract, Sum}, stats.terminalSchedules...);
+  visit(StatSpec{"pruned", Top, Contract, Sum}, stats.prunedSchedules...);
+  visit(StatSpec{"violations", Top, Contract, Sum}, stats.violationSchedules...);
+  visit(StatSpec{"hbrs", Top, Contract, Sum}, stats.distinctHbrs...);
+  visit(StatSpec{"lazy_hbrs", Top, Contract, Sum}, stats.distinctLazyHbrs...);
+  visit(StatSpec{"value_classes", Top, Contract, Sum}, stats.distinctValueClasses...);
+  visit(StatSpec{"states", Top, Contract, Sum}, stats.distinctStates...);
+  visit(StatSpec{"events", Top, Contract, Sum}, stats.totalEvents...);
+  visit(StatSpec{"events_elided", Top, Scoreboard, Sum}, stats.eventsElided...);
+  visit(StatSpec{"events_replayed", Top, Scoreboard, Sum}, stats.eventsReplayed...);
+  visit(StatSpec{"complete", Top, Contract, And}, stats.complete...);
+  visit(StatSpec{"hit_schedule_limit", Top, Contract, Or}, stats.hitScheduleLimit...);
+  visit(StatSpec{"lookups", Cache, Contract, Sum}, stats.cacheStats.lookups...);
+  visit(StatSpec{"hits", Cache, Contract, Sum}, stats.cacheStats.hits...);
+  visit(StatSpec{"insertions", Cache, Contract, Sum}, stats.cacheStats.insertions...);
+  visit(StatSpec{"entries", Cache, Contract, Sum}, stats.cacheStats.entries...);
+  visit(StatSpec{"approx_bytes", Cache, Scoreboard, Sum}, stats.cacheStats.approxBytes...);
+  visit(StatSpec{"stages", Checkpoint, Scoreboard, Sum}, stats.checkpointStats.stages...);
+  visit(StatSpec{"bytes_staged", Checkpoint, Scoreboard, Sum},
+        stats.checkpointStats.bytesStaged...);
+  visit(StatSpec{"evictions", Checkpoint, Scoreboard, Sum},
+        stats.checkpointStats.evictions...);
+  visit(StatSpec{"replay_fallbacks", Checkpoint, Scoreboard, Sum},
+        stats.checkpointStats.replayFallbacks...);
+  visit(StatSpec{"flush_events", Tso, Contract, Sum}, stats.flushEvents...);
+  visit(StatSpec{"fence_events", Tso, Contract, Sum}, stats.fenceEvents...);
+  visit(StatSpec{"max_buffered_stores", Tso, Scoreboard, Max}, stats.maxBufferedStores...);
+}
+
+/// "cache", "checkpoint" or "tso"; nullptr for StatBlock::Top.
+[[nodiscard]] const char* statBlockName(StatBlock block) noexcept;
+
+/// A statistic's report path: its key, prefixed "<block>." when it lives in
+/// an optional block ("hbrs", "cache.hits").
+[[nodiscard]] std::string statPath(const StatSpec& spec);
+
+/// Whether a report writes `block` for `stats`: the cache and checkpoint
+/// blocks when their `enabled` flag is set, the TSO block when any of its
+/// statistics is nonzero (so SC reports carry none).
+[[nodiscard]] bool statBlockPresent(const ExplorationStats& stats,
+                                    StatBlock block) noexcept;
+
+/// The statistics of zero explorations: the identity of foldStats (zero,
+/// with the And-folded statistics true).
+[[nodiscard]] ExplorationStats emptyStatFold();
+
+/// Fold `from` into `into`, each statistic by its table fold; the cache and
+/// checkpoint `enabled` flags fold with or.
+void foldStats(ExplorationStats& into, const ExplorationStats& from);
+
+/// The CacheStats snapshot of a prefix cache at the end of a search.
+[[nodiscard]] CacheStats cacheStatsOf(const core::HbrCache& cache);
+
+/// The per-schedule accounting shared by every explorer: ExplorerBase owns
+/// one, and ParallelExplorer gives each worker its own and absorbs them
+/// after the run. execute() is the explore loop's hot path — no virtual
+/// call and no table walk.
+class ScheduleTally {
+ public:
+  /// Keep at most `keepViolations` violation records.
+  ScheduleTally(const ExplorerOptions& options, std::size_t keepViolations);
+
+  /// Run one schedule under `scheduler` — resuming the engine's rolled-back
+  /// execution when it has one — and account it. Statistics are identical
+  /// either way.
+  runtime::Outcome execute(PrefixReplayEngine& engine,
+                           trace::TraceRecorder& recorder,
+                           const Program& program,
+                           runtime::Scheduler& scheduler);
+
+  /// Fold in the replay economics (elided/replayed events, checkpoint
+  /// stats) of an engine that ran schedules of this exploration.
+  void addReplayStats(const PrefixReplayEngine& engine);
+
+  /// Fold another worker's tally in, before finish(): statistics by the
+  /// table, fingerprint sets by union, violation records appended.
+  void absorb(const ScheduleTally& other);
+
+  /// Complete the result: distinct-class counts from the fingerprint sets,
+  /// theorem tallies, races.
+  ExplorationResult& finish();
+
+  [[nodiscard]] ExplorationResult& result() noexcept { return result_; }
+  [[nodiscard]] const ExplorationResult& result() const noexcept { return result_; }
+  [[nodiscard]] const core::RaceAggregator& races() const noexcept { return races_; }
+
+ private:
+  using Hash128Set = std::unordered_set<support::Hash128, support::Hash128Hasher>;
+
+  runtime::Config config_;
+  bool checkTheorems_;
+  bool detectRaces_;
+  std::size_t keepViolations_;
+  ExplorationResult result_;
+  Hash128Set hbrs_;
+  Hash128Set lazyHbrs_;
+  Hash128Set valueClasses_;
+  Hash128Set states_;
+  core::EquivalenceChecker thm21_;
+  core::EquivalenceChecker thm22_;
+  core::EquivalenceChecker thmValue_;
+  core::RaceAggregator races_;
 };
 
 /// The exploration interface: run a program's schedule space once, return
@@ -255,7 +345,7 @@ class ExplorerBase : public Explorer {
   virtual void runSearch(const Program& program) = 0;
 
   /// Strategy hook: the HBR prefix cache the search consulted, if any.
-  /// explore() snapshots it into ExplorationResult::cacheStats.
+  /// explore() snapshots it into ExplorationStats::cacheStats.
   [[nodiscard]] virtual const core::HbrCache* prefixCache() const noexcept {
     return nullptr;
   }
@@ -280,10 +370,10 @@ class ExplorerBase : public Explorer {
   [[nodiscard]] bool shouldStopForViolation() const noexcept;
 
   [[nodiscard]] trace::TraceRecorder& recorder() noexcept { return recorder_; }
-  [[nodiscard]] ExplorationResult& result() noexcept { return result_; }
+  [[nodiscard]] ExplorationResult& result() noexcept { return tally_.result(); }
 
   /// Mark the search as having visited every schedule class.
-  void markComplete() noexcept { result_.complete = true; }
+  void markComplete() noexcept { result().complete = true; }
 
  private:
   ExplorerOptions options_;
@@ -291,15 +381,7 @@ class ExplorerBase : public Explorer {
   bool deadlineExpired_ = false;
   runtime::StackPool stackPool_;
   trace::TraceRecorder recorder_;
-  ExplorationResult result_;
-  std::unordered_set<support::Hash128, support::Hash128Hasher> terminalHbrs_;
-  std::unordered_set<support::Hash128, support::Hash128Hasher> terminalLazyHbrs_;
-  std::unordered_set<support::Hash128, support::Hash128Hasher> terminalValueClasses_;
-  std::unordered_set<support::Hash128, support::Hash128Hasher> terminalStates_;
-  core::EquivalenceChecker thm21_;
-  core::EquivalenceChecker thm22_;
-  core::EquivalenceChecker thmValue_;
-  core::RaceAggregator raceAggregator_;
+  ScheduleTally tally_;
   PrefixReplayEngine engine_;  ///< after stackPool_/recorder_: destroyed first
   bool explored_ = false;
 };

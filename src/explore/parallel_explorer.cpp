@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <tuple>
 #include <unordered_set>
@@ -9,7 +10,6 @@
 
 #include "campaign/work_stealing_pool.hpp"
 #include "core/hbr_cache.hpp"
-#include "core/race_detector.hpp"
 #include "explore/caching_explorer.hpp"
 #include "explore/dfs_explorer.hpp"
 #include "explore/prefix_replay.hpp"
@@ -19,9 +19,6 @@
 namespace lazyhb::explore {
 
 namespace {
-
-using Hash128Set =
-    std::unordered_set<support::Hash128, support::Hash128Hasher>;
 
 /// One subtree of the schedule tree, claimable by any worker: force the
 /// choices in `prefix`, then explore every child in `enabled - done` of the
@@ -42,27 +39,19 @@ struct WorkerContext {
         engine(stackPool, recorder, opts.incremental,
                opts.checkpointable &&
                    runtime::Execution::checkpointingSupported(),
-               snapshotBudgetBytes) {}
+               snapshotBudgetBytes),
+        // Keep every violation record: capping per worker would make the
+        // post-merge kept set depend on how violations happened to shard
+        // across workers. The maxViolationsKept cut is applied once, after
+        // the global sort, so the surviving set is a function of the full
+        // violation multiset alone — identical at any worker count.
+        tally(opts, std::numeric_limits<std::size_t>::max()) {}
 
   runtime::StackPool stackPool;
   trace::TraceRecorder recorder;
   PrefixReplayEngine engine;
   bool ranASchedule = false;  ///< engine.prepareNext needs a first schedule
-
-  std::uint64_t schedules = 0;
-  std::uint64_t terminal = 0;
-  std::uint64_t violation = 0;
-  std::uint64_t pruned = 0;
-  std::uint64_t events = 0;
-  std::uint64_t flushEvents = 0;
-  std::uint64_t fenceEvents = 0;
-  std::uint32_t maxBufferedStores = 0;
-  Hash128Set hbrs;
-  Hash128Set lazyHbrs;
-  Hash128Set valueClasses;
-  Hash128Set states;
-  std::vector<ViolationRecord> violations;
-  core::RaceAggregator races;
+  ScheduleTally tally;
 };
 
 /// Stable order for merged violation records: worker completion order is
@@ -123,61 +112,12 @@ void ParallelExplorer::Impl::submitJob(FrontierJob job) {
   });
 }
 
-/// One schedule, mirroring ExplorerBase::executeSchedule's accounting onto
-/// the worker's private tallies (any drift between the two is caught by the
-/// count-identity suite in tests/test_parallel.cpp). The caching terminal
-/// seeding from CachingExplorer::runSearch lives here too.
+/// One schedule through the worker's tally; the caching terminal seeding
+/// from CachingExplorer::runSearch lives here too.
 runtime::Outcome ParallelExplorer::Impl::executeOne(WorkerContext& cx,
                                                     runtime::Scheduler& sched) {
-  runtime::Config config;
-  config.maxEventsPerSchedule = options.maxEventsPerSchedule;
-  config.memoryModel = options.memoryModel;
-  const PrefixReplayEngine::Session session =
-      cx.engine.beginSchedule(config, &cx.recorder);
-  runtime::Execution& exec = *session.exec;
   const runtime::Outcome outcome =
-      session.resumed ? exec.resume(sched) : exec.run(*program, sched);
-
-  ++cx.schedules;
-  cx.events += exec.events().size();
-  cx.flushEvents += exec.flushEventCount();
-  cx.fenceEvents += exec.fenceEventCount();
-  if (exec.maxBufferedStores() > cx.maxBufferedStores) {
-    cx.maxBufferedStores = exec.maxBufferedStores();
-  }
-
-  switch (outcome) {
-    case runtime::Outcome::Terminal: {
-      ++cx.terminal;
-      cx.hbrs.insert(cx.recorder.fingerprint(trace::Relation::Full));
-      cx.lazyHbrs.insert(cx.recorder.fingerprint(trace::Relation::Lazy));
-      cx.valueClasses.insert(cx.recorder.fingerprint(trace::Relation::Value));
-      cx.states.insert(exec.stateFingerprint());
-      break;
-    }
-    case runtime::Outcome::Deadlock:
-    case runtime::Outcome::AssertionFailure:
-    case runtime::Outcome::UsageError: {
-      ++cx.violation;
-      // Keep every record: capping per worker would make the post-merge
-      // kept set depend on how violations happened to shard across
-      // workers. The maxViolationsKept cut is applied once, after the
-      // global sort, so the surviving set is a function of the full
-      // violation multiset alone — identical at any worker count.
-      const runtime::Violation& v = exec.violation();
-      cx.violations.push_back(ViolationRecord{v.kind, v.message, v.schedule});
-      break;
-    }
-    case runtime::Outcome::Abandoned:
-      ++cx.pruned;
-      break;
-    case runtime::Outcome::EventLimit:
-      break;  // counted as executed, contributes no terminal data
-  }
-
-  if (options.detectRaces) {
-    cx.races.ingest(cx.recorder);
-  }
+      cx.tally.execute(cx.engine, cx.recorder, *program, sched);
   if (relation.has_value() && outcome != runtime::Outcome::Abandoned &&
       cx.recorder.eventCount() > 0) {
     // The final event's prefix is never tested by the scheduler (there is
@@ -330,67 +270,38 @@ ExplorationResult ParallelExplorer::explore(const Program& program) {
     return runSequentialFallback(program);
   }
 
-  // Deterministic merge. Counts are sums, fingerprint classes are set
-  // unions, violations sort lexicographically before the keep-cap, races
-  // dedup on the racy object across workers.
-  ExplorationResult result;
-  Hash128Set hbrs;
-  Hash128Set lazyHbrs;
-  Hash128Set valueClasses;
-  Hash128Set states;
-  std::vector<ViolationRecord> violations;
+  // Deterministic merge. Statistics fold by the table, fingerprint classes
+  // are set unions, violations sort lexicographically before the keep-cap,
+  // races dedup on the racy object across workers.
+  ScheduleTally merged(options_, std::numeric_limits<std::size_t>::max());
   std::vector<trace::RaceReport> races;
   std::unordered_set<runtime::Uid> raceUids;
-
-  result.parallel.workers = impl.pool.workerCount();
-  result.parallel.frontierJobs =
-      impl.frontierJobs.load(std::memory_order_relaxed);
+  std::vector<WorkerShare> byWorker;
   const std::vector<std::uint64_t> steals = impl.pool.stealsByWorker();
   for (std::size_t i = 0; i < impl.contexts.size(); ++i) {
     const WorkerContext& cx = *impl.contexts[i];
-    result.schedulesExecuted += cx.schedules;
-    result.terminalSchedules += cx.terminal;
-    result.violationSchedules += cx.violation;
-    result.prunedSchedules += cx.pruned;
-    result.totalEvents += cx.events;
-    result.flushEvents += cx.flushEvents;
-    result.fenceEvents += cx.fenceEvents;
-    if (cx.maxBufferedStores > result.maxBufferedStores) {
-      result.maxBufferedStores = cx.maxBufferedStores;
-    }
-    result.eventsElided += cx.engine.eventsElided();
-    result.eventsReplayed += cx.engine.eventsReplayed();
-    result.checkpointStats.enabled =
-        result.checkpointStats.enabled || cx.engine.incremental();
-    result.checkpointStats.stages += cx.engine.stagesCreated();
-    result.checkpointStats.bytesStaged += cx.engine.bytesStaged();
-    result.checkpointStats.evictions += cx.engine.evictions();
-    result.checkpointStats.replayFallbacks += cx.engine.replayFallbacks();
-    hbrs.insert(cx.hbrs.begin(), cx.hbrs.end());
-    lazyHbrs.insert(cx.lazyHbrs.begin(), cx.lazyHbrs.end());
-    valueClasses.insert(cx.valueClasses.begin(), cx.valueClasses.end());
-    states.insert(cx.states.begin(), cx.states.end());
-    violations.insert(violations.end(), cx.violations.begin(),
-                      cx.violations.end());
-    for (const trace::RaceReport& race : cx.races.distinctRaces()) {
+    merged.absorb(cx.tally);
+    merged.addReplayStats(cx.engine);
+    for (const trace::RaceReport& race : cx.tally.races().distinctRaces()) {
       if (raceUids.insert(race.objectUid).second) {
         races.push_back(race);
       }
     }
-    result.parallel.byWorker.push_back(WorkerShare{cx.schedules, steals[i]});
+    byWorker.push_back(WorkerShare{cx.tally.result().schedulesExecuted, steals[i]});
   }
-  result.distinctHbrs = hbrs.size();
-  result.distinctLazyHbrs = lazyHbrs.size();
-  result.distinctValueClasses = valueClasses.size();
-  result.distinctStates = states.size();
+  ExplorationResult result = std::move(merged.finish());
   result.complete = true;
   result.hitScheduleLimit = false;
+  result.parallel.workers = impl.pool.workerCount();
+  result.parallel.frontierJobs =
+      impl.frontierJobs.load(std::memory_order_relaxed);
+  result.parallel.byWorker = std::move(byWorker);
 
+  std::vector<ViolationRecord>& violations = result.violations;
   std::sort(violations.begin(), violations.end(), violationLess);
   if (violations.size() > options_.maxViolationsKept) {
     violations.resize(options_.maxViolationsKept);
   }
-  result.violations = std::move(violations);
 
   std::sort(races.begin(), races.end(),
             [](const trace::RaceReport& a, const trace::RaceReport& b) {
@@ -398,15 +309,7 @@ ExplorationResult ParallelExplorer::explore(const Program& program) {
             });
   result.races = std::move(races);
 
-  if (relation().has_value()) {
-    const core::HbrCache::Stats cacheStats = impl.cache.stats();
-    result.cacheStats.enabled = true;
-    result.cacheStats.lookups = cacheStats.lookups;
-    result.cacheStats.hits = cacheStats.hits;
-    result.cacheStats.insertions = cacheStats.insertions;
-    result.cacheStats.entries = impl.cache.size();
-    result.cacheStats.approxBytes = impl.cache.approxMemoryBytes();
-  }
+  if (relation().has_value()) result.cacheStats = cacheStatsOf(impl.cache);
   return result;
 }
 

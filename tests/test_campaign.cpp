@@ -284,8 +284,8 @@ TEST(Campaign, PerCellCountsIdenticalAcrossJobCounts) {
     EXPECT_EQ(a.stats.cacheStats.entries, b.stats.cacheStats.entries) << label;
     EXPECT_EQ(a.inequalityDiagnostic, b.inequalityDiagnostic) << label;
   }
-  EXPECT_EQ(serial.totalSchedules, parallel.totalSchedules);
-  EXPECT_EQ(serial.totalEvents, parallel.totalEvents);
+  EXPECT_EQ(serial.totals.schedulesExecuted, parallel.totals.schedulesExecuted);
+  EXPECT_EQ(serial.totals.totalEvents, parallel.totals.totalEvents);
 }
 
 TEST(Campaign, InequalityHoldsAndTotalsAddUp) {
@@ -298,11 +298,11 @@ TEST(Campaign, InequalityHoldsAndTotalsAddUp) {
         << cell.inequalityDiagnostic;
     schedules += cell.stats.schedulesExecuted;
   }
-  EXPECT_EQ(result.totalSchedules, schedules);
+  EXPECT_EQ(result.totals.schedulesExecuted, schedules);
   std::uint64_t perExplorerSchedules = 0;
   for (const campaign::ExplorerTotals& totals : result.perExplorer) {
     EXPECT_EQ(totals.cells, 4u);
-    perExplorerSchedules += totals.schedules;
+    perExplorerSchedules += totals.stats.schedulesExecuted;
   }
   EXPECT_EQ(perExplorerSchedules, schedules);
 }
@@ -328,7 +328,7 @@ TEST(Campaign, ProgramSummariesCarryFigureViews) {
 TEST(Campaign, CacheStatsSurfaceFootprint) {
   const auto result = campaign::runCampaign(smallCampaign(2));
   for (const campaign::CellResult& cell : result.cells) {
-    const explore::PrefixCacheStats& cache = cell.stats.cacheStats;
+    const CacheStats& cache = cell.stats.cacheStats;
     if (cell.explorer == "caching-full" || cell.explorer == "caching-lazy") {
       EXPECT_TRUE(cache.enabled) << cell.program;
       EXPECT_GT(cache.entries, 0u) << cell.program;
@@ -399,14 +399,10 @@ TEST(Campaign, ProgressCallbackSeesEveryCell) {
 
 TEST(Report, VersionedAndStructurallySound) {
   const auto result = campaign::runCampaign(smallCampaign(2));
-  campaign::ReportConfig config;
-  config.scheduleLimit = 150;
-  config.maxEventsPerSchedule = 1u << 16;
-  config.seed = 42;
-  const std::string json = campaign::writeReportJson(result, config);
+  const std::string json = campaign::writeReportJson(result);
 
   EXPECT_NE(json.find("\"schema\": \"lazyhb-bench-report\""), std::string::npos);
-  EXPECT_NE(json.find("\"version\": 8"), std::string::npos);
+  EXPECT_NE(json.find("\"version\": 9"), std::string::npos);
   // Since v4, config.workers is mandatory, and since v6 so is
   // config.snapshot_budget (bench_diff.py rejects a report without them).
   // v7 adds the per-cell value-class count; v8 the config memory model.

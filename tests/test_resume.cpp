@@ -19,6 +19,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -89,25 +90,12 @@ void expectSameCounts(const campaign::CellResult& a,
   EXPECT_EQ(a.stats.complete, b.stats.complete) << label;
 }
 
-campaign::ReportConfig reportConfigFor(const campaign::CampaignOptions& options) {
-  campaign::ReportConfig config;
-  config.scheduleLimit = options.explorer.scheduleLimit;
-  config.maxEventsPerSchedule = options.explorer.maxEventsPerSchedule;
-  config.seed = options.seed;
-  config.incremental = options.explorer.incremental;
-  config.workers = options.explorer.workers;
-  config.shardIndex = options.shardIndex;
-  config.shardCount = options.shardCount;
-  return config;
-}
-
-/// Run one shard of the small campaign and render its v5 report.
+/// Run one shard of the small campaign and render its report.
 std::string shardDocument(int index, int count) {
   campaign::CampaignOptions options = smallCampaign(2);
   options.shardIndex = index;
   options.shardCount = count;
-  const campaign::CampaignResult result = campaign::runCampaign(options);
-  return campaign::writeReportJson(result, reportConfigFor(options));
+  return campaign::writeReportJson(campaign::runCampaign(options));
 }
 
 /// A fabricated clean cell for merge-conflict tests (counts satisfy the §3
@@ -129,15 +117,15 @@ campaign::CellResult fabricatedCell(std::uint64_t schedules) {
   return cell;
 }
 
-std::string fabricatedDocument(campaign::CellResult cell) {
+std::string fabricatedDocument(campaign::CellResult cell,
+                               std::uint64_t scheduleLimit = 150) {
   std::vector<campaign::CellResult> cells;
   cells.push_back(std::move(cell));
-  const campaign::CampaignResult result =
+  campaign::CampaignResult result =
       campaign::foldCells(std::move(cells), {"dfs"});
-  campaign::ReportConfig config;
-  config.scheduleLimit = 150;
-  config.maxEventsPerSchedule = 1u << 16;
-  return campaign::writeReportJson(result, config);
+  result.config.scheduleLimit = scheduleLimit;
+  result.config.maxEventsPerSchedule = 1u << 16;
+  return campaign::writeReportJson(result);
 }
 
 // --- journal -----------------------------------------------------------------
@@ -225,7 +213,7 @@ TEST(Journal, ResumeLoadsCompletedCellsInsteadOfRerunning) {
     expectSameCounts(direct.cells[i], resumed.cells[i]);
     EXPECT_TRUE(resumed.cells[i].fromCheckpoint);
   }
-  EXPECT_EQ(resumed.totalSchedules, direct.totalSchedules);
+  EXPECT_EQ(resumed.totals.schedulesExecuted, direct.totals.schedulesExecuted);
   EXPECT_EQ(resumed.inequalityViolations, 0);
 }
 
@@ -282,8 +270,8 @@ TEST(Journal, KillAndResumeMatchesUninterruptedRun) {
   for (std::size_t i = 0; i < direct.cells.size(); ++i) {
     expectSameCounts(direct.cells[i], resumed.cells[i]);
   }
-  EXPECT_EQ(resumed.totalSchedules, direct.totalSchedules);
-  EXPECT_EQ(resumed.totalEvents, direct.totalEvents);
+  EXPECT_EQ(resumed.totals.schedulesExecuted, direct.totals.schedulesExecuted);
+  EXPECT_EQ(resumed.totals.totalEvents, direct.totals.totalEvents);
   EXPECT_EQ(resumed.inequalityViolations, 0);
 }
 
@@ -300,8 +288,8 @@ TEST(Shard, SlicesPartitionTheMatrixAndPreserveCounts) {
     options.shardIndex = shard;
     options.shardCount = kShards;
     const auto slice = campaign::runCampaign(options);
-    EXPECT_EQ(slice.shardIndex, shard);
-    EXPECT_EQ(slice.shardCount, kShards);
+    EXPECT_EQ(slice.config.shardIndex, shard);
+    EXPECT_EQ(slice.config.shardCount, kShards);
     // Per-explorer rows stay column-compatible with the full campaign.
     ASSERT_EQ(slice.perExplorer.size(), full.perExplorer.size());
     totalCells += slice.cells.size();
@@ -351,13 +339,13 @@ TEST(Merge, ShardsMergeBackToTheUnshardedCounts) {
   for (std::size_t i = 0; i < full.cells.size(); ++i) {
     expectSameCounts(full.cells[i], merged.result.cells[i]);
   }
-  EXPECT_EQ(merged.result.totalSchedules, full.totalSchedules);
-  EXPECT_EQ(merged.result.totalEvents, full.totalEvents);
+  EXPECT_EQ(merged.result.totals.schedulesExecuted, full.totals.schedulesExecuted);
+  EXPECT_EQ(merged.result.totals.totalEvents, full.totals.totalEvents);
   EXPECT_EQ(merged.result.inequalityViolations, 0);
   EXPECT_EQ(merged.result.programs.size(), full.programs.size());
   ASSERT_EQ(merged.provenance.sources.size(), 3u);
   // The merged report's config is unsharded; coverage lives in provenance.
-  EXPECT_EQ(merged.config.shardCount, 1);
+  EXPECT_EQ(merged.result.config.shardCount, 1);
 }
 
 TEST(Merge, IsCommutativeAndAssociativeByteForByte) {
@@ -366,8 +354,7 @@ TEST(Merge, IsCommutativeAndAssociativeByteForByte) {
   const std::string c = shardDocument(2, 3);
 
   const auto render = [](const campaign::MergeOutcome& outcome) {
-    return campaign::writeReportJson(outcome.result, outcome.config,
-                                     &outcome.provenance);
+    return campaign::writeReportJson(outcome.result, &outcome.provenance);
   };
 
   // Commutativity: any input order produces the same document.
@@ -411,6 +398,106 @@ TEST(Merge, RejectsConflictingDuplicateCounts) {
   EXPECT_EQ(merged.result.cells.size(), 1u);
 }
 
+// --- the statistics table across tools ----------------------------------------
+
+/// fabricatedCell with every statistics block live, so each table row can be
+/// perturbed on its own.
+campaign::CellResult everyBlockCell() {
+  campaign::CellResult cell = fabricatedCell(10);
+  ExplorationStats& stats = cell.stats;
+  stats.distinctValueClasses = 3;
+  stats.eventsElided = 40;
+  stats.eventsReplayed = 20;
+  stats.cacheStats = CacheStats{true, 50, 20, 30, 30, 4096};
+  stats.checkpointStats = CheckpointStats{true, 5, 1000, 1, 1};
+  stats.flushEvents = 12;
+  stats.fenceEvents = 2;
+  stats.maxBufferedStores = 3;
+  return cell;
+}
+
+std::vector<explore::StatSpec> statTable() {
+  std::vector<explore::StatSpec> rows;
+  const ExplorationStats none;
+  explore::forEachStat(
+      [&](const explore::StatSpec& spec, const auto&) { rows.push_back(spec); },
+      none);
+  return rows;
+}
+
+/// `cell` with the statistic at `path` changed (a count +1, a flag flipped),
+/// and that statistic's "<old> vs <new>" rendering.
+std::pair<campaign::CellResult, std::string> perturbed(campaign::CellResult cell,
+                                                       const std::string& path) {
+  std::string values;
+  explore::forEachStat(
+      [&](const explore::StatSpec& spec, auto& field) {
+        if (explore::statPath(spec) != path) return;
+        values = std::to_string(field) + " vs ";
+        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(field)>, bool>) {
+          field = !field;
+        } else {
+          ++field;
+        }
+        values += std::to_string(field);
+      },
+      cell.stats);
+  return {std::move(cell), values};
+}
+
+// Every consumer agrees on the table's classes: a report pair differing in
+// one contract statistic is a merge conflict naming it and both values, and
+// differing in one scoreboard statistic merges cleanly.
+TEST(StatTable, MergeConflictsExactlyOnContractStatistics) {
+  const std::string base = fabricatedDocument(everyBlockCell());
+  for (const explore::StatSpec& spec : statTable()) {
+    const std::string path = explore::statPath(spec);
+    SCOPED_TRACE(path);
+    const auto [cell, values] = perturbed(everyBlockCell(), path);
+    const std::string other = fabricatedDocument(cell);
+    ASSERT_NE(other, base);
+    if (spec.klass == explore::StatClass::Scoreboard) {
+      EXPECT_NO_THROW((void)campaign::mergeReports({base, other}, {"a", "b"}));
+      continue;
+    }
+    try {
+      (void)campaign::mergeReports({base, other}, {"a", "b"});
+      ADD_FAILURE() << "merge accepted two clean copies differing in " << path;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(path + " " + values),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(StatTable, BenchDiffFailsExactlyOnContractStatistics) {
+  if (std::system("python3 --version > /dev/null 2>&1") != 0) {
+    GTEST_SKIP() << "python3 is not available";
+  }
+  const TempDir dir;
+  const auto write = [&](const std::string& name, const std::string& document) {
+    const std::string path = dir.path() + "/" + name;
+    std::ofstream(path) << document;
+    return path;
+  };
+  const std::string base = write("base.json", fabricatedDocument(everyBlockCell()));
+  for (const explore::StatSpec& spec : statTable()) {
+    const std::string path = explore::statPath(spec);
+    SCOPED_TRACE(path);
+    const std::string candidate =
+        write(path + ".json", fabricatedDocument(perturbed(everyBlockCell(), path).first));
+    const std::string command = "python3 '" LAZYHB_SOURCE_DIR
+                                "/tools/bench_diff.py' '" +
+                                base + "' '" + candidate +
+                                "' --counts-only > /dev/null 2>&1";
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status),
+              spec.klass == explore::StatClass::Contract ? 1 : 0);
+  }
+}
+
 TEST(Merge, PrefersTheHealthyCopyOfATimedOutCell) {
   campaign::CellResult partial = fabricatedCell(5);
   partial.timedOut = true;
@@ -432,14 +519,8 @@ TEST(Merge, PrefersTheHealthyCopyOfATimedOutCell) {
 
 TEST(Merge, RejectsIncompatibleConfigs) {
   const std::string base = fabricatedDocument(fabricatedCell(10));
-  std::vector<campaign::CellResult> cells;
-  cells.push_back(fabricatedCell(10));
-  const campaign::CampaignResult result =
-      campaign::foldCells(std::move(cells), {"dfs"});
-  campaign::ReportConfig config;
-  config.scheduleLimit = 999;  // differs from fabricatedDocument's 150
-  config.maxEventsPerSchedule = 1u << 16;
-  const std::string different = campaign::writeReportJson(result, config);
+  const std::string different =
+      fabricatedDocument(fabricatedCell(10), /*scheduleLimit=*/999);
   EXPECT_THROW((void)campaign::mergeReports({base, different}, {"a", "b"}),
                std::runtime_error);
 }
@@ -496,15 +577,16 @@ TEST(Suite, MatchesTheCampaignRunnerCellForCell) {
     const SuiteCell& got = report.cells[i];
     EXPECT_EQ(got.scenario, want.program);
     EXPECT_EQ(got.strategy, want.explorer);
-    EXPECT_EQ(got.schedules, want.stats.schedulesExecuted);
-    EXPECT_EQ(got.hbrs, want.stats.distinctHbrs);
-    EXPECT_EQ(got.lazyHbrs, want.stats.distinctLazyHbrs);
-    EXPECT_EQ(got.states, want.stats.distinctStates);
-    EXPECT_EQ(got.events, want.stats.totalEvents);
-    EXPECT_EQ(got.complete, want.stats.complete);
+    explore::forEachStat(
+        [](const explore::StatSpec& stat, const auto& a, const auto& b) {
+          if (stat.klass == explore::StatClass::Contract) {
+            EXPECT_EQ(a, b) << explore::statPath(stat);
+          }
+        },
+        got, want.stats);
     EXPECT_TRUE(got.inequalityHolds);
   }
-  EXPECT_EQ(report.totalSchedules, direct.totalSchedules);
+  EXPECT_EQ(report.totals.schedulesExecuted, direct.totals.schedulesExecuted);
   EXPECT_TRUE(report.allInequalitiesHold());
   EXPECT_FALSE(report.summary().empty());
 }
@@ -528,7 +610,7 @@ TEST(Suite, EmitsASchemaV5DocumentMergeableWithShards) {
   std::string error;
   const auto parsed = support::JsonValue::parse(s0.toJson(), &error);
   ASSERT_NE(parsed, nullptr) << error;
-  EXPECT_EQ(parsed->intAt("version"), campaign::kReportSchemaVersion);
+  EXPECT_EQ(parsed->intAt("version"), kSuiteReportSchemaVersion);
   EXPECT_EQ(parsed->find("config")->find("shard")->intAt("count"), 2);
 
   const auto merged =
@@ -538,6 +620,16 @@ TEST(Suite, EmitsASchemaV5DocumentMergeableWithShards) {
   for (std::size_t i = 0; i < full.cells.size(); ++i) {
     expectSameCounts(full.cells[i], merged.result.cells[i]);
   }
+}
+
+TEST(Suite, EchoesTheSnapshotBudgetItExploredUnder) {
+  const SuiteReport report =
+      Suite().add("peterson").strategies({"dfs"}).schedules(20).jobs(1).run();
+  std::string error;
+  const auto parsed = support::JsonValue::parse(report.toJson(), &error);
+  ASSERT_NE(parsed, nullptr) << error;
+  EXPECT_EQ(parsed->find("config")->uintAt("snapshot_budget"),
+            explore::defaultSnapshotBudgetBytes());
 }
 
 TEST(Suite, ResumesFromItsCheckpointDirectory) {
@@ -555,8 +647,8 @@ TEST(Suite, ResumesFromItsCheckpointDirectory) {
   EXPECT_EQ(second.cellsFromCheckpoint, second.cells.size());
   ASSERT_EQ(second.cells.size(), first.cells.size());
   for (std::size_t i = 0; i < first.cells.size(); ++i) {
-    EXPECT_EQ(first.cells[i].schedules, second.cells[i].schedules);
-    EXPECT_EQ(first.cells[i].lazyHbrs, second.cells[i].lazyHbrs);
+    EXPECT_EQ(first.cells[i].schedulesExecuted, second.cells[i].schedulesExecuted);
+    EXPECT_EQ(first.cells[i].distinctLazyHbrs, second.cells[i].distinctLazyHbrs);
   }
   // resumeOnly against a fresh directory refuses to run.
   const TempDir empty;

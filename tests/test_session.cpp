@@ -22,6 +22,7 @@
 #include "explore/dpor_explorer.hpp"
 #include "explore/random_explorer.hpp"
 #include "lazyhb/lazyhb.hpp"
+#include "memory/memory_model.hpp"
 #include "programs/registry.hpp"
 
 namespace {
@@ -84,10 +85,12 @@ constexpr std::uint64_t kParitySeed = 42;
 /// cannot degenerate into comparing the factory against itself.
 explore::ExplorationResult runDirect(const std::string& strategy,
                                      const explore::Program& program,
-                                     bool checkpointable) {
+                                     bool checkpointable,
+                                     memory::MemoryModel model) {
   explore::ExplorerOptions options;
   options.scheduleLimit = kParityLimit;
   options.checkpointable = checkpointable;
+  options.memoryModel = model;
   if (strategy == "dfs") {
     explore::DfsExplorer explorer(options);
     return explorer.explore(program);
@@ -112,43 +115,51 @@ explore::ExplorationResult runDirect(const std::string& strategy,
   return {};
 }
 
-/// A diverse slice of the corpus (mirrors the golden-count sample).
-const char* const kParityPrograms[] = {
-    "disjoint-lock-2", "noisy-counter-3x2", "prodcons-1x1", "trylock-vs-lock",
-    "cas-counter-3",   "deadlock-ab",       "lost-signal",
+/// A diverse slice of the corpus (mirrors the golden-count sample), plus
+/// weakmem litmus programs under TSO so the store-buffer counts are live.
+struct ParityCase {
+  const char* program;
+  const char* memoryModel;
+};
+const ParityCase kParityCases[] = {
+    {"disjoint-lock-2", "sc"}, {"noisy-counter-3x2", "sc"},
+    {"prodcons-1x1", "sc"},    {"trylock-vs-lock", "sc"},
+    {"cas-counter-3", "sc"},   {"deadlock-ab", "sc"},
+    {"lost-signal", "sc"},     {"sb-unfenced", "tso"},
+    {"dekker-fenced", "tso"},
 };
 
 TEST(SessionParity, CountsMatchDirectConstructionAcrossStrategies) {
-  for (const char* programName : kParityPrograms) {
-    const programs::ProgramSpec* spec = programs::byName(programName);
-    ASSERT_NE(spec, nullptr) << programName;
+  for (const ParityCase& parity : kParityCases) {
+    const programs::ProgramSpec* spec = programs::byName(parity.program);
+    ASSERT_NE(spec, nullptr) << parity.program;
+    const memory::MemoryModel model = *memory::parseMemoryModel(parity.memoryModel);
     for (const campaign::ExplorerSpec& mode : campaign::allExplorers()) {
-      SCOPED_TRACE(std::string(programName) + " x " + mode.name);
+      SCOPED_TRACE(std::string(parity.program) + " x " + mode.name + " under " +
+                   parity.memoryModel);
       const explore::ExplorationResult direct =
-          runDirect(mode.name, spec->body, spec->checkpointable);
+          runDirect(mode.name, spec->body, spec->checkpointable, model);
       const TestReport viaSession = Session()
                                         .strategy(mode.name)
                                         .schedules(kParityLimit)
                                         .seed(kParitySeed)
+                                        .memoryModel(parity.memoryModel)
                                         .run(spec->name);
 
-      EXPECT_EQ(viaSession.schedulesExecuted, direct.schedulesExecuted);
-      EXPECT_EQ(viaSession.terminalSchedules, direct.terminalSchedules);
-      EXPECT_EQ(viaSession.prunedSchedules, direct.prunedSchedules);
-      EXPECT_EQ(viaSession.violationSchedules, direct.violationSchedules);
-      EXPECT_EQ(viaSession.totalEvents, direct.totalEvents);
-      EXPECT_EQ(viaSession.distinctHbrs, direct.distinctHbrs);
-      EXPECT_EQ(viaSession.distinctLazyHbrs, direct.distinctLazyHbrs);
-      EXPECT_EQ(viaSession.distinctStates, direct.distinctStates);
-      EXPECT_EQ(viaSession.complete, direct.complete);
-      EXPECT_EQ(viaSession.hitScheduleLimit, direct.hitScheduleLimit);
+      // Every statistic of the table, scoreboard ones included: the facade
+      // runs the very same sequential exploration.
+      explore::forEachStat(
+          [](const explore::StatSpec& stat, const auto& got, const auto& want) {
+            EXPECT_EQ(got, want) << explore::statPath(stat);
+          },
+          viaSession, direct);
       EXPECT_EQ(viaSession.violations.size(), direct.violations.size());
-      EXPECT_EQ(viaSession.cache.enabled, direct.cacheStats.enabled);
-      EXPECT_EQ(viaSession.cache.lookups, direct.cacheStats.lookups);
-      EXPECT_EQ(viaSession.cache.hits, direct.cacheStats.hits);
-      EXPECT_EQ(viaSession.cache.entries, direct.cacheStats.entries);
       EXPECT_EQ(viaSession.scenario, spec->name);
       EXPECT_EQ(viaSession.family, spec->family);
+      if (model == memory::MemoryModel::Tso) {
+        EXPECT_GT(viaSession.flushEvents, 0u);
+        EXPECT_NE(viaSession.toJson().find("\"tso\""), std::string::npos);
+      }
     }
   }
 }
@@ -270,7 +281,7 @@ TEST(TestReportJson, VersionedAndStructurallySound) {
   const std::string json = report.toJson();
 
   EXPECT_NE(json.find("\"schema\": \"lazyhb-test-report\""), std::string::npos);
-  EXPECT_NE(json.find("\"version\": 2"), std::string::npos);
+  EXPECT_NE(json.find("\"version\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"scenario\": \"session-test-overdraft\""),
             std::string::npos);
   EXPECT_NE(json.find("\"strategy\": \"caching-lazy\""), std::string::npos);
@@ -298,7 +309,7 @@ TEST(TestReportJson, VersionedAndStructurallySound) {
 TEST(TestReportJson, CacheSectionOnlyForCachingStrategies) {
   const TestReport dfs =
       Session().strategy("dfs").schedules(50).run("session-test-quiet");
-  EXPECT_FALSE(dfs.cache.enabled);
+  EXPECT_FALSE(dfs.cacheStats.enabled);
   EXPECT_EQ(dfs.toJson().find("\"cache\""), std::string::npos);
 }
 

@@ -61,6 +61,13 @@ with the (shared) memory model instead of mixing models in one table. Flush
 and fence totals are part of the count contract (they are a pure function of
 the explored schedule set); the buffer high-water mark is scoreboard-only.
 
+Schema v9 reports declare every statistic once (the statistics table in
+src/explore/explorer.hpp). Cell blocks are unchanged from v8; `totals` and
+each `totals.per_explorer` entry now carry every statistic under its cell
+key (per-explorer cache and checkpoint aggregates move into nested blocks),
+and `config.quick` is gone. The fields compared here are exactly the
+table's contract statistics, the ones `lazyhb merge` compares too.
+
 Usage:
     tools/bench_diff.py BASELINE.json CANDIDATE.json [--counts-only]
                         [--allow-new-cells]
@@ -111,7 +118,7 @@ CACHE_COUNT_FIELDS = ["lookups", "hits", "insertions", "entries"]
 # handled by the fallbacks below); any other version means the report
 # format moved ahead of this tool, and guessing at unknown field semantics
 # would silently corrupt the comparison.
-KNOWN_SCHEMA_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8)
+KNOWN_SCHEMA_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8, 9)
 
 # Scoreboard-only checkpoint stats (schema v6). Deliberately NOT part of
 # COUNT_FIELDS: staging/eviction order is timing-dependent under
