@@ -164,30 +164,48 @@ struct CapturedTrace : runtime::ExecutionObserver {
   }
 };
 
+/// The recorder's consumer sets, by Arg: fingerprints only (every caching
+/// and random explorer), + Full clock rows (DPOR), + Sync rows and the race
+/// detector (detectRaces), + predecessor lists and names (Foata, rendering).
+trace::TraceRecorder::Options consumerSet(std::int64_t arg) {
+  switch (arg) {
+    case 1: return {.fullClocks = true};
+    case 2: return {.detectRaces = true};
+    case 3: return {.keepPredecessors = true};
+    default: return {};
+  }
+}
+
 void BM_TraceRecorderOnEvent(benchmark::State& state) {
+  // Arg 0: the consumer set; Arg 1: the stream's memory model. Under TSO
+  // the flush agents (picks 32+t) widen every clock row to 40 columns.
+  runtime::Config config;
+  config.memoryModel =
+      state.range(1) == 0 ? memory::MemoryModel::Sc : memory::MemoryModel::Tso;
   runtime::StackPool pool;
   CapturedTrace captured;
-  runtime::Execution source(runtime::Config{}, pool, &captured);
+  runtime::Execution source(config, pool, &captured);
   explore::FixedScheduler scheduler({});
   (void)source.run(incrementProgram, scheduler);
 
-  trace::TraceRecorder recorder;
-  runtime::Execution dummy(runtime::Config{}, pool, nullptr);  // never run
+  trace::TraceRecorder recorder(consumerSet(state.range(0)));
   for (auto _ : state) {
-    recorder.onExecutionStart(dummy);
+    recorder.onExecutionStart(source);
     for (const auto& reg : captured.registrations) {
-      recorder.onObjectRegistered(dummy, reg.index, reg.uid, reg.kind, reg.name,
-                                reg.initialValueHash);
+      recorder.onObjectRegistered(source, reg.index, reg.uid, reg.kind, reg.name,
+                                  reg.initialValueHash);
     }
     for (const auto& ev : captured.events) {
-      recorder.onEvent(dummy, ev);
+      recorder.onEvent(source, ev);
     }
     benchmark::DoNotOptimize(recorder.fingerprint(trace::Relation::Lazy));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * captured.events.size()));
 }
-BENCHMARK(BM_TraceRecorderOnEvent);
+BENCHMARK(BM_TraceRecorderOnEvent)
+    ->ArgNames({"consumers", "tso"})
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}});
 
 // --- fingerprints ---------------------------------------------------------------
 

@@ -211,7 +211,7 @@ class DporScheduler final : public runtime::Scheduler {
 };
 
 DporExplorer::DporExplorer(ExplorerOptions options, DporOptions dpor)
-    : ExplorerBase(options), dpor_(dpor) {}
+    : ExplorerBase(options, /*fullClocks=*/true), dpor_(dpor) {}
 
 bool DporExplorer::advance() {
   while (!nodes_.empty()) {

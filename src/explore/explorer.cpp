@@ -195,10 +195,10 @@ ExplorationResult& ScheduleTally::finish() {
   return result_;
 }
 
-ExplorerBase::ExplorerBase(ExplorerOptions options)
+ExplorerBase::ExplorerBase(ExplorerOptions options, bool fullClocks)
     : options_(options),
-      recorder_(trace::TraceRecorder::Options{options.keepPredecessors,
-                                              options.detectRaces}),
+      recorder_(trace::TraceRecorder::Options{.detectRaces = options.detectRaces,
+                                              .fullClocks = fullClocks}),
       tally_(options, options.maxViolationsKept),
       engine_(stackPool_, recorder_, options.incremental,
               options.checkpointable &&

@@ -60,8 +60,6 @@ struct ExplorerOptions {
   bool stopOnFirstViolation = false;
   /// Run the sync-HB data-race detector on every execution.
   bool detectRaces = false;
-  /// Record per-event predecessor lists (exact canonical forms in tests).
-  bool keepPredecessors = false;
   /// Feed every terminal schedule through the Theorem 2.1/2.2 checkers.
   bool checkTheorems = false;
   /// Keep at most this many violation records.
@@ -331,7 +329,11 @@ class Explorer {
 /// trace recorder and the statistics, and runs one schedule at a time.
 class ExplorerBase : public Explorer {
  public:
-  explicit ExplorerBase(ExplorerOptions options);
+  /// `fullClocks`: the strategy reads Full clock rows from recorder()
+  /// (DPOR's happens-before test). Every other strategy reads fingerprints
+  /// only, so its recorder builds no clocks unless detectRaces asks for the
+  /// Sync ones.
+  explicit ExplorerBase(ExplorerOptions options, bool fullClocks = false);
 
   /// Run the full exploration. May be called once per explorer instance.
   [[nodiscard]] ExplorationResult explore(const Program& program) override;

@@ -34,8 +34,7 @@ struct FrontierJob {
 /// Nothing in here is touched by any other thread until the merge.
 struct WorkerContext {
   WorkerContext(const ExplorerOptions& opts, std::uint64_t snapshotBudgetBytes)
-      : recorder(trace::TraceRecorder::Options{opts.keepPredecessors,
-                                               opts.detectRaces}),
+      : recorder(trace::TraceRecorder::Options{.detectRaces = opts.detectRaces}),
         engine(stackPool, recorder, opts.incremental,
                opts.checkpointable &&
                    runtime::Execution::checkpointingSupported(),

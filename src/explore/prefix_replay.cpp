@@ -99,13 +99,6 @@ void PrefixReplayEngine::settleStages(std::size_t keepAtOrBelow,
     liveBytes_ -= stages_.back().bytes;
     stages_.pop_back();
   }
-  if (keepAtOrBelow == 0) {
-    // The recorder was not armed: it resets wholesale on the next
-    // execution start, taking any depth-0 checkpoint with it.
-    stages_.clear();
-    evictedDepths_.clear();
-    liveBytes_ = 0;
-  }
   if (repriceRecorderOnly) {
     // The persistent execution was retired: surviving stages keep only
     // their recorder share alive, so re-price them before the next
@@ -126,8 +119,10 @@ std::size_t PrefixReplayEngine::prepareNext(std::size_t divergenceDepth) {
   if (!incremental_) return 0;
 
   if (runtimeRollback_ && exec_ != nullptr) {
+    // Depth 0 qualifies too: a walk rolled back to its first scheduling
+    // point skips the execution's construction and thread 0's prologue.
     const std::size_t depth = exec_->deepestCheckpointAtOrBelow(divergenceDepth);
-    if (depth != runtime::Execution::kNoCheckpoint && depth > 0) {
+    if (depth != runtime::Execution::kNoCheckpoint) {
       exec_->rollbackTo(depth);
       recorder_.rollbackTo(depth);
       pendingResume_ = true;
@@ -145,15 +140,22 @@ std::size_t PrefixReplayEngine::prepareNext(std::size_t divergenceDepth) {
     ++fullRestarts_;
   }
 
+  // A re-executed schedule re-registers its prologue objects, so a depth-0
+  // resume would count them twice: the recorder resets instead.
   const std::size_t depth = recorder_.deepestCheckpointAtOrBelow(divergenceDepth);
   const bool armed = depth != trace::TraceRecorder::kNoCheckpoint && depth > 0;
   if (armed) {
     recorder_.armResume(depth);
   }
-  // Not armed: the recorder resets on the next execution start, clearing
-  // every staged checkpoint — drop the whole ledger to match.
   settleStages(armed ? depth : 0, divergenceDepth,
                /*repriceRecorderOnly=*/runtimeRollback_);
+  if (!armed) {
+    // The recorder resets on the next execution start, clearing every
+    // staged checkpoint — drop the whole ledger to match.
+    stages_.clear();
+    evictedDepths_.clear();
+    liveBytes_ = 0;
+  }
   return 0;
 }
 

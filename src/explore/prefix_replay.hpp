@@ -81,9 +81,10 @@ class PrefixReplayEngine {
   void stageCheckpoint(runtime::Execution& exec, std::size_t depth);
 
   /// Plan the next schedule given the divergence depth the search's
-  /// advance() chose. Performs the rollback (full tier) or arms the
-  /// recorder resume (elision tier). Returns the Session::startDepth the
-  /// next scheduler must be constructed with.
+  /// advance() chose. Performs the rollback (full tier, to any staged
+  /// depth including 0 — a random walk's root) or arms the recorder resume
+  /// (elision tier, depth > 0). Returns the Session::startDepth the next
+  /// scheduler must be constructed with.
   std::size_t prepareNext(std::size_t divergenceDepth);
 
   /// Hand out the execution for the next schedule: the rolled-back

@@ -5,6 +5,9 @@
 // bug hunter and the fuzzing backend of the property-test suite (random
 // schedules feed the Theorem 2.1/2.2 checkers with diverse linearizations).
 // Deterministic given (seed): schedule k is reproducible from seed+k.
+// Walks share no prefix beyond the root, so on the runtime-rollback tier
+// (checkpointable program, fast-fiber build) each walk after the first
+// rolls the persistent execution back to its first scheduling point.
 
 #pragma once
 
@@ -12,6 +15,21 @@
 #include "support/rng.hpp"
 
 namespace lazyhb::explore {
+
+/// One walk's scheduler: a uniform pick among the enabled picks.
+/// `rootStage`, when set, gets a checkpoint staged at the walk's first pick
+/// (depth 0; a no-op once staged).
+class RandomScheduler final : public runtime::Scheduler {
+ public:
+  explicit RandomScheduler(std::uint64_t seed, PrefixReplayEngine* rootStage = nullptr)
+      : rng_(seed), rootStage_(rootStage) {}
+
+  int pick(runtime::Execution& exec) override;
+
+ private:
+  support::Rng rng_;
+  PrefixReplayEngine* rootStage_;
+};
 
 class RandomExplorer final : public ExplorerBase {
  public:

@@ -94,8 +94,8 @@ void Execution::driveLoop(Scheduler& scheduler) {
       outcome_ = Outcome::EventLimit;
       break;
     }
-    const support::ThreadSet enabledSet = enabled();
-    if (enabledSet.empty()) {
+    pickEnabled_ = scanEnabled();
+    if (pickEnabled_.empty()) {
       if (allFinished()) {
         outcome_ = Outcome::Terminal;
       } else {
@@ -111,12 +111,14 @@ void Execution::driveLoop(Scheduler& scheduler) {
       }
       break;
     }
+    picking_ = true;
     const int pick = scheduler.pick(*this);
+    picking_ = false;
     if (pick == Scheduler::kAbandon) {
       outcome_ = Outcome::Abandoned;
       break;
     }
-    LAZYHB_CHECK(enabledSet.contains(pick));
+    LAZYHB_CHECK(pickEnabled_.contains(pick));
     choices_.push_back(pick);
     if (tso_ && memory::isFlushPick(pick)) {
       // A flush pick commits an event without resuming any fiber: the
@@ -446,7 +448,7 @@ std::int32_t Execution::recordEvent(OpKind kind, std::int32_t object,
   return index;
 }
 
-support::ThreadSet Execution::enabled() const {
+support::ThreadSet Execution::scanEnabled() const {
   support::ThreadSet result;
   for (int tid = 0; tid < threadCount(); ++tid) {
     const ThreadRec& t = threads_[static_cast<std::size_t>(tid)];

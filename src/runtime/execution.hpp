@@ -202,8 +202,12 @@ class Execution {
   /// (memory::kFlushPickOffset + t) per thread with a non-empty store
   /// buffer. Flush picks ignore the owning thread's status: a thread may
   /// finish, park or block with stores still buffered, and those stores
-  /// must still be able to drain.
-  [[nodiscard]] support::ThreadSet enabled() const;
+  /// must still be able to drain. While Scheduler::pick runs this is the
+  /// set the host loop already computed for the scheduling point (one scan
+  /// per pick); elsewhere it scans the thread table.
+  [[nodiscard]] support::ThreadSet enabled() const {
+    return picking_ ? pickEnabled_ : scanEnabled();
+  }
 
   /// Number of threads created so far (indices are [0, threadCount())).
   [[nodiscard]] int threadCount() const noexcept { return static_cast<int>(threads_.size()); }
@@ -514,6 +518,7 @@ class Execution {
   }
   void logObjectUndo(std::int32_t index, const ObjectInfo& o);
 
+  [[nodiscard]] support::ThreadSet scanEnabled() const;
   [[nodiscard]] bool isEnabled(const ThreadRec& t) const;
   [[nodiscard]] bool allFinished() const;
   [[nodiscard]] support::Hash128 computeStateFingerprint() const;
@@ -539,6 +544,9 @@ class Execution {
   bool done_ = false;
   bool abandoning_ = false;
   bool resumable_ = false;
+  /// Scheduler::pick is running: enabled() returns pickEnabled_.
+  bool picking_ = false;
+  support::ThreadSet pickEnabled_;
   std::uint32_t teardownFuel_ = 0;
   Outcome outcome_ = Outcome::Terminal;
   Violation violation_;

@@ -66,11 +66,21 @@ std::vector<std::uint64_t> foataNormalForm(const TraceRecorder& recorder, Relati
 }
 
 std::vector<std::uint64_t> explicitRelation(const TraceRecorder& recorder, Relation r) {
-  // The *transitive* relation is reconstructed from vector clocks (event j
-  // happens-before event i iff clock_j[thread(j)] <= clock_i[thread(j)]),
-  // which makes this oracle independent of the direct-edge construction the
-  // fingerprints are built from.
+  // The *transitive* relation: event j happens-before event i iff j reaches
+  // i along direct-predecessor edges. Events arrive in schedule order, so
+  // every predecessor's ancestor set is complete before it is merged.
   const auto n = static_cast<std::int32_t>(recorder.eventCount());
+  const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
+  std::vector<std::uint64_t> ancestors(static_cast<std::size_t>(n) * words, 0);
+  for (std::int32_t i = 0; i < n; ++i) {
+    std::uint64_t* mine = &ancestors[static_cast<std::size_t>(i) * words];
+    for (const std::int32_t p : recorder.eventPredecessors(r, i)) {
+      const std::uint64_t* theirs = &ancestors[static_cast<std::size_t>(p) * words];
+      for (std::size_t w = 0; w < words; ++w) mine[w] |= theirs[w];
+      mine[static_cast<std::size_t>(p) / 64] |= std::uint64_t{1} << (p % 64);
+    }
+  }
+
   std::vector<std::int32_t> order(static_cast<std::size_t>(n));
   for (std::int32_t i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
   std::sort(order.begin(), order.end(), LabelOrder{recorder});
@@ -81,13 +91,9 @@ std::vector<std::uint64_t> explicitRelation(const TraceRecorder& recorder, Relat
     out.push_back(~0ULL);  // record separator
     appendLabel(out, recorder.eventRecord(i));
     preds.clear();
-    const ClockView clockI = recorder.eventClock(r, i);
+    const std::uint64_t* mine = &ancestors[static_cast<std::size_t>(i) * words];
     for (std::int32_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      const int tj = recorder.eventRecord(j).threadIndex;
-      if (recorder.eventClock(r, j).get(tj) <= clockI.get(tj)) {
-        preds.push_back(j);
-      }
+      if ((mine[static_cast<std::size_t>(j) / 64] >> (j % 64)) & 1U) preds.push_back(j);
     }
     std::sort(preds.begin(), preds.end(), LabelOrder{recorder});
     for (const std::int32_t p : preds) {

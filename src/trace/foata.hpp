@@ -18,7 +18,8 @@
 //    the trace (Mazurkiewicz theory).
 //
 //  * explicitRelation — the partial order itself, serialized: every event's
-//    label followed by the sorted labels of its direct predecessors. This is
+//    label followed by the sorted labels of all events that happen before
+//    it (the transitive closure of the direct-predecessor edges). This is
 //    trivially canonical and is the ground truth in tests.
 //
 // Both require TraceRecorder::Options::keepPredecessors.

@@ -64,7 +64,6 @@ void TraceRecorder::resetAll() {
   records_.clear();
   syncClocks_.reset();
   fullClocks_.reset();
-  lazyClocks_.reset();
   prefixFull_ = support::MultisetHash{};
   prefixLazy_ = support::MultisetHash{};
   prefixValue_ = support::MultisetHash{};
@@ -110,8 +109,11 @@ void TraceRecorder::onObjectRegistered(const runtime::Execution&, std::int32_t i
   } else if (kind == ObjectKind::CondVar) {
     valueState_.add(cvQueueContribution(h));
   }
-  if (!name.empty()) {
-    names_.emplace(uid, name);  // keeps the first name seen; stable across runs
+  if (options_.keepPredecessors && !name.empty()) {
+    // try_emplace allocates no node when the name is already mapped (every
+    // later execution re-registers the same uids); the first name seen
+    // stays, stable across runs.
+    names_.try_emplace(uid, name);
   }
 }
 
@@ -183,9 +185,8 @@ void TraceRecorder::rollbackTo(std::size_t depth) {
   fullHash_.resize(depth);
   lazyHash_.resize(depth);
   records_.resize(depth);
-  syncClocks_.truncate(depth);
-  fullClocks_.truncate(depth);
-  lazyClocks_.truncate(depth);
+  if (options_.detectRaces) syncClocks_.truncate(depth);
+  if (options_.fullClocks) fullClocks_.truncate(depth);
   prefixFull_ = cp.prefixFull;
   prefixLazy_ = cp.prefixLazy;
   prefixValue_ = cp.prefixValue;
@@ -267,14 +268,15 @@ TraceRecorder::ObjectHistory& TraceRecorder::history(std::int32_t objectIndex) {
   return objects_[i];
 }
 
-const ClockArena& TraceRecorder::arena(Relation r) const noexcept {
-  switch (r) {
-    case Relation::Sync: return syncClocks_;
-    case Relation::Full: return fullClocks_;
-    case Relation::Lazy: return lazyClocks_;
-    case Relation::Value: break;  // an equivalence, not a clock-bearing relation
+const ClockArena& TraceRecorder::arena(Relation r) const {
+  // Rows exist only for relations a consumer declared at construction; the
+  // Lazy relation and the Value equivalence never carry clocks.
+  if (r == Relation::Full) {
+    LAZYHB_CHECK(options_.fullClocks);
+    return fullClocks_;
   }
-  LAZYHB_UNREACHABLE("bad relation");
+  LAZYHB_CHECK(r == Relation::Sync && options_.detectRaces);
+  return syncClocks_;
 }
 
 namespace {
@@ -320,27 +322,21 @@ void sortUnique(std::vector<std::int32_t>& v) {
   v.resize(out);
 }
 
-/// Start one event's clock row in `arena`: copy the thread's running clock
-/// (its previous event's row, or zeros for a thread's first event).
-std::uint32_t* startClockRow(ClockArena& arena, std::int32_t copyFrom) {
-  std::uint32_t* row = arena.appendRow();
-  const std::size_t bytes = arena.stride() * sizeof(std::uint32_t);
-  if (copyFrom >= 0) {
-    std::memcpy(row, arena.row(static_cast<std::size_t>(copyFrom)), bytes);
-  } else {
-    std::memset(row, 0, bytes);
-  }
-  return row;
-}
-
-/// Build one event's clock row: running clock, join the direct
-/// predecessors, tick the thread's own component. All span loops are
+/// Build one event's clock row: copy the thread's running clock (its
+/// previous event's row, or zeros for a thread's first event), join the
+/// direct predecessors, tick the thread's own component. All span loops are
 /// branch-free over the arena's fixed stride.
 void buildClockRow(ClockArena& arena, std::int32_t copyFrom,
                    const std::vector<std::int32_t>& preds, int tid,
                    std::uint32_t tick) {
-  std::uint32_t* row = startClockRow(arena, copyFrom);
+  std::uint32_t* row = arena.appendRow();
   const std::uint32_t stride = arena.stride();
+  if (copyFrom >= 0) {
+    std::memcpy(row, arena.row(static_cast<std::size_t>(copyFrom)),
+                stride * sizeof(std::uint32_t));
+  } else {
+    std::memset(row, 0, stride * sizeof(std::uint32_t));
+  }
   for (const std::int32_t p : preds) {
     joinClockSpans(row, arena.row(static_cast<std::size_t>(p)), stride);
   }
@@ -371,12 +367,12 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
     threadCount_ = tIdx + 1;
   }
   if (static_cast<std::uint32_t>(t) >= syncClocks_.stride()) {
-    // Thread capacity exceeded: widen all three matrices together (they
-    // always share a stride). Rounded up so repeated spawns re-stride once.
+    // Thread capacity exceeded: widen both matrices together (they always
+    // share a stride; an unbuilt one just records it). Rounded up so
+    // repeated spawns re-stride once.
     const std::uint32_t stride = (static_cast<std::uint32_t>(t) + 8u) & ~7u;
     syncClocks_.widen(stride);
     fullClocks_.widen(stride);
-    lazyClocks_.widen(stride);
   }
 
   const auto index = static_cast<std::int32_t>(eventCount_);
@@ -385,10 +381,9 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
   scratchFull_.clear();
   scratchLazy_.clear();
   scratchSync_.clear();
-  // Pred-set coincidence tracking: when every predecessor was pushed to all
-  // three relations (the common predAll-only case), or at least to both the
-  // Full and Lazy ones, the per-relation scratch lists are identical and the
-  // clock-row builds below fuse into one pass over a single list.
+  // Pred-set coincidence tracking: when every predecessor was pushed to the
+  // Full list and another relation's (the common predAll-only case), that
+  // relation's list is identical and neither sorted nor stored twice.
   bool lazySameAsFull = true;  // scratchLazy_ would equal scratchFull_
   bool syncSameAsFull = true;  // scratchSync_ would equal scratchFull_
   auto predAll = [&](std::int32_t p) {
@@ -511,51 +506,28 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
 
   sortUnique(scratchFull_);
   if (!lazySameAsFull) sortUnique(scratchLazy_);
-  if (!syncSameAsFull) sortUnique(scratchSync_);
   const std::vector<std::int32_t>& lazyPreds =
       lazySameAsFull ? scratchFull_ : scratchLazy_;
+  // The sync list feeds only the race detector's rows and the kept lists.
+  const bool syncWanted = options_.detectRaces || options_.keepPredecessors;
+  if (syncWanted && !syncSameAsFull) sortUnique(scratchSync_);
   const std::vector<std::int32_t>& syncPreds =
       syncSameAsFull ? scratchFull_ : scratchSync_;
 
-  // Clocks: one arena row per relation, built from the thread's running
-  // clock (its previous event's row) and the direct predecessors' rows.
-  // When the pred sets coincide the three builds fuse into a single pass
-  // over one list (one loop, one set of index loads, three joins per pred).
+  // Clock rows, only for the relations a consumer reads: each is built from
+  // the thread's running clock (its previous event's row) and the direct
+  // predecessors' rows.
   const std::int32_t copyFrom = ev.indexInThread > 0 ? prevEvent : -1;
   const auto tick = ev.indexInThread + 1;
-  if (lazySameAsFull && syncSameAsFull) {
-    std::uint32_t* syncRow = startClockRow(syncClocks_, copyFrom);
-    std::uint32_t* fullRow = startClockRow(fullClocks_, copyFrom);
-    std::uint32_t* lazyRow = startClockRow(lazyClocks_, copyFrom);
-    const std::uint32_t stride = syncClocks_.stride();
-    for (const std::int32_t p : scratchFull_) {
-      const auto row = static_cast<std::size_t>(p);
-      joinClockSpans(syncRow, syncClocks_.row(row), stride);
-      joinClockSpans(fullRow, fullClocks_.row(row), stride);
-      joinClockSpans(lazyRow, lazyClocks_.row(row), stride);
-    }
-    syncRow[t] = fullRow[t] = lazyRow[t] = tick;
-  } else if (lazySameAsFull) {
-    buildClockRow(syncClocks_, copyFrom, syncPreds, t, tick);
-    std::uint32_t* fullRow = startClockRow(fullClocks_, copyFrom);
-    std::uint32_t* lazyRow = startClockRow(lazyClocks_, copyFrom);
-    const std::uint32_t stride = fullClocks_.stride();
-    for (const std::int32_t p : scratchFull_) {
-      const auto row = static_cast<std::size_t>(p);
-      joinClockSpans(fullRow, fullClocks_.row(row), stride);
-      joinClockSpans(lazyRow, lazyClocks_.row(row), stride);
-    }
-    fullRow[t] = lazyRow[t] = tick;
-  } else {
-    buildClockRow(syncClocks_, copyFrom, syncPreds, t, tick);
+  if (options_.fullClocks) {
     buildClockRow(fullClocks_, copyFrom, scratchFull_, t, tick);
-    buildClockRow(lazyClocks_, copyFrom, lazyPreds, t, tick);
   }
-
-  // Data-race detection uses the sync clock, against pre-update histories.
-  if (options_.detectRaces &&
-      (ev.kind == OpKind::Read || ev.kind == OpKind::Write || ev.kind == OpKind::Rmw)) {
-    checkRace(exec, ev, index);
+  if (options_.detectRaces) {
+    buildClockRow(syncClocks_, copyFrom, syncPreds, t, tick);
+    // Data-race detection uses the sync clock, against pre-update histories.
+    if (ev.kind == OpKind::Read || ev.kind == OpKind::Write || ev.kind == OpKind::Rmw) {
+      checkRace(exec, ev, index);
+    }
   }
 
   // Causal hashes: label mixed with the multiset of direct predecessors'
@@ -832,9 +804,10 @@ const std::vector<std::int32_t>& TraceRecorder::eventPredecessors(
 }
 
 ClockView TraceRecorder::threadClock(Relation r, int tid) const {
+  const ClockArena& rows = arena(r);
   const auto i = static_cast<std::size_t>(tid);
   if (i >= threadCount_ || threadLastEvent_[i] < 0) return ClockView{};
-  return arena(r).view(static_cast<std::size_t>(threadLastEvent_[i]));
+  return rows.view(static_cast<std::size_t>(threadLastEvent_[i]));
 }
 
 void TraceRecorder::collectConflicts(const runtime::Execution& exec, int tid,

@@ -35,17 +35,29 @@
 // HBR caching key on, and what the terminal-HBR counts of Figures 2 and 3
 // de-duplicate by.
 //
+// The recorder builds only what a consumer declared at construction
+// (Options). Always: the Full/Lazy/Value prefix fingerprints and the
+// per-event Full/Lazy causal hashes, which is all the caching explorers and
+// the counts read. On demand:
+//   fullClocks       — Full clock rows (DPOR's happens-before test);
+//   detectRaces      — Sync clock rows and the sync-HB race detector;
+//   keepPredecessors — per-event predecessor lists of all three relations
+//                      and the object-name map (Foata, HB graph rendering,
+//                      tests). The Lazy relation has no clocks at all:
+//                      foata.hpp rebuilds its transitive closure from the
+//                      kept lists.
+// Reading a clock no consumer asked for fails a LAZYHB_CHECK.
+//
 // Storage is structure-of-arrays, sized for the per-event loop that runs
 // once per committed event of every explored schedule:
 //   hot  — per-event causal hashes (one flat array per relation) and the
-//          per-relation clock rows, which live in flat ClockArena matrices
+//          requested clock rows, which live in flat ClockArena matrices
 //          (trace/clock_arena.hpp); a thread's running clock is simply its
 //          last event's row, so no per-thread clock storage exists at all.
 //   cold — EventRecords (consulted by DPOR's race analysis and the race
-//          reports, not by the fingerprint loop) and per-event predecessor
-//          lists, the latter populated only under keepPredecessors.
+//          reports, not by the fingerprint loop) and the predecessor lists.
 // Clock accessors deal in ClockView spans; the owning VectorClock class
-// remains for the Foata/graph/test layers.
+// remains for the test layers.
 //
 // The recorder is an ExecutionObserver and is reset on every
 // onExecutionStart, so one instance can monitor millions of executions with
@@ -97,16 +109,20 @@ struct RaceReport {
 
 class TraceRecorder final : public runtime::ExecutionObserver {
  public:
+  /// What the recorder's consumers read beyond the fingerprints; the
+  /// default builds fingerprints and causal hashes only.
   struct Options {
-    /// Record per-event direct-predecessor lists (needed by the Foata
-    /// canonicaliser, the HB graph export and the tests; not needed by the
-    /// experiment explorers, which only use fingerprints).
+    /// Record per-event direct-predecessor lists and object names (needed
+    /// by the Foata canonicaliser, the HB graph export and the tests; not
+    /// needed by the experiment explorers, which only use fingerprints).
     bool keepPredecessors = false;
-    /// Run the sync-HB data-race detector.
+    /// Build Sync clock rows and run the sync-HB data-race detector.
     bool detectRaces = false;
+    /// Build Full clock rows (DPOR's race analysis).
+    bool fullClocks = false;
   };
 
-  TraceRecorder();  // default options
+  TraceRecorder();  // fingerprints only
   explicit TraceRecorder(Options options);
 
   // --- ExecutionObserver ----------------------------------------------------
@@ -169,12 +185,16 @@ class TraceRecorder final : public runtime::ExecutionObserver {
 
   // --- per-event data (valid until the next onExecutionStart) ----------------
   [[nodiscard]] const runtime::EventRecord& eventRecord(std::int32_t index) const;
+  /// Clock row of an event: Full needs Options::fullClocks, Sync needs
+  /// Options::detectRaces; no other relation has clocks.
   [[nodiscard]] ClockView eventClock(Relation r, std::int32_t index) const;
   [[nodiscard]] support::Hash128 eventHash(Relation r, std::int32_t index) const;
+  /// Requires Options::keepPredecessors.
   [[nodiscard]] const std::vector<std::int32_t>& eventPredecessors(
       Relation r, std::int32_t index) const;
 
-  /// Clock of thread `tid`'s most recent event (zero clock if none).
+  /// Clock of thread `tid`'s most recent event (zero clock if none); the
+  /// same requirements as eventClock.
   [[nodiscard]] ClockView threadClock(Relation r, int tid) const;
 
   /// Event indices of already-executed events that conflict (under the Full
@@ -193,7 +213,8 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   // --- races ------------------------------------------------------------------
   [[nodiscard]] const std::vector<RaceReport>& races() const noexcept { return races_; }
 
-  /// Human-readable object name for a UID seen in the current execution.
+  /// Human-readable object name for a UID seen in the current execution
+  /// (names are kept under keepPredecessors; otherwise "obj-NNNN").
   [[nodiscard]] std::string objectName(runtime::Uid uid) const;
 
  private:
@@ -317,19 +338,20 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   [[nodiscard]] static support::Hash128 cvQueueContribution(const ObjectHistory& h) noexcept;
 
   ObjectHistory& history(std::int32_t objectIndex);
-  [[nodiscard]] const ClockArena& arena(Relation r) const noexcept;
+  /// The clock matrix of `r`; fails a LAZYHB_CHECK unless it is built.
+  [[nodiscard]] const ClockArena& arena(Relation r) const;
   void checkRace(const runtime::Execution& exec,
                  const runtime::EventRecord& event, std::int32_t index);
 
   Options options_;
   std::size_t eventCount_ = 0;
 
-  // Hot per-event arrays (indexed by event).
+  // Hot per-event arrays (indexed by event). A clock matrix holds rows only
+  // when its consumer is on (see Options); both share one stride.
   std::vector<support::Hash128> fullHash_;
   std::vector<support::Hash128> lazyHash_;
   ClockArena syncClocks_;
   ClockArena fullClocks_;
-  ClockArena lazyClocks_;
 
   // Cold per-event arrays.
   std::vector<runtime::EventRecord> records_;
@@ -353,7 +375,7 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   support::MultisetHash prefixValue_;
   support::MultisetHash valueState_;
   std::vector<RaceReport> races_;
-  std::unordered_map<runtime::Uid, std::string> names_;
+  std::unordered_map<runtime::Uid, std::string> names_;  // keepPredecessors only
 
   // Scratch buffers reused across events (no hot-path allocation).
   std::vector<std::int32_t> scratchFull_;

@@ -11,8 +11,8 @@
 //   ClockView   — a non-owning span over a row of the recorder's ClockArena
 //                 (trace/clock_arena.hpp). This is what the hot path and the
 //                 recorder's accessors deal in: two registers, no ownership.
-//   VectorClock — an owning, growable clock for the Foata/graph/test layers
-//                 and anywhere a clock must outlive the arena it came from.
+//   VectorClock — an owning, growable clock for the test layers and
+//                 anywhere a clock must outlive the arena it came from.
 //                 Convertible from a ClockView.
 
 #pragma once

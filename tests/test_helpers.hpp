@@ -43,6 +43,32 @@ inline explore::ExplorationResult runCaching(const explore::Program& p, trace::R
   return explorer.explore(p);
 }
 
+/// Captures one execution's observer stream so a recorder can be driven
+/// directly (no fibers, no scheduling). Each registration remembers how many
+/// events preceded it, so a replay can interleave them as they happened.
+struct CapturedTrace : runtime::ExecutionObserver {
+  struct Registration {
+    std::int32_t index;
+    runtime::Uid uid;
+    runtime::ObjectKind kind;
+    std::string name;
+    std::uint64_t initialValueHash;
+    std::size_t atEvent;  ///< events committed before this registration
+  };
+  std::vector<Registration> registrations;
+  std::vector<runtime::EventRecord> events;
+
+  void onObjectRegistered(const runtime::Execution&, std::int32_t index,
+                          runtime::Uid uid, runtime::ObjectKind kind,
+                          const std::string& name,
+                          std::uint64_t initialValueHash) override {
+    registrations.push_back({index, uid, kind, name, initialValueHash, events.size()});
+  }
+  void onEvent(const runtime::Execution&, const runtime::EventRecord& ev) override {
+    events.push_back(ev);
+  }
+};
+
 /// The exact program of the paper's Figure 1 (plus the spawn/join scaffold a
 /// real program needs): T1 locks m, reads x, unlocks m, writes y; T2 writes
 /// z, locks m, reads x, unlocks m.

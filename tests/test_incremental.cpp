@@ -10,6 +10,8 @@
 //     full rollback) over a corpus slice, compared element-wise;
 //   * the same triple-run over randomly generated checkpointable programs
 //     (InlineVec storage, the shape the fiber-snapshot tier requires);
+//   * traced random walks run fresh and rolled back to their root, per
+//     walk, under both memory models;
 //   * explorer-level count identity across modes for DPOR and the caching
 //     explorers (prune hooks interleave with rollback);
 //   * ClockArena truncation re-extension identity.
@@ -26,10 +28,12 @@
 #include "explore/dpor_explorer.hpp"
 #include "explore/parallel_explorer.hpp"
 #include "explore/prefix_replay.hpp"
+#include "explore/random_explorer.hpp"
 #include "explore/replay.hpp"
 #include "programs/registry.hpp"
 #include "runtime/api.hpp"
 #include "support/rng.hpp"
+#include "test_helpers.hpp"
 #include "trace/clock_arena.hpp"
 #include "trace/trace_recorder.hpp"
 
@@ -42,6 +46,7 @@ struct ScheduleTrace {
   runtime::Outcome outcome = runtime::Outcome::Terminal;
   support::Hash128 full;
   support::Hash128 lazy;
+  support::Hash128 value;
   support::Hash128 state;
   std::vector<support::Hash128> eventHashes;      // full-relation, per event
   std::vector<std::vector<std::uint32_t>> clocks; // full-relation rows
@@ -49,8 +54,43 @@ struct ScheduleTrace {
 
 bool operator==(const ScheduleTrace& a, const ScheduleTrace& b) {
   return a.choices == b.choices && a.outcome == b.outcome && a.full == b.full &&
-         a.lazy == b.lazy && a.state == b.state && a.eventHashes == b.eventHashes &&
-         a.clocks == b.clocks;
+         a.lazy == b.lazy && a.value == b.value && a.state == b.state &&
+         a.eventHashes == b.eventHashes && a.clocks == b.clocks;
+}
+
+/// The recorder the traced loops observe through: DPOR's consumer set, so
+/// the Full clock rows exist to be compared.
+trace::TraceRecorder tracingRecorder() {
+  return trace::TraceRecorder(trace::TraceRecorder::Options{.fullClocks = true});
+}
+
+/// Run one schedule through `engine` and capture everything the
+/// exploration layer could observe about it.
+ScheduleTrace traceOne(explore::PrefixReplayEngine& engine,
+                       trace::TraceRecorder& recorder,
+                       const explore::Program& program,
+                       runtime::Scheduler& scheduler, memory::MemoryModel model) {
+  runtime::Config config;
+  config.memoryModel = model;
+  const explore::PrefixReplayEngine::Session session =
+      engine.beginSchedule(config, &recorder);
+  ScheduleTrace trace;
+  trace.outcome = session.resumed ? session.exec->resume(scheduler)
+                                  : session.exec->run(program, scheduler);
+  trace.choices = session.exec->choices();
+  trace.state = session.exec->stateFingerprint();
+  if (recorder.eventCount() > 0) {
+    trace.full = recorder.fingerprint(trace::Relation::Full);
+    trace.lazy = recorder.fingerprint(trace::Relation::Lazy);
+    trace.value = recorder.fingerprint(trace::Relation::Value);
+  }
+  for (std::size_t i = 0; i < recorder.eventCount(); ++i) {
+    const auto index = static_cast<std::int32_t>(i);
+    trace.eventHashes.push_back(recorder.eventHash(trace::Relation::Full, index));
+    const trace::ClockView view = recorder.eventClock(trace::Relation::Full, index);
+    trace.clocks.emplace_back(view.data(), view.data() + view.width());
+  }
+  return trace;
 }
 
 /// The DFS walk of DfsExplorer::runSearch, instrumented: returns one trace
@@ -61,7 +101,7 @@ std::vector<ScheduleTrace> tracedDfs(const explore::Program& program,
                                      std::uint64_t limit = 4000,
                                      std::uint64_t snapshotBudgetBytes = 0,
                                      memory::MemoryModel model = memory::MemoryModel::Sc) {
-  trace::TraceRecorder recorder;
+  trace::TraceRecorder recorder = tracingRecorder();
   runtime::StackPool pool;
   explore::PrefixReplayEngine engine(
       pool, recorder, incremental,
@@ -73,30 +113,39 @@ std::vector<ScheduleTrace> tracedDfs(const explore::Program& program,
   for (;;) {
     if (traces.size() >= limit) break;
     explore::TreeScheduler scheduler(state, {}, &engine, startDepth);
-    runtime::Config config;
-    config.memoryModel = model;
-    const explore::PrefixReplayEngine::Session session =
-        engine.beginSchedule(config, &recorder);
-    const runtime::Outcome outcome = session.resumed
-                                         ? session.exec->resume(scheduler)
-                                         : session.exec->run(program, scheduler);
-    ScheduleTrace trace;
-    trace.choices = session.exec->choices();
-    trace.outcome = outcome;
-    trace.state = session.exec->stateFingerprint();
-    if (recorder.eventCount() > 0) {
-      trace.full = recorder.fingerprint(trace::Relation::Full);
-      trace.lazy = recorder.fingerprint(trace::Relation::Lazy);
-    }
-    for (std::size_t i = 0; i < recorder.eventCount(); ++i) {
-      const auto index = static_cast<std::int32_t>(i);
-      trace.eventHashes.push_back(recorder.eventHash(trace::Relation::Full, index));
-      const trace::ClockView view = recorder.eventClock(trace::Relation::Full, index);
-      trace.clocks.emplace_back(view.data(), view.data() + view.width());
-    }
-    traces.push_back(std::move(trace));
+    traces.push_back(traceOne(engine, recorder, program, scheduler, model));
     if (!state.advance()) break;
     startDepth = engine.prepareNext(state.checkFromDepth);
+  }
+  return traces;
+}
+
+/// The walk loop of RandomExplorer::runSearch, instrumented the same way:
+/// one trace per walk. On the runtime-rollback tier every walk after the
+/// first resumes from the root checkpoint its first pick staged.
+std::vector<ScheduleTrace> tracedRandom(const explore::Program& program,
+                                        bool incremental, bool checkpointable,
+                                        std::uint64_t snapshotBudgetBytes,
+                                        memory::MemoryModel model,
+                                        std::uint64_t walks = 300) {
+  trace::TraceRecorder recorder = tracingRecorder();
+  runtime::StackPool pool;
+  explore::PrefixReplayEngine engine(
+      pool, recorder, incremental,
+      checkpointable && runtime::Execution::checkpointingSupported(),
+      snapshotBudgetBytes);
+  explore::PrefixReplayEngine* root = engine.runtimeRollback() ? &engine : nullptr;
+  std::vector<ScheduleTrace> traces;
+  for (std::uint64_t k = 0; k < walks; ++k) {
+    if (root != nullptr && k > 0) {
+      EXPECT_EQ(root->prepareNext(0), 0u);
+    }
+    explore::RandomScheduler scheduler(support::mix64(17 + k), root);
+    traces.push_back(traceOne(engine, recorder, program, scheduler, model));
+  }
+  if (root != nullptr && walks > 1) {
+    EXPECT_EQ(engine.rollbacks(), walks - 1);  // every later walk resumed
+    EXPECT_EQ(engine.stagesCreated(), 1u);     // the root stage, counted once
   }
   return traces;
 }
@@ -414,6 +463,98 @@ TEST(IncrementalReplay, TsoTracesIdenticalUnderSnapshotBudgetEviction) {
   }
 }
 
+// --- random walks rolled back to the root ------------------------------------
+//
+// Random walks share no prefix beyond the root, so on the runtime-rollback
+// tier each walk after the first resumes the persistent execution from the
+// checkpoint its first pick staged. Every walk — including ones that end
+// parked in a failed assertion or a deadlock — must match a fresh
+// execution's walk exactly.
+
+/// A checkpointable SC program whose walks can violate: an unprotected
+/// check-then-act oversells the one seat, and an AB-BA lock order
+/// deadlocks under some interleavings.
+void oversellOrDeadlock() {
+  Shared<int> seats{1, "seats"};
+  Mutex a("a");
+  Mutex b("b");
+  auto buyer = spawn([&] {
+    if (seats.load() > 0) seats.store(seats.load() - 1);
+    LockGuard first(a);
+    LockGuard second(b);
+  });
+  if (seats.load() > 0) seats.store(seats.load() - 1);
+  {
+    LockGuard first(b);
+    LockGuard second(a);
+  }
+  buyer.join();
+  checkAlways(seats.load() >= 0, "oversold");
+}
+
+struct WalkCase {
+  std::string label;
+  explore::Program body;
+  memory::MemoryModel model = memory::MemoryModel::Sc;
+  bool violates = false;  ///< some of the walks must end in a violation
+};
+
+std::vector<WalkCase> walkCases() {
+  std::vector<WalkCase> cases = {{"oversell-or-deadlock", oversellOrDeadlock,
+                                  memory::MemoryModel::Sc, true}};
+  for (const char* name : {"readers-writer-2", "prodcons-2x2", "trylock-vs-lock"}) {
+    cases.push_back({name, programs::byName(name)->body, memory::MemoryModel::Sc, false});
+  }
+  cases.push_back({"sb-unfenced", programs::byName("sb-unfenced")->body,
+                   memory::MemoryModel::Tso, true});
+  cases.push_back({"store-forwarding", programs::byName("store-forwarding")->body,
+                   memory::MemoryModel::Tso, false});
+  return cases;
+}
+
+TEST(IncrementalReplay, RandomWalksTraceIdenticallyWhenRolledBackToTheRoot) {
+  for (const WalkCase& c : walkCases()) {
+    const std::vector<ScheduleTrace> fresh =
+        tracedRandom(c.body, /*incremental=*/false, false, 0, c.model);
+    bool violated = false;
+    for (const ScheduleTrace& t : fresh) violated = violated || runtime::isViolation(t.outcome);
+    EXPECT_EQ(violated, c.violates) << c.label;
+    for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{4096}}) {
+      const std::vector<ScheduleTrace> rolled =
+          tracedRandom(c.body, /*incremental=*/true, /*checkpointable=*/true, budget, c.model);
+      ASSERT_EQ(fresh.size(), rolled.size()) << c.label;
+      for (std::size_t i = 0; i < fresh.size(); ++i) {
+        EXPECT_TRUE(fresh[i] == rolled[i])
+            << c.label << ": walk " << i << " diverges at budget " << budget;
+      }
+    }
+  }
+}
+
+TEST(IncrementalReplay, RandomExplorerCountsIdenticalWhenRolledBackToTheRoot) {
+  for (const WalkCase& c : walkCases()) {
+    explore::ExplorerOptions off = optionsFor(false, false);
+    off.memoryModel = c.model;
+    explore::RandomExplorer fresh(off, /*seed=*/5);
+    const explore::ExplorationResult baseline = fresh.explore(c.body);
+    for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{4096}}) {
+      explore::ExplorerOptions on = optionsFor(true, true);
+      on.memoryModel = c.model;
+      on.snapshotBudgetBytes = budget;
+      explore::RandomExplorer rolled(on, /*seed=*/5);
+      const explore::ExplorationResult result = rolled.explore(c.body);
+      const std::string label = c.label + " budget " + std::to_string(budget);
+      expectSameCounts(baseline, result, label);
+      EXPECT_EQ(baseline.distinctValueClasses, result.distinctValueClasses) << label;
+      EXPECT_EQ(baseline.flushEvents, result.flushEvents) << label;
+      if (runtime::Execution::checkpointingSupported()) {
+        EXPECT_EQ(result.checkpointStats.stages, 1u) << label;  // the root, once
+        EXPECT_EQ(result.eventsElided, 0u) << label;
+      }
+    }
+  }
+}
+
 TEST(IncrementalReplay, CountsIdenticalAcrossBudgetAndWorkerMatrix) {
   // The golden 8-program matrix crossed with undo-log on/off, snapshot
   // budget {tiny, engine default, unlimited} and workers {1, 4}. The
@@ -453,30 +594,6 @@ TEST(IncrementalReplay, CountsIdenticalAcrossBudgetAndWorkerMatrix) {
 
 // --- undo-log mechanics ------------------------------------------------------
 
-/// Captures one execution's observer stream so the recorder's undo-log
-/// machinery can be driven directly (no fibers, no scheduling).
-struct CapturedTrace : runtime::ExecutionObserver {
-  struct Registration {
-    std::int32_t index;
-    runtime::Uid uid;
-    runtime::ObjectKind kind;
-    std::string name;
-    std::uint64_t initialValueHash;
-  };
-  std::vector<Registration> registrations;
-  std::vector<runtime::EventRecord> events;
-
-  void onObjectRegistered(const runtime::Execution&, std::int32_t index,
-                          runtime::Uid uid, runtime::ObjectKind kind,
-                          const std::string& name,
-                          std::uint64_t initialValueHash) override {
-    registrations.push_back({index, uid, kind, name, initialValueHash});
-  }
-  void onEvent(const runtime::Execution&, const runtime::EventRecord& ev) override {
-    events.push_back(ev);
-  }
-};
-
 void coalesceProgram() {
   Shared<int> a{0, "a"};
   Shared<int> b{0, "b"};
@@ -487,9 +604,9 @@ void coalesceProgram() {
   a.store(4);
 }
 
-CapturedTrace captureCoalesceTrace() {
+lazyhb::testing::CapturedTrace captureCoalesceTrace() {
   runtime::StackPool pool;
-  CapturedTrace captured;
+  lazyhb::testing::CapturedTrace captured;
   runtime::Execution source(runtime::Config{}, pool, &captured);
   explore::FixedScheduler scheduler({});
   (void)source.run(coalesceProgram, scheduler);
@@ -497,7 +614,7 @@ CapturedTrace captureCoalesceTrace() {
 }
 
 TEST(IncrementalReplay, UndoEntriesCoalescePerObjectBetweenStages) {
-  const CapturedTrace captured = captureCoalesceTrace();
+  const lazyhb::testing::CapturedTrace captured = captureCoalesceTrace();
   std::vector<std::size_t> writes;
   for (std::size_t i = 0; i < captured.events.size(); ++i) {
     if (captured.events[i].kind == runtime::OpKind::Write) writes.push_back(i);
@@ -544,7 +661,7 @@ TEST(IncrementalReplay, UndoEntriesCoalescePerObjectBetweenStages) {
 }
 
 TEST(IncrementalReplay, EvictThenRollbackPastEvictedRestoresState) {
-  const CapturedTrace captured = captureCoalesceTrace();
+  const lazyhb::testing::CapturedTrace captured = captureCoalesceTrace();
   std::vector<std::size_t> writes;
   for (std::size_t i = 0; i < captured.events.size(); ++i) {
     if (captured.events[i].kind == runtime::OpKind::Write) writes.push_back(i);
@@ -602,7 +719,7 @@ TEST(IncrementalReplay, ValueFingerprintSurvivesRollbackAndReplay) {
   // re-extended recorder's Value fingerprint is byte-identical to a fresh
   // recorder fed the same stream.
   runtime::StackPool pool;
-  CapturedTrace captured;
+  lazyhb::testing::CapturedTrace captured;
   {
     runtime::Execution source(runtime::Config{}, pool, &captured);
     explore::FixedScheduler scheduler({});

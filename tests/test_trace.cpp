@@ -1,7 +1,8 @@
 // Trace-layer tests: vector clocks, the three happens-before relations on
 // hand-constructed scenarios, exact canonical forms, the equivalence of the
 // incremental fingerprints with the exact forms across entire schedule
-// spaces, and sync-HB race detection.
+// spaces, sync-HB race detection, and the recorder's consumer sets (what
+// each builds must not change what the others see).
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,10 @@
 #include <vector>
 
 #include "explore/dfs_explorer.hpp"
+#include "explore/random_explorer.hpp"
 #include "explore/replay.hpp"
+#include "memory/memory_model.hpp"
+#include "programs/registry.hpp"
 #include "runtime/api.hpp"
 #include "test_helpers.hpp"
 #include "trace/clock_arena.hpp"
@@ -336,6 +340,198 @@ TEST_P(FingerprintCanonicity, FingerprintEqualsIffExactFormEqual) {
 }
 
 INSTANTIATE_TEST_SUITE_P(SmallPrograms, FingerprintCanonicity, ::testing::Range(0, 3));
+
+// --- consumer sets -------------------------------------------------------------
+//
+// The recorder builds only what its consumers declared: fingerprints and
+// causal hashes always, Full clock rows for DPOR, Sync rows for the race
+// detector, predecessor lists for Foata and rendering. One observer stream
+// fed to each consumer set must yield the same fingerprints and hashes,
+// and DPOR's Full rows must be exactly the clocks the kept Full
+// predecessor lists imply.
+
+/// One real execution's observer stream. The execution stays alive: the
+/// race detector names racy objects from its object table.
+struct RecordedStream {
+  runtime::StackPool pool;
+  lazyhb::testing::CapturedTrace captured;
+  std::unique_ptr<runtime::Execution> source;
+};
+
+bool hasKind(const lazyhb::testing::CapturedTrace& c, runtime::OpKind kind) {
+  for (const runtime::EventRecord& ev : c.events) {
+    if (ev.kind == kind) return true;
+  }
+  return false;
+}
+
+/// Record `program` under the first random walk (seeds 0, 1, ...) whose
+/// stream contains every kind in `kinds`.
+std::unique_ptr<RecordedStream> recordStream(const explore::Program& program,
+                                             memory::MemoryModel model,
+                                             std::vector<runtime::OpKind> kinds) {
+  for (std::uint64_t seed = 0; seed < 256; ++seed) {
+    auto stream = std::make_unique<RecordedStream>();
+    runtime::Config config;
+    config.memoryModel = model;
+    stream->source =
+        std::make_unique<runtime::Execution>(config, stream->pool, &stream->captured);
+    explore::RandomScheduler scheduler(seed);
+    (void)stream->source->run(program, scheduler);
+    bool all = true;
+    for (const runtime::OpKind kind : kinds) all = all && hasKind(stream->captured, kind);
+    if (all) return stream;
+  }
+  ADD_FAILURE() << "no walk produced the requested event kinds";
+  return nullptr;
+}
+
+/// Feed the stream to `recorder` with registrations interleaved where they
+/// happened, staging a checkpoint halfway, running to the end, rolling back
+/// and re-extending — the cycle the incremental engine drives.
+void feed(TraceRecorder& recorder, const RecordedStream& stream) {
+  const auto& c = stream.captured;
+  const runtime::Execution& exec = *stream.source;
+  const std::size_t half = c.events.size() / 2;
+  auto extend = [&](std::size_t from) {
+    std::size_t reg = 0;
+    while (reg < c.registrations.size() && c.registrations[reg].atEvent < from) ++reg;
+    for (std::size_t i = from; i <= c.events.size(); ++i) {
+      for (; reg < c.registrations.size() && c.registrations[reg].atEvent == i; ++reg) {
+        const auto& r = c.registrations[reg];
+        recorder.onObjectRegistered(exec, r.index, r.uid, r.kind, r.name, r.initialValueHash);
+      }
+      if (i < c.events.size()) recorder.onEvent(exec, c.events[i]);
+      if (i + 1 == half) (void)recorder.checkpoint();
+    }
+  };
+  recorder.onExecutionStart(exec);
+  extend(0);
+  recorder.rollbackTo(half);
+  ASSERT_EQ(recorder.eventCount(), half);
+  extend(half);
+  ASSERT_EQ(recorder.eventCount(), c.events.size());
+}
+
+/// An SC program with a mutex, a condvar handshake, a trylock prober and
+/// one unsynchronised read (a race for the detector to report).
+void mutexCondvarTrylock() {
+  Shared<int> ready{0, "ready"};
+  Shared<int> data{0, "data"};
+  Mutex m("m");
+  CondVar cv("cv");
+  auto producer = spawn([&] {
+    data.store(1);
+    LockGuard guard(m);
+    ready.store(1);
+    cv.signal();
+  });
+  auto prober = spawn([&] {
+    (void)data.load();
+    if (m.tryLock()) {
+      (void)ready.load();
+      m.unlock();
+    }
+  });
+  m.lock();
+  while (ready.load() == 0) cv.wait(m);
+  m.unlock();
+  producer.join();
+  prober.join();
+}
+
+struct ConsumerSets {
+  TraceRecorder none{TraceRecorder::Options{}};
+  TraceRecorder dpor{TraceRecorder::Options{.fullClocks = true}};
+  TraceRecorder races{TraceRecorder::Options{.detectRaces = true}};
+  TraceRecorder preds{TraceRecorder::Options{.keepPredecessors = true}};
+
+  explicit ConsumerSets(const RecordedStream& stream) {
+    for (TraceRecorder* r : {&none, &dpor, &races, &preds}) feed(*r, stream);
+  }
+};
+
+/// The Full clocks the kept predecessor lists imply: join the direct
+/// predecessors' clocks, tick the event's own thread.
+std::vector<VectorClock> clocksFromPredecessors(const TraceRecorder& recorder) {
+  std::vector<VectorClock> clocks(recorder.eventCount());
+  for (std::size_t i = 0; i < clocks.size(); ++i) {
+    const auto index = static_cast<std::int32_t>(i);
+    for (const std::int32_t p : recorder.eventPredecessors(Relation::Full, index)) {
+      clocks[i].joinWith(clocks[static_cast<std::size_t>(p)]);
+    }
+    const runtime::EventRecord& ev = recorder.eventRecord(index);
+    clocks[i].set(ev.threadIndex, ev.indexInThread + 1);
+  }
+  return clocks;
+}
+
+void expectConsumerSetsAgree(const ConsumerSets& sets, const RecordedStream& stream) {
+  const std::size_t n = stream.captured.events.size();
+  for (const TraceRecorder* r : {&sets.dpor, &sets.races, &sets.preds}) {
+    ASSERT_EQ(r->eventCount(), n);
+    for (const Relation relation : {Relation::Full, Relation::Lazy, Relation::Value}) {
+      EXPECT_EQ(r->fingerprint(relation), sets.none.fingerprint(relation))
+          << trace::relationName(relation);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto index = static_cast<std::int32_t>(i);
+      EXPECT_EQ(r->eventHash(Relation::Full, index), sets.none.eventHash(Relation::Full, index));
+      EXPECT_EQ(r->eventHash(Relation::Lazy, index), sets.none.eventHash(Relation::Lazy, index));
+    }
+  }
+  const std::vector<VectorClock> expected = clocksFromPredecessors(sets.preds);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(VectorClock{sets.dpor.eventClock(Relation::Full, static_cast<std::int32_t>(i))} ==
+                expected[i])
+        << "event " << i;
+  }
+  // A thread's running clock is its last event's row.
+  std::map<int, std::size_t> lastEvent;
+  for (std::size_t i = 0; i < n; ++i) lastEvent[stream.captured.events[i].threadIndex] = i;
+  for (const auto& [tid, i] : lastEvent) {
+    EXPECT_TRUE(VectorClock{sets.dpor.threadClock(Relation::Full, tid)} == expected[i])
+        << "thread " << tid;
+  }
+}
+
+TEST(RecorderConsumers, ScStreamAgreesAcrossConsumerSets) {
+  const auto stream = recordStream(mutexCondvarTrylock, memory::MemoryModel::Sc,
+                                   {runtime::OpKind::Wait, runtime::OpKind::Signal,
+                                    runtime::OpKind::Reacquire, runtime::OpKind::TryLock});
+  ASSERT_NE(stream, nullptr);
+  const ConsumerSets sets(*stream);
+  expectConsumerSetsAgree(sets, *stream);
+  // Only the race consumer runs the detector, and it sees the racy read.
+  ASSERT_EQ(sets.races.races().size(), 1u);
+  EXPECT_EQ(sets.races.races()[0].objectName, "data");
+  EXPECT_TRUE(sets.none.races().empty());
+  // Object names are kept with the predecessor lists only.
+  const runtime::EventRecord& last = stream->captured.events.back();
+  const std::string& name = stream->source->object(last.objectIndex).name;
+  EXPECT_EQ(sets.preds.objectName(last.objectUid), name);
+  EXPECT_NE(sets.none.objectName(last.objectUid), name);
+}
+
+TEST(RecorderConsumers, TsoStreamAgreesAcrossConsumerSets) {
+  const programs::ProgramSpec* spec = programs::byName("sb-unfenced");
+  ASSERT_NE(spec, nullptr);
+  const auto stream = recordStream(spec->body, memory::MemoryModel::Tso,
+                                   {runtime::OpKind::Flush, runtime::OpKind::Read});
+  ASSERT_NE(stream, nullptr);
+  expectConsumerSetsAgree(ConsumerSets(*stream), *stream);
+}
+
+TEST(RecorderConsumersDeathTest, ReadingAnUnrequestedClockAborts) {
+  const auto stream = recordStream(mutexCondvarTrylock, memory::MemoryModel::Sc, {});
+  ASSERT_NE(stream, nullptr);
+  const ConsumerSets sets(*stream);
+  EXPECT_DEATH((void)sets.none.eventClock(Relation::Full, 0), "invariant violated");
+  EXPECT_DEATH((void)sets.races.threadClock(Relation::Full, 0), "invariant violated");
+  EXPECT_DEATH((void)sets.dpor.eventClock(Relation::Sync, 0), "invariant violated");
+  // The Lazy relation has no clocks for any consumer.
+  EXPECT_DEATH((void)sets.preds.eventClock(Relation::Lazy, 0), "invariant violated");
+}
 
 // --- value-class fingerprints ------------------------------------------------
 
