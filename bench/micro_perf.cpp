@@ -77,6 +77,21 @@ void BM_ExecutionsPerSecond(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecutionsPerSecond);
 
+/// BM_ExecutionsPerSecond's twin on the path explorers take: one execution
+/// restarted in place per iteration, its fibers, stacks and logs recycled.
+void BM_ExecutionsPerSecondRecycled(benchmark::State& state) {
+  runtime::StackPool pool;
+  trace::TraceRecorder recorder;
+  runtime::Execution exec(runtime::Config{}, pool, &recorder);
+  for (auto _ : state) {
+    exec.restart(runtime::Config{}, &recorder);
+    explore::FixedScheduler scheduler({});
+    benchmark::DoNotOptimize(exec.run(incrementProgram, scheduler));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ExecutionsPerSecondRecycled);
+
 void BM_RandomExploration1k(benchmark::State& state) {
   for (auto _ : state) {
     explore::ExplorerOptions options;

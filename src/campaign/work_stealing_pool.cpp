@@ -60,6 +60,7 @@ void WorkStealingPool::run(std::vector<Task> tasks) {
     deques_[i % deques_.size()].push_back(std::move(tasks[i]));
   }
   remaining_ = tasks.size();
+  queued_.store(tasks.size(), std::memory_order_relaxed);
   ++generation_;
   batchStart_.notify_all();
   batchDone_.wait(lock, [this] { return remaining_ == 0; });
@@ -80,24 +81,12 @@ void WorkStealingPool::submit(Task task) {
     shortest->push_back(std::move(task));
   }
   ++remaining_;
+  queued_.fetch_add(1, std::memory_order_relaxed);
   frontier_.notify_all();
 }
 
 int WorkStealingPool::currentWorkerIndex() const noexcept {
   return tlsBinding.pool == this ? tlsBinding.index : -1;
-}
-
-bool WorkStealingPool::hungry() const {
-  const std::lock_guard<std::mutex> guard(mutex_);
-  if (remaining_ == 0) return false;
-  std::size_t queued = 0;
-  for (const std::deque<Task>& d : deques_) {
-    if (d.empty()) return true;
-    queued += d.size();
-  }
-  // All deques non-empty but fewer queued tasks than workers: someone will
-  // go idle as soon as the queued tail drains.
-  return queued < deques_.size();
 }
 
 std::vector<std::uint64_t> WorkStealingPool::stealsByWorker() const {
@@ -110,6 +99,7 @@ bool WorkStealingPool::popTask(std::size_t self, Task& task) {
   if (!mine.empty()) {
     task = std::move(mine.front());
     mine.pop_front();
+    queued_.fetch_sub(1, std::memory_order_relaxed);
     return true;
   }
   // Own deque drained: steal from the back of the longest victim deque (the
@@ -132,6 +122,7 @@ bool WorkStealingPool::popTask(std::size_t self, Task& task) {
   if (victim == n) return false;  // frontier empty everywhere
   task = std::move(deques_[victim].back());
   deques_[victim].pop_back();
+  queued_.fetch_sub(1, std::memory_order_relaxed);
   tasksStolen_.fetch_add(1, std::memory_order_relaxed);
   ++stealsByWorker_[self];
   return true;
@@ -164,13 +155,12 @@ void WorkStealingPool::workerLoop(std::size_t self) {
         }
         continue;
       }
-      frontier_.wait(lock, [this, self] {
-        if (shuttingDown_ || remaining_ == 0) return true;
-        for (std::size_t i = 0; i < deques_.size(); ++i) {
-          if (!deques_[i].empty()) return true;
-        }
-        return false;
+      parked_.fetch_add(1, std::memory_order_relaxed);
+      frontier_.wait(lock, [this] {
+        return shuttingDown_ || remaining_ == 0 ||
+               queued_.load(std::memory_order_relaxed) > 0;
       });
+      parked_.fetch_sub(1, std::memory_order_relaxed);
       if (shuttingDown_) return;
     }
   }

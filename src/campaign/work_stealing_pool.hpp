@@ -88,12 +88,17 @@ class WorkStealingPool {
   /// per-worker state (accumulators, recorders) without locking.
   [[nodiscard]] int currentWorkerIndex() const noexcept;
 
-  /// True when some deque is empty while the batch still has unfinished
-  /// tasks — a cheap "someone is (about to be) idle" signal that long
-  /// tasks poll to decide whether splitting off a subtask would feed a
-  /// starving worker. Racy by nature; both false positives and negatives
-  /// only cost granularity, never correctness.
-  [[nodiscard]] bool hungry() const;
+  /// True when fewer tasks are queued than workers are parked waiting for
+  /// one — the "someone is idle" signal long tasks poll to decide whether
+  /// splitting off a subtask would feed a starving worker. A worker busy
+  /// with a task it popped is not hungry, so while every worker runs,
+  /// nobody splits. Lock-free (two relaxed loads, polled after every
+  /// schedule) and racy by nature; both false positives and negatives only
+  /// cost granularity, never correctness.
+  [[nodiscard]] bool hungry() const noexcept {
+    return queued_.load(std::memory_order_relaxed) <
+           parked_.load(std::memory_order_relaxed);
+  }
 
   [[nodiscard]] int workerCount() const noexcept {
     return static_cast<int>(deques_.size());
@@ -134,6 +139,10 @@ class WorkStealingPool {
   bool shuttingDown_ = false;
 
   std::atomic<std::uint64_t> tasksStolen_{0};
+  /// Tasks sitting in the deques, and workers parked on frontier_ inside a
+  /// batch; written under mutex_, read lock-free by hungry().
+  std::atomic<std::size_t> queued_{0};
+  std::atomic<std::size_t> parked_{0};
 };
 
 }  // namespace lazyhb::campaign

@@ -133,10 +133,11 @@ std::size_t PrefixReplayEngine::prepareNext(std::size_t divergenceDepth) {
       settleStages(depth, divergenceDepth, /*repriceRecorderOnly=*/false);
       return depth;
     }
-    // No usable runtime checkpoint: retire the persistent execution (its
-    // destructor runs the leftover fibers forward) and re-execute, still
-    // eliding the recorder's share of the prefix below.
-    exec_.reset();
+    // No usable runtime checkpoint: retire the persistent execution (the
+    // next beginSchedule restarts it in place, running its leftover fibers
+    // forward first) and re-execute, still eliding the recorder's share of
+    // the prefix below.
+    retired_ = std::move(exec_);
     ++fullRestarts_;
   }
 
@@ -169,7 +170,14 @@ PrefixReplayEngine::Session PrefixReplayEngine::beginSchedule(
     pendingResume_ = false;
     return Session{exec_.get(), true, pendingStart_};
   }
-  exec_ = std::make_unique<runtime::Execution>(config, stackPool_, observer);
+  // A fresh schedule recycles the previous execution's storage: restarted
+  // in place, it reuses its thread records, fibers, stacks and logs.
+  if (exec_ == nullptr) exec_ = std::move(retired_);
+  if (exec_ == nullptr) {
+    exec_ = std::make_unique<runtime::Execution>(config, stackPool_, observer);
+  } else {
+    exec_->restart(config, observer);
+  }
   if (runtimeRollback_) exec_->enableResumable();
   return Session{exec_.get(), false, 0};
 }

@@ -88,8 +88,10 @@ class PrefixReplayEngine {
   std::size_t prepareNext(std::size_t divergenceDepth);
 
   /// Hand out the execution for the next schedule: the rolled-back
-  /// persistent one, or a fresh single-use one. Also commits the pending
-  /// elided/replayed accounting planned by prepareNext.
+  /// persistent one, or a fresh one — the previous execution restarted in
+  /// place (Execution::restart), so a steady-state fresh schedule allocates
+  /// nothing here. Also commits the pending elided/replayed accounting
+  /// planned by prepareNext.
   Session beginSchedule(const runtime::Config& config,
                         runtime::ExecutionObserver* observer);
 
@@ -141,6 +143,9 @@ class PrefixReplayEngine {
   std::uint64_t budgetBytes_;  ///< 0 = unlimited
 
   std::unique_ptr<runtime::Execution> exec_;
+  /// The persistent execution after a full restart: no longer a rollback
+  /// target, kept for beginSchedule to restart in place.
+  std::unique_ptr<runtime::Execution> retired_;
   bool pendingResume_ = false;
   std::size_t pendingStart_ = 0;
   std::uint64_t pendingElided_ = 0;

@@ -22,20 +22,64 @@ Execution::Execution(const Config& config, StackPool& stackPool,
       tso_(config.memoryModel == memory::MemoryModel::Tso) {}
 
 Execution::~Execution() {
-  // In resumable mode end-of-run teardown is deferred (fibers stay restorable
-  // between schedules); run whatever is left forward now so destructors in
-  // the program under test execute normally.
-  if (resumable_ && ran_ && !abandoning_) {
-    LAZYHB_CHECK(g_current == nullptr);
-    g_current = this;
-    teardownUnfinished();
-    g_current = nullptr;
-  }
+  finishDeferredTeardown();
   // Otherwise run() tears all fibers down before returning; if run() was
   // never called there are no fibers.
   for (const auto& t : threads_) {
     LAZYHB_CHECK(!t.fiber || t.fiber->finished());
   }
+}
+
+void Execution::finishDeferredTeardown() {
+  // In resumable mode end-of-run teardown is deferred (fibers stay restorable
+  // between schedules); run whatever is left forward now so destructors in
+  // the program under test execute normally.
+  if (!resumable_ || !ran_ || abandoning_) return;
+  LAZYHB_CHECK(g_current == nullptr);
+  g_current = this;
+  teardownUnfinished();
+  g_current = nullptr;
+}
+
+void Execution::restart(const Config& config, ExecutionObserver* observer) {
+  LAZYHB_CHECK(g_current == nullptr);
+  finishDeferredTeardown();
+  config_ = config;
+  observer_ = observer;
+  tso_ = config.memoryModel == memory::MemoryModel::Tso;
+
+  retireThreadsAbove(0);
+  retireObjectsAbove(0);
+  events_.clear();
+  choices_.clear();
+
+  currentThread_ = -1;
+  ran_ = false;
+  done_ = false;
+  resumable_ = false;
+  picking_ = false;
+  pickEnabled_ = support::ThreadSet{};
+  teardownFuel_ = 0;
+  outcome_ = Outcome::Terminal;
+  clearViolation();
+  finalFingerprint_ = support::Hash128{};
+
+  // Staged checkpoints go back to the pool (their images released, as
+  // evictCheckpoint does); the undo logs' entries are dead but keep their
+  // capacity. Epochs need no reset: nothing is logged while no stage is
+  // live, and the next checkpoint opens a fresh epoch.
+  while (!snapshots_.empty()) {
+    for (ThreadSnapshot& ts : snapshots_.back().threads) ts.image = nullptr;
+    snapshotPool_.push_back(std::move(snapshots_.back()));
+    snapshots_.pop_back();
+  }
+  imageCache_.clear();
+  undoSize_ = 0;
+  bufferUndoSize_ = 0;
+  stagedStore_ = false;
+  flushEvents_ = 0;
+  fenceEvents_ = 0;
+  maxBufferedStores_ = 0;
 }
 
 void Execution::enableResumable() {
@@ -55,21 +99,15 @@ Outcome Execution::run(const std::function<void()>& body, Scheduler& scheduler) 
   // Thread 0 runs the test body. It doubles as an object so that spawn/join
   // events targeting it have an identity; the root UID is a fixed constant.
   {
-    ObjectInfo rootObj;
-    rootObj.uid = kRootThreadUid;
-    rootObj.kind = ObjectKind::Thread;
-    rootObj.name = "main";
-    rootObj.a = 0;
-    objects_.push_back(std::move(rootObj));
+    const ObjectInfo& rootObj =
+        addObject(kRootThreadUid, ObjectKind::Thread, "main", 0, 0);
     if (observer_ != nullptr) {
       observer_->onObjectRegistered(*this, 0, kRootThreadUid, ObjectKind::Thread,
-                                    "main", 0);
+                                    rootObj.name, 0);
     }
-    ThreadRec root;
+    ThreadRec& root = addThread([&body] { body(); });
     root.uid = kRootThreadUid;
     root.objectIndex = 0;
-    root.fiber = std::make_unique<Fiber>(stackPool_, [&body] { body(); });
-    threads_.push_back(std::move(root));
   }
   advance(0);
   driveLoop(scheduler);
@@ -100,14 +138,13 @@ void Execution::driveLoop(Scheduler& scheduler) {
         outcome_ = Outcome::Terminal;
       } else {
         outcome_ = Outcome::Deadlock;
-        std::string blocked = "deadlock; blocked threads:";
+        recordViolation(Outcome::Deadlock, "deadlock; blocked threads:");
         for (int tid = 0; tid < threadCount(); ++tid) {
           if (threads_[static_cast<std::size_t>(tid)].status != ThreadStatus::Finished) {
-            blocked += ' ';
-            blocked += std::to_string(tid);
+            violation_.message += ' ';
+            violation_.message += std::to_string(tid);
           }
         }
-        violation_ = Violation{Outcome::Deadlock, std::move(blocked), choices_};
       }
       break;
     }
@@ -252,16 +289,12 @@ void Execution::rollbackTo(std::size_t depth) {
 
   // Threads spawned past the checkpoint are discarded outright: their
   // stacks are dropped as raw bytes (checkpointable-program contract), and
-  // their engine resources (stack buffer, parked closure) are freed by the
-  // Fiber destructor.
-  while (threads_.size() > s.threadCount) {
-    threads_.back().fiber->abandonForRollback();
-    threads_.pop_back();
-    if (imageCache_.size() > threads_.size()) {
-      imageCache_.back() = ImageCacheEntry{};
-      imageCache_.pop_back();
-    }
+  // their records retire with their fibers for the next spawn to re-arm.
+  for (std::size_t i = s.threadCount; i < threads_.size(); ++i) {
+    threads_[i].fiber->abandonForRollback();
   }
+  retireThreadsAbove(s.threadCount);
+  if (imageCache_.size() > threads_.size()) imageCache_.resize(threads_.size());
   for (std::size_t i = 0; i < s.threadCount; ++i) {
     ThreadRec& t = threads_[i];
     const ThreadSnapshot& ts = s.threads[i];
@@ -307,7 +340,7 @@ void Execution::rollbackTo(std::size_t depth) {
     o.a = u.a;
     o.waiters.swap(u.waiters);  // entry is consumed; swap keeps capacity pooled
   }
-  objects_.resize(s.objectCount);
+  retireObjectsAbove(s.objectCount);
   // New epoch: post-rollback writes must re-log their pre-images so this
   // same stage can be rolled back to again (once per remaining sibling).
   currentEpoch_ = ++epochCounter_;
@@ -316,7 +349,7 @@ void Execution::rollbackTo(std::size_t depth) {
   choices_.resize(depth);
   done_ = false;
   outcome_ = Outcome::Terminal;
-  violation_ = Violation{};
+  clearViolation();
   finalFingerprint_ = support::Hash128{};
   teardownFuel_ = 0;
   LAZYHB_CHECK(!abandoning_);
@@ -353,6 +386,57 @@ std::size_t Execution::checkpointApproxBytes(std::size_t depth) const noexcept {
     return bytes;
   }
   return 0;
+}
+
+Execution::ThreadRec& Execution::addThread(std::function<void()> entry) {
+  if (spareThreads_.empty()) {
+    threads_.emplace_back();
+    threads_.back().fiber = std::make_unique<Fiber>(stackPool_, std::move(entry));
+  } else {
+    threads_.push_back(std::move(spareThreads_.back()));
+    spareThreads_.pop_back();
+    threads_.back().fiber->rearm(std::move(entry));
+  }
+  return threads_.back();
+}
+
+void Execution::retireThreadsAbove(std::size_t count) {
+  while (threads_.size() > count) {
+    ThreadRec& t = threads_.back();
+    ThreadRec spare;
+    spare.fiber = std::move(t.fiber);
+    spare.fiber->disarm();
+    spare.storeBuffer = std::move(t.storeBuffer);
+    spare.storeBuffer.clear();
+    threads_.pop_back();
+    spareThreads_.push_back(std::move(spare));
+  }
+}
+
+ObjectInfo& Execution::addObject(Uid uid, ObjectKind kind, std::string_view name,
+                                 std::uint64_t valueHash, std::int64_t a) {
+  if (spareObjects_.empty()) {
+    objects_.emplace_back();
+  } else {
+    objects_.push_back(std::move(spareObjects_.back()));
+    spareObjects_.pop_back();
+  }
+  ObjectInfo& o = objects_.back();
+  o.uid = uid;
+  o.kind = kind;
+  o.name.assign(name);
+  o.valueHash = valueHash;
+  o.a = a;
+  o.waiters.clear();
+  o.epoch = 0;
+  return o;
+}
+
+void Execution::retireObjectsAbove(std::size_t count) {
+  while (objects_.size() > count) {
+    spareObjects_.push_back(std::move(objects_.back()));
+    objects_.pop_back();
+  }
 }
 
 void Execution::advance(int tid) {
@@ -606,16 +690,11 @@ std::int32_t Execution::registerObject(ObjectKind kind, const char* name,
                                        std::int64_t initialA) {
   LAZYHB_CHECK(currentThread_ >= 0);
   ThreadRec& me = threads_[static_cast<std::size_t>(currentThread_)];
-  ObjectInfo obj;
-  obj.uid = deriveUid(me.uid, me.creationSeq++, kind);
-  obj.kind = kind;
-  obj.name = name != nullptr ? name : "";
-  obj.valueHash = initialValueHash;
-  obj.a = initialA;
+  const Uid uid = deriveUid(me.uid, me.creationSeq++, kind);
   const auto index = static_cast<std::int32_t>(objects_.size());
-  objects_.push_back(std::move(obj));
+  const ObjectInfo& stored = addObject(uid, kind, name != nullptr ? name : "",
+                                       initialValueHash, initialA);
   if (observer_ != nullptr) {
-    const ObjectInfo& stored = objects_.back();
     observer_->onObjectRegistered(*this, index, stored.uid, kind, stored.name,
                                   stored.valueHash);
   }
@@ -924,28 +1003,22 @@ int Execution::spawnThread(std::function<void()> fn) {
     return names;
   }();
 
-  ObjectInfo childObj;
-  childObj.uid = childUid;
-  childObj.kind = ObjectKind::Thread;
-  childObj.name = threadNames[static_cast<std::size_t>(childIndex)];
-  childObj.a = childIndex;
   const auto objIndex = static_cast<std::int32_t>(objects_.size());
-  objects_.push_back(std::move(childObj));
+  const ObjectInfo& childObj =
+      addObject(childUid, ObjectKind::Thread,
+                threadNames[static_cast<std::size_t>(childIndex)], 0, childIndex);
   if (observer_ != nullptr) {
     observer_->onObjectRegistered(*this, objIndex, childUid, ObjectKind::Thread,
-                                  objects_.back().name, 0);
+                                  childObj.name, 0);
   }
 
   const std::int32_t spawnEvent = recordEvent(OpKind::Spawn, objIndex, -1, 0);
 
-  ThreadRec child;
+  ThreadRec& child = addThread(
+      std::move(threads_[static_cast<std::size_t>(currentThread_)].pendingSpawnFn));
   child.uid = childUid;
   child.spawnPredecessor = spawnEvent;
   child.objectIndex = objIndex;
-  child.fiber = std::make_unique<Fiber>(
-      stackPool_,
-      std::move(threads_[static_cast<std::size_t>(currentThread_)].pendingSpawnFn));
-  threads_.push_back(std::move(child));
   // Disarm the slot explicitly: a moved-from std::function is only
   // "unspecified but valid", and later snapshots copy the slot.
   threads_[static_cast<std::size_t>(currentThread_)].pendingSpawnFn = nullptr;
@@ -977,14 +1050,20 @@ void Execution::yieldNow() {
 
 void Execution::failAssertion(std::string message) {
   if (abandoning_) return;
-  violation_ = Violation{Outcome::AssertionFailure, std::move(message), choices_};
+  recordViolation(Outcome::AssertionFailure, message);
   parkForViolation();
 }
 
 void Execution::failUsage(std::string message) {
   if (abandoning_) return;
-  violation_ = Violation{Outcome::UsageError, std::move(message), choices_};
+  recordViolation(Outcome::UsageError, message);
   parkForViolation();
+}
+
+void Execution::recordViolation(Outcome kind, std::string_view message) {
+  violation_.kind = kind;
+  violation_.message.assign(message);
+  violation_.schedule.assign(choices_.begin(), choices_.end());
 }
 
 void Execution::parkForViolation() {

@@ -35,6 +35,15 @@
 // engine-side slot before publishing, and the snapshot copies the slot.
 // Explorers fall back to full re-execution (with recorder-side replay
 // elision) for programs that do not declare the contract.
+//
+// Recycled executions. A fresh execution need not be a new object:
+// restart() returns a finished one to its just-constructed state while
+// keeping the capacity of everything it built — thread records with their
+// fibers (re-armed on the stacks they own), the object table, the event
+// and choice logs, the undo logs and the violation record — so a
+// steady-state fresh run allocates nothing in the engine. The replay
+// engine (explore/prefix_replay.hpp) hands out every fresh execution this
+// way.
 
 #pragma once
 
@@ -42,6 +51,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "memory/memory_model.hpp"
@@ -144,8 +154,16 @@ class Execution {
   Execution(const Execution&) = delete;
   Execution& operator=(const Execution&) = delete;
 
-  /// Run `body` as thread 0 under `scheduler` control. May be called once.
+  /// Run `body` as thread 0 under `scheduler` control. May be called once
+  /// per construction or restart().
   Outcome run(const std::function<void()>& body, Scheduler& scheduler);
+
+  /// Return to the just-constructed state under `config` and `observer`
+  /// (not resumable, nothing run), keeping the storage the previous run
+  /// built — see "Recycled executions" above. Fibers a resumable run left
+  /// suspended are first run forward, as the destructor would. Not callable
+  /// from inside a run.
+  void restart(const Config& config, ExecutionObserver* observer);
 
   // --- resumable mode (incremental prefix replay) ---------------------------
 
@@ -455,6 +473,24 @@ class Execution {
   /// Run tid's fiber until it publishes its next operation or finishes.
   void advance(int tid);
 
+  /// Append a thread record whose fiber runs `entry`: a retired record with
+  /// its fiber re-armed on the stack it owns, or a new one.
+  ThreadRec& addThread(std::function<void()> entry);
+  /// Retire the thread records past `count` (their fibers finished or
+  /// abandoned) to spareThreads_, keeping each one's fiber, stack and
+  /// store-buffer capacity and resetting the rest.
+  void retireThreadsAbove(std::size_t count);
+  /// Append an object-table entry, reusing a retired entry's name and
+  /// waiter capacity.
+  ObjectInfo& addObject(Uid uid, ObjectKind kind, std::string_view name,
+                        std::uint64_t valueHash, std::int64_t a);
+  /// Retire the object-table entries past `count` to spareObjects_.
+  void retireObjectsAbove(std::size_t count);
+
+  /// Run fibers a resumable run left suspended forward to their end
+  /// (deferred teardown; destructor and restart()).
+  void finishDeferredTeardown();
+
   /// The scheduling loop shared by run() and resume().
   void driveLoop(Scheduler& scheduler);
 
@@ -524,6 +560,13 @@ class Execution {
   [[nodiscard]] support::Hash128 computeStateFingerprint() const;
   void teardownUnfinished();
   void consumeTeardownFuel();
+  /// Fill or clear violation_ in place (its buffers keep their capacity).
+  void recordViolation(Outcome kind, std::string_view message);
+  void clearViolation() noexcept {
+    violation_.kind = Outcome::Terminal;
+    violation_.message.clear();
+    violation_.schedule.clear();
+  }
   void parkForViolation();
   void failUsage(std::string message);
 
@@ -538,6 +581,10 @@ class Execution {
   std::vector<ObjectInfo> objects_;
   std::vector<EventRecord> events_;
   std::vector<int> choices_;
+  /// Records retired by restart() or a rollback, newest last: the next
+  /// thread or object at index i reuses the one last retired from index i.
+  std::vector<ThreadRec> spareThreads_;
+  std::vector<ObjectInfo> spareObjects_;
 
   int currentThread_ = -1;
   bool ran_ = false;

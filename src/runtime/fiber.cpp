@@ -18,7 +18,9 @@ std::unique_ptr<char[]> StackPool::acquire() {
     free_.pop_back();
     return stack;
   }
-  return std::make_unique<char[]>(stackBytes_);
+  // Not zero-filled: the switch frame is fabricated and a fiber reads only
+  // bytes it wrote (see fiber.hpp).
+  return std::make_unique_for_overwrite<char[]>(stackBytes_);
 }
 
 void StackPool::release(std::unique_ptr<char[]> stack) {
@@ -161,6 +163,10 @@ extern "C" void lazyhbFiberEntry(void* self) {
 
 Fiber::Fiber(StackPool& pool, std::function<void()> entry)
     : pool_(pool), stack_(pool.acquire()), entry_(std::move(entry)) {
+  armEntry();
+}
+
+void Fiber::armEntry() {
   const auto top = reinterpret_cast<std::uintptr_t>(stack_.get()) + pool_.stackBytes();
   auto* base = reinterpret_cast<std::uint64_t*>(top & ~std::uintptr_t{15});
 #if defined(__x86_64__)
@@ -217,6 +223,10 @@ void Fiber::yieldToHost() {
 
 Fiber::Fiber(StackPool& pool, std::function<void()> entry)
     : pool_(pool), stack_(pool.acquire()), entry_(std::move(entry)) {
+  armEntry();
+}
+
+void Fiber::armEntry() {
   LAZYHB_CHECK(getcontext(&fiberContext_) == 0);
   fiberContext_.uc_stack.ss_sp = stack_.get();
   fiberContext_.uc_stack.ss_size = pool_.stackBytes();
@@ -268,6 +278,16 @@ void Fiber::yieldToHost() {
 }
 
 #endif  // LAZYHB_FAST_FIBER
+
+void Fiber::rearm(std::function<void()> entry) {
+  // The sanitizer bookkeeping needs no reset: every switch writes its slot
+  // before the matching switch back reads it.
+  LAZYHB_CHECK(finished_ || !started_);
+  entry_ = std::move(entry);
+  started_ = false;
+  finished_ = false;
+  armEntry();
+}
 
 Fiber::~Fiber() {
   // An unfinished fiber being destroyed would leak whatever RAII state its

@@ -21,7 +21,11 @@
 // rewound) or with the ucontext fallback.
 //
 // Stacks are pooled and reused across the millions of short executions an
-// exploration performs (Per.14: minimise allocations).
+// exploration performs (Per.14: minimise allocations). A fresh stack is not
+// zero-filled: a fiber reads only stack bytes it wrote, and a pooled stack
+// hands the next fiber the previous one's bytes anyway. A finished fiber can
+// be re-armed with a new entry on the stack it already owns, so an
+// Execution restarted in place creates no fiber at all (execution.hpp).
 //
 // Teardown of unfinished fibers is *forward-running*, not unwinding: the
 // execution wakes each fiber and grants every subsequent visible operation
@@ -143,6 +147,14 @@ class Fiber {
   /// fiber's current state (suspended or finished) is discarded.
   void restoreFrom(const FiberImage& image);
 
+  /// Re-arm a finished (or never-started) fiber to run `entry` from the top
+  /// of the stack it already owns, as if newly constructed on that stack.
+  void rearm(std::function<void()> entry);
+
+  /// Drop the entry function of a finished (or never-started) fiber,
+  /// releasing whatever its closure owns. The stack stays, for rearm().
+  void disarm() noexcept { entry_ = nullptr; }
+
   /// Discard a suspended fiber without running it to completion: the stack
   /// is dropped as raw bytes. Only legitimate during an Execution rollback,
   /// where everything the stack owns is engine-managed or covered by the
@@ -151,6 +163,9 @@ class Fiber {
 
  private:
   void run();
+  /// Fabricate the context whose first resume() enters run() at the top of
+  /// the stack (constructor and rearm()).
+  void armEntry();
 
   StackPool& pool_;
   std::unique_ptr<char[]> stack_;

@@ -139,6 +139,8 @@ struct EventRecord {
     const std::uint64_t b = objectUid ^ support::mix64(aux + 0x51ULL) ^ mutexUid;
     return support::hash128(a, b);
   }
+
+  bool operator==(const EventRecord&) const = default;
 };
 
 /// How one controlled execution ended.

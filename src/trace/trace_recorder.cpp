@@ -531,13 +531,14 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
   }
 
   // Causal hashes: label mixed with the multiset of direct predecessors'
-  // hashes under each relation.
+  // hashes under each relation. The label is hashed once for all three.
+  const support::Hash128 label = ev.labelHash();
   {
     support::MultisetHash acc;
     for (const std::int32_t p : scratchFull_) {
       acc.add(fullHash_[static_cast<std::size_t>(p)]);
     }
-    fullHash_.push_back(ev.labelHash().mixedWith(acc.digest()));
+    fullHash_.push_back(label.mixedWith(acc.digest()));
     prefixFull_.add(fullHash_.back());
   }
   {
@@ -546,7 +547,7 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
       acc.add(lazyHash_[static_cast<std::size_t>(p)]);
     }
     lazyHash_.push_back(
-        ev.labelHash().mixedWith(acc.digest()).mixedWith(support::hash128(0x1a2bULL)));
+        label.mixedWith(acc.digest()).mixedWith(support::hash128(0x1a2bULL)));
     prefixLazy_.add(lazyHash_.back());
   }
   {
@@ -555,7 +556,7 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
     // plus, for reads and RMWs, the value observed (the variable's
     // pre-value; Execution commits an RMW's post-value before recording, so
     // the recorder's own mirror is consulted, not the execution's).
-    support::Hash128 vh = ev.labelHash().mixedWith(support::hash128(kValueDomain));
+    support::Hash128 vh = label.mixedWith(support::hash128(kValueDomain));
     if (ev.kind == OpKind::Read) {
       // The event's own valueHash is the value the read observed — under
       // SC the variable's pre-value (identical to the mirror consulted for

@@ -232,6 +232,50 @@ TEST(WorkStealingPool, UnevenTasksGetStolen) {
   EXPECT_LE(pool.tasksStolen(), 64u);
 }
 
+TEST(WorkStealingPool, HungryOnlyWhenAWorkerParksOnAnEmptyFrontier) {
+  // Two workers, two tasks: while both run a task they popped, the empty
+  // deques mean nothing — nobody is idle, so nobody should split work off.
+  // Once one task ends and its worker parks, the survivor sees hunger; a
+  // submitted task feeds the parked worker at once.
+  campaign::WorkStealingPool pool(2);
+  std::atomic<int> running{0};
+  std::atomic<bool> releaseSecond{false};
+  std::atomic<bool> hungryWhileBothRun{true};
+  std::atomic<bool> becameHungry{false};
+  std::atomic<bool> hungryAfterSubmit{true};
+  std::atomic<bool> checked{false};
+  auto waitForBoth = [&running] {
+    running.fetch_add(1);
+    while (running.load() < 2) std::this_thread::yield();
+  };
+  std::vector<campaign::WorkStealingPool::Task> tasks;
+  tasks.push_back([&] {
+    waitForBoth();
+    hungryWhileBothRun = pool.hungry();
+    releaseSecond = true;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!pool.hungry() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    becameHungry = pool.hungry();
+    // The fed worker stays busy until we have looked, so it cannot park
+    // again first.
+    pool.submit([&checked] {
+      while (!checked.load()) std::this_thread::yield();
+    });
+    hungryAfterSubmit = pool.hungry();
+    checked = true;
+  });
+  tasks.push_back([&] {
+    waitForBoth();
+    while (!releaseSecond.load()) std::this_thread::yield();
+  });
+  pool.run(std::move(tasks));
+  EXPECT_FALSE(hungryWhileBothRun.load());
+  EXPECT_TRUE(becameHungry.load());
+  EXPECT_FALSE(hungryAfterSubmit.load());
+}
+
 // --- campaign runner ---------------------------------------------------------
 
 campaign::CampaignOptions smallCampaign(int jobs) {

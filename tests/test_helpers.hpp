@@ -54,6 +54,8 @@ struct CapturedTrace : runtime::ExecutionObserver {
     std::string name;
     std::uint64_t initialValueHash;
     std::size_t atEvent;  ///< events committed before this registration
+
+    bool operator==(const Registration&) const = default;
   };
   std::vector<Registration> registrations;
   std::vector<runtime::EventRecord> events;

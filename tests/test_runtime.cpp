@@ -1,17 +1,22 @@
 // Deeper runtime-engine tests: condvar FIFO and broadcast semantics,
-// semaphore counting, nested spawn identity, stack-pool reuse, teardown
-// robustness when executions are pruned at every possible depth, and
-// enabled-set correctness around blocking operations.
+// semaphore counting, nested spawn identity, stack-pool reuse, fibers
+// re-armed on their own stacks, restarted executions matching fresh ones,
+// teardown robustness when executions are pruned at every possible depth,
+// and enabled-set correctness around blocking operations.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "explore/dfs_explorer.hpp"
 #include "explore/replay.hpp"
+#include "memory/memory_model.hpp"
 #include "runtime/api.hpp"
 #include "runtime/fiber.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -178,6 +183,261 @@ TEST(Runtime, StackPoolReusesStacks) {
     fiber.resume();
   }
   EXPECT_EQ(pool.pooledCount(), 1u);
+}
+
+TEST(Runtime, RearmedFiberRunsOnItsOwnStack) {
+  // A finished fiber re-armed with a new entry runs it from the top of the
+  // stack it already owns: the pool is not consulted, and both entries'
+  // locals live in the same stack buffer. (On the ucontext backend this is
+  // makecontext on a reused stack.)
+  StackPool pool(64 * 1024);
+  const char* first = nullptr;
+  const char* second = nullptr;
+  int runs = 0;
+  runtime::Fiber* self = nullptr;
+  runtime::Fiber fiber(pool, [&] {
+    char local = 0;
+    first = &local;
+    ++runs;
+    self->yieldToHost();
+    ++runs;
+  });
+  self = &fiber;
+  fiber.resume();
+  fiber.resume();
+  ASSERT_TRUE(fiber.finished());
+  EXPECT_EQ(pool.pooledCount(), 0u);
+  fiber.rearm([&] {
+    char local = 0;
+    second = &local;
+    ++runs;
+  });
+  EXPECT_FALSE(fiber.finished());
+  fiber.resume();
+  EXPECT_TRUE(fiber.finished());
+  EXPECT_EQ(runs, 3);
+  EXPECT_EQ(pool.pooledCount(), 0u);  // no stack acquired for the re-arm
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  const auto distance = first > second ? first - second : second - first;
+  EXPECT_LT(distance, static_cast<std::ptrdiff_t>(pool.stackBytes()));
+}
+
+/// Follows `script` (a pick per scheduling point, skipping any that is not
+/// enabled), then the lowest enabled real thread; abandons after `abandonAt`
+/// picks. Never picks a flush, so TSO stores stay buffered until the end.
+class Scripted final : public runtime::Scheduler {
+ public:
+  Scripted(std::vector<int> script, std::size_t abandonAt, bool stageAtTwo)
+      : script_(std::move(script)), abandonAt_(abandonAt), stageAtTwo_(stageAtTwo) {}
+  int pick(Execution& exec) override {
+    const std::size_t depth = exec.choices().size();
+    if (stageAtTwo_ && depth == 2) (void)exec.checkpoint();
+    if (depth >= abandonAt_) return kAbandon;
+    const support::ThreadSet enabled = exec.enabled();
+    if (depth < script_.size() && enabled.contains(script_[depth])) return script_[depth];
+    for (int tid = enabled.first(); tid != -1; tid = enabled.next(tid)) {
+      if (!memory::isFlushPick(tid)) return tid;
+    }
+    return enabled.first();  // only flushes left: drain them
+  }
+
+ private:
+  std::vector<int> script_;
+  std::size_t abandonAt_;
+  bool stageAtTwo_;
+};
+
+/// Everything a run leaves behind that a caller can observe.
+struct RunRecord {
+  Outcome outcome = Outcome::Terminal;
+  std::vector<int> choices;
+  std::vector<runtime::EventRecord> events;
+  std::vector<std::tuple<runtime::Uid, runtime::ObjectKind, std::string, std::uint64_t,
+                         std::int64_t, std::vector<int>>>
+      objects;
+  std::vector<lazyhb::testing::CapturedTrace::Registration> registrations;
+  std::vector<runtime::EventRecord> observedEvents;
+  int threads = 0;
+  support::Hash128 state;
+  Outcome violationKind = Outcome::Terminal;
+  std::string message;
+  std::vector<int> schedule;
+  std::uint64_t flushes = 0;
+  std::uint64_t fences = 0;
+  std::uint32_t maxBuffered = 0;
+
+  bool operator==(const RunRecord&) const = default;
+};
+
+RunRecord recordOf(Outcome outcome, const Execution& exec,
+                   const lazyhb::testing::CapturedTrace& captured) {
+  RunRecord r;
+  r.outcome = outcome;
+  r.choices = exec.choices();
+  r.events = exec.events();
+  for (int i = 0; i < exec.objectCount(); ++i) {
+    const runtime::ObjectInfo& o = exec.object(i);
+    r.objects.emplace_back(o.uid, o.kind, o.name, o.valueHash, o.a, o.waiters);
+  }
+  r.registrations = captured.registrations;
+  r.observedEvents = captured.events;
+  r.threads = exec.threadCount();
+  r.state = exec.stateFingerprint();
+  r.violationKind = exec.violation().kind;
+  r.message = exec.violation().message;
+  r.schedule = exec.violation().schedule;
+  r.flushes = exec.flushEventCount();
+  r.fences = exec.fenceEventCount();
+  r.maxBuffered = exec.maxBufferedStores();
+  return r;
+}
+
+TEST(Runtime, RestartedExecutionMatchesAFreshOne) {
+  // One execution recycled through restart() must be indistinguishable from
+  // a freshly constructed one on every schedule of a varied sequence: its
+  // retired thread records, fibers, objects, logs, checkpoints and
+  // violation record must carry nothing over.
+  auto workers = [](int n) {
+    // Checkpointable (no heap on fiber stacks), so resumable steps can roll
+    // back into it.
+    return [n] {
+      struct {
+        Shared<int> x{0, "x"};
+        Mutex m{"a-mutex-with-a-name-too-long-for-small-string-storage"};
+        CondVar cv{"cv"};
+      } s;
+      InlineVec<ThreadHandle, 4> threads;
+      for (int i = 0; i < n; ++i) {
+        threads.push(spawn([&s] {
+          LockGuard guard(s.m);
+          s.x.store(s.x.load() + 1);
+          s.cv.broadcast();
+        }));
+      }
+      {
+        LockGuard guard(s.m);
+        while (s.x.load() < n) s.cv.wait(s.m);
+      }
+      for (ThreadHandle& t : threads) t.join();
+    };
+  };
+  const std::function<void()> assertion = [] {
+    Shared<int> x{0, "x"};
+    auto t = spawn([&] { checkAlways(x.load() == 1, "child saw the initial value"); });
+    x.store(1);
+    t.join();
+  };
+  const std::function<void()> deadlock = [] {
+    Mutex m("m");
+    m.lock();
+    auto t = spawn([&] {
+      m.lock();
+      m.unlock();
+    });
+    t.join();
+    m.unlock();
+  };
+  const std::function<void()> lostSignal = [] {
+    // Ends deadlocked with main parked in the condvar's waiter queue.
+    Mutex m("m");
+    CondVar cv("cv");
+    auto t = spawn([&] { cv.signal(); });
+    {
+      LockGuard guard(m);
+      cv.wait(m);
+    }
+    t.join();
+  };
+  const std::function<void()> buffered = [] {
+    Shared<int> x{0, "x"};
+    Shared<int> y{0, "y"};
+    auto t = spawn([&] {
+      x.store(1);
+      y.store(2);
+      fence();
+    });
+    y.store(3);
+    (void)x.load();
+    t.join();
+  };
+  Config sc;
+  Config tso;
+  tso.memoryModel = memory::MemoryModel::Tso;
+  const std::size_t never = static_cast<std::size_t>(-1);
+  struct Step {
+    const char* name;
+    std::function<void()> body;
+    Config config;
+    std::vector<int> script;
+    std::size_t abandonAt;
+    Outcome expected;
+    /// Resumable: stage at depth 2, then roll back there and resume along
+    /// `resumeScript`.
+    bool resumable = false;
+    std::vector<int> resumeScript = {};
+  };
+  std::vector<Step> steps = {
+      {"terminal", workers(2), sc, {}, never, Outcome::Terminal},
+      {"four threads", workers(4), sc, {0, 1, 0, 2}, never, Outcome::Terminal},
+      {"fewer threads", workers(1), sc, {}, never, Outcome::Terminal},
+      {"assertion", assertion, sc, {0, 1}, never, Outcome::AssertionFailure},
+      {"deadlock", deadlock, sc, {}, never, Outcome::Deadlock},
+      {"lost signal", lostSignal, sc, {0, 1}, never, Outcome::Deadlock},
+      {"abandoned", workers(3), sc, {0, 0, 1}, 6, Outcome::Abandoned},
+      {"tso buffered", buffered, tso, {0, 1, 1, 0}, 5, Outcome::Abandoned},
+      {"tso drained", buffered, tso, {}, never, Outcome::Terminal},
+      {"sc again", workers(2), sc, {0, 1}, never, Outcome::Terminal},
+  };
+  if (Execution::checkpointingSupported()) {
+    // Resumable runs defer teardown: restart() must run the suspended
+    // fibers forward and drop the staged checkpoints and cached images.
+    // Both reach depth 2 with equal advance counts, so a cached fiber image
+    // surviving restart() would be taken for the second program's.
+    steps.push_back({"resumable abandoned", workers(3), sc, {0, 0}, 5, Outcome::Abandoned,
+                     true, {0, 0, 1}});
+    steps.push_back({"resumable terminal", workers(2), sc, {}, never, Outcome::Terminal,
+                     true, {0, 0, 2}});
+    steps.push_back({"after resumable", workers(2), sc, {}, never, Outcome::Terminal});
+  }
+
+  auto play = [never](Execution& exec, const lazyhb::testing::CapturedTrace& trace,
+                      const Step& step) {
+    std::vector<RunRecord> records;
+    Scripted scheduler(step.script, step.abandonAt, step.resumable);
+    records.push_back(recordOf(exec.run(step.body, scheduler), exec, trace));
+    if (step.resumable) {
+      exec.rollbackTo(2);
+      Scripted other(step.resumeScript, never, false);
+      records.push_back(recordOf(exec.resume(other), exec, trace));
+    }
+    return records;
+  };
+  StackPool pool;
+  lazyhb::testing::CapturedTrace recycledTrace;
+  Execution recycled(sc, pool, &recycledTrace);
+  for (const Step& step : steps) {
+    SCOPED_TRACE(step.name);
+    std::vector<RunRecord> fresh;
+    {
+      lazyhb::testing::CapturedTrace trace;
+      Execution exec(step.config, pool, &trace);
+      if (step.resumable) exec.enableResumable();
+      fresh = play(exec, trace, step);
+    }
+    EXPECT_EQ(fresh.front().outcome, step.expected);
+    recycled.restart(step.config, &recycledTrace);
+    recycledTrace = lazyhb::testing::CapturedTrace{};  // after the deferred teardown
+    if (step.resumable) recycled.enableResumable();
+    const std::vector<RunRecord> again = play(recycled, recycledTrace, step);
+    ASSERT_EQ(again.size(), fresh.size());
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(again[i].choices, fresh[i].choices);
+      EXPECT_EQ(again[i].message, fresh[i].message);
+      EXPECT_EQ(again[i].schedule, fresh[i].schedule);
+      EXPECT_TRUE(again[i] == fresh[i]) << "run " << i;
+    }
+  }
 }
 
 /// Abandon an execution after exactly k events; used to sweep teardown
