@@ -90,7 +90,7 @@ inline campaign::CampaignOptions campaignOptions(
     const support::Options& options, const campaign::CampaignResult& result) {
   const std::string out = options.getString("out");
   if (out.empty()) return true;
-  if (!campaign::writeReportFile(out, result)) return false;
+  if (!campaign::writeFile(out, campaign::writeReportJson(result))) return false;
   if (out != "-") std::printf("report: %s\n", out.c_str());
   return true;
 }

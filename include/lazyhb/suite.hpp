@@ -90,7 +90,7 @@ struct SuiteReport {
 
   /// The versioned lazyhb-bench-report JSON document (newline-terminated)
   /// — the same document `lazyhb bench --out` writes, accepted by
-  /// `lazyhb merge` and tools/bench_diff.py.
+  /// `lazyhb merge` and `lazyhb diff`.
   [[nodiscard]] const std::string& toJson() const noexcept { return json_; }
 
   /// One human-readable summary line (no trailing newline).

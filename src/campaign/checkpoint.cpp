@@ -58,23 +58,6 @@ std::string manifestDocument(const JournalConfig& config) {
   return json.str() + "\n";
 }
 
-std::string readFile(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    raise("cannot read '" + path + "': " + std::strerror(errno));
-  }
-  std::string content;
-  char buffer[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    content.append(buffer, got);
-  }
-  const bool failed = std::ferror(file) != 0;
-  std::fclose(file);
-  if (failed) raise("read error on '" + path + "'");
-  return content;
-}
-
 /// tmp + fsync + rename: after this returns, `path` holds the complete
 /// document even across a SIGKILL or power loss; a crash mid-write leaves
 /// only the tmp file, which open() ignores.

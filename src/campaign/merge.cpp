@@ -1,7 +1,11 @@
 #include "campaign/merge.hpp"
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -26,6 +30,16 @@ struct ParsedReport {
   throw std::runtime_error("lazyhb: " + label + ": " + message);
 }
 
+/// `object[key]` when it is an unsigned integer.
+std::optional<std::uint64_t> uintMember(const support::JsonValue& object,
+                                        const char* key) {
+  const support::JsonValue* value = object.find(key);
+  if (value == nullptr || value->type() != support::JsonValue::Type::Uint) {
+    return std::nullopt;
+  }
+  return value->asUint();
+}
+
 ParsedReport parseReport(const std::string& document, const std::string& label) {
   ParsedReport report;
   report.label = label;
@@ -40,31 +54,35 @@ ParsedReport parseReport(const std::string& document, const std::string& label) 
   const auto version = root->intAt("version", -1);
   if (version != kSuiteReportSchemaVersion) {
     raise(label, "schema version " + std::to_string(version) +
-                     " (mergeable reports are version " +
-                     std::to_string(kSuiteReportSchemaVersion) + ")");
+                     " (lazyhb reads only version " +
+                     std::to_string(kSuiteReportSchemaVersion) +
+                     "; regenerate the report with `lazyhb bench`)");
   }
 
   const support::JsonValue* config = root->find("config");
   if (config == nullptr || !config->isObject()) {
     raise(label, "missing config block");
   }
-  report.config.scheduleLimit = config->uintAt("limit");
+  const auto configUint = [&](const char* key,
+                              std::uint64_t max = UINT64_MAX) {
+    const std::optional<std::uint64_t> value = uintMember(*config, key);
+    if (!value || *value > max) {
+      raise(label, std::string("config.") + key +
+                       " is missing, not an unsigned integer or out of range");
+    }
+    return *value;
+  };
+  report.config.scheduleLimit = configUint("limit");
   report.config.maxEventsPerSchedule =
-      static_cast<std::uint32_t>(config->uintAt("max_events"));
-  report.config.seed = config->uintAt("seed");
+      static_cast<std::uint32_t>(configUint("max_events", UINT32_MAX));
+  report.config.seed = configUint("seed");
   report.config.incremental = config->boolAt("incremental", true);
-  if (!config->has("workers")) {
-    raise(label, "config.workers is missing (mandatory since schema v4)");
-  }
-  report.config.workers = static_cast<int>(config->intAt("workers", 1));
-  if (!config->has("snapshot_budget")) {
-    raise(label, "config.snapshot_budget is missing (mandatory since schema v6)");
-  }
-  report.config.snapshotBudgetBytes = config->uintAt("snapshot_budget");
-  if (!config->has("memory_model")) {
-    raise(label, "config.memory_model is missing (mandatory since schema v8)");
-  }
+  report.config.workers = static_cast<int>(configUint("workers", INT_MAX));
+  report.config.snapshotBudgetBytes = configUint("snapshot_budget");
   report.config.memoryModel = config->stringAt("memory_model");
+  if (report.config.memoryModel.empty()) {
+    raise(label, "config.memory_model is missing");
+  }
   if (const support::JsonValue* shard = config->find("shard")) {
     report.config.shardIndex = static_cast<int>(shard->intAt("index"));
     report.config.shardCount = static_cast<int>(shard->intAt("count", 1));
@@ -98,24 +116,42 @@ ParsedReport parseReport(const std::string& document, const std::string& label) 
   // (flattened — the provenance chain stays one level deep however many
   // merge rounds happened); a direct report contributes itself.
   const support::JsonValue* merge = root->find("merge");
-  const support::JsonValue* sources =
-      merge == nullptr ? nullptr : merge->find("sources");
-  if (sources != nullptr && sources->isArray() && !sources->items().empty()) {
-    for (const support::JsonValue& value : sources->items()) {
-      MergeSource source;
-      source.label = value.stringAt("label");
-      source.shardIndex = static_cast<int>(value.intAt("shard_index"));
-      source.shardCount = static_cast<int>(value.intAt("shard_count", 1));
-      source.cells = value.uintAt("cells");
-      report.sources.push_back(std::move(source));
-    }
-  } else {
+  if (merge == nullptr) {
     MergeSource source;
     source.label = label;
     source.shardIndex = report.config.shardIndex;
     source.shardCount = report.config.shardCount;
     source.cells = report.cells.size();
     report.sources.push_back(std::move(source));
+    return report;
+  }
+  const support::JsonValue* sources = merge->find("sources");
+  if (sources == nullptr || !sources->isArray() || sources->items().empty()) {
+    raise(label, "merge block without a non-empty sources list");
+  }
+  std::uint64_t contributed = 0;
+  for (const support::JsonValue& value : sources->items()) {
+    const support::JsonValue* name = value.find("label");
+    const auto index = uintMember(value, "shard_index");
+    const auto count = uintMember(value, "shard_count");
+    const auto cellCount = uintMember(value, "cells");
+    if (name == nullptr || !name->isString() || !index || !count ||
+        !cellCount || *index >= *count || *count > INT_MAX) {
+      raise(label, "merge.sources[" + std::to_string(report.sources.size()) +
+                       "] is malformed");
+    }
+    MergeSource source;
+    source.label = name->asString();
+    source.shardIndex = static_cast<int>(*index);
+    source.shardCount = static_cast<int>(*count);
+    source.cells = *cellCount;
+    contributed += source.cells;
+    report.sources.push_back(std::move(source));
+  }
+  if (contributed < report.cells.size()) {
+    raise(label, "merge sources contributed " + std::to_string(contributed) +
+                     " cell(s) but the report carries " +
+                     std::to_string(report.cells.size()));
   }
   return report;
 }
@@ -157,27 +193,34 @@ bool preferred(const CellResult& a, const CellResult& b) {
   return serializeCell(a) <= serializeCell(b);
 }
 
-void checkConfigCompatible(const ParsedReport& base, const ParsedReport& other) {
-  const auto mismatch = [&](const std::string& field) {
-    throw std::runtime_error(
-        "lazyhb: cannot merge '" + other.label + "' with '" + base.label +
-        "': config." + field +
-        " differs — merged counts would mix incomparable campaigns");
-  };
-  if (other.config.scheduleLimit != base.config.scheduleLimit) mismatch("limit");
-  if (other.config.maxEventsPerSchedule != base.config.maxEventsPerSchedule) {
-    mismatch("max_events");
+/// The first config field on which two reports differ, or nullptr. Counts
+/// depend on memory_model, limit, max_events and seed by design, so no two
+/// reports that differ there compare. `asOneCampaign` adds the fields a
+/// merged report echoes as its single configuration.
+const char* configDifference(const ParsedReport& a, const ParsedReport& b,
+                             bool asOneCampaign) {
+  if (a.config.memoryModel != b.config.memoryModel) return "memory_model";
+  if (a.config.scheduleLimit != b.config.scheduleLimit) return "limit";
+  if (a.config.maxEventsPerSchedule != b.config.maxEventsPerSchedule) {
+    return "max_events";
   }
-  if (other.config.seed != base.config.seed) mismatch("seed");
-  if (other.config.incremental != base.config.incremental) mismatch("incremental");
-  if (other.config.workers != base.config.workers) mismatch("workers");
-  if (other.config.snapshotBudgetBytes != base.config.snapshotBudgetBytes) {
-    mismatch("snapshot_budget");
+  if (a.config.seed != b.config.seed) return "seed";
+  if (!asOneCampaign) return nullptr;
+  if (a.config.incremental != b.config.incremental) return "incremental";
+  if (a.config.workers != b.config.workers) return "workers";
+  if (a.config.snapshotBudgetBytes != b.config.snapshotBudgetBytes) {
+    return "snapshot_budget";
   }
-  if (other.config.memoryModel != base.config.memoryModel) {
-    mismatch("memory_model");
-  }
-  if (other.explorers != base.explorers) mismatch("explorers");
+  if (a.explorers != b.explorers) return "explorers";
+  return nullptr;
+}
+
+/// The worker count that explored a cell: its parallel block's, unless the
+/// budget forced the sequential fallback.
+int cellWorkers(const CellResult& cell) {
+  const explore::ParallelStats& parallel = cell.stats.parallel;
+  return parallel.workers > 0 && !parallel.fellBackSequential ? parallel.workers
+                                                              : 1;
 }
 
 }  // namespace
@@ -195,7 +238,13 @@ MergeOutcome mergeReports(const std::vector<std::string>& documents,
     reports.push_back(parseReport(documents[i], labels[i]));
   }
   for (std::size_t i = 1; i < reports.size(); ++i) {
-    checkConfigCompatible(reports.front(), reports[i]);
+    if (const char* field = configDifference(reports.front(), reports[i],
+                                             /*asOneCampaign=*/true)) {
+      throw std::runtime_error(
+          "lazyhb: cannot merge '" + reports[i].label + "' with '" +
+          reports.front().label + "': config." + field +
+          " differs — merged counts would mix incomparable campaigns");
+    }
   }
   const std::vector<std::string>& explorerOrder = reports.front().explorers;
   const auto explorerPosition = [&](const CellResult& cell,
@@ -224,7 +273,7 @@ MergeOutcome mergeReports(const std::vector<std::string>& documents,
       const std::string conflicts =
           bothClean ? contractConflicts(kept.stats, cell.stats) : std::string();
       if (!conflicts.empty()) {
-        throw std::runtime_error(
+        throw CountConflict(
             "lazyhb: conflicting counts for cell (" + cell.program + ", " +
             cell.explorer + ") while merging '" + report.label +
             "': " + conflicts +
@@ -276,6 +325,100 @@ MergeOutcome mergeReports(const std::vector<std::string>& documents,
               return a.cells < b.cells;
             });
   return outcome;
+}
+
+DiffOutcome diffReports(const std::string& baseline,
+                        const std::string& candidate,
+                        const std::string& baselineLabel,
+                        const std::string& candidateLabel, bool allowNewCells) {
+  const ParsedReport base = parseReport(baseline, baselineLabel);
+  const ParsedReport cand = parseReport(candidate, candidateLabel);
+  if (const char* field = configDifference(base, cand, /*asOneCampaign=*/false)) {
+    throw std::runtime_error("lazyhb: cannot diff '" + cand.label +
+                             "' against '" + base.label + "': config." +
+                             field + " differs, and counts depend on it");
+  }
+  using CellKey = std::pair<std::string, std::string>;  // (program, explorer)
+  const auto index = [](const ParsedReport& report) {
+    std::map<CellKey, const CellResult*> cells;
+    for (const CellResult& cell : report.cells) {
+      if (!cells.emplace(CellKey{cell.program, cell.explorer}, &cell).second) {
+        raise(report.label, "holds cell (" + cell.program + ", " +
+                                cell.explorer + ") twice");
+      }
+    }
+    return cells;
+  };
+  const auto baseCells = index(base);
+  const auto candCells = index(cand);
+  const auto name = [](const CellKey& key) {
+    return key.first + " x " + key.second;
+  };
+
+  DiffOutcome diff;
+  diff.memoryModel = cand.config.memoryModel;
+  struct LogRatios {
+    std::size_t cells = 0;
+    double events = 0.0;
+    double executed = 0.0;
+  };
+  std::map<std::pair<std::string, std::string>, LogRatios> byRow;
+  LogRatios overall;
+  for (const auto& [key, a] : baseCells) {
+    const auto found = candCells.find(key);
+    if (found == candCells.end()) {
+      diff.missing.push_back(name(key));
+      continue;
+    }
+    const CellResult* b = found->second;
+    // A timed-out cell stopped at a wall-clock-dependent schedule; a failed
+    // one holds whatever its last crashing attempt reached.
+    std::string unstable;
+    if (a->failed() || b->failed()) unstable = "failed";
+    if (a->timedOut || b->timedOut) {
+      unstable += unstable.empty() ? "timed_out" : ", timed_out";
+    }
+    if (!unstable.empty()) {
+      diff.skipped.push_back(name(key) + " [" + unstable + "]");
+      continue;
+    }
+    ++diff.compared;
+    if (const std::string conflicts = contractConflicts(a->stats, b->stats);
+        !conflicts.empty()) {
+      diff.mismatches.push_back(name(key) + ": " + conflicts);
+    }
+    if (a->eventsPerSecond <= 0 || b->eventsPerSecond <= 0 ||
+        a->executedEventsPerSecond <= 0 || b->executedEventsPerSecond <= 0) {
+      continue;
+    }
+    const int wa = cellWorkers(*a);
+    const int wb = cellWorkers(*b);
+    const std::string workers =
+        std::to_string(wa) + (wa == wb ? "" : "->" + std::to_string(wb));
+    for (LogRatios* sums : {&byRow[{key.second, workers}], &overall}) {
+      ++sums->cells;
+      sums->events += std::log(b->eventsPerSecond / a->eventsPerSecond);
+      sums->executed +=
+          std::log(b->executedEventsPerSecond / a->executedEventsPerSecond);
+    }
+  }
+  for (const auto& entry : candCells) {
+    if (baseCells.count(entry.first) == 0) diff.extra.push_back(name(entry.first));
+  }
+  diff.contractHolds = diff.mismatches.empty() && diff.missing.empty() &&
+                       (allowNewCells || diff.extra.empty());
+
+  const auto rateRow = [](const std::string& explorer,
+                          const std::string& workers, const LogRatios& sums) {
+    const auto n = static_cast<double>(sums.cells);
+    return RateRow{explorer, workers, sums.cells, std::exp(sums.events / n),
+                   std::exp(sums.executed / n)};
+  };
+  for (const auto& [row, sums] : byRow) {
+    diff.rates.push_back(rateRow(row.first, row.second, sums));
+  }
+  if (overall.cells > 0) diff.rates.push_back(rateRow("overall", "", overall));
+  return diff;
 }
 
 }  // namespace lazyhb::campaign

@@ -1,6 +1,9 @@
 #include "campaign/report.hpp"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <stdexcept>
 #include <type_traits>
 
 #include "support/json_reader.hpp"
@@ -63,6 +66,47 @@ void writeExplorerTotals(support::JsonWriter& json, const ExplorerTotals& t) {
   json.endObject();
 }
 
+/// Read back the statistics writeTopStats/writeStatBlocks wrote into the
+/// object `value`, each with its table type: every top-level statistic, and
+/// every row of each optional block present. Returns what is wrong with the
+/// first statistic that is absent or mistyped, or an empty string.
+std::string readStats(const support::JsonValue& value, ExplorationStats* stats) {
+  std::string error;
+  explore::forEachStat(
+      [&](const explore::StatSpec& spec, auto& field) {
+        const char* blockName = explore::statBlockName(spec.block);
+        const support::JsonValue* block =
+            blockName == nullptr ? &value : value.find(blockName);
+        if (block == nullptr || !error.empty()) return;
+        const support::JsonValue* entry = block->find(spec.key);
+        using Field = std::remove_cvref_t<decltype(field)>;
+        constexpr bool isFlag = std::is_same_v<Field, bool>;
+        const bool typed =
+            entry != nullptr &&
+            (isFlag ? entry->isBool()
+                    : entry->type() == support::JsonValue::Type::Uint);
+        if (!typed) {
+          error = "statistic '" + explore::statPath(spec) +
+                  "' is missing or not " +
+                  (isFlag ? "a bool" : "an unsigned integer");
+          return;
+        }
+        if constexpr (isFlag) {
+          field = entry->asBool();
+        } else {
+          field = entry->asUint();
+        }
+      },
+      *stats);
+  // The cache and checkpoint blocks exist exactly when their stats are on.
+  using explore::StatBlock;
+  stats->cacheStats.enabled =
+      value.find(explore::statBlockName(StatBlock::Cache)) != nullptr;
+  stats->checkpointStats.enabled =
+      value.find(explore::statBlockName(StatBlock::Checkpoint)) != nullptr;
+  return error;
+}
+
 }  // namespace
 
 void writeTopStats(support::JsonWriter& json, const ExplorationStats& stats) {
@@ -78,29 +122,6 @@ void writeStatBlocks(support::JsonWriter& json, const ExplorationStats& stats) {
     writeStatRows(json, stats, block);
     json.endObject();
   }
-}
-
-void readStats(const support::JsonValue& value, ExplorationStats* stats) {
-  explore::forEachStat(
-      [&](const explore::StatSpec& spec, auto& field) {
-        const char* blockName = explore::statBlockName(spec.block);
-        const support::JsonValue* block =
-            blockName == nullptr ? &value : value.find(blockName);
-        if (block == nullptr) return;
-        using Field = std::remove_cvref_t<decltype(field)>;
-        if constexpr (std::is_same_v<Field, bool>) {
-          field = block->boolAt(spec.key);
-        } else {
-          field = block->uintAt(spec.key);
-        }
-      },
-      *stats);
-  // The cache and checkpoint blocks exist exactly when their stats are on.
-  using explore::StatBlock;
-  stats->cacheStats.enabled =
-      value.find(explore::statBlockName(StatBlock::Cache)) != nullptr;
-  stats->checkpointStats.enabled =
-      value.find(explore::statBlockName(StatBlock::Checkpoint)) != nullptr;
 }
 
 void writeCellJson(support::JsonWriter& json, const CellResult& cell) {
@@ -153,9 +174,7 @@ bool parseCellJson(const support::JsonValue& value, CellResult* cell,
     return false;
   };
   if (!value.isObject()) return fail("cell is not an object");
-  for (const char* key :
-       {"program_id", "program", "family", "explorer", "schedules", "hbrs",
-        "lazy_hbrs", "states", "events"}) {
+  for (const char* key : {"program_id", "program", "family", "explorer"}) {
     if (!value.has(key)) {
       return fail(std::string("cell is missing '") + key + "'");
     }
@@ -169,7 +188,9 @@ bool parseCellJson(const support::JsonValue& value, CellResult* cell,
   if (cell->program.empty() || cell->explorer.empty()) {
     return fail("cell has an empty program or explorer name");
   }
-  readStats(value, &cell->stats);
+  if (const std::string bad = readStats(value, &cell->stats); !bad.empty()) {
+    return fail("cell (" + cell->program + ", " + cell->explorer + "): " + bad);
+  }
   cell->wallSeconds = value.doubleAt("wall_seconds");
   cell->eventsPerSecond = value.doubleAt("events_per_second");
   cell->executedEventsPerSecond = value.doubleAt("executed_events_per_second");
@@ -292,16 +313,14 @@ std::string writeReportJson(const CampaignResult& result,
   return json.str() + "\n";
 }
 
-bool writeReportFile(const std::string& path, const CampaignResult& result,
-                     const MergeProvenance* provenance) {
-  const std::string document = writeReportJson(result, provenance);
+bool writeFile(const std::string& path, const std::string& document) {
   if (path == "-") {
     std::fputs(document.c_str(), stdout);
     return true;
   }
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {
-    std::fprintf(stderr, "lazyhb: cannot write report to '%s'\n", path.c_str());
+    std::fprintf(stderr, "lazyhb: cannot write '%s'\n", path.c_str());
     return false;
   }
   bool ok =
@@ -312,6 +331,24 @@ bool writeReportFile(const std::string& path, const CampaignResult& result,
     std::fprintf(stderr, "lazyhb: short write to '%s'\n", path.c_str());
   }
   return ok;
+}
+
+std::string readFile(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    throw std::runtime_error("lazyhb: cannot read '" + path +
+                             "': " + std::strerror(errno));
+  }
+  std::string content;
+  char buffer[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
+    content.append(buffer, got);
+  }
+  const bool failed = std::ferror(file) != 0;
+  std::fclose(file);
+  if (failed) throw std::runtime_error("lazyhb: read error on '" + path + "'");
+  return content;
 }
 
 }  // namespace lazyhb::campaign

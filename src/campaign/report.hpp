@@ -9,9 +9,10 @@
 // The statistics codec and the per-cell block serializers are exposed
 // because several producers must agree byte-for-byte: the report writer,
 // the campaign journal (campaign/checkpoint.hpp stores one cell block per
-// file), the report merger (campaign/merge.hpp re-reads cell blocks from
-// inputs) and the single-run test report (TestReport::toJson). Every
-// statistic is read and written through the table in explore/explorer.hpp.
+// file), the report reader behind merge and diff (campaign/merge.hpp
+// re-reads cell blocks from inputs) and the single-run test report
+// (TestReport::toJson). Every statistic is read and written through the
+// table in explore/explorer.hpp.
 
 #pragma once
 
@@ -37,10 +38,6 @@ void writeTopStats(support::JsonWriter& json, const ExplorationStats& stats);
 /// checkpoint, tso) as a nested object of the open JSON object.
 void writeStatBlocks(support::JsonWriter& json, const ExplorationStats& stats);
 
-/// Read back the statistics writeTopStats/writeStatBlocks wrote into the
-/// object `value`; absent fields read as zero.
-void readStats(const support::JsonValue& value, ExplorationStats* stats);
-
 /// Where a merged report's cells came from: one entry per (transitively)
 /// merged input. Emitted as the top-level "merge" block; absent from
 /// directly-run reports.
@@ -61,10 +58,13 @@ struct MergeProvenance {
 void writeCellJson(support::JsonWriter& json, const CellResult& cell);
 
 /// Parse a cell object written by writeCellJson back into a CellResult.
-/// Returns false (and sets *error) on a malformed or incomplete block.
+/// Returns false (and sets *error) on a malformed or incomplete block:
+/// every top-level statistic of the table must be present, and so must
+/// every row of an optional block that is present, each as an unsigned
+/// integer (a bool for `complete` and `hit_schedule_limit`).
 /// Fields the report does not carry (violation reproducers, race reports,
 /// theorem tallies) come back at their defaults — the journal and the
-/// merger only ever need the report-visible projection.
+/// report reader only ever need the report-visible projection.
 [[nodiscard]] bool parseCellJson(const support::JsonValue& value,
                                  CellResult* cell, std::string* error);
 
@@ -75,9 +75,12 @@ void writeCellJson(support::JsonWriter& json, const CellResult& cell);
 [[nodiscard]] std::string writeReportJson(
     const CampaignResult& result, const MergeProvenance* provenance = nullptr);
 
-/// Write the report to `path` ("-" means stdout). Returns false (with a
+/// Write `document` to `path` ("-" means stdout). Returns false (with a
 /// message on stderr) when the file cannot be written.
-bool writeReportFile(const std::string& path, const CampaignResult& result,
-                     const MergeProvenance* provenance = nullptr);
+bool writeFile(const std::string& path, const std::string& document);
+
+/// The whole content of `path`. Throws std::runtime_error naming the path
+/// when it cannot be read.
+[[nodiscard]] std::string readFile(const std::string& path);
 
 }  // namespace lazyhb::campaign

@@ -21,6 +21,10 @@
 namespace lazyhb::cli {
 namespace {
 
+// merge and diff share these: 1 when the count contract is broken (a
+// conflicting duplicate, or a missing or extra cell), 2 when an input is not
+// a readable v9 report or cannot be combined with the others, 3 when the
+// output cannot be written.
 constexpr int kExitOk = 0;
 constexpr int kExitViolation = 1;
 constexpr int kExitUsage = 2;
@@ -42,6 +46,7 @@ void printTopLevelUsage() {
       "            with --checkpoint/--resume, divisible with --shard i/N)\n"
       "  merge     merge shard/resume bench reports into one report with\n"
       "            recomputed totals\n"
+      "  diff      hold a bench report to a baseline's counts, cell by cell\n"
       "  replay    re-execute a recorded schedule and render its trace\n"
       "\n"
       "Run `lazyhb <command> --help` for the command's options.\n"
@@ -121,26 +126,6 @@ void addSnapshotBudgetFlag(support::Options& options) {
                  "default: LAZYHB_SNAPSHOT_BUDGET or 256 MiB); over budget, "
                  "the checkpoint furthest from the search frontier is "
                  "evicted — counts stay byte-identical at any budget");
-}
-
-/// Write `document` to `path` ("-" means stdout). Returns false (with a
-/// message on stderr) when the file cannot be written.
-bool writeDocument(const std::string& path, const std::string& document) {
-  if (path == "-") {
-    std::fputs(document.c_str(), stdout);
-    return true;
-  }
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "lazyhb: cannot write report to '%s'\n", path.c_str());
-    return false;
-  }
-  bool ok =
-      std::fwrite(document.data(), 1, document.size(), file) == document.size();
-  // fclose flushes the stdio buffer; a full disk surfaces here, not in fwrite.
-  ok = (std::fclose(file) == 0) && ok;
-  if (!ok) std::fprintf(stderr, "lazyhb: short write to '%s'\n", path.c_str());
-  return ok;
 }
 
 /// Build a Session from the shared explorer flags (strategy is set by the
@@ -326,7 +311,7 @@ int cmdExplore(int argc, char** argv) {
   printViolations(human, report);
   printRaces(human, report);
   if (!out.empty()) {
-    if (!writeDocument(out, report.toJson())) return kExitIo;
+    if (!campaign::writeFile(out, report.toJson())) return kExitIo;
     if (out != "-") std::printf("report: %s\n", out.c_str());
   }
   if (options.getFlag("fail-on-violation") && report.foundViolation()) {
@@ -708,36 +693,15 @@ int cmdBench(int argc, char** argv) {
 
   const std::string out = options.getString("out");
   if (!out.empty()) {
-    if (!campaign::writeReportFile(out, result)) return kExitIo;
+    if (!campaign::writeFile(out, campaign::writeReportJson(result))) {
+      return kExitIo;
+    }
     if (out != "-") std::printf("report: %s\n", out.c_str());
   }
   return result.inequalityViolations == 0 ? kExitOk : kExitViolation;
 }
 
-// --- merge -------------------------------------------------------------------
-
-/// Read a whole file ("-" is not supported here: merge inputs are named
-/// report files). Returns false with a message on failure.
-bool readDocument(const std::string& path, std::string* out) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    std::fprintf(stderr, "lazyhb: cannot read '%s'\n", path.c_str());
-    return false;
-  }
-  out->clear();
-  char buffer[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    out->append(buffer, got);
-  }
-  const bool failed = std::ferror(file) != 0;
-  std::fclose(file);
-  if (failed) {
-    std::fprintf(stderr, "lazyhb: read error on '%s'\n", path.c_str());
-    return false;
-  }
-  return true;
-}
+// --- merge and diff ----------------------------------------------------------
 
 int cmdMerge(int argc, char** argv) {
   support::Options options(
@@ -758,21 +722,24 @@ int cmdMerge(int argc, char** argv) {
     return kExitUsage;
   }
 
-  std::vector<std::string> documents(paths.size());
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (!readDocument(paths[i], &documents[i])) return kExitIo;
-  }
-
   campaign::MergeOutcome merged;
   try {
+    std::vector<std::string> documents;
+    for (const std::string& path : paths) {
+      documents.push_back(campaign::readFile(path));
+    }
     merged = campaign::mergeReports(documents, paths);
-  } catch (const std::exception& error) {
+  } catch (const campaign::CountConflict& error) {
     std::fprintf(stderr, "%s\n", error.what());
     return kExitViolation;
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    return kExitUsage;
   }
 
   const std::string out = options.getString("out");
-  if (!campaign::writeReportFile(out, merged.result, &merged.provenance)) {
+  if (!campaign::writeFile(
+          out, campaign::writeReportJson(merged.result, &merged.provenance))) {
     return kExitIo;
   }
   if (out != "-") {
@@ -785,6 +752,76 @@ int cmdMerge(int argc, char** argv) {
                     : "VIOLATED");
   }
   return merged.result.inequalityViolations == 0 ? kExitOk : kExitViolation;
+}
+
+int cmdDiff(int argc, char** argv) {
+  support::Options options(
+      "lazyhb diff BASELINE.json CANDIDATE.json",
+      "hold a bench report to a baseline: cells match by (program, explorer) "
+      "and every contract statistic must be identical; then print the "
+      "per-explorer geomean of the candidate/baseline events/s ratios");
+  options.addFlag("counts-only",
+                  "skip the events/s scoreboard (e.g. reports from different "
+                  "hosts)");
+  options.addFlag("allow-new-cells",
+                  "tolerate cells only the candidate has (a grown corpus); "
+                  "cells missing from the candidate stay fatal");
+  if (!options.parse(argc, argv)) return options.parseError() ? kExitUsage : kExitOk;
+
+  const std::vector<std::string>& paths = options.positional();
+  if (paths.size() != 2) {
+    std::fprintf(stderr,
+                 "lazyhb: diff takes two reports: BASELINE.json "
+                 "CANDIDATE.json\n");
+    return kExitUsage;
+  }
+  const bool allowNewCells = options.getFlag("allow-new-cells");
+  campaign::DiffOutcome diff;
+  try {
+    diff = campaign::diffReports(campaign::readFile(paths[0]),
+                                 campaign::readFile(paths[1]), paths[0],
+                                 paths[1], allowNewCells);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    return kExitUsage;
+  }
+
+  for (const std::string& cell : diff.missing) {
+    std::printf("MISSING in candidate: %s\n", cell.c_str());
+  }
+  for (const std::string& cell : diff.extra) {
+    std::printf("%s %s\n",
+                allowNewCells ? "NEW in candidate (allowed):" : "EXTRA in candidate:",
+                cell.c_str());
+  }
+  for (const std::string& cell : diff.skipped) {
+    std::printf("SKIPPED (not comparable): %s\n", cell.c_str());
+  }
+  for (const std::string& mismatch : diff.mismatches) {
+    std::printf("COUNT MISMATCH %s\n", mismatch.c_str());
+  }
+  std::printf("counts: %zu cells compared under %s, %zu mismatch(es)",
+              diff.compared, diff.memoryModel.c_str(), diff.mismatches.size());
+  if (!diff.skipped.empty()) {
+    std::printf(", %zu timed-out/failed cell(s) skipped", diff.skipped.size());
+  }
+  std::printf("\n");
+
+  if (!options.getFlag("counts-only") && !diff.rates.empty()) {
+    support::Table table({"explorer", "--workers", "events/s", "executed events/s",
+                          "cells"});
+    for (const campaign::RateRow& row : diff.rates) {
+      table.beginRow();
+      table.cell(row.explorer);
+      table.cell(row.workers);
+      table.cell(row.eventsPerSecond);
+      table.cell(row.executedEventsPerSecond);
+      table.cell(static_cast<std::uint64_t>(row.cells));
+    }
+    std::printf("\ncandidate / baseline throughput, geomean over cells [%s]:\n%s",
+                diff.memoryModel.c_str(), table.toText().c_str());
+  }
+  return diff.contractHolds ? kExitOk : kExitViolation;
 }
 
 // --- replay ------------------------------------------------------------------
@@ -897,6 +934,7 @@ int run(int argc, char** argv) {
   if (command == "compare") return cmdCompare(subArgc, subArgv);
   if (command == "bench") return cmdBench(subArgc, subArgv);
   if (command == "merge") return cmdMerge(subArgc, subArgv);
+  if (command == "diff") return cmdDiff(subArgc, subArgv);
   if (command == "replay") return cmdReplay(subArgc, subArgv);
   std::fprintf(stderr, "lazyhb: unknown command '%s'\n\n", command.c_str());
   printTopLevelUsage();

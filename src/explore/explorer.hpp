@@ -104,8 +104,8 @@ struct ExplorerOptions {
   /// Wall-clock budget for the whole exploration in seconds (0 = none).
   /// Checked at schedule boundaries; on expiry the search stops and the
   /// result is marked timedOut — its counts are then a wall-clock-dependent
-  /// prefix, so report consumers (bench_diff, the merger) treat timed-out
-  /// cells as incomparable. A nonzero timeout is order-sensitive and
+  /// prefix, so the report readers (`lazyhb diff`, `lazyhb merge`) treat
+  /// timed-out cells as incomparable. A nonzero timeout is order-sensitive and
   /// disables intra-scenario sharding (ParallelExplorer::shardable).
   double wallTimeoutSeconds = 0.0;
   /// Progress hook: invoked synchronously on the exploring thread after
@@ -173,8 +173,8 @@ struct ExplorationResult : ExplorationStats {
 enum class StatBlock { Top, Cache, Checkpoint, Tso };
 
 /// Contract statistics are byte-identical at any --jobs, --workers,
-/// --incremental and --snapshot-budget, so `lazyhb merge`,
-/// tools/bench_diff.py and the golden tests compare them. Scoreboard
+/// --incremental and --snapshot-budget, so `lazyhb merge`, `lazyhb diff`
+/// and the golden tests compare them. Scoreboard
 /// statistics depend on how the search ran (replay policy, worker split,
 /// heap layout): reported, never compared.
 enum class StatClass { Contract, Scoreboard };

@@ -2,14 +2,16 @@
 //
 // A minimal recursive-descent JSON parser — the read half of the report
 // pipeline (support/json_writer.hpp is the write half), used by the
-// campaign journal (resume) and the report merger. No third-party
-// dependency, same as the writer.
+// campaign journal (resume) and the report reader behind `lazyhb merge` and
+// `lazyhb diff`. No third-party dependency, same as the writer.
 //
 // Numbers: integer tokens that fit are kept exactly (uint64/int64 —
 // report counts are 64-bit and must round-trip bit-for-bit); everything
 // else becomes a double. Strings handle the writer's escape set plus
 // \uXXXX for BMP code points (encoded back to UTF-8). Input is expected
-// to be a complete document; trailing garbage is an error.
+// to be a complete document; trailing garbage is an error, and so is
+// nesting deeper than kMaxDepth (the parser recurses once per level, so an
+// unbounded depth would let a hostile file overflow the stack).
 
 #pragma once
 
@@ -24,6 +26,10 @@ namespace lazyhb::support {
 class JsonValue {
  public:
   enum class Type : std::uint8_t { Null, Bool, Uint, Int, Double, String, Array, Object };
+
+  /// Arrays and objects nested deeper than this are a parse error; reports
+  /// nest at most 5 levels.
+  static constexpr int kMaxDepth = 64;
 
   JsonValue() = default;
 
@@ -40,19 +46,27 @@ class JsonValue {
   [[nodiscard]] bool asBool(bool fallback = false) const noexcept {
     return type_ == Type::Bool ? bool_ : fallback;
   }
+  // The numeric accessors return the fallback for a value the target type
+  // cannot hold (a negative count, 1e30) instead of casting it.
   [[nodiscard]] std::uint64_t asUint(std::uint64_t fallback = 0) const noexcept {
     switch (type_) {
       case Type::Uint: return uint_;
       case Type::Int: return int_ >= 0 ? static_cast<std::uint64_t>(int_) : fallback;
-      case Type::Double: return double_ >= 0 ? static_cast<std::uint64_t>(double_) : fallback;
+      case Type::Double:
+        return double_ >= 0.0 && double_ < 0x1p64 ? static_cast<std::uint64_t>(double_)
+                                                 : fallback;
       default: return fallback;
     }
   }
   [[nodiscard]] std::int64_t asInt(std::int64_t fallback = 0) const noexcept {
     switch (type_) {
-      case Type::Uint: return static_cast<std::int64_t>(uint_);
+      case Type::Uint:
+        return uint_ <= static_cast<std::uint64_t>(INT64_MAX) ? static_cast<std::int64_t>(uint_)
+                                                              : fallback;
       case Type::Int: return int_;
-      case Type::Double: return static_cast<std::int64_t>(double_);
+      case Type::Double:
+        return double_ >= -0x1p63 && double_ < 0x1p63 ? static_cast<std::int64_t>(double_)
+                                                     : fallback;
       default: return fallback;
     }
   }
@@ -78,8 +92,7 @@ class JsonValue {
     return find(key) != nullptr;
   }
 
-  // Typed member shorthands with fallbacks — report consumers read optional
-  // fields defensively, same as the Python side's dict.get().
+  // Typed member shorthands with fallbacks, for optional fields.
   [[nodiscard]] std::uint64_t uintAt(const std::string& key, std::uint64_t fb = 0) const noexcept {
     const JsonValue* v = find(key);
     return v == nullptr ? fb : v->asUint(fb);
@@ -123,6 +136,7 @@ class JsonValue {
 struct JsonValue::Parser {
   const std::string& text;
   std::size_t pos = 0;
+  int depth = 0;  ///< arrays and objects open around pos
   std::string error;
 
   explicit Parser(const std::string& t) : text(t) {}
@@ -154,8 +168,16 @@ struct JsonValue::Parser {
   bool parseValue(JsonValue& out) {
     skipWhitespace();
     switch (peek()) {
-      case '{': return parseObject(out);
-      case '[': return parseArray(out);
+      case '{':
+      case '[': {
+        if (depth == kMaxDepth) {
+          return fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        ++depth;
+        const bool ok = peek() == '{' ? parseObject(out) : parseArray(out);
+        --depth;
+        return ok;
+      }
       case '"': {
         out.type_ = Type::String;
         return parseString(out.string_);

@@ -20,10 +20,12 @@
 #include "core/hbr_cache.hpp"
 #include "programs/registry.hpp"
 #include "support/json_writer.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
 using namespace lazyhb;
+using lazyhb::testing::expectSameContractStats;
 
 // --- ExplorerSpec factory ----------------------------------------------------
 
@@ -316,16 +318,7 @@ TEST(Campaign, PerCellCountsIdenticalAcrossJobCounts) {
     const std::string label = a.program + " x " + a.explorer;
     EXPECT_EQ(a.program, b.program) << label;
     EXPECT_EQ(a.explorer, b.explorer) << label;
-    EXPECT_EQ(a.stats.schedulesExecuted, b.stats.schedulesExecuted) << label;
-    EXPECT_EQ(a.stats.terminalSchedules, b.stats.terminalSchedules) << label;
-    EXPECT_EQ(a.stats.prunedSchedules, b.stats.prunedSchedules) << label;
-    EXPECT_EQ(a.stats.violationSchedules, b.stats.violationSchedules) << label;
-    EXPECT_EQ(a.stats.distinctHbrs, b.stats.distinctHbrs) << label;
-    EXPECT_EQ(a.stats.distinctLazyHbrs, b.stats.distinctLazyHbrs) << label;
-    EXPECT_EQ(a.stats.distinctStates, b.stats.distinctStates) << label;
-    EXPECT_EQ(a.stats.totalEvents, b.stats.totalEvents) << label;
-    EXPECT_EQ(a.stats.complete, b.stats.complete) << label;
-    EXPECT_EQ(a.stats.cacheStats.entries, b.stats.cacheStats.entries) << label;
+    expectSameContractStats(a.stats, b.stats, label);
     EXPECT_EQ(a.inequalityDiagnostic, b.inequalityDiagnostic) << label;
   }
   EXPECT_EQ(serial.totals.schedulesExecuted, parallel.totals.schedulesExecuted);
@@ -447,9 +440,9 @@ TEST(Report, VersionedAndStructurallySound) {
 
   EXPECT_NE(json.find("\"schema\": \"lazyhb-bench-report\""), std::string::npos);
   EXPECT_NE(json.find("\"version\": 9"), std::string::npos);
-  // Since v4, config.workers is mandatory, and since v6 so is
-  // config.snapshot_budget (bench_diff.py rejects a report without them).
-  // v7 adds the per-cell value-class count; v8 the config memory model.
+  // config.workers, config.snapshot_budget and config.memory_model are
+  // required (the report readers refuse a report without them), and every
+  // cell carries its value-class count.
   EXPECT_NE(json.find("\"value_classes\""), std::string::npos);
   EXPECT_NE(json.find("\"memory_model\": \"sc\""), std::string::npos);
   // An SC campaign buffers nothing, so no cell emits the optional v8

@@ -2,6 +2,8 @@
 
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <functional>
 #include <string>
 #include <vector>
@@ -14,6 +16,20 @@
 #include "runtime/api.hpp"
 
 namespace lazyhb::testing {
+
+/// Expect every contract statistic of the table in explore/explorer.hpp
+/// equal in `a` and `b`; scoreboard statistics may differ.
+inline void expectSameContractStats(const ExplorationStats& a,
+                                    const ExplorationStats& b,
+                                    const std::string& label) {
+  explore::forEachStat(
+      [&](const explore::StatSpec& spec, const auto& x, const auto& y) {
+        if (spec.klass == explore::StatClass::Contract) {
+          EXPECT_EQ(x, y) << label << ": " << explore::statPath(spec);
+        }
+      },
+      a, b);
+}
 
 inline explore::ExplorerOptions smallOptions(std::uint64_t limit = 200'000) {
   explore::ExplorerOptions options;

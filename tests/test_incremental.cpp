@@ -40,6 +40,7 @@
 namespace {
 
 using namespace lazyhb;
+using lazyhb::testing::expectSameContractStats;
 
 struct ScheduleTrace {
   std::vector<int> choices;
@@ -302,20 +303,6 @@ explore::ExplorerOptions optionsFor(bool incremental, bool checkpointable) {
   return options;
 }
 
-void expectSameCounts(const explore::ExplorationResult& a,
-                      const explore::ExplorationResult& b,
-                      const std::string& label) {
-  EXPECT_EQ(a.schedulesExecuted, b.schedulesExecuted) << label;
-  EXPECT_EQ(a.terminalSchedules, b.terminalSchedules) << label;
-  EXPECT_EQ(a.prunedSchedules, b.prunedSchedules) << label;
-  EXPECT_EQ(a.violationSchedules, b.violationSchedules) << label;
-  EXPECT_EQ(a.totalEvents, b.totalEvents) << label;
-  EXPECT_EQ(a.distinctHbrs, b.distinctHbrs) << label;
-  EXPECT_EQ(a.distinctLazyHbrs, b.distinctLazyHbrs) << label;
-  EXPECT_EQ(a.distinctStates, b.distinctStates) << label;
-  EXPECT_EQ(a.complete, b.complete) << label;
-}
-
 TEST(IncrementalReplay, CachingAndDporCountsIdenticalAcrossModes) {
   const char* names[] = {"noisy-counter-3x2", "prodcons-1x1", "deadlock-ab",
                          "trylock-fallback-2"};
@@ -326,13 +313,14 @@ TEST(IncrementalReplay, CachingAndDporCountsIdenticalAcrossModes) {
          {trace::Relation::Full, trace::Relation::Lazy}) {
       explore::CachingExplorer off(optionsFor(false, false), relation);
       explore::CachingExplorer on(optionsFor(true, spec->checkpointable), relation);
-      expectSameCounts(off.explore(spec->body), on.explore(spec->body),
-                       std::string(name) + " caching-" + trace::relationName(relation));
+      expectSameContractStats(
+          off.explore(spec->body), on.explore(spec->body),
+          std::string(name) + " caching-" + trace::relationName(relation));
     }
     explore::DporExplorer off(optionsFor(false, false));
     explore::DporExplorer on(optionsFor(true, spec->checkpointable));
-    expectSameCounts(off.explore(spec->body), on.explore(spec->body),
-                     std::string(name) + " dpor");
+    expectSameContractStats(off.explore(spec->body), on.explore(spec->body),
+                            std::string(name) + " dpor");
   }
 }
 
@@ -544,9 +532,7 @@ TEST(IncrementalReplay, RandomExplorerCountsIdenticalWhenRolledBackToTheRoot) {
       explore::RandomExplorer rolled(on, /*seed=*/5);
       const explore::ExplorationResult result = rolled.explore(c.body);
       const std::string label = c.label + " budget " + std::to_string(budget);
-      expectSameCounts(baseline, result, label);
-      EXPECT_EQ(baseline.distinctValueClasses, result.distinctValueClasses) << label;
-      EXPECT_EQ(baseline.flushEvents, result.flushEvents) << label;
+      expectSameContractStats(baseline, result, label);
       if (runtime::Execution::checkpointingSupported()) {
         EXPECT_EQ(result.checkpointStats.stages, 1u) << label;  // the root, once
         EXPECT_EQ(result.eventsElided, 0u) << label;
@@ -580,12 +566,12 @@ TEST(IncrementalReplay, CountsIdenticalAcrossBudgetAndWorkerMatrix) {
                                   std::to_string(workers);
         if (workers == 1) {
           explore::DfsExplorer on(options);
-          expectSameCounts(baseline, on.explore(spec->body), label);
+          expectSameContractStats(baseline, on.explore(spec->body), label);
         } else {
           ASSERT_TRUE(explore::ParallelExplorer::shardable(options)) << label;
           explore::ParallelExplorer on(options, explore::ParallelStrategy::Dfs,
                                        /*seed=*/42);
-          expectSameCounts(baseline, on.explore(spec->body), label);
+          expectSameContractStats(baseline, on.explore(spec->body), label);
         }
       }
     }

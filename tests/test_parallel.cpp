@@ -34,6 +34,7 @@
 #include "explore/explorer.hpp"
 #include "explore/parallel_explorer.hpp"
 #include "programs/registry.hpp"
+#include "test_helpers.hpp"
 
 // Scale every heavy test to the build. Under ThreadSanitizer the forced
 // ucontext backend is not just ~100x slower per schedule: TSan's
@@ -57,6 +58,7 @@
 namespace {
 
 using namespace lazyhb;
+using lazyhb::testing::expectSameContractStats;
 
 /// Explore `program` under `mode` with the given worker count, through the
 /// same ExplorerSpec factory every production consumer uses (so workers >= 2
@@ -77,32 +79,15 @@ explore::ExplorationResult runWith(const programs::ProgramSpec& spec,
 /// events_elided / events_replayed are deliberately not compared: they are
 /// replay-savings diagnostics that legitimately differ with sharding (each
 /// worker replays its own prefixes), exactly as they differ between
-/// --incremental modes — tools/bench_diff.py excludes them for the same
-/// reason.
+/// --incremental modes — they are scoreboard statistics, which
+/// `lazyhb diff` never compares, for the same reason.
 void expectCountsIdentical(const explore::ExplorationResult& sequential,
                            const explore::ExplorationResult& parallel,
                            const std::string& label) {
-  EXPECT_EQ(parallel.schedulesExecuted, sequential.schedulesExecuted) << label;
-  EXPECT_EQ(parallel.terminalSchedules, sequential.terminalSchedules) << label;
-  EXPECT_EQ(parallel.prunedSchedules, sequential.prunedSchedules) << label;
-  EXPECT_EQ(parallel.violationSchedules, sequential.violationSchedules)
-      << label;
-  EXPECT_EQ(parallel.totalEvents, sequential.totalEvents) << label;
-  EXPECT_EQ(parallel.distinctHbrs, sequential.distinctHbrs) << label;
-  EXPECT_EQ(parallel.distinctLazyHbrs, sequential.distinctLazyHbrs) << label;
-  EXPECT_EQ(parallel.distinctStates, sequential.distinctStates) << label;
-  EXPECT_EQ(parallel.complete, sequential.complete) << label;
-  EXPECT_EQ(parallel.hitScheduleLimit, sequential.hitScheduleLimit) << label;
+  expectSameContractStats(sequential, parallel, label);
   EXPECT_EQ(parallel.violations.size(), sequential.violations.size()) << label;
   EXPECT_EQ(parallel.races.size(), sequential.races.size()) << label;
   EXPECT_EQ(parallel.cacheStats.enabled, sequential.cacheStats.enabled)
-      << label;
-  EXPECT_EQ(parallel.cacheStats.lookups, sequential.cacheStats.lookups)
-      << label;
-  EXPECT_EQ(parallel.cacheStats.hits, sequential.cacheStats.hits) << label;
-  EXPECT_EQ(parallel.cacheStats.insertions, sequential.cacheStats.insertions)
-      << label;
-  EXPECT_EQ(parallel.cacheStats.entries, sequential.cacheStats.entries)
       << label;
 }
 

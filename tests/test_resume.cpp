@@ -1,9 +1,10 @@
 // Tests for the durability/divisibility layer added with report schema v5:
 // the campaign journal (kill a campaign mid-matrix, resume, counts are
 // byte-identical), the report merge algebra (associative, commutative,
-// conflict-rejecting), shard partitioning, the per-cell supervisor
-// (timeout/retry marking), the progress-event chain, and the lazyhb::Suite
-// facade's parity with the campaign runner it adapts.
+// conflict-rejecting), the report diff both CI gates run, the report reader
+// behind both under hostile input, shard partitioning, the per-cell
+// supervisor (timeout/retry marking), the progress-event chain, and the
+// lazyhb::Suite facade's parity with the campaign runner it adapts.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,6 @@
 
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -31,10 +31,12 @@
 #include "lazyhb/lazyhb.hpp"
 #include "programs/registry.hpp"
 #include "support/json_reader.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
 using namespace lazyhb;
+using lazyhb::testing::expectSameContractStats;
 namespace fs = std::filesystem;
 
 // --- helpers -----------------------------------------------------------------
@@ -73,21 +75,13 @@ campaign::CampaignOptions smallCampaign(int jobs) {
   return options;
 }
 
-/// The count fields the determinism contract pins, as a comparable tuple.
+/// The cell identity and every statistic the determinism contract pins.
 void expectSameCounts(const campaign::CellResult& a,
                       const campaign::CellResult& b) {
   const std::string label = a.program + " x " + a.explorer;
   EXPECT_EQ(a.program, b.program) << label;
   EXPECT_EQ(a.explorer, b.explorer) << label;
-  EXPECT_EQ(a.stats.schedulesExecuted, b.stats.schedulesExecuted) << label;
-  EXPECT_EQ(a.stats.terminalSchedules, b.stats.terminalSchedules) << label;
-  EXPECT_EQ(a.stats.prunedSchedules, b.stats.prunedSchedules) << label;
-  EXPECT_EQ(a.stats.violationSchedules, b.stats.violationSchedules) << label;
-  EXPECT_EQ(a.stats.totalEvents, b.stats.totalEvents) << label;
-  EXPECT_EQ(a.stats.distinctHbrs, b.stats.distinctHbrs) << label;
-  EXPECT_EQ(a.stats.distinctLazyHbrs, b.stats.distinctLazyHbrs) << label;
-  EXPECT_EQ(a.stats.distinctStates, b.stats.distinctStates) << label;
-  EXPECT_EQ(a.stats.complete, b.stats.complete) << label;
+  expectSameContractStats(a.stats, b.stats, label);
 }
 
 /// Run one shard of the small campaign and render its report.
@@ -117,14 +111,20 @@ campaign::CellResult fabricatedCell(std::uint64_t schedules) {
   return cell;
 }
 
-std::string fabricatedDocument(campaign::CellResult cell,
-                               std::uint64_t scheduleLimit = 150) {
-  std::vector<campaign::CellResult> cells;
-  cells.push_back(std::move(cell));
+/// A dfs-only campaign of fabricated cells, configured as a 150-schedule
+/// run.
+campaign::CampaignResult fabricatedResult(std::vector<campaign::CellResult> cells) {
   campaign::CampaignResult result =
       campaign::foldCells(std::move(cells), {"dfs"});
-  result.config.scheduleLimit = scheduleLimit;
+  result.config.scheduleLimit = 150;
   result.config.maxEventsPerSchedule = 1u << 16;
+  return result;
+}
+
+std::string fabricatedDocument(campaign::CellResult cell,
+                               std::uint64_t scheduleLimit = 150) {
+  campaign::CampaignResult result = fabricatedResult({std::move(cell)});
+  result.config.scheduleLimit = scheduleLimit;
   return campaign::writeReportJson(result);
 }
 
@@ -392,7 +392,7 @@ TEST(Merge, RejectsConflictingDuplicateCounts) {
   const std::string doc1 = fabricatedDocument(fabricatedCell(10));
   const std::string doc2 = fabricatedDocument(fabricatedCell(11));
   EXPECT_THROW((void)campaign::mergeReports({doc1, doc2}, {"one", "two"}),
-               std::runtime_error);
+               campaign::CountConflict);
   // Same counts: no conflict, one copy survives.
   const auto merged = campaign::mergeReports({doc1, doc1}, {"one", "copy"});
   EXPECT_EQ(merged.result.cells.size(), 1u);
@@ -471,31 +471,213 @@ TEST(StatTable, MergeConflictsExactlyOnContractStatistics) {
   }
 }
 
+// The diff twin of the merge test above: both walk the same contract rows.
 TEST(StatTable, BenchDiffFailsExactlyOnContractStatistics) {
-  if (std::system("python3 --version > /dev/null 2>&1") != 0) {
-    GTEST_SKIP() << "python3 is not available";
-  }
-  const TempDir dir;
-  const auto write = [&](const std::string& name, const std::string& document) {
-    const std::string path = dir.path() + "/" + name;
-    std::ofstream(path) << document;
-    return path;
-  };
-  const std::string base = write("base.json", fabricatedDocument(everyBlockCell()));
+  const std::string base = fabricatedDocument(everyBlockCell());
   for (const explore::StatSpec& spec : statTable()) {
     const std::string path = explore::statPath(spec);
     SCOPED_TRACE(path);
-    const std::string candidate =
-        write(path + ".json", fabricatedDocument(perturbed(everyBlockCell(), path).first));
-    const std::string command = "python3 '" LAZYHB_SOURCE_DIR
-                                "/tools/bench_diff.py' '" +
-                                base + "' '" + candidate +
-                                "' --counts-only > /dev/null 2>&1";
-    const int status = std::system(command.c_str());
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status),
-              spec.klass == explore::StatClass::Contract ? 1 : 0);
+    const auto [cell, values] = perturbed(everyBlockCell(), path);
+    const campaign::DiffOutcome diff =
+        campaign::diffReports(base, fabricatedDocument(cell), "a", "b");
+    EXPECT_EQ(diff.compared, 1u);
+    if (spec.klass == explore::StatClass::Scoreboard) {
+      EXPECT_TRUE(diff.contractHolds);
+      EXPECT_TRUE(diff.mismatches.empty());
+      continue;
+    }
+    EXPECT_FALSE(diff.contractHolds);
+    ASSERT_EQ(diff.mismatches.size(), 1u);
+    EXPECT_NE(diff.mismatches[0].find(path + " " + values), std::string::npos)
+        << diff.mismatches[0];
   }
+}
+
+// --- diff --------------------------------------------------------------------
+
+/// fabricatedCell as program `name`, so several cells can share a report.
+campaign::CellResult programCell(int id, const std::string& name) {
+  campaign::CellResult cell = fabricatedCell(10);
+  cell.programId = id;
+  cell.program = name;
+  return cell;
+}
+
+TEST(Diff, AMissingCellFails) {
+  const std::string both = campaign::writeReportJson(
+      fabricatedResult({programCell(1, "p1"), programCell(2, "p2")}));
+  const std::string one =
+      campaign::writeReportJson(fabricatedResult({programCell(1, "p1")}));
+  const auto diff = campaign::diffReports(both, one, "base", "cand",
+                                          /*allowNewCells=*/true);
+  EXPECT_FALSE(diff.contractHolds);
+  EXPECT_EQ(diff.missing, std::vector<std::string>{"p2 x dfs"});
+  EXPECT_EQ(diff.compared, 1u);
+}
+
+TEST(Diff, AnExtraCellFailsUnlessNewCellsAreAllowed) {
+  const std::string one =
+      campaign::writeReportJson(fabricatedResult({programCell(1, "p1")}));
+  const std::string both = campaign::writeReportJson(
+      fabricatedResult({programCell(1, "p1"), programCell(2, "p2")}));
+  const auto strict = campaign::diffReports(one, both, "base", "cand");
+  EXPECT_FALSE(strict.contractHolds);
+  EXPECT_EQ(strict.extra, std::vector<std::string>{"p2 x dfs"});
+  const auto allowed = campaign::diffReports(one, both, "base", "cand",
+                                             /*allowNewCells=*/true);
+  EXPECT_TRUE(allowed.contractHolds);
+  EXPECT_EQ(allowed.extra, std::vector<std::string>{"p2 x dfs"});
+}
+
+TEST(Diff, SkipsTimedOutAndFailedCopiesInsteadOfComparingThem) {
+  campaign::CellResult timedOut = fabricatedCell(5);
+  timedOut.timedOut = true;
+  timedOut.stats.timedOut = true;
+  timedOut.stats.complete = false;
+  campaign::CellResult failed = fabricatedCell(3);
+  failed.error = "attempt threw";
+  const std::string clean = fabricatedDocument(fabricatedCell(10));
+  for (const auto& [cell, reason] :
+       {std::pair{timedOut, "timed_out"}, std::pair{failed, "failed"}}) {
+    SCOPED_TRACE(reason);
+    const auto diff =
+        campaign::diffReports(clean, fabricatedDocument(cell), "base", "cand");
+    EXPECT_TRUE(diff.contractHolds);
+    EXPECT_EQ(diff.compared, 0u);
+    EXPECT_TRUE(diff.mismatches.empty());
+    ASSERT_EQ(diff.skipped.size(), 1u);
+    EXPECT_EQ(diff.skipped[0], std::string("fabricated x dfs [") + reason + "]");
+  }
+}
+
+/// The message diffReports throws for the pair, or "" when it does not.
+std::string diffRefusal(const std::string& baseline,
+                        const std::string& candidate) {
+  try {
+    (void)campaign::diffReports(baseline, candidate, "base", "cand");
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Diff, RefusesReportsOfDifferentMemoryModels) {
+  campaign::CampaignResult tso = fabricatedResult({fabricatedCell(10)});
+  tso.config.memoryModel = "tso";
+  EXPECT_NE(diffRefusal(fabricatedDocument(fabricatedCell(10)),
+                        campaign::writeReportJson(tso))
+                .find("config.memory_model differs"),
+            std::string::npos);
+}
+
+TEST(Diff, RefusesOtherSchemaVersions) {
+  const std::string current = fabricatedDocument(fabricatedCell(10));
+  std::string v8 = current;
+  const std::string version = "\"version\": 9";
+  v8.replace(v8.find(version), version.size(), "\"version\": 8");
+  EXPECT_NE(diffRefusal(current, v8).find("schema version 8"), std::string::npos);
+  EXPECT_NE(diffRefusal(v8, current).find("schema version 8"), std::string::npos);
+}
+
+// Counts depend on the budget, the event cap and the seed by design, so a
+// pair that differs in one of them has nothing to compare.
+TEST(Diff, RefusesADifferentLimitMaxEventsOrSeed) {
+  const std::string base = fabricatedDocument(fabricatedCell(10));
+  campaign::CampaignResult limit = fabricatedResult({fabricatedCell(10)});
+  limit.config.scheduleLimit = 151;
+  campaign::CampaignResult maxEvents = fabricatedResult({fabricatedCell(10)});
+  maxEvents.config.maxEventsPerSchedule = 77;
+  campaign::CampaignResult seed = fabricatedResult({fabricatedCell(10)});
+  seed.config.seed = 7;
+  for (const auto& [result, field] : {std::pair{limit, "limit"},
+                                      std::pair{maxEvents, "max_events"},
+                                      std::pair{seed, "seed"}}) {
+    EXPECT_NE(diffRefusal(base, campaign::writeReportJson(result))
+                  .find(std::string("config.") + field + " differs"),
+              std::string::npos)
+        << field;
+  }
+  // The settings that must not change counts may differ freely.
+  campaign::CampaignResult settings = fabricatedResult({fabricatedCell(10)});
+  settings.jobs = 8;
+  settings.config.workers = 4;
+  settings.config.incremental = false;
+  settings.config.snapshotBudgetBytes = 4096;
+  EXPECT_TRUE(campaign::diffReports(base, campaign::writeReportJson(settings),
+                                    "base", "cand")
+                  .contractHolds);
+}
+
+// --- hostile input -----------------------------------------------------------
+
+/// `document` with the first `from` inside its cells array replaced by `to`.
+std::string editCells(std::string document, const std::string& from,
+                      const std::string& to) {
+  const std::size_t at = document.find(from, document.find("\"cells\": ["));
+  EXPECT_NE(at, std::string::npos) << from;
+  return at == std::string::npos ? document : document.replace(at, from.size(), to);
+}
+
+// Every malformed report fails loudly through both readers, whichever side
+// of the pair it is on, instead of crashing or reading as zero.
+TEST(ReportReader, HostileInputRaisesInsteadOfCrashing) {
+  const std::string good = fabricatedDocument(everyBlockCell());
+  const std::string cells = good.substr(good.find("\"cells\": ["));
+  const struct {
+    const char* what;
+    std::string document;
+    const char* names;  ///< the key the message must name, if any
+  } hostile[] = {
+      {"1M nested arrays", std::string(1'000'000, '['), "nesting"},
+      {"truncated mid-cell",
+       good.substr(0, good.size() - cells.size() + cells.find("\"hbrs\"")),
+       nullptr},
+      {"mistyped count",
+       editCells(good, "\"schedules\": 10", "\"schedules\": \"seven\""),
+       "'schedules'"},
+      {"mistyped block row", editCells(good, "\"hits\": 20", "\"hits\": -20"),
+       "'cache.hits'"},
+      {"missing statistic", editCells(good, "\"value_classes\": 3,", ""),
+       "'value_classes'"},
+  };
+  for (const auto& input : hostile) {
+    SCOPED_TRACE(input.what);
+    for (const auto& order : {std::vector<std::string>{good, input.document},
+                              std::vector<std::string>{input.document, good}}) {
+      try {
+        (void)campaign::mergeReports(order, {"x", "y"});
+        ADD_FAILURE() << "merge accepted it";
+      } catch (const std::runtime_error& error) {
+        if (input.names != nullptr) {
+          EXPECT_NE(std::string(error.what()).find(input.names), std::string::npos)
+              << error.what();
+        }
+      }
+      EXPECT_NE(diffRefusal(order[0], order[1]), "");
+    }
+  }
+}
+
+TEST(ReportReader, RefusesAMergeBlockItsSourcesCannotCover) {
+  const std::string direct = shardDocument(0, 2);
+  const auto merged = campaign::mergeReports({direct}, {"a"});
+  const std::string document =
+      campaign::writeReportJson(merged.result, &merged.provenance);
+  EXPECT_NO_THROW((void)campaign::diffReports(document, document, "m", "m"));
+  std::string undercounted = document;
+  const std::size_t at = undercounted.find("\"cells\": ", undercounted.find("\"sources\""));
+  undercounted.replace(at, undercounted.find('\n', at) - at, "\"cells\": 1");
+  EXPECT_NE(diffRefusal(undercounted, document).find("merge sources contributed 1"),
+            std::string::npos);
+}
+
+TEST(Journal, AHostileCellFileFailsTheResume) {
+  const TempDir dir;
+  const auto config = journalConfigFor(smallCampaign(1));
+  { campaign::CampaignJournal journal(dir.path(), config, false); }
+  std::ofstream(dir.path() + "/cell-0.json") << std::string(1'000'000, '[');
+  EXPECT_THROW(campaign::CampaignJournal(dir.path(), config, true),
+               std::runtime_error);
 }
 
 TEST(Merge, PrefersTheHealthyCopyOfATimedOutCell) {

@@ -1,12 +1,16 @@
 // Unit tests for the support layer: hashing, multiset accumulators, thread
-// sets, RNG determinism, tables and option parsing.
+// sets, RNG determinism, tables, option parsing and the JSON reader's
+// guards against hostile input.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "support/hash.hpp"
+#include "support/json_reader.hpp"
 #include "support/options.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -306,6 +310,36 @@ TEST(Options, NegativeIntegerValues) {
   const char* argv[] = {"test", "--delta", "-5"};
   ASSERT_TRUE(options.parse(3, const_cast<char**>(argv)));
   EXPECT_EQ(options.getInt("delta"), -5);
+}
+
+TEST(JsonReader, NestingDeeperThanTheCapIsAParseError) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  std::string error;
+  EXPECT_NE(JsonValue::parse(nested(JsonValue::kMaxDepth), &error), nullptr);
+  EXPECT_EQ(JsonValue::parse(nested(JsonValue::kMaxDepth + 1), &error), nullptr);
+  EXPECT_EQ(JsonValue::parse(std::string(1'000'000, '['), &error), nullptr);
+  EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+}
+
+TEST(JsonReader, NumbersOutOfRangeReadAsTheFallback) {
+  std::string error;
+  const auto root = JsonValue::parse(
+      R"({"big": 1e30, "negative": -1, "huge": 18446744073709551615,)"
+      R"( "half": 2.5, "low": -1e30})",
+      &error);
+  ASSERT_NE(root, nullptr) << error;
+  EXPECT_EQ(root->uintAt("big", 7), 7u);
+  EXPECT_EQ(root->intAt("big", 7), 7);
+  EXPECT_EQ(root->intAt("low", 7), 7);
+  EXPECT_EQ(root->uintAt("negative", 7), 7u);
+  EXPECT_EQ(root->intAt("negative", 7), -1);
+  EXPECT_EQ(root->uintAt("huge", 7), UINT64_MAX);
+  EXPECT_EQ(root->intAt("huge", 7), 7);
+  EXPECT_EQ(root->uintAt("half", 7), 2u);
+  EXPECT_EQ(root->intAt("half", 7), 2);
 }
 
 }  // namespace
