@@ -59,8 +59,6 @@ void TraceRecorder::resetAll() {
   objectCount_ = 0;
   threadCount_ = 0;
   skipEvents_ = 0;
-  fullHash_.clear();
-  lazyHash_.clear();
   records_.clear();
   syncClocks_.reset();
   fullClocks_.reset();
@@ -95,7 +93,7 @@ void TraceRecorder::onObjectRegistered(const runtime::Execution&, std::int32_t i
     return;
   }
   ObjectHistory& h = history(index);
-  h.reset(uid, kind);
+  h.reset(uid);
   // Seed the object's share of the value-state accumulator. Variables
   // contribute their (uid, value) pair from registration on; condvars
   // contribute their (empty) wait-queue fold. Mutexes, semaphores and
@@ -140,10 +138,10 @@ std::size_t TraceRecorder::checkpoint() {
                                 static_cast<std::ptrdiff_t>(threadCount_));
   cp.objectCount = objectCount_;
   // Object cursors are not copied: the undo log above `undoMark` is this
-  // stage's pre-image. A fresh epoch makes the next update of any history
+  // stage's pre-image. A fresh stamp makes the next update of any history
   // log it again (relative to *this* checkpoint).
   cp.undoMark = undoSize_;
-  currentEpoch_ = ++epochCounter_;
+  currentStamp_ = ++stampCounter_;
   cp.raceCount = races_.size();
   return eventCount_;
 }
@@ -152,19 +150,8 @@ void TraceRecorder::logHistoryUndo(std::int32_t index, const ObjectHistory& h) {
   if (undoSize_ == undoLog_.size()) undoLog_.emplace_back();
   ObjectUndo& u = undoLog_[undoSize_++];
   u.index = index;
-  ObjectCursor& c = u.cursor;
-  c.lastWrite = h.lastWrite;
-  c.readersSinceWrite.assign(h.readersSinceWrite.begin(), h.readersSinceWrite.end());
-  c.lastChainOp = h.lastChainOp;
-  c.chainSize = h.chain.size();
-  c.lastTryLock = h.lastTryLock;
-  c.mutexOpsSinceTryLock.assign(h.mutexOpsSinceTryLock.begin(),
-                                h.mutexOpsSinceTryLock.end());
-  c.lastReleaseEvent = h.lastReleaseEvent;
-  c.lastWriteEvent = h.lastWriteEvent;
-  c.lastReadPerThread.assign(h.lastReadPerThread.begin(), h.lastReadPerThread.end());
-  c.valueHash = h.valueHash;
-  c.cvQueue.assign(h.cvQueue.begin(), h.cvQueue.end());
+  u.chainSize = h.chain.size();
+  u.cursor = static_cast<const ObjectCursor&>(h);  // vectors reuse the slot's capacity
 }
 
 std::size_t TraceRecorder::deepestCheckpointAtOrBelow(std::size_t depth) const noexcept {
@@ -182,9 +169,7 @@ void TraceRecorder::rollbackTo(std::size_t depth) {
   LAZYHB_CHECK(!checkpoints_.empty() && checkpoints_.back().eventCount == depth);
   const Checkpoint& cp = checkpoints_.back();
   eventCount_ = depth;
-  fullHash_.resize(depth);
-  lazyHash_.resize(depth);
-  records_.resize(depth);
+  if (tracksPredecessors()) records_.resize(depth);
   if (options_.detectRaces) syncClocks_.truncate(depth);
   if (options_.fullClocks) fullClocks_.truncate(depth);
   prefixFull_ = cp.prefixFull;
@@ -203,24 +188,14 @@ void TraceRecorder::rollbackTo(std::size_t depth) {
   while (undoSize_ > cp.undoMark) {
     ObjectUndo& u = undoLog_[--undoSize_];
     ObjectHistory& h = objects_[static_cast<std::size_t>(u.index)];
-    ObjectCursor& c = u.cursor;
-    h.lastWrite = c.lastWrite;
-    h.readersSinceWrite.swap(c.readersSinceWrite);
-    h.lastChainOp = c.lastChainOp;
-    LAZYHB_ASSERT(h.chain.size() >= c.chainSize);
-    h.chain.resize(c.chainSize);
-    h.lastTryLock = c.lastTryLock;
-    h.mutexOpsSinceTryLock.swap(c.mutexOpsSinceTryLock);
-    h.lastReleaseEvent = c.lastReleaseEvent;
-    h.lastWriteEvent = c.lastWriteEvent;
-    h.lastReadPerThread.swap(c.lastReadPerThread);
-    h.valueHash = c.valueHash;
-    h.cvQueue.swap(c.cvQueue);
+    std::swap(static_cast<ObjectCursor&>(h), u.cursor);
+    LAZYHB_ASSERT(h.chain.size() >= u.chainSize);
+    h.chain.resize(u.chainSize);
   }
   objectCount_ = cp.objectCount;
-  // New epoch: post-rollback updates must re-log their pre-images so this
+  // New stamp: post-rollback updates must re-log their pre-images so this
   // same stage can be rolled back to again.
-  currentEpoch_ = ++epochCounter_;
+  currentStamp_ = ++stampCounter_;
   races_.resize(cp.raceCount);
 }
 
@@ -281,51 +256,11 @@ const ClockArena& TraceRecorder::arena(Relation r) const {
 
 namespace {
 
-/// Branchless compare-exchange: leaves min(x, y) in x and max in y.
-inline void cmpSwap(std::int32_t& x, std::int32_t& y) noexcept {
-  const std::int32_t lo = x < y ? x : y;
-  const std::int32_t hi = x < y ? y : x;
-  x = lo;
-  y = hi;
-}
-
-/// Sort + dedup of a predecessor scratch list. An event has at most a
-/// handful of direct predecessors, so the common path is a branch-free
-/// 8-element Batcher sorting network followed by a branch-free adjacent
-/// compaction — no data-dependent branches for the branch predictor to
-/// mistrain on, unlike the introsort the long tail falls back to.
-void sortUnique(std::vector<std::int32_t>& v) {
-  const std::size_t n = v.size();
-  if (n <= 1) return;
-  if (n > 8) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-    return;
-  }
-  std::int32_t a[8];
-  for (std::size_t i = 0; i < n; ++i) a[i] = v[i];
-  for (std::size_t i = n; i < 8; ++i) a[i] = INT32_MAX;  // pad sorts last
-  // Batcher odd-even mergesort network for 8 elements (19 comparators).
-  cmpSwap(a[0], a[1]); cmpSwap(a[2], a[3]); cmpSwap(a[4], a[5]); cmpSwap(a[6], a[7]);
-  cmpSwap(a[0], a[2]); cmpSwap(a[1], a[3]); cmpSwap(a[4], a[6]); cmpSwap(a[5], a[7]);
-  cmpSwap(a[1], a[2]); cmpSwap(a[5], a[6]);
-  cmpSwap(a[0], a[4]); cmpSwap(a[1], a[5]); cmpSwap(a[2], a[6]); cmpSwap(a[3], a[7]);
-  cmpSwap(a[2], a[4]); cmpSwap(a[3], a[5]);
-  cmpSwap(a[1], a[2]); cmpSwap(a[3], a[4]); cmpSwap(a[5], a[6]);
-  // Branch-free unique: the write index only advances on a new value.
-  v[0] = a[0];
-  std::size_t out = 1;
-  for (std::size_t i = 1; i < n; ++i) {
-    v[out] = a[i];
-    out += static_cast<std::size_t>(a[i] != a[i - 1]);
-  }
-  v.resize(out);
-}
-
 /// Build one event's clock row: copy the thread's running clock (its
 /// previous event's row, or zeros for a thread's first event), join the
-/// direct predecessors, tick the thread's own component. All span loops are
-/// branch-free over the arena's fixed stride.
+/// direct predecessors, tick the thread's own component. Joins ignore order
+/// and duplicates, so the predecessor list needs no sorting. All span loops
+/// are branch-free over the arena's fixed stride.
 void buildClockRow(ClockArena& arena, std::int32_t copyFrom,
                    const std::vector<std::int32_t>& preds, int tid,
                    std::uint32_t tick) {
@@ -343,6 +278,20 @@ void buildClockRow(ClockArena& arena, std::int32_t copyFrom,
   row[tid] = tick;
 }
 
+/// Store a predecessor list as kept lists are read: sorted, no duplicates.
+void keepSorted(std::vector<std::int32_t>& scratch, std::vector<std::int32_t>& kept) {
+  std::sort(scratch.begin(), scratch.end());
+  kept.assign(scratch.begin(), std::unique(scratch.begin(), scratch.end()));
+}
+
+/// Open an epoch: mix the opener's label into it and return the epoch the
+/// opener itself sits in.
+support::Hash128 openEpoch(support::Hash128& epoch, support::Hash128 label) noexcept {
+  const support::Hash128 before = epoch;
+  epoch = before.mixedWith(label);
+  return before;
+}
+
 }  // namespace
 
 void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& ev) {
@@ -351,12 +300,128 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
     // for it is already in place, byte-identical to what re-recording would
     // produce (the replayed prefix is the same schedule of the same
     // deterministic program).
-    LAZYHB_ASSERT(records_[eventCount_ - skipEvents_].threadIndex == ev.threadIndex &&
-                  records_[eventCount_ - skipEvents_].kind == ev.kind);
+    LAZYHB_ASSERT(!tracksPredecessors() ||
+                  (records_[eventCount_ - skipEvents_].threadIndex == ev.threadIndex &&
+                   records_[eventCount_ - skipEvents_].kind == ev.kind));
     --skipEvents_;
     ++replaysSkipped_;
     return;
   }
+  if (tracksPredecessors()) {
+    trackPredecessors(exec, ev, static_cast<std::int32_t>(eventCount_));
+  }
+
+  // Fingerprint half. Each event hash mixes the label with the epochs of
+  // the objects the event touches, read before the event opens any of them
+  // (see the header). Full and Lazy differ only on mutexes. Each
+  // touchHistory call undo-logs the history's pre-image on its first
+  // update since the last checkpoint — and must precede taking the
+  // reference it guards (the history() call inside may grow objects_).
+  const support::Hash128 label = ev.labelHash();
+  support::Hash128 full = label;
+  support::Hash128 lazy = label;
+  // Value-equivalence contribution: the label alone — no causal mixing;
+  // forgetting who produced an observed value is the whole coarsening —
+  // plus, for reads and RMWs, the value observed.
+  support::Hash128 observed = label.mixedWith(support::hash128(kValueDomain));
+  switch (ev.kind) {
+    case OpKind::Read: {
+      full = lazy = label.mixedWith(history(ev.objectIndex).epoch);
+      // The event's own valueHash is the value the read observed — under
+      // SC the variable's pre-value, under TSO possibly a value forwarded
+      // from the reader's own store buffer, which the memory mirror cannot
+      // know.
+      observed = observed.mixedWith(observedValueHash(ev.valueHash));
+      break;
+    }
+    case OpKind::Write:
+      // A TSO-buffered store touches no object: program order is its only
+      // ordering, and memory (the mirror and the value state) is untouched
+      // until the matching Flush commits it.
+      if (ev.aux == 1) break;
+      [[fallthrough]];
+    case OpKind::Rmw:
+    case OpKind::Flush: {
+      touchHistory(ev.objectIndex);
+      ObjectHistory& h = history(ev.objectIndex);
+      full = lazy = label.mixedWith(openEpoch(h.epoch, label));
+      // An RMW observes the pre-value; Execution has already committed the
+      // post-value, so the recorder's own mirror is consulted.
+      if (ev.kind == OpKind::Rmw) observed = observed.mixedWith(observedValueHash(h.valueHash));
+      // Final-visible effect: swap the variable's (uid, value) pair in the
+      // value-state accumulator for the committed post-value. Overwritten
+      // intermediate values leave no trace — that is where value
+      // equivalence prunes beyond the lazy HBR.
+      if (ev.valueHash != h.valueHash) {
+        valueState_.remove(support::hash128(h.uid, h.valueHash));
+        valueState_.add(support::hash128(h.uid, ev.valueHash));
+        h.valueHash = ev.valueHash;
+      }
+      break;
+    }
+    case OpKind::Lock:
+    case OpKind::Unlock:
+    case OpKind::TryLock: {
+      touchHistory(ev.objectIndex);
+      ObjectHistory& h = history(ev.objectIndex);
+      full = label.mixedWith(openEpoch(h.epoch, label));
+      // Lazy: only a trylock, which observes the mutex state, opens.
+      lazy = label.mixedWith(ev.kind == OpKind::TryLock ? openEpoch(h.lazyEpoch, label)
+                                                        : h.lazyEpoch);
+      break;
+    }
+    case OpKind::Wait:
+    case OpKind::Reacquire: {
+      touchHistory(ev.objectIndex);
+      touchHistory(ev.mutexIndex);
+      ObjectHistory& cv = history(ev.objectIndex);
+      full = lazy = label.mixedWith(openEpoch(cv.epoch, label));
+      if (ev.kind == OpKind::Wait) {
+        // The waiter parks at the back of the condvar's FIFO queue.
+        valueState_.remove(cvQueueContribution(cv));
+        cv.cvQueue.push_back(ev.threadUid);
+        valueState_.add(cvQueueContribution(cv));
+      }
+      ObjectHistory& m = history(ev.mutexIndex);
+      full = full.mixedWith(openEpoch(m.epoch, label));
+      lazy = lazy.mixedWith(m.lazyEpoch);  // the hidden unlock/lock is a member
+      break;
+    }
+    case OpKind::Signal:
+    case OpKind::Broadcast:
+    case OpKind::SemAcquire:
+    case OpKind::SemRelease:
+    case OpKind::Spawn:
+    case OpKind::Join: {
+      touchHistory(ev.objectIndex);
+      ObjectHistory& h = history(ev.objectIndex);
+      full = lazy = label.mixedWith(openEpoch(h.epoch, label));
+      // Signal wakes the queue's front (FIFO); broadcast drains it. Mirror
+      // the runtime's queue so the value fingerprint tracks wake order.
+      const bool wakes = ev.kind == OpKind::Signal || ev.kind == OpKind::Broadcast;
+      if (wakes && !h.cvQueue.empty()) {
+        valueState_.remove(cvQueueContribution(h));
+        if (ev.kind == OpKind::Signal) {
+          h.cvQueue.erase(h.cvQueue.begin());
+        } else {
+          h.cvQueue.clear();
+        }
+        valueState_.add(cvQueueContribution(h));
+      }
+      break;
+    }
+    case OpKind::Yield:
+    case OpKind::Fence:  // a drain point orders nothing across threads
+      break;
+  }
+  prefixFull_.add(full);
+  prefixLazy_.add(lazy);
+  prefixValue_.add(observed);
+  ++eventCount_;
+}
+
+void TraceRecorder::trackPredecessors(const runtime::Execution& exec,
+                                      const EventRecord& ev, std::int32_t index) {
   const int t = ev.threadIndex;
   const auto tIdx = static_cast<std::size_t>(t);
   if (tIdx >= threadCount_) {
@@ -374,145 +439,120 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
     syncClocks_.widen(stride);
     fullClocks_.widen(stride);
   }
-
-  const auto index = static_cast<std::int32_t>(eventCount_);
   records_.push_back(ev);
 
   scratchFull_.clear();
   scratchLazy_.clear();
   scratchSync_.clear();
-  // Pred-set coincidence tracking: when every predecessor was pushed to the
-  // Full list and another relation's (the common predAll-only case), that
-  // relation's list is identical and neither sorted nor stored twice.
-  bool lazySameAsFull = true;  // scratchLazy_ would equal scratchFull_
-  bool syncSameAsFull = true;  // scratchSync_ would equal scratchFull_
-  auto predAll = [&](std::int32_t p) {
-    if (p >= 0) {
-      scratchFull_.push_back(p);
-      scratchLazy_.push_back(p);
-      scratchSync_.push_back(p);
-    }
+  enum : unsigned { kFull = 1, kLazy = 2, kSync = 4, kConflict = kFull | kLazy, kAll = 7 };
+  auto pred = [&](std::int32_t p, unsigned relations) {
+    if (p < 0) return;
+    if ((relations & kFull) != 0) scratchFull_.push_back(p);
+    if ((relations & kLazy) != 0) scratchLazy_.push_back(p);
+    if ((relations & kSync) != 0) scratchSync_.push_back(p);
   };
-  auto predConflict = [&](std::int32_t p) {  // Full+Lazy (variable-style)
-    if (p >= 0) {
-      scratchFull_.push_back(p);
-      scratchLazy_.push_back(p);
-      syncSameAsFull = false;
-    }
-  };
-  auto predFullOnly = [&](std::int32_t p) {
-    if (p >= 0) {
-      scratchFull_.push_back(p);
-      lazySameAsFull = false;
-      syncSameAsFull = false;
-    }
-  };
-  auto predLazyOnly = [&](std::int32_t p) {
-    if (p >= 0) {
-      scratchLazy_.push_back(p);
-      lazySameAsFull = false;
-    }
-  };
-  auto predSyncOnly = [&](std::int32_t p) {
-    if (p >= 0) {
-      scratchSync_.push_back(p);
-      syncSameAsFull = false;
-    }
+  // The latest event on an object's Full conflict chain precedes this one;
+  // this one joins the chain.
+  auto chained = [&](ObjectHistory& h, unsigned relations) {
+    if (!h.chain.empty()) pred(h.chain.back(), relations);
+    h.chain.push_back(index);
   };
 
   // Program order: the previous event of this thread. The clocks encode it
-  // implicitly (the running clock is copied below); the hash needs the index.
+  // implicitly (the running clock is copied below); the kept lists need it.
   const std::int32_t prevEvent = threadLastEvent_[tIdx];
-  if (ev.indexInThread > 0) {
-    predAll(prevEvent);
-  }
-
+  if (ev.indexInThread > 0) pred(prevEvent, kAll);
   // Special predecessors participate in every relation.
-  predAll(ev.spawnPredecessor);
-  predAll(ev.signalPredecessor);
-  predAll(ev.joinPredecessor);
+  pred(ev.spawnPredecessor, kAll);
+  pred(ev.signalPredecessor, kAll);
+  pred(ev.joinPredecessor, kAll);
 
-  // Object-conflict edges per kind.
+  // Object-conflict edges per kind, collected from the cursors as they are
+  // advanced past this event.
   switch (ev.kind) {
     case OpKind::Read: {
+      touchHistory(ev.objectIndex);
       ObjectHistory& h = history(ev.objectIndex);
-      predConflict(h.lastWrite);
+      pred(h.lastWrite, kConflict);
+      h.readersSinceWrite.push_back(index);
       break;
     }
     case OpKind::Write:
+      // TSO-buffered store: not yet a memory write, so program order is its
+      // only ordering. The memory side of the store — and its conflict
+      // edges — arrive with the matching Flush event.
+      if (ev.aux == 1) break;
+      [[fallthrough]];
     case OpKind::Rmw:
     case OpKind::Flush: {
-      if (ev.kind == OpKind::Write && ev.aux == 1) {
-        // TSO-buffered store: not yet a memory write, so program order is
-        // its only ordering. The memory side of the store — and its
-        // conflict edges — arrive with the matching Flush event.
-        break;
-      }
+      touchHistory(ev.objectIndex);
       ObjectHistory& h = history(ev.objectIndex);
-      predConflict(h.lastWrite);
-      for (const std::int32_t r : h.readersSinceWrite) predConflict(r);
+      pred(h.lastWrite, kConflict);
+      for (const std::int32_t r : h.readersSinceWrite) pred(r, kConflict);
+      h.lastWrite = index;
+      h.readersSinceWrite.clear();
       break;
     }
     case OpKind::Lock:
     case OpKind::Unlock: {
+      touchHistory(ev.objectIndex);
       ObjectHistory& h = history(ev.objectIndex);
-      predFullOnly(h.lastChainOp);
-      predLazyOnly(h.lastTryLock);
-      if (ev.kind == OpKind::Lock) predSyncOnly(h.lastReleaseEvent);
+      chained(h, kFull);
+      pred(h.lastTryLock, kLazy);
+      h.mutexOpsSinceTryLock.push_back(index);
+      if (ev.kind == OpKind::Lock) {
+        pred(h.lastReleaseEvent, kSync);
+      } else {
+        h.lastReleaseEvent = index;
+      }
       break;
     }
     case OpKind::TryLock: {
+      touchHistory(ev.objectIndex);
       ObjectHistory& h = history(ev.objectIndex);
-      predFullOnly(h.lastChainOp);
+      chained(h, kFull);
       // Lazy: a trylock observes the whole lock history, so it is ordered
       // against every mutex op since (and including) the previous trylock.
-      for (const std::int32_t p : h.mutexOpsSinceTryLock) predLazyOnly(p);
-      predLazyOnly(h.lastTryLock);
-      if (ev.aux == 1) predSyncOnly(h.lastReleaseEvent);
+      for (const std::int32_t p : h.mutexOpsSinceTryLock) pred(p, kLazy);
+      pred(h.lastTryLock, kLazy);
+      if (ev.aux == 1) pred(h.lastReleaseEvent, kSync);  // acquired
+      h.lastTryLock = index;
+      h.mutexOpsSinceTryLock.clear();
       break;
     }
     case OpKind::Wait:
     case OpKind::Reacquire: {
-      ObjectHistory& cv = history(ev.objectIndex);
-      predConflict(cv.lastChainOp);  // condvar chain
+      touchHistory(ev.objectIndex);
+      touchHistory(ev.mutexIndex);
+      chained(history(ev.objectIndex), kConflict);  // condvar chain
       ObjectHistory& m = history(ev.mutexIndex);
-      predFullOnly(m.lastChainOp);
-      predLazyOnly(m.lastTryLock);
-      if (ev.kind == OpKind::Reacquire) predSyncOnly(m.lastReleaseEvent);
+      chained(m, kFull);
+      pred(m.lastTryLock, kLazy);
+      m.mutexOpsSinceTryLock.push_back(index);
+      if (ev.kind == OpKind::Reacquire) {
+        pred(m.lastReleaseEvent, kSync);
+      } else {
+        m.lastReleaseEvent = index;  // wait releases the mutex
+      }
       break;
     }
     case OpKind::Signal:
-    case OpKind::Broadcast: {
-      ObjectHistory& h = history(ev.objectIndex);
-      if (h.lastChainOp >= 0) predConflict(h.lastChainOp);
+    case OpKind::Broadcast:
+      touchHistory(ev.objectIndex);
+      chained(history(ev.objectIndex), kConflict);
       break;
-    }
     case OpKind::SemAcquire:
-    case OpKind::SemRelease: {
-      ObjectHistory& h = history(ev.objectIndex);
-      if (h.lastChainOp >= 0) predAll(h.lastChainOp);  // semaphores sync
-      break;
-    }
+    case OpKind::SemRelease:
     case OpKind::Spawn:
-    case OpKind::Join: {
-      ObjectHistory& h = history(ev.objectIndex);
-      if (h.lastChainOp >= 0) predAll(h.lastChainOp);  // fork/join sync
+    case OpKind::Join:
+      // Semaphores and fork/join synchronise.
+      touchHistory(ev.objectIndex);
+      chained(history(ev.objectIndex), kAll);
       break;
-    }
     case OpKind::Yield:
-    case OpKind::Fence:  // a drain point orders nothing across threads
+    case OpKind::Fence:
       break;
   }
-
-  sortUnique(scratchFull_);
-  if (!lazySameAsFull) sortUnique(scratchLazy_);
-  const std::vector<std::int32_t>& lazyPreds =
-      lazySameAsFull ? scratchFull_ : scratchLazy_;
-  // The sync list feeds only the race detector's rows and the kept lists.
-  const bool syncWanted = options_.detectRaces || options_.keepPredecessors;
-  if (syncWanted && !syncSameAsFull) sortUnique(scratchSync_);
-  const std::vector<std::int32_t>& syncPreds =
-      syncSameAsFull ? scratchFull_ : scratchSync_;
 
   // Clock rows, only for the relations a consumer reads: each is built from
   // the thread's running clock (its previous event's row) and the direct
@@ -523,231 +563,68 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
     buildClockRow(fullClocks_, copyFrom, scratchFull_, t, tick);
   }
   if (options_.detectRaces) {
-    buildClockRow(syncClocks_, copyFrom, syncPreds, t, tick);
-    // Data-race detection uses the sync clock, against pre-update histories.
-    if (ev.kind == OpKind::Read || ev.kind == OpKind::Write || ev.kind == OpKind::Rmw) {
-      checkRace(exec, ev, index);
+    buildClockRow(syncClocks_, copyFrom, scratchSync_, t, tick);
+    if (ev.kind == OpKind::Read || ev.kind == OpKind::Write || ev.kind == OpKind::Rmw ||
+        ev.kind == OpKind::Flush) {
+      detectRace(exec, ev, index);
     }
   }
-
-  // Causal hashes: label mixed with the multiset of direct predecessors'
-  // hashes under each relation. The label is hashed once for all three.
-  const support::Hash128 label = ev.labelHash();
-  {
-    support::MultisetHash acc;
-    for (const std::int32_t p : scratchFull_) {
-      acc.add(fullHash_[static_cast<std::size_t>(p)]);
-    }
-    fullHash_.push_back(label.mixedWith(acc.digest()));
-    prefixFull_.add(fullHash_.back());
-  }
-  {
-    support::MultisetHash acc;
-    for (const std::int32_t p : lazyPreds) {
-      acc.add(lazyHash_[static_cast<std::size_t>(p)]);
-    }
-    lazyHash_.push_back(
-        label.mixedWith(acc.digest()).mixedWith(support::hash128(0x1a2bULL)));
-    prefixLazy_.add(lazyHash_.back());
-  }
-  {
-    // Value-equivalence contribution: the label alone — no causal mixing;
-    // forgetting who produced an observed value is the whole coarsening —
-    // plus, for reads and RMWs, the value observed (the variable's
-    // pre-value; Execution commits an RMW's post-value before recording, so
-    // the recorder's own mirror is consulted, not the execution's).
-    support::Hash128 vh = label.mixedWith(support::hash128(kValueDomain));
-    if (ev.kind == OpKind::Read) {
-      // The event's own valueHash is the value the read observed — under
-      // SC the variable's pre-value (identical to the mirror consulted for
-      // RMWs), under TSO possibly a value forwarded from the reader's own
-      // store buffer, which the memory mirror cannot know.
-      vh = vh.mixedWith(observedValueHash(ev.valueHash));
-    } else if (ev.kind == OpKind::Rmw) {
-      vh = vh.mixedWith(observedValueHash(history(ev.objectIndex).valueHash));
-    }
-    prefixValue_.add(vh);
-  }
-
   if (options_.keepPredecessors) {
     if (preds_.size() <= eventCount_) preds_.resize(eventCount_ + 1);
     EventPreds& p = preds_[eventCount_];
-    p.full.assign(scratchFull_.begin(), scratchFull_.end());
-    p.lazy.assign(lazyPreds.begin(), lazyPreds.end());
-    p.sync.assign(syncPreds.begin(), syncPreds.end());
+    keepSorted(scratchFull_, p.full);
+    keepSorted(scratchLazy_, p.lazy);
+    keepSorted(scratchSync_, p.sync);
   }
-
-  // History updates (after race checks and hashes). Each touchHistory call
-  // undo-logs the history's pre-image on its first update since the last
-  // checkpoint — and must precede taking the reference it guards (the
-  // history() call inside may grow objects_).
-  switch (ev.kind) {
-    case OpKind::Read: {
-      touchHistory(ev.objectIndex);
-      ObjectHistory& h = history(ev.objectIndex);
-      h.readersSinceWrite.push_back(index);
-      if (options_.detectRaces) {
-        bool found = false;
-        for (auto& [tid, evIdx] : h.lastReadPerThread) {
-          if (tid == t) {
-            evIdx = index;
-            found = true;
-            break;
-          }
-        }
-        if (!found) h.lastReadPerThread.emplace_back(t, index);
-      }
-      break;
-    }
-    case OpKind::Write:
-    case OpKind::Rmw:
-    case OpKind::Flush: {
-      if (ev.kind == OpKind::Write && ev.aux == 1) {
-        // Buffered store: memory (and therefore the mirror, the reader
-        // set, and the value-state accumulator) is untouched until the
-        // matching Flush below commits it.
-        break;
-      }
-      touchHistory(ev.objectIndex);
-      ObjectHistory& h = history(ev.objectIndex);
-      h.lastWrite = index;
-      h.readersSinceWrite.clear();
-      // Final-visible effect: swap the variable's (uid, value) pair in the
-      // value-state accumulator for the committed post-value. Overwritten
-      // intermediate values leave no trace — that is where value
-      // equivalence prunes beyond the lazy HBR.
-      const std::uint64_t committed = ev.valueHash;
-      if (committed != h.valueHash) {
-        valueState_.remove(support::hash128(h.uid, h.valueHash));
-        valueState_.add(support::hash128(h.uid, committed));
-        h.valueHash = committed;
-      }
-      if (options_.detectRaces) {
-        h.lastWriteEvent = index;
-        h.lastReadPerThread.clear();
-      }
-      break;
-    }
-    case OpKind::Lock: {
-      touchHistory(ev.objectIndex);
-      ObjectHistory& h = history(ev.objectIndex);
-      h.lastChainOp = index;
-      h.chain.push_back(index);
-      h.mutexOpsSinceTryLock.push_back(index);
-      break;
-    }
-    case OpKind::Unlock: {
-      touchHistory(ev.objectIndex);
-      ObjectHistory& h = history(ev.objectIndex);
-      h.lastChainOp = index;
-      h.chain.push_back(index);
-      h.mutexOpsSinceTryLock.push_back(index);
-      h.lastReleaseEvent = index;
-      break;
-    }
-    case OpKind::TryLock: {
-      touchHistory(ev.objectIndex);
-      ObjectHistory& h = history(ev.objectIndex);
-      h.lastChainOp = index;
-      h.chain.push_back(index);
-      h.lastTryLock = index;
-      h.mutexOpsSinceTryLock.clear();
-      break;
-    }
-    case OpKind::Wait: {
-      touchHistory(ev.objectIndex);
-      touchHistory(ev.mutexIndex);
-      ObjectHistory& cv = history(ev.objectIndex);
-      cv.lastChainOp = index;
-      cv.chain.push_back(index);
-      // The waiter parks at the back of the condvar's FIFO queue.
-      valueState_.remove(cvQueueContribution(cv));
-      cv.cvQueue.push_back(ev.threadUid);
-      valueState_.add(cvQueueContribution(cv));
-      ObjectHistory& m = history(ev.mutexIndex);
-      m.lastChainOp = index;
-      m.chain.push_back(index);
-      m.mutexOpsSinceTryLock.push_back(index);
-      m.lastReleaseEvent = index;  // wait releases the mutex
-      break;
-    }
-    case OpKind::Reacquire: {
-      touchHistory(ev.objectIndex);
-      touchHistory(ev.mutexIndex);
-      ObjectHistory& cv = history(ev.objectIndex);
-      cv.lastChainOp = index;
-      cv.chain.push_back(index);
-      ObjectHistory& m = history(ev.mutexIndex);
-      m.lastChainOp = index;
-      m.chain.push_back(index);
-      m.mutexOpsSinceTryLock.push_back(index);
-      break;
-    }
-    case OpKind::Signal:
-    case OpKind::Broadcast:
-    case OpKind::SemAcquire:
-    case OpKind::SemRelease:
-    case OpKind::Spawn:
-    case OpKind::Join: {
-      touchHistory(ev.objectIndex);
-      ObjectHistory& h = history(ev.objectIndex);
-      h.lastChainOp = index;
-      h.chain.push_back(index);
-      // Signal wakes the queue's front (FIFO); broadcast drains it. Mirror
-      // the runtime's queue so the value fingerprint tracks wake order.
-      if (ev.kind == OpKind::Signal && !h.cvQueue.empty()) {
-        valueState_.remove(cvQueueContribution(h));
-        h.cvQueue.erase(h.cvQueue.begin());
-        valueState_.add(cvQueueContribution(h));
-      } else if (ev.kind == OpKind::Broadcast && !h.cvQueue.empty()) {
-        valueState_.remove(cvQueueContribution(h));
-        h.cvQueue.clear();
-        valueState_.add(cvQueueContribution(h));
-      }
-      break;
-    }
-    case OpKind::Yield:
-    case OpKind::Fence:
-      break;
-  }
-
   threadLastEvent_[tIdx] = index;
-  ++eventCount_;
 }
 
-void TraceRecorder::checkRace(const runtime::Execution& exec, const EventRecord& ev,
-                              std::int32_t index) {
+void TraceRecorder::detectRace(const runtime::Execution& exec, const EventRecord& ev,
+                               std::int32_t index) {
   ObjectHistory& h = history(ev.objectIndex);
   const ClockView myClock = syncClocks_.view(static_cast<std::size_t>(index));
-  auto happensBefore = [&](std::int32_t earlier) {
+  auto concurrent = [&](std::int32_t earlier) {
     const int et = records_[static_cast<std::size_t>(earlier)].threadIndex;
-    return syncClocks_.view(static_cast<std::size_t>(earlier)).get(et) <=
-           myClock.get(et);
+    return syncClocks_.view(static_cast<std::size_t>(earlier)).get(et) > myClock.get(et);
   };
-  auto report = [&](std::int32_t earlier) {
-    for (const RaceReport& r : races_) {
-      if (r.objectUid == ev.objectUid) return;  // one report per object per run
+  // A flush is the memory side of a store already checked when buffered.
+  std::int32_t racing = -1;
+  if (ev.kind != OpKind::Flush) {
+    // Any access races with a sync-concurrent earlier write; a write
+    // additionally races with sync-concurrent earlier reads.
+    if (h.lastWriteEvent >= 0 && concurrent(h.lastWriteEvent)) {
+      racing = h.lastWriteEvent;
+    } else if (ev.kind != OpKind::Read) {
+      for (const auto& [tid, readEvent] : h.lastReadPerThread) {
+        if (tid != ev.threadIndex && concurrent(readEvent)) {
+          racing = readEvent;
+          break;
+        }
+      }
     }
+  }
+  const auto sameObject = [&](const RaceReport& r) { return r.objectUid == ev.objectUid; };
+  if (racing >= 0 && std::none_of(races_.begin(), races_.end(), sameObject)) {
+    // One report per object per run.
     RaceReport race;
     race.objectUid = ev.objectUid;
     race.objectName = exec.object(ev.objectIndex).name;
-    race.firstEvent = earlier;
+    race.firstEvent = racing;
     race.secondEvent = index;
     races_.push_back(std::move(race));
-  };
-  // Any access races with a sync-concurrent earlier write.
-  if (h.lastWriteEvent >= 0 && !happensBefore(h.lastWriteEvent)) {
-    report(h.lastWriteEvent);
-    return;
   }
-  // A write additionally races with sync-concurrent earlier reads.
-  if (ev.kind != OpKind::Read) {
-    for (const auto& [tid, readEvent] : h.lastReadPerThread) {
-      if (tid != ev.threadIndex && !happensBefore(readEvent)) {
-        report(readEvent);
+
+  if (ev.kind == OpKind::Read) {
+    for (auto& [tid, evIdx] : h.lastReadPerThread) {
+      if (tid == ev.threadIndex) {
+        evIdx = index;
         return;
       }
     }
+    h.lastReadPerThread.emplace_back(ev.threadIndex, index);
+  } else if (ev.kind != OpKind::Write || ev.aux != 1) {  // a buffered store writes nothing yet
+    h.lastWriteEvent = index;
+    h.lastReadPerThread.clear();
   }
 }
 
@@ -769,6 +646,7 @@ support::Hash128 TraceRecorder::fingerprint(Relation r) const {
 }
 
 const runtime::EventRecord& TraceRecorder::eventRecord(std::int32_t index) const {
+  LAZYHB_CHECK(tracksPredecessors());
   LAZYHB_CHECK(index >= 0 && static_cast<std::size_t>(index) < eventCount_);
   return records_[static_cast<std::size_t>(index)];
 }
@@ -776,18 +654,6 @@ const runtime::EventRecord& TraceRecorder::eventRecord(std::int32_t index) const
 ClockView TraceRecorder::eventClock(Relation r, std::int32_t index) const {
   LAZYHB_CHECK(index >= 0 && static_cast<std::size_t>(index) < eventCount_);
   return arena(r).view(static_cast<std::size_t>(index));
-}
-
-support::Hash128 TraceRecorder::eventHash(Relation r, std::int32_t index) const {
-  LAZYHB_CHECK(index >= 0 && static_cast<std::size_t>(index) < eventCount_);
-  switch (r) {
-    case Relation::Full: return fullHash_[static_cast<std::size_t>(index)];
-    case Relation::Lazy: return lazyHash_[static_cast<std::size_t>(index)];
-    case Relation::Sync:
-    case Relation::Value:  // value contributions are not causal hashes
-      break;
-  }
-  LAZYHB_UNREACHABLE("no per-event hash is maintained for this relation");
 }
 
 const std::vector<std::int32_t>& TraceRecorder::eventPredecessors(
@@ -813,64 +679,27 @@ ClockView TraceRecorder::threadClock(Relation r, int tid) const {
 
 void TraceRecorder::collectConflicts(const runtime::Execution& exec, int tid,
                                      std::vector<std::int32_t>& out) const {
+  LAZYHB_CHECK(tracksPredecessors());
   out.clear();
   const runtime::PendingOp& op = exec.pending(tid);
-  if (!op.valid) return;
-  auto push = [&](std::int32_t p) {
-    if (p >= 0) out.push_back(p);
-  };
-  auto chained = [&](std::int32_t objectIndex) {
-    if (objectIndex >= 0 && static_cast<std::size_t>(objectIndex) < objectCount_) {
-      push(objects_[static_cast<std::size_t>(objectIndex)].lastChainOp);
-    }
-  };
-  switch (op.kind) {
-    case OpKind::Read: {
-      if (op.object >= 0 && static_cast<std::size_t>(op.object) < objectCount_) {
-        push(objects_[static_cast<std::size_t>(op.object)].lastWrite);
-      }
-      break;
-    }
-    case OpKind::Write:
-    case OpKind::Rmw:
-    case OpKind::Flush: {
-      // A pending Write may turn out to buffer under TSO (no memory
-      // conflicts until its Flush); treating it as a memory write here is
-      // conservative — DPOR explores at most extra interleavings, never
-      // fewer. A Flush pick is always a memory write of the buffer head.
-      if (op.object >= 0 && static_cast<std::size_t>(op.object) < objectCount_) {
-        const ObjectHistory& h = objects_[static_cast<std::size_t>(op.object)];
-        push(h.lastWrite);
-        for (const std::int32_t r : h.readersSinceWrite) push(r);
-      }
-      break;
-    }
-    case OpKind::Lock:
-    case OpKind::Unlock:
-    case OpKind::TryLock:
-      chained(op.object);
-      break;
-    case OpKind::Wait:
-    case OpKind::Reacquire:
-      chained(op.object);       // condvar chain
-      chained(op.mutexObject);  // mutex chain
-      break;
-    case OpKind::Signal:
-    case OpKind::Broadcast:
-    case OpKind::SemAcquire:
-    case OpKind::SemRelease:
-      chained(op.object);
-      break;
-    case OpKind::Spawn:
-    case OpKind::Join:
-    case OpKind::Yield:
-    case OpKind::Fence:
-      break;  // not reorderable in a way DPOR can exploit
+  const bool write =
+      op.kind == OpKind::Write || op.kind == OpKind::Rmw || op.kind == OpKind::Flush;
+  if (!op.valid || (op.kind != OpKind::Read && !write) || op.object < 0 ||
+      static_cast<std::size_t>(op.object) >= objectCount_) {
+    return;
   }
-  sortUnique(out);
+  const ObjectHistory& h = objects_[static_cast<std::size_t>(op.object)];
+  if (h.lastWrite >= 0) out.push_back(h.lastWrite);
+  // A pending Write may turn out to buffer under TSO (no memory conflicts
+  // until its Flush); treating it as a memory write here is conservative —
+  // DPOR explores at most extra interleavings, never fewer. A Flush pick is
+  // always a memory write of the buffer head. The readers all follow the
+  // last write, so the list is already in schedule order.
+  if (write) out.insert(out.end(), h.readersSinceWrite.begin(), h.readersSinceWrite.end());
 }
 
 const std::vector<std::int32_t>& TraceRecorder::chainEvents(std::int32_t objectIndex) const {
+  LAZYHB_CHECK(tracksPredecessors());
   static const std::vector<std::int32_t> kEmpty;
   if (objectIndex < 0 || static_cast<std::size_t>(objectIndex) >= objectCount_) {
     return kEmpty;

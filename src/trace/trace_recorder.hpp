@@ -26,19 +26,31 @@
 //           so #valueClasses <= #lazyHBRs, the next link of the §3 chain.
 //
 // For the Full and Lazy relations the recorder maintains an incremental
-// canonical fingerprint of the executed *prefix*: each event's causal hash
-// mixes its schedule-invariant label with the hashes of its direct
-// predecessors under the relation, and the prefix fingerprint is an
-// order-independent multiset combine of all event hashes. Two prefixes have
-// equal fingerprints iff (modulo 128-bit collisions) they are linearizations
-// of the same labelled partial order — this is what HBR caching and lazy
-// HBR caching key on, and what the terminal-HBR counts of Figures 2 and 3
-// de-duplicate by.
+// canonical fingerprint of the executed *prefix* from per-object epochs. An
+// *opener* is an event ordered against every earlier event on its object; a
+// *member* is ordered only against the object's latest opener. Variables are
+// opened by writes, RMWs and flushes (reads are members); under Full every
+// mutex op opens, under Lazy only trylocks do (lock, unlock and the mutex
+// side of wait/reacquire are members); condvar, semaphore and thread ops
+// always open. Each object keeps a rolling hash of its openers per
+// relation. An event's hash mixes its schedule-invariant label with the
+// current epochs of the objects it touches, then an opener mixes its label
+// into them; the prefix fingerprint is an order-independent multiset combine
+// of all event hashes. Labels pin program order, an opener's hash pins every
+// earlier opener of its objects and a member's pins it between two openers,
+// so two prefixes have equal fingerprints iff (modulo 128-bit collisions)
+// they are linearizations of the same labelled partial order (the argument,
+// including the spawn/join, signal->wakeup and TSO cases, is in
+// docs/architecture.md section 3). This is what HBR caching and lazy HBR
+// caching key on, and what the terminal-HBR counts of Figures 2 and 3
+// de-duplicate by. Each update adds to an accumulator in O(1); no
+// predecessor list is built.
 //
 // The recorder builds only what a consumer declared at construction
-// (Options). Always: the Full/Lazy/Value prefix fingerprints and the
-// per-event Full/Lazy causal hashes, which is all the caching explorers and
-// the counts read. On demand:
+// (Options). Always: the Full/Lazy/Value prefix fingerprints, which is all
+// the caching explorers and the counts read. The predecessor half — event
+// records, the per-object cursors predecessors are collected from, and
+// what is built from the lists — runs only when one of these is set:
 //   fullClocks       — Full clock rows (DPOR's happens-before test);
 //   detectRaces      — Sync clock rows and the sync-HB race detector;
 //   keepPredecessors — per-event predecessor lists of all three relations
@@ -46,18 +58,16 @@
 //                      tests). The Lazy relation has no clocks at all:
 //                      foata.hpp rebuilds its transitive closure from the
 //                      kept lists.
-// Reading a clock no consumer asked for fails a LAZYHB_CHECK.
+// Reading a clock, an event record or a cursor-derived list no consumer
+// asked for fails a LAZYHB_CHECK.
 //
-// Storage is structure-of-arrays, sized for the per-event loop that runs
-// once per committed event of every explored schedule:
-//   hot  — per-event causal hashes (one flat array per relation) and the
-//          requested clock rows, which live in flat ClockArena matrices
-//          (trace/clock_arena.hpp); a thread's running clock is simply its
-//          last event's row, so no per-thread clock storage exists at all.
-//   cold — EventRecords (consulted by DPOR's race analysis and the race
-//          reports, not by the fingerprint loop) and the predecessor lists.
-// Clock accessors deal in ClockView spans; the owning VectorClock class
-// remains for the test layers.
+// Storage is structure-of-arrays: the requested clock rows live in flat
+// ClockArena matrices (trace/clock_arena.hpp); a thread's running clock is
+// simply its last event's row, so no per-thread clock storage exists at
+// all. EventRecords (consulted by DPOR's race analysis and the race
+// reports) and the kept predecessor lists sit in separate arrays. Clock
+// accessors deal in ClockView spans; the owning VectorClock class remains
+// for the test layers.
 //
 // The recorder is an ExecutionObserver and is reset on every
 // onExecutionStart, so one instance can monitor millions of executions with
@@ -110,7 +120,7 @@ struct RaceReport {
 class TraceRecorder final : public runtime::ExecutionObserver {
  public:
   /// What the recorder's consumers read beyond the fingerprints; the
-  /// default builds fingerprints and causal hashes only.
+  /// default builds the fingerprints only.
   struct Options {
     /// Record per-event direct-predecessor lists and object names (needed
     /// by the Foata canonicaliser, the HB graph export and the tests; not
@@ -175,7 +185,7 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   /// images of Execution::checkpointApproxBytes). 0 when nothing is staged.
   [[nodiscard]] std::size_t checkpointApproxBytes(std::size_t depth) const noexcept;
 
-  /// Live undo-log entries: one per object touched per checkpoint epoch.
+  /// Live undo-log entries: one per object touched between two stages.
   /// Introspection for tests pinning the O(touched) staging contract (two
   /// writes to one object between stages must coalesce into one entry).
   [[nodiscard]] std::size_t undoLogSize() const noexcept { return undoSize_; }
@@ -184,11 +194,12 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   [[nodiscard]] std::uint64_t replaysSkipped() const noexcept { return replaysSkipped_; }
 
   // --- per-event data (valid until the next onExecutionStart) ----------------
+  // Everything below is built by the predecessor half, so it needs one of
+  // Options::fullClocks, detectRaces or keepPredecessors.
   [[nodiscard]] const runtime::EventRecord& eventRecord(std::int32_t index) const;
   /// Clock row of an event: Full needs Options::fullClocks, Sync needs
   /// Options::detectRaces; no other relation has clocks.
   [[nodiscard]] ClockView eventClock(Relation r, std::int32_t index) const;
-  [[nodiscard]] support::Hash128 eventHash(Relation r, std::int32_t index) const;
   /// Requires Options::keepPredecessors.
   [[nodiscard]] const std::vector<std::int32_t>& eventPredecessors(
       Relation r, std::int32_t index) const;
@@ -198,8 +209,10 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   [[nodiscard]] ClockView threadClock(Relation r, int tid) const;
 
   /// Event indices of already-executed events that conflict (under the Full
-  /// relation) with the given pending operation — the candidate backtracking
-  /// points DPOR examines, most recent last.
+  /// relation) with thread `tid`'s pending variable access (read, write,
+  /// RMW or flush) — the candidate backtracking points DPOR examines, in
+  /// schedule order. Other kinds are ordered by chainEvents; `out` stays
+  /// empty for them.
   void collectConflicts(const runtime::Execution& exec, int tid,
                         std::vector<std::int32_t>& out) const;
 
@@ -226,23 +239,15 @@ class TraceRecorder final : public runtime::ExecutionObserver {
     std::vector<std::int32_t> sync;
   };
 
-  struct ObjectHistory {
-    runtime::Uid uid = 0;
-    runtime::ObjectKind kind = runtime::ObjectKind::Var;
-    // Variables:
-    std::int32_t lastWrite = -1;
-    std::vector<std::int32_t> readersSinceWrite;
-    // Chained objects (mutex Full chain, condvar, semaphore, thread):
-    std::int32_t lastChainOp = -1;
-    std::vector<std::int32_t> chain;  ///< every chain event, schedule order
-    // Mutex Lazy-relation trylock bookkeeping:
-    std::int32_t lastTryLock = -1;
-    std::vector<std::int32_t> mutexOpsSinceTryLock;
-    // Sync relation: last release (unlock/wait) event on this mutex.
-    std::int32_t lastReleaseEvent = -1;
-    // Race detection:
-    std::int32_t lastWriteEvent = -1;
-    std::vector<std::pair<int, std::int32_t>> lastReadPerThread;  // (tid, event)
+  /// Everything a rollback restores about one object, logged whole on its
+  /// first update after a stage.
+  struct ObjectCursor {
+    // Fingerprint half (always kept).
+    /// Rolling hash of the object's openers in schedule order: the Full
+    /// relation's epoch, and the Lazy one for every object but a mutex.
+    support::Hash128 epoch;
+    /// A mutex's Lazy epoch, whose only openers are trylocks.
+    support::Hash128 lazyEpoch;
     /// Value equivalence: mirror of the variable's current value hash
     /// (Execution commits the post-value before recording the event, so the
     /// recorder keeps the pre-value itself — a read/RMW observes this).
@@ -252,44 +257,49 @@ class TraceRecorder final : public runtime::ExecutionObserver {
     /// so arrival *order* is observable state an abelian multiset of labels
     /// cannot encode; the value fingerprint folds it order-sensitively.
     std::vector<runtime::Uid> cvQueue;
-    /// Dirty stamp: the checkpoint epoch that last undo-logged this history.
-    /// Epochs are never reused, so reset() need not clear it — a stale stamp
-    /// simply reads as "not dirty in the current epoch".
-    std::uint64_t epoch = 0;
+
+    // Predecessor half (kept only while a consumer reads predecessors).
+    // Variables:
+    std::int32_t lastWrite = -1;
+    std::vector<std::int32_t> readersSinceWrite;
+    // Mutex Lazy-relation trylock bookkeeping:
+    std::int32_t lastTryLock = -1;
+    std::vector<std::int32_t> mutexOpsSinceTryLock;
+    // Sync relation: last release (unlock/wait) event on this mutex.
+    std::int32_t lastReleaseEvent = -1;
+    // Race detection:
+    std::int32_t lastWriteEvent = -1;
+    std::vector<std::pair<int, std::int32_t>> lastReadPerThread;  // (tid, event)
+  };
+
+  struct ObjectHistory : ObjectCursor {
+    runtime::Uid uid = 0;
+    /// Every event on the object's Full conflict chain (mutex, condvar,
+    /// semaphore, thread objects), schedule order. Append-only, so an undo
+    /// entry records its length only.
+    std::vector<std::int32_t> chain;
+    /// Dirty stamp: the stage that last undo-logged this history. Stamps
+    /// are never reused, so reset() need not clear it — a stale stamp
+    /// simply reads as "not yet logged since the current stage".
+    std::uint64_t stamp = 0;
 
     /// Clears per-execution state; every vector keeps its capacity, so a
     /// steady-state execution allocates nothing here.
-    void reset(runtime::Uid u, runtime::ObjectKind k) {
+    void reset(runtime::Uid u) {
       uid = u;
-      kind = k;
+      epoch = {};
+      lazyEpoch = {};
+      valueHash = 0;
+      cvQueue.clear();
       lastWrite = -1;
       readersSinceWrite.clear();
-      lastChainOp = -1;
-      chain.clear();
       lastTryLock = -1;
       mutexOpsSinceTryLock.clear();
       lastReleaseEvent = -1;
       lastWriteEvent = -1;
       lastReadPerThread.clear();
-      valueHash = 0;
-      cvQueue.clear();
+      chain.clear();
     }
-  };
-
-  /// Pre-image of one object's non-monotonic cursors. The chain is
-  /// append-only, so its length suffices; the clearable vectors are copied.
-  struct ObjectCursor {
-    std::int32_t lastWrite = -1;
-    std::vector<std::int32_t> readersSinceWrite;
-    std::int32_t lastChainOp = -1;
-    std::size_t chainSize = 0;
-    std::int32_t lastTryLock = -1;
-    std::vector<std::int32_t> mutexOpsSinceTryLock;
-    std::int32_t lastReleaseEvent = -1;
-    std::int32_t lastWriteEvent = -1;
-    std::vector<std::pair<int, std::int32_t>> lastReadPerThread;
-    std::uint64_t valueHash = 0;
-    std::vector<runtime::Uid> cvQueue;
   };
 
   /// One undo-log entry: an object's cursor pre-image, logged on its first
@@ -298,6 +308,7 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   /// replays entries newest-first.
   struct ObjectUndo {
     std::int32_t index = -1;
+    std::size_t chainSize = 0;
     ObjectCursor cursor;
   };
 
@@ -320,14 +331,26 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   void resetAll();
   void recycleCheckpoints() noexcept;
 
+  /// True when a consumer reads what the predecessor half builds.
+  [[nodiscard]] bool tracksPredecessors() const noexcept {
+    return options_.fullClocks || options_.detectRaces || options_.keepPredecessors;
+  }
+
+  /// The predecessor half of onEvent: records the event, collects its
+  /// direct predecessors under each relation while advancing the cursors
+  /// they come from, then builds the requested clock rows, runs the race
+  /// detector and keeps the lists.
+  void trackPredecessors(const runtime::Execution& exec,
+                         const runtime::EventRecord& ev, std::int32_t index);
+
   /// Dirty-tracking hook: called before the first history update of an
   /// object since the last checkpoint; logs its cursor pre-image once per
-  /// epoch. No-op when nothing is staged.
+  /// stage. No-op when nothing is staged.
   void touchHistory(std::int32_t index) {
     if (checkpoints_.empty()) return;
     ObjectHistory& h = history(index);
-    if (h.epoch == currentEpoch_) return;
-    h.epoch = currentEpoch_;
+    if (h.stamp == currentStamp_) return;
+    h.stamp = currentStamp_;
     logHistoryUndo(index, h);
   }
   void logHistoryUndo(std::int32_t index, const ObjectHistory& h);
@@ -340,30 +363,15 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   ObjectHistory& history(std::int32_t objectIndex);
   /// The clock matrix of `r`; fails a LAZYHB_CHECK unless it is built.
   [[nodiscard]] const ClockArena& arena(Relation r) const;
-  void checkRace(const runtime::Execution& exec,
-                 const runtime::EventRecord& event, std::int32_t index);
+  /// Sync-HB race check of a variable access against the pre-update race
+  /// state, which it then advances.
+  void detectRace(const runtime::Execution& exec,
+                  const runtime::EventRecord& ev, std::int32_t index);
 
   Options options_;
   std::size_t eventCount_ = 0;
 
-  // Hot per-event arrays (indexed by event). A clock matrix holds rows only
-  // when its consumer is on (see Options); both share one stride.
-  std::vector<support::Hash128> fullHash_;
-  std::vector<support::Hash128> lazyHash_;
-  ClockArena syncClocks_;
-  ClockArena fullClocks_;
-
-  // Cold per-event arrays.
-  std::vector<runtime::EventRecord> records_;
-  std::vector<EventPreds> preds_;  // eventCount_ entries live iff keepPredecessors
-
-  // Per-thread state: index of the thread's latest event (its running clock
-  // is that event's arena row).
-  std::vector<std::int32_t> threadLastEvent_;
-  std::size_t threadCount_ = 0;
-
-  std::vector<ObjectHistory> objects_;
-  std::size_t objectCount_ = 0;
+  // Fingerprints.
   support::MultisetHash prefixFull_;
   support::MultisetHash prefixLazy_;
   /// Value equivalence, two abelian accumulators: prefixValue_ holds one
@@ -374,6 +382,22 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   /// fold per condvar. fingerprint(Relation::Value) combines both digests.
   support::MultisetHash prefixValue_;
   support::MultisetHash valueState_;
+
+  std::vector<ObjectHistory> objects_;
+  std::size_t objectCount_ = 0;
+
+  // Predecessor half, per event (indexed by event). A clock matrix holds
+  // rows only when its consumer is on (see Options); both share one stride.
+  std::vector<runtime::EventRecord> records_;
+  ClockArena syncClocks_;
+  ClockArena fullClocks_;
+  std::vector<EventPreds> preds_;  // eventCount_ entries live iff keepPredecessors
+
+  // Predecessor half, per thread: index of the thread's latest event (its
+  // running clock is that event's arena row).
+  std::vector<std::int32_t> threadLastEvent_;
+  std::size_t threadCount_ = 0;
+
   std::vector<RaceReport> races_;
   std::unordered_map<runtime::Uid, std::string> names_;  // keepPredecessors only
 
@@ -390,11 +414,11 @@ class TraceRecorder final : public runtime::ExecutionObserver {
 
   // Object-cursor undo log: an arena indexed by undoSize_ — the vector
   // never shrinks, so per-entry cursor vectors keep capacity across reuse.
-  // Epochs come from a monotone counter; one log entry per object per epoch.
+  // Stamps come from a monotone counter; one log entry per object per stage.
   std::vector<ObjectUndo> undoLog_;
   std::size_t undoSize_ = 0;
-  std::uint64_t epochCounter_ = 0;
-  std::uint64_t currentEpoch_ = 0;
+  std::uint64_t stampCounter_ = 0;
+  std::uint64_t currentStamp_ = 0;
 
   std::size_t pendingResume_ = kNoCheckpoint;
   std::size_t skipEvents_ = 0;  // replayed prefix events left to skip

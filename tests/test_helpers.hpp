@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "explore/explorer.hpp"
 #include "explore/random_explorer.hpp"
 #include "runtime/api.hpp"
+#include "trace/trace_recorder.hpp"
 
 namespace lazyhb::testing {
 
@@ -57,6 +59,15 @@ inline explore::ExplorationResult runCaching(const explore::Program& p, trace::R
                                              std::uint64_t limit = 200'000) {
   explore::CachingExplorer explorer(smallOptions(limit), r);
   return explorer.explore(p);
+}
+
+/// The Full, Lazy and Value prefix fingerprints, in that order.
+using PrefixFingerprints = std::array<support::Hash128, 3>;
+
+inline PrefixFingerprints prefixFingerprints(const trace::TraceRecorder& recorder) {
+  return {recorder.fingerprint(trace::Relation::Full),
+          recorder.fingerprint(trace::Relation::Lazy),
+          recorder.fingerprint(trace::Relation::Value)};
 }
 
 /// Captures one execution's observer stream so a recorder can be driven

@@ -3,7 +3,7 @@
 // The engine's contract is byte-identity: exploring with checkpoints and
 // rollbacks (either tier — full runtime rollback or recorder-side replay
 // elision) must produce, schedule by schedule, exactly the choices,
-// outcomes, fingerprints, per-event causal hashes and clock rows that a
+// outcomes, prefix fingerprints at every pick and clock rows that a
 // from-scratch exploration produces. These tests pin that contract:
 //
 //   * a traced DFS walk run three ways (incremental off / recorder elision /
@@ -41,23 +41,19 @@ namespace {
 
 using namespace lazyhb;
 using lazyhb::testing::expectSameContractStats;
+using lazyhb::testing::PrefixFingerprints;
+using lazyhb::testing::prefixFingerprints;
 
 struct ScheduleTrace {
   std::vector<int> choices;
   runtime::Outcome outcome = runtime::Outcome::Terminal;
-  support::Hash128 full;
-  support::Hash128 lazy;
-  support::Hash128 value;
+  /// At every pick past the divergence, then once at the schedule's end.
+  std::vector<PrefixFingerprints> prefixes;
   support::Hash128 state;
-  std::vector<support::Hash128> eventHashes;      // full-relation, per event
   std::vector<std::vector<std::uint32_t>> clocks; // full-relation rows
-};
 
-bool operator==(const ScheduleTrace& a, const ScheduleTrace& b) {
-  return a.choices == b.choices && a.outcome == b.outcome && a.full == b.full &&
-         a.lazy == b.lazy && a.value == b.value && a.state == b.state &&
-         a.eventHashes == b.eventHashes && a.clocks == b.clocks;
-}
+  bool operator==(const ScheduleTrace&) const = default;
+};
 
 /// The recorder the traced loops observe through: DPOR's consumer set, so
 /// the Full clock rows exist to be compared.
@@ -65,30 +61,54 @@ trace::TraceRecorder tracingRecorder() {
   return trace::TraceRecorder(trace::TraceRecorder::Options{.fullClocks = true});
 }
 
+/// Forwards every pick to the search's scheduler, first capturing the
+/// recorder's prefix fingerprints once the prefix is new to this schedule
+/// (`probeFrom` events or more) — the prefixes a prune hook probes. The
+/// recorder must be live there in every incremental mode: rollback and
+/// replay elision cover only the shared prefix.
+class ProbingScheduler final : public runtime::Scheduler {
+ public:
+  ProbingScheduler(runtime::Scheduler& inner, const trace::TraceRecorder& recorder,
+                   std::size_t probeFrom, std::vector<PrefixFingerprints>& out)
+      : inner_(inner), recorder_(recorder), probeFrom_(probeFrom), out_(out) {}
+
+  int pick(runtime::Execution& exec) override {
+    const std::size_t depth = exec.events().size();
+    if (depth > 0 && depth >= probeFrom_) {
+      EXPECT_EQ(recorder_.eventCount(), depth);
+      out_.push_back(prefixFingerprints(recorder_));
+    }
+    return inner_.pick(exec);
+  }
+
+ private:
+  runtime::Scheduler& inner_;
+  const trace::TraceRecorder& recorder_;
+  std::size_t probeFrom_;
+  std::vector<PrefixFingerprints>& out_;
+};
+
 /// Run one schedule through `engine` and capture everything the
 /// exploration layer could observe about it.
 ScheduleTrace traceOne(explore::PrefixReplayEngine& engine,
                        trace::TraceRecorder& recorder,
                        const explore::Program& program,
-                       runtime::Scheduler& scheduler, memory::MemoryModel model) {
+                       runtime::Scheduler& scheduler, memory::MemoryModel model,
+                       std::size_t probeFrom) {
   runtime::Config config;
   config.memoryModel = model;
   const explore::PrefixReplayEngine::Session session =
       engine.beginSchedule(config, &recorder);
   ScheduleTrace trace;
-  trace.outcome = session.resumed ? session.exec->resume(scheduler)
-                                  : session.exec->run(program, scheduler);
+  ProbingScheduler probing(scheduler, recorder, probeFrom, trace.prefixes);
+  trace.outcome = session.resumed ? session.exec->resume(probing)
+                                  : session.exec->run(program, probing);
   trace.choices = session.exec->choices();
   trace.state = session.exec->stateFingerprint();
-  if (recorder.eventCount() > 0) {
-    trace.full = recorder.fingerprint(trace::Relation::Full);
-    trace.lazy = recorder.fingerprint(trace::Relation::Lazy);
-    trace.value = recorder.fingerprint(trace::Relation::Value);
-  }
+  if (recorder.eventCount() > 0) trace.prefixes.push_back(prefixFingerprints(recorder));
   for (std::size_t i = 0; i < recorder.eventCount(); ++i) {
-    const auto index = static_cast<std::int32_t>(i);
-    trace.eventHashes.push_back(recorder.eventHash(trace::Relation::Full, index));
-    const trace::ClockView view = recorder.eventClock(trace::Relation::Full, index);
+    const trace::ClockView view =
+        recorder.eventClock(trace::Relation::Full, static_cast<std::int32_t>(i));
     trace.clocks.emplace_back(view.data(), view.data() + view.width());
   }
   return trace;
@@ -114,7 +134,9 @@ std::vector<ScheduleTrace> tracedDfs(const explore::Program& program,
   for (;;) {
     if (traces.size() >= limit) break;
     explore::TreeScheduler scheduler(state, {}, &engine, startDepth);
-    traces.push_back(traceOne(engine, recorder, program, scheduler, model));
+    // Events before checkFromDepth replay the previous schedule's prefix.
+    traces.push_back(
+        traceOne(engine, recorder, program, scheduler, model, state.checkFromDepth + 1));
     if (!state.advance()) break;
     startDepth = engine.prepareNext(state.checkFromDepth);
   }
@@ -142,7 +164,7 @@ std::vector<ScheduleTrace> tracedRandom(const explore::Program& program,
       EXPECT_EQ(root->prepareNext(0), 0u);
     }
     explore::RandomScheduler scheduler(support::mix64(17 + k), root);
-    traces.push_back(traceOne(engine, recorder, program, scheduler, model));
+    traces.push_back(traceOne(engine, recorder, program, scheduler, model, 1));
   }
   if (root != nullptr && walks > 1) {
     EXPECT_EQ(engine.rollbacks(), walks - 1);  // every later walk resumed
@@ -628,7 +650,7 @@ TEST(IncrementalReplay, UndoEntriesCoalescePerObjectBetweenStages) {
 
   const std::size_t d0 = recorder.checkpoint();
   feedThrough(writes[1]);
-  EXPECT_EQ(recorder.undoLogSize(), 1u);  // first touch of `a` this epoch
+  EXPECT_EQ(recorder.undoLogSize(), 1u);  // first touch of `a` since the stage
   feedThrough(writes[2]);
   EXPECT_EQ(recorder.undoLogSize(), 1u);  // second write to `a` coalesces
   feedThrough(writes[3]);
@@ -636,7 +658,7 @@ TEST(IncrementalReplay, UndoEntriesCoalescePerObjectBetweenStages) {
 
   const std::size_t d1 = recorder.checkpoint();
   feedThrough(writes[4]);
-  EXPECT_EQ(recorder.undoLogSize(), 3u);  // new epoch re-logs `a` once
+  EXPECT_EQ(recorder.undoLogSize(), 3u);  // a new stage re-logs `a` once
 
   // Rolling back trims the undo log to each stage's mark.
   recorder.rollbackTo(d1);

@@ -9,9 +9,12 @@
 #include <array>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "explore/dfs_explorer.hpp"
+#include "explore/prefix_replay.hpp"
 #include "explore/random_explorer.hpp"
 #include "explore/replay.hpp"
 #include "memory/memory_model.hpp"
@@ -27,6 +30,7 @@
 namespace {
 
 using namespace lazyhb;
+using lazyhb::testing::PrefixFingerprints;
 using trace::Relation;
 using trace::TraceRecorder;
 using trace::VectorClock;
@@ -256,97 +260,162 @@ TEST(HbGraph, RenderContainsEventsAndDot) {
   });
 }
 
-// The central canonicity property: across the ENTIRE schedule space of a
-// program, two schedules get the same incremental fingerprint iff they have
-// the same exact canonical form — for both relations, with the Foata normal
-// form and the clock-derived explicit relation as independent oracles.
+// The central canonicity property: over every prefix a prune hook probes in
+// a program's complete schedule tree, two prefixes get the same incremental
+// fingerprint iff they have the same exact canonical form — for both
+// relations, with the Foata normal form and the explicit relation (the
+// closure of the kept predecessor lists) as independent oracles. Besides
+// three hand-written SC programs, the inputs cover every object kind the
+// epochs treat differently — trylocks, condvars, semaphores, spawn/join
+// trees — and TSO store buffers (buffered writes, flushes, forwarded reads,
+// fences). The walk runs through the prefix-replay engine, with runtime
+// rollback wherever the program allows it, so fingerprints restored by a
+// rollback are probed too.
 class FingerprintCanonicity : public ::testing::TestWithParam<int> {};
 
-TEST_P(FingerprintCanonicity, FingerprintEqualsIffExactFormEqual) {
-  const explore::Program program = [&]() -> explore::Program {
-    switch (GetParam()) {
-      case 0: return lazyhb::testing::figure1Program;
-      case 1:
-        return [] {  // racy writes + mutex
-          Shared<int> x{0, "x"};
-          Mutex m("m");
-          auto t = spawn([&] {
-            x.store(1);
-            LockGuard guard(m);
-          });
-          {
-            LockGuard guard(m);
-          }
-          x.store(2);
-          t.join();
-        };
-      case 2:
-        return [] {  // three threads, two vars
-          Shared<int> a{0, "a"};
-          Shared<int> b{0, "b"};
-          auto t1 = spawn([&] { a.store(1); });
-          auto t2 = spawn([&] {
-            b.store(1);
-            (void)a.load();
-          });
-          a.store(2);
-          t1.join();
-          t2.join();
-        };
-      default:
-        return [] {};
-    }
-  }();
+struct CanonicityInput {
+  std::string name;
+  explore::Program body;
+  memory::MemoryModel model = memory::MemoryModel::Sc;
+  bool checkpointable = false;
+};
 
-  // Enumerate every schedule; for each terminal one, record (fingerprint,
-  // exact form) pairs per relation and check the bijection.
-  TraceRecorder recorder(TraceRecorder::Options{true, false});
+CanonicityInput canonicityInput(int index) {
+  switch (index) {
+    case 0: return {"figure1", lazyhb::testing::figure1Program};
+    case 1:
+      return {"racy-writes-and-mutex", [] {
+                Shared<int> x{0, "x"};
+                Mutex m("m");
+                auto t = spawn([&] {
+                  x.store(1);
+                  LockGuard guard(m);
+                });
+                {
+                  LockGuard guard(m);
+                }
+                x.store(2);
+                t.join();
+              }};
+    case 2:
+      return {"three-threads-two-vars", [] {
+                Shared<int> a{0, "a"};
+                Shared<int> b{0, "b"};
+                auto t1 = spawn([&] { a.store(1); });
+                auto t2 = spawn([&] {
+                  b.store(1);
+                  (void)a.load();
+                });
+                a.store(2);
+                t1.join();
+                t2.join();
+              }};
+    default: break;
+  }
+  static const std::pair<const char*, memory::MemoryModel> kCorpus[] = {
+      {"trylock-vs-lock", memory::MemoryModel::Sc},
+      {"trylock-fallback-2", memory::MemoryModel::Sc},
+      {"trylock-fallback-3", memory::MemoryModel::Sc},
+      {"prodcons-1x1", memory::MemoryModel::Sc},
+      {"barrier-2", memory::MemoryModel::Sc},
+      {"lost-signal", memory::MemoryModel::Sc},
+      {"sem-handoff-2", memory::MemoryModel::Sc},
+      {"fork-tree", memory::MemoryModel::Sc},
+      {"store-forwarding", memory::MemoryModel::Tso},
+      {"sb-unfenced", memory::MemoryModel::Tso},
+      {"dekker-unfenced", memory::MemoryModel::Tso},
+      {"seqlock-fenced", memory::MemoryModel::Tso},
+  };
+  const auto& [name, model] = kCorpus[index - 3];
+  const programs::ProgramSpec* spec = programs::byName(name);
+  if (spec == nullptr) return {name, nullptr};
+  return {name, spec->body, model, spec->checkpointable};
+}
+
+TEST_P(FingerprintCanonicity, FingerprintEqualsIffExactFormEqual) {
+  const CanonicityInput input = canonicityInput(GetParam());
+  ASSERT_TRUE(input.body) << input.name;
+  SCOPED_TRACE(input.name);
+
+  TraceRecorder recorder(TraceRecorder::Options{.keepPredecessors = true});
   runtime::StackPool pool;
+  explore::PrefixReplayEngine engine(
+      pool, recorder, /*incremental=*/true,
+      input.checkpointable && runtime::Execution::checkpointingSupported(),
+      /*snapshotBudgetBytes=*/0);
   explore::TreeSearchState state;
-  std::map<std::vector<std::uint64_t>, support::Hash128> foataToFp[2];
-  std::map<std::vector<std::uint64_t>, support::Hash128> explicitToFp[2];
-  std::map<support::Hash128, std::vector<std::uint64_t>,
+  using Form = std::vector<std::uint64_t>;
+  std::map<Form, support::Hash128> foataToFp[2];
+  std::map<Form, support::Hash128> explicitToFp[2];
+  std::map<support::Hash128, Form,
            decltype([](const support::Hash128& a, const support::Hash128& b) {
              return a.lo != b.lo ? a.lo < b.lo : a.hi < b.hi;
            })>
       fpToFoata[2];
   int schedules = 0;
+  std::size_t probes = 0;
+  int failures = 0;
+  auto expect = [&](bool holds, const char* what) {
+    if (!holds && ++failures <= 3) {
+      ADD_FAILURE() << what << " (schedule " << schedules << ", prefix of "
+                    << recorder.eventCount() << " events)";
+    }
+  };
+  // The prune hook of the caching explorers, minus the pruning: record one
+  // (fingerprint, exact form) pair per relation for the current prefix.
+  auto probe = [&] {
+    ++probes;
+    for (const auto relation : {Relation::Full, Relation::Lazy}) {
+      const int r = relation == Relation::Full ? 0 : 1;
+      const auto fp = recorder.fingerprint(relation);
+      const Form foata = trace::foataNormalForm(recorder, relation);
+      const Form exact = trace::explicitRelation(recorder, relation);
+      expect(foataToFp[r].emplace(foata, fp).first->second == fp,
+             "same Foata NF, different fingerprint");
+      expect(explicitToFp[r].emplace(exact, fp).first->second == fp,
+             "same explicit relation, different fingerprint");
+      expect(fpToFoata[r].emplace(fp, foata).first->second == foata,
+             "same fingerprint, different Foata NF");
+    }
+    return false;  // never prune: every prefix of the tree gets probed
+  };
+
+  std::size_t startDepth = 0;
   for (;;) {
-    runtime::Execution exec(runtime::Config{}, pool, &recorder);
-    explore::TreeScheduler scheduler(state);
-    const auto outcome = exec.run(program, scheduler);
+    runtime::Config config;
+    config.memoryModel = input.model;
+    explore::TreeScheduler scheduler(state, probe, &engine, startDepth);
+    const explore::PrefixReplayEngine::Session session =
+        engine.beginSchedule(config, &recorder);
+    (void)(session.resumed ? session.exec->resume(scheduler)
+                           : session.exec->run(input.body, scheduler));
     ++schedules;
     ASSERT_LT(schedules, 100000) << "space too large for the test";
-    if (outcome == runtime::Outcome::Terminal) {
-      for (const auto relation : {Relation::Full, Relation::Lazy}) {
-        const int r = relation == Relation::Full ? 0 : 1;
-        const auto fp = recorder.fingerprint(relation);
-        const auto foata = trace::foataNormalForm(recorder, relation);
-        const auto exact = trace::explicitRelation(recorder, relation);
-        auto [itF, insertedF] = foataToFp[r].emplace(foata, fp);
-        EXPECT_EQ(itF->second, fp) << "same Foata NF, different fingerprint";
-        auto [itE, insertedE] = explicitToFp[r].emplace(exact, fp);
-        EXPECT_EQ(itE->second, fp) << "same explicit relation, different fingerprint";
-        auto [itR, insertedR] = fpToFoata[r].emplace(fp, foata);
-        EXPECT_EQ(itR->second, foata) << "same fingerprint, different Foata NF";
-      }
-    }
+    // The final prefix has no pick after it; the caching explorers insert
+    // it at schedule end, so it is probed here.
+    if (recorder.eventCount() > 0) (void)probe();
     if (!state.advance()) break;
+    startDepth = engine.prepareNext(state.checkFromDepth);
   }
+  EXPECT_EQ(failures, 0) << "over " << probes << " probed prefixes";
   // Foata NF and the explicit relation must agree on the class count too.
   EXPECT_EQ(foataToFp[0].size(), explicitToFp[0].size());
   EXPECT_EQ(foataToFp[1].size(), explicitToFp[1].size());
   EXPECT_GT(schedules, 1);
+  if (input.checkpointable && runtime::Execution::checkpointingSupported()) {
+    EXPECT_GT(engine.rollbacks(), 0u);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(SmallPrograms, FingerprintCanonicity, ::testing::Range(0, 3));
+INSTANTIATE_TEST_SUITE_P(SmallPrograms, FingerprintCanonicity, ::testing::Range(0, 15));
 
 // --- consumer sets -------------------------------------------------------------
 //
-// The recorder builds only what its consumers declared: fingerprints and
-// causal hashes always, Full clock rows for DPOR, Sync rows for the race
-// detector, predecessor lists for Foata and rendering. One observer stream
-// fed to each consumer set must yield the same fingerprints and hashes,
+// The recorder builds only what its consumers declared: fingerprints
+// always, Full clock rows for DPOR, Sync rows for the race detector,
+// predecessor lists for Foata and rendering. One observer stream fed to
+// each consumer set must yield the same prefix fingerprints after every
+// event — the fingerprint half reads nothing the predecessor half keeps —
 // and DPOR's Full rows must be exactly the clocks the kept Full
 // predecessor lists imply.
 
@@ -388,11 +457,13 @@ std::unique_ptr<RecordedStream> recordStream(const explore::Program& program,
 
 /// Feed the stream to `recorder` with registrations interleaved where they
 /// happened, staging a checkpoint halfway, running to the end, rolling back
-/// and re-extending — the cycle the incremental engine drives.
-void feed(TraceRecorder& recorder, const RecordedStream& stream) {
+/// and re-extending — the cycle the incremental engine drives. Returns the
+/// prefix fingerprints after every event fed.
+std::vector<PrefixFingerprints> feed(TraceRecorder& recorder, const RecordedStream& stream) {
   const auto& c = stream.captured;
   const runtime::Execution& exec = *stream.source;
   const std::size_t half = c.events.size() / 2;
+  std::vector<PrefixFingerprints> prefixes;
   auto extend = [&](std::size_t from) {
     std::size_t reg = 0;
     while (reg < c.registrations.size() && c.registrations[reg].atEvent < from) ++reg;
@@ -401,16 +472,19 @@ void feed(TraceRecorder& recorder, const RecordedStream& stream) {
         const auto& r = c.registrations[reg];
         recorder.onObjectRegistered(exec, r.index, r.uid, r.kind, r.name, r.initialValueHash);
       }
-      if (i < c.events.size()) recorder.onEvent(exec, c.events[i]);
+      if (i == c.events.size()) break;
+      recorder.onEvent(exec, c.events[i]);
+      prefixes.push_back(lazyhb::testing::prefixFingerprints(recorder));
       if (i + 1 == half) (void)recorder.checkpoint();
     }
   };
   recorder.onExecutionStart(exec);
   extend(0);
   recorder.rollbackTo(half);
-  ASSERT_EQ(recorder.eventCount(), half);
+  EXPECT_EQ(recorder.eventCount(), half);
   extend(half);
-  ASSERT_EQ(recorder.eventCount(), c.events.size());
+  EXPECT_EQ(recorder.eventCount(), c.events.size());
+  return prefixes;
 }
 
 /// An SC program with a mutex, a condvar handshake, a trylock prober and
@@ -445,9 +519,13 @@ struct ConsumerSets {
   TraceRecorder dpor{TraceRecorder::Options{.fullClocks = true}};
   TraceRecorder races{TraceRecorder::Options{.detectRaces = true}};
   TraceRecorder preds{TraceRecorder::Options{.keepPredecessors = true}};
+  /// Per recorder, in the order above: the prefix fingerprints after every
+  /// event fed.
+  std::vector<PrefixFingerprints> prefixes[4];
 
   explicit ConsumerSets(const RecordedStream& stream) {
-    for (TraceRecorder* r : {&none, &dpor, &races, &preds}) feed(*r, stream);
+    std::size_t i = 0;
+    for (TraceRecorder* r : {&none, &dpor, &races, &preds}) prefixes[i++] = feed(*r, stream);
   }
 };
 
@@ -468,17 +546,9 @@ std::vector<VectorClock> clocksFromPredecessors(const TraceRecorder& recorder) {
 
 void expectConsumerSetsAgree(const ConsumerSets& sets, const RecordedStream& stream) {
   const std::size_t n = stream.captured.events.size();
-  for (const TraceRecorder* r : {&sets.dpor, &sets.races, &sets.preds}) {
-    ASSERT_EQ(r->eventCount(), n);
-    for (const Relation relation : {Relation::Full, Relation::Lazy, Relation::Value}) {
-      EXPECT_EQ(r->fingerprint(relation), sets.none.fingerprint(relation))
-          << trace::relationName(relation);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto index = static_cast<std::int32_t>(i);
-      EXPECT_EQ(r->eventHash(Relation::Full, index), sets.none.eventHash(Relation::Full, index));
-      EXPECT_EQ(r->eventHash(Relation::Lazy, index), sets.none.eventHash(Relation::Lazy, index));
-    }
+  ASSERT_GT(sets.prefixes[0].size(), n);  // the re-extension is fed too
+  for (std::size_t i = 1; i < 4; ++i) {
+    EXPECT_TRUE(sets.prefixes[i] == sets.prefixes[0]) << "consumer set " << i;
   }
   const std::vector<VectorClock> expected = clocksFromPredecessors(sets.preds);
   for (std::size_t i = 0; i < n; ++i) {
@@ -531,6 +601,23 @@ TEST(RecorderConsumersDeathTest, ReadingAnUnrequestedClockAborts) {
   EXPECT_DEATH((void)sets.dpor.eventClock(Relation::Sync, 0), "invariant violated");
   // The Lazy relation has no clocks for any consumer.
   EXPECT_DEATH((void)sets.preds.eventClock(Relation::Lazy, 0), "invariant violated");
+}
+
+TEST(RecorderConsumersDeathTest, ReadingUnmaintainedCursorsAborts) {
+  // Without a predecessor consumer the recorder keeps no event records and
+  // no conflict cursors, so DPOR's queries must not read stale ones.
+  const auto stream = recordStream(mutexCondvarTrylock, memory::MemoryModel::Sc, {});
+  ASSERT_NE(stream, nullptr);
+  const ConsumerSets sets(*stream);
+  std::vector<std::int32_t> conflicts;
+  EXPECT_DEATH((void)sets.none.eventRecord(0), "invariant violated");
+  EXPECT_DEATH((void)sets.none.chainEvents(0), "invariant violated");
+  EXPECT_DEATH(sets.none.collectConflicts(*stream->source, 0, conflicts), "invariant violated");
+  // Every predecessor consumer maintains them.
+  for (const TraceRecorder* r : {&sets.dpor, &sets.races, &sets.preds}) {
+    EXPECT_EQ(r->eventRecord(0), stream->captured.events[0]);
+    r->collectConflicts(*stream->source, 0, conflicts);
+  }
 }
 
 // --- value-class fingerprints ------------------------------------------------
