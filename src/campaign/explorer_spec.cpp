@@ -1,6 +1,5 @@
 #include "campaign/explorer_spec.hpp"
 
-#include "explore/caching_explorer.hpp"
 #include "explore/dfs_explorer.hpp"
 #include "explore/dpor_explorer.hpp"
 #include "explore/parallel_explorer.hpp"
@@ -12,74 +11,38 @@ namespace lazyhb::campaign {
 
 std::unique_ptr<explore::Explorer> ExplorerSpec::create(
     const explore::ExplorerOptions& options, std::uint64_t seed) const {
-  if (explore::ParallelExplorer::shardable(options)) {
-    // The shardable tree searches go parallel; anything order-sensitive
-    // (random's RNG stream, DPOR's visit-ordered backtrack sets, the
-    // ablations) keeps its sequential explorer below regardless of the
-    // requested worker count.
-    switch (kind) {
-      case Kind::Dfs:
-        return std::make_unique<explore::ParallelExplorer>(
-            options, explore::ParallelStrategy::Dfs, seed);
-      case Kind::CachingFull:
-        return std::make_unique<explore::ParallelExplorer>(
-            options, explore::ParallelStrategy::CachingFull, seed);
-      case Kind::CachingLazy:
-        return std::make_unique<explore::ParallelExplorer>(
-            options, explore::ParallelStrategy::CachingLazy, seed);
-      case Kind::CachingValue:
-        return std::make_unique<explore::ParallelExplorer>(
-            options, explore::ParallelStrategy::CachingValue, seed);
-      default:
-        break;
-    }
-  }
-  switch (kind) {
-    case Kind::Dfs:
-      return std::make_unique<explore::DfsExplorer>(options);
-    case Kind::Random:
+  switch (search) {
+    case Search::Tree:
+      // The tree searches' counts are order-independent, so they shard
+      // whenever the options allow it (explore/parallel_explorer.hpp).
+      if (explore::ParallelExplorer::shardable(options)) {
+        return std::make_unique<explore::ParallelExplorer>(options, cacheKey,
+                                                           seed);
+      }
+      return std::make_unique<explore::DfsExplorer>(options, cacheKey);
+    case Search::Random:
       return std::make_unique<explore::RandomExplorer>(options, seed);
-    case Kind::Dpor:
+    case Search::Dpor:
       return std::make_unique<explore::DporExplorer>(options);
-    case Kind::CachingFull:
-      return std::make_unique<explore::CachingExplorer>(options,
-                                                        trace::Relation::Full);
-    case Kind::CachingLazy:
-      return std::make_unique<explore::CachingExplorer>(options,
-                                                        trace::Relation::Lazy);
-    case Kind::CachingValue:
-      return std::make_unique<explore::CachingExplorer>(options,
-                                                        trace::Relation::Value);
-    case Kind::DporNoSleep: {
-      explore::DporOptions dpor;
-      dpor.sleepSets = false;
-      return std::make_unique<explore::DporExplorer>(options, dpor);
-    }
-    case Kind::DporLazyCache: {
-      explore::DporOptions dpor;
-      dpor.cachePrefixes = trace::Relation::Lazy;
-      return std::make_unique<explore::DporExplorer>(options, dpor);
-    }
   }
-  LAZYHB_UNREACHABLE("unhandled ExplorerSpec::Kind");
+  LAZYHB_UNREACHABLE("unhandled ExplorerSpec::Search");
 }
 
 const std::vector<ExplorerSpec>& allExplorers() {
+  using enum ExplorerSpec::Search;
   static const std::vector<ExplorerSpec> specs = {
-      {ExplorerSpec::Kind::Dfs, "dfs"},
-      {ExplorerSpec::Kind::Random, "random"},
-      {ExplorerSpec::Kind::Dpor, "dpor"},
-      {ExplorerSpec::Kind::CachingFull, "caching-full"},
-      {ExplorerSpec::Kind::CachingLazy, "caching-lazy"},
+      {Tree, std::nullopt, "dfs"},
+      {Random, std::nullopt, "random"},
+      {Dpor, std::nullopt, "dpor"},
+      {Tree, trace::Relation::Full, "caching-full"},
+      {Tree, trace::Relation::Lazy, "caching-lazy"},
   };
   return specs;
 }
 
 const std::vector<ExplorerSpec>& extendedExplorers() {
   static const std::vector<ExplorerSpec> specs = {
-      {ExplorerSpec::Kind::DporNoSleep, "dpor-nosleep"},
-      {ExplorerSpec::Kind::DporLazyCache, "dpor-lazy-cache"},
-      {ExplorerSpec::Kind::CachingValue, "caching-value"},
+      {ExplorerSpec::Search::Tree, trace::Relation::Value, "caching-value"},
   };
   return specs;
 }

@@ -7,8 +7,10 @@
 // every campaign cell constructs its own explorer from the spec — which is
 // also what makes the (program × explorer) matrix embarrassingly parallel.
 //
-// The canonical mode names are the strings the CLI accepts for --explorer /
-// --explorers: dfs, random, dpor, caching-full, caching-lazy.
+// The mode names are the strings the CLI accepts for --explorer /
+// --explorers: the canonical dfs, random, dpor, caching-full, caching-lazy,
+// and the extended caching-value. A caching mode is the dfs search keyed on
+// a relation, so each name maps to a search plus an optional cache key.
 
 #pragma once
 
@@ -23,28 +25,26 @@
 namespace lazyhb::campaign {
 
 struct ExplorerSpec {
-  enum class Kind : std::uint8_t {
-    Dfs,
-    Random,
-    Dpor,
-    CachingFull,
-    CachingLazy,
-    // Ablation variants (parseable, but not part of allExplorers()):
-    DporNoSleep,    ///< Flanagan–Godefroid backtracking without sleep sets
-    DporLazyCache,  ///< EXPERIMENTAL §4: DPOR + lazy-HBR prefix cache
-    CachingValue,   ///< value-class caching (coarser than caching-lazy)
+  enum class Search : std::uint8_t {
+    Tree,    ///< explore::DfsExplorer (sharded: explore::ParallelExplorer)
+    Random,  ///< explore::RandomExplorer
+    Dpor,    ///< explore::DporExplorer
   };
 
-  Kind kind = Kind::Dfs;
-  std::string name;  ///< canonical mode name, e.g. "caching-lazy"
+  Search search = Search::Tree;
+  /// The tree search's prefix-cache key: Full, Lazy or Value for the
+  /// caching modes, nullopt for plain dfs (and for random and dpor).
+  std::optional<trace::Relation> cacheKey;
+  std::string name;  ///< mode name, e.g. "caching-lazy"
 
-  /// Build a fresh single-use explorer. `seed` affects Kind::Random and,
+  /// Build a fresh single-use explorer. `seed` affects Search::Random and,
   /// when `options.workers >= 2`, the parallel frontier pool's per-worker
-  /// victim-selection RNGs. With workers >= 2 the shardable tree searches
-  /// (dfs, caching-full, caching-lazy) come back as a ParallelExplorer; the
-  /// order-sensitive strategies and option combinations fall back to their
-  /// sequential explorer — counts are byte-identical either way, so the
-  /// fallback is an implementation detail, not a behaviour change.
+  /// victim-selection RNGs. With workers >= 2 the tree searches (dfs,
+  /// caching-full, caching-lazy, caching-value) come back as a
+  /// ParallelExplorer unless an order-sensitive option forbids sharding;
+  /// random and dpor always stay sequential — counts are byte-identical
+  /// either way, so the choice is an implementation detail, not a
+  /// behaviour change.
   [[nodiscard]] std::unique_ptr<explore::Explorer> create(
       const explore::ExplorerOptions& options, std::uint64_t seed) const;
 };
@@ -52,10 +52,10 @@ struct ExplorerSpec {
 /// The five canonical explorer modes, in the order tables print them.
 [[nodiscard]] const std::vector<ExplorerSpec>& allExplorers();
 
-/// The ablation variants ("dpor-nosleep", "dpor-lazy-cache") and the
-/// observation-centric "caching-value" explorer: constructible through the
-/// same factory, excluded from the default campaign matrix so historical
-/// reports stay comparable cell-for-cell. Select with --explorers.
+/// The observation-centric "caching-value" explorer: constructible through
+/// the same factory, excluded from the default campaign matrix so
+/// historical reports stay comparable cell-for-cell. Select with
+/// --explorers.
 [[nodiscard]] const std::vector<ExplorerSpec>& extendedExplorers();
 
 /// Resolve a canonical or extended mode name; nullopt for unknown names.
@@ -68,7 +68,7 @@ struct ExplorerSpec {
     const std::string& csv, std::string* badName = nullptr);
 
 /// "dfs, random, dpor, caching-full, caching-lazy" — for usage strings.
-/// With includeExtended, the ablation variants are appended too (use in
+/// With includeExtended, caching-value is appended too (use in
 /// unknown-name error messages, where every accepted spelling belongs).
 [[nodiscard]] std::string explorerNamesHelp(bool includeExtended = false);
 

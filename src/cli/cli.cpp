@@ -247,8 +247,7 @@ int cmdExplore(int argc, char** argv) {
   options.addString("program", "", "program name (see `lazyhb list`)");
   options.addString("explorer", "dfs",
                     "dfs | random | dpor | caching-full | caching-lazy "
-                    "(also the extended variants dpor-nosleep, "
-                    "dpor-lazy-cache, caching-value)");
+                    "(also the extended caching-value)");
   addExplorerFlags(options);
   options.addString("out", "",
                     "write the lazyhb-test-report JSON to this path ('-': "

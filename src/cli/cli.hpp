@@ -13,7 +13,8 @@
 // prints the full flag table. Explorer construction goes through the shared
 // campaign::ExplorerSpec factory (campaign/explorer_spec.hpp), so the CLI,
 // the figure benches and the campaign runner accept the same mode names:
-// dfs, random, dpor, caching-full, caching-lazy.
+// dfs, random, dpor, caching-full, caching-lazy, and the extended
+// caching-value.
 
 #pragma once
 

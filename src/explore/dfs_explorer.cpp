@@ -58,7 +58,22 @@ int TreeScheduler::pick(runtime::Execution& exec) {
   return node.chosen;
 }
 
+DfsExplorer::DfsExplorer(ExplorerOptions options,
+                         std::optional<trace::Relation> cacheKey)
+    : ExplorerBase(options), cacheKey_(cacheKey) {
+  if (cacheKey_) {
+    LAZYHB_CHECK(*cacheKey_ != trace::Relation::Sync);
+    cache_.emplace();
+  }
+}
+
 void DfsExplorer::runSearch(const Program& program) {
+  std::function<bool()> prunePrefix;
+  if (cache_) {
+    prunePrefix = [this] {
+      return cache_->checkAndInsert(recorder().fingerprint(*cacheKey_));
+    };
+  }
   TreeSearchState state;
   std::size_t startDepth = 0;
   for (;;) {
@@ -69,8 +84,14 @@ void DfsExplorer::runSearch(const Program& program) {
     if (shouldStopForViolation()) {
       return;
     }
-    TreeScheduler scheduler(state, {}, &prefixEngine(), startDepth);
-    (void)executeSchedule(program, scheduler);
+    TreeScheduler scheduler(state, prunePrefix, &prefixEngine(), startDepth);
+    const runtime::Outcome outcome = executeSchedule(program, scheduler);
+    if (cache_ && outcome != runtime::Outcome::Abandoned &&
+        recorder().eventCount() > 0) {
+      // The final event's prefix is never tested by the scheduler (there is
+      // no further pick); seed it so later executions can prune against it.
+      cache_->insert(recorder().fingerprint(*cacheKey_));
+    }
     if (!state.advance()) {
       markComplete();
       return;

@@ -16,15 +16,6 @@ class DporScheduler final : public runtime::Scheduler {
       : owner_(owner), depth_(startDepth) {}
 
   int pick(runtime::Execution& exec) override {
-    // Experimental §4 combination: prune on cached (lazy) HBR prefixes.
-    if (owner_.dpor_.cachePrefixes && depth_ > 0 &&
-        depth_ - 1 >= owner_.checkFromDepth_) {
-      if (owner_.cache_.checkAndInsert(
-              owner_.recorder().fingerprint(*owner_.dpor_.cachePrefixes))) {
-        return kAbandon;
-      }
-    }
-
     if (depth_ < owner_.nodes_.size()) {
       // Replay (or enter the flipped sibling at the deepest retained node).
       const auto& node = owner_.nodes_[depth_];
@@ -53,10 +44,8 @@ class DporScheduler final : public runtime::Scheduler {
     DporExplorer::DporNode node;
     node.enabled = exec.enabled();
     node.sleepIn = pendingSleep_;
-    const support::ThreadSet candidates =
-        owner_.dpor_.sleepSets ? node.enabled.minus(node.sleepIn) : node.enabled;
+    const support::ThreadSet candidates = node.enabled.minus(node.sleepIn);
     if (candidates.empty()) {
-      ++owner_.sleepPrunes_;
       return kAbandon;  // every enabled transition is covered elsewhere
     }
     node.chosen = candidates.first();
@@ -189,7 +178,6 @@ class DporScheduler final : public runtime::Scheduler {
   /// the transition just chosen.
   void stashChildSleep(const runtime::Execution& exec, std::size_t depth, int chosen) {
     pendingSleep_.clear();
-    if (!owner_.dpor_.sleepSets) return;
     const auto& node = owner_.nodes_[depth];
     const support::ThreadSet sleepers = node.sleepIn.unionWith(node.done);
     if (sleepers.empty()) return;
@@ -210,15 +198,15 @@ class DporScheduler final : public runtime::Scheduler {
   std::vector<std::int32_t> conflictScratch_;
 };
 
-DporExplorer::DporExplorer(ExplorerOptions options, DporOptions dpor)
-    : ExplorerBase(options, /*fullClocks=*/true), dpor_(dpor) {}
+DporExplorer::DporExplorer(ExplorerOptions options)
+    : ExplorerBase(options, /*fullClocks=*/true) {}
 
 bool DporExplorer::advance() {
   while (!nodes_.empty()) {
     DporNode& node = nodes_.back();
     node.done.insert(node.chosen);
-    support::ThreadSet next = node.backtrack.minus(node.done);
-    if (dpor_.sleepSets) next = next.minus(node.sleepIn);
+    const support::ThreadSet next =
+        node.backtrack.minus(node.done).minus(node.sleepIn);
     if (!next.empty()) {
       node.chosen = next.first();
       checkFromDepth_ = nodes_.size() - 1;
@@ -242,11 +230,7 @@ void DporExplorer::runSearch(const Program& program) {
       return;
     }
     DporScheduler scheduler(*this, startDepth);
-    const runtime::Outcome outcome = executeSchedule(program, scheduler);
-    if (dpor_.cachePrefixes && outcome != runtime::Outcome::Abandoned &&
-        recorder().eventCount() > 0) {
-      cache_.insert(recorder().fingerprint(*dpor_.cachePrefixes));
-    }
+    (void)executeSchedule(program, scheduler);
     if (!advance()) {
       markComplete();
       return;

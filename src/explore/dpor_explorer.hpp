@@ -1,8 +1,8 @@
 // lazyhb/explore/dpor_explorer.hpp
 //
 // Dynamic partial-order reduction (Flanagan & Godefroid, POPL 2005) with
-// optional sleep sets — the POR technique the paper's Figure 2 experiment
-// runs (it uses the regular HBR).
+// sleep sets — the POR technique the paper's Figure 2 experiment runs (it
+// uses the regular HBR).
 //
 // At every new state along the current path, for every thread p with a
 // pending operation, DPOR finds the most recent executed event i that is
@@ -14,46 +14,26 @@
 // descends into backtrack-set children instead of all enabled children.
 //
 // Sleep sets additionally prune schedules that merely commute independent
-// transitions already explored at the same node.
-//
-// As a §4 "future work" experiment, the explorer can also consult an
-// HBR-prefix cache (Full or Lazy relation) exactly like CachingExplorer.
-// This combination is EXPERIMENTAL: DPOR's coverage argument assumes a
-// subtree, once entered, is explored to its backtrack-completion, which an
-// external cache prune can violate; the test suite quantifies (and the
-// benches report) its behaviour separately.
+// transitions already explored at the same node. DPOR consults no prefix
+// cache: its coverage argument assumes a subtree, once entered, is explored
+// to its backtrack-completion, which a cache prune can violate.
 
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "core/dependence.hpp"
-#include "core/hbr_cache.hpp"
 #include "explore/explorer.hpp"
 #include "support/thread_set.hpp"
 
 namespace lazyhb::explore {
 
-struct DporOptions {
-  bool sleepSets = true;
-  /// Experimental (§4): also prune on cached (lazy) HBR prefixes.
-  std::optional<trace::Relation> cachePrefixes;
-};
-
 class DporExplorer final : public ExplorerBase {
  public:
-  DporExplorer(ExplorerOptions options, DporOptions dpor = {});
-
-  /// Number of executions abandoned because every enabled thread was asleep.
-  [[nodiscard]] std::uint64_t sleepSetPrunes() const noexcept { return sleepPrunes_; }
-  [[nodiscard]] const core::HbrCache& cache() const noexcept { return cache_; }
+  explicit DporExplorer(ExplorerOptions options);
 
  protected:
   void runSearch(const Program& program) override;
-  [[nodiscard]] const core::HbrCache* prefixCache() const noexcept override {
-    return dpor_.cachePrefixes ? &cache_ : nullptr;
-  }
 
  private:
   struct DporNode {
@@ -69,11 +49,8 @@ class DporExplorer final : public ExplorerBase {
   /// Deepest-first sibling advance honouring backtrack and sleep sets.
   bool advance();
 
-  DporOptions dpor_;
   std::vector<DporNode> nodes_;
   std::size_t checkFromDepth_ = 0;
-  std::uint64_t sleepPrunes_ = 0;
-  core::HbrCache cache_;
 };
 
 }  // namespace lazyhb::explore

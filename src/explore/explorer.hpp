@@ -7,14 +7,17 @@
 // property violations found (with replayable schedules).
 //
 // Concrete strategies:
-//   DfsExplorer      — naive depth-first enumeration of all schedules.
+//   DfsExplorer      — depth-first enumeration of the schedule tree, keyed
+//                      on an optional prefix-cache relation: none gives the
+//                      naive enumeration of all schedules, Full
+//                      Musuvathi–Qadeer HBR caching, Lazy the paper's lazy
+//                      HBR caching, Value value-class caching
+//                      (explore/dfs_explorer.hpp).
 //   DporExplorer     — Flanagan–Godefroid dynamic partial-order reduction
-//                      with optional sleep sets (explore/dpor_explorer.hpp).
-//   CachingExplorer  — DFS with HBR-prefix caching, parameterised on the
-//                      relation: Full gives Musuvathi–Qadeer HBR caching,
-//                      Lazy gives the paper's lazy HBR caching
-//                      (explore/caching_explorer.hpp).
+//                      with sleep sets (explore/dpor_explorer.hpp).
 //   RandomExplorer   — uniform random walks (explore/random_explorer.hpp).
+//   ParallelExplorer — DfsExplorer sharded across threads
+//                      (explore/parallel_explorer.hpp).
 
 #pragma once
 
@@ -89,7 +92,7 @@ struct ExplorerOptions {
   /// Shard the schedule tree of this one scenario across this many OS
   /// threads (explore/parallel_explorer.hpp). 1 = classic sequential
   /// search. Only the tree searches with order-independent counts support
-  /// sharding (dfs and the caching explorers); for other strategies — or
+  /// sharding (dfs and the caching modes); for other strategies — or
   /// option combinations that are inherently order-sensitive
   /// (stopOnFirstViolation, checkTheorems) — the factory falls back to the
   /// sequential explorer and this field is advisory. All observable counts

@@ -10,7 +10,6 @@
 
 #include "campaign/work_stealing_pool.hpp"
 #include "core/hbr_cache.hpp"
-#include "explore/caching_explorer.hpp"
 #include "explore/dfs_explorer.hpp"
 #include "explore/prefix_replay.hpp"
 #include "runtime/execution.hpp"
@@ -69,9 +68,9 @@ bool violationLess(const ViolationRecord& a, const ViolationRecord& b) {
 /// Everything alive only during one explore() call: the frontier pool, the
 /// shared cache, the per-worker contexts and the global coordination state.
 struct ParallelExplorer::Impl {
-  Impl(const ExplorerOptions& opts, std::optional<trace::Relation> rel,
+  Impl(const ExplorerOptions& opts, std::optional<trace::Relation> key,
        std::uint64_t seed)
-      : options(opts), relation(rel), pool(opts.workers, seed) {
+      : options(opts), cacheKey(key), pool(opts.workers, seed) {
     const int n = pool.workerCount();
     // Each worker runs its own replay engine, so the scenario's snapshot
     // budget is split evenly across them — the combined footprint stays
@@ -88,7 +87,7 @@ struct ParallelExplorer::Impl {
   }
 
   const ExplorerOptions& options;
-  std::optional<trace::Relation> relation;
+  std::optional<trace::Relation> cacheKey;
   campaign::WorkStealingPool pool;
   std::vector<std::unique_ptr<WorkerContext>> contexts;
   core::HbrCache cache;  ///< shared; unused (empty) for plain DFS
@@ -112,16 +111,16 @@ void ParallelExplorer::Impl::submitJob(FrontierJob job) {
 }
 
 /// One schedule through the worker's tally; the caching terminal seeding
-/// from CachingExplorer::runSearch lives here too.
+/// from DfsExplorer::runSearch lives here too.
 runtime::Outcome ParallelExplorer::Impl::executeOne(WorkerContext& cx,
                                                     runtime::Scheduler& sched) {
   const runtime::Outcome outcome =
       cx.tally.execute(cx.engine, cx.recorder, *program, sched);
-  if (relation.has_value() && outcome != runtime::Outcome::Abandoned &&
+  if (cacheKey && outcome != runtime::Outcome::Abandoned &&
       cx.recorder.eventCount() > 0) {
     // The final event's prefix is never tested by the scheduler (there is
     // no further pick); seed it so any worker can prune against it.
-    cache.insert(cx.recorder.fingerprint(*relation));
+    cache.insert(cx.recorder.fingerprint(*cacheKey));
   }
   return outcome;
 }
@@ -197,9 +196,9 @@ void ParallelExplorer::Impl::runJob(FrontierJob job) {
     }
 
     std::function<bool()> pruneHook;
-    if (relation.has_value()) {
+    if (cacheKey) {
       pruneHook = [this, &cx] {
-        return cache.checkAndInsert(cx.recorder.fingerprint(*relation));
+        return cache.checkAndInsert(cx.recorder.fingerprint(*cacheKey));
       };
     }
     TreeScheduler scheduler(state, std::move(pruneHook), &cx.engine,
@@ -212,39 +211,20 @@ void ParallelExplorer::Impl::runJob(FrontierJob job) {
 }
 
 ParallelExplorer::ParallelExplorer(ExplorerOptions options,
-                                   ParallelStrategy strategy,
+                                   std::optional<trace::Relation> cacheKey,
                                    std::uint64_t seed)
-    : options_(options), strategy_(strategy), seed_(seed) {
+    : options_(options), cacheKey_(cacheKey), seed_(seed) {
   LAZYHB_CHECK(shardable(options));
 }
 
 ParallelExplorer::~ParallelExplorer() = default;
 
-std::optional<trace::Relation> ParallelExplorer::relation() const noexcept {
-  switch (strategy_) {
-    case ParallelStrategy::Dfs:
-      return std::nullopt;
-    case ParallelStrategy::CachingFull:
-      return trace::Relation::Full;
-    case ParallelStrategy::CachingLazy:
-      return trace::Relation::Lazy;
-    case ParallelStrategy::CachingValue:
-      return trace::Relation::Value;
-  }
-  return std::nullopt;
-}
-
 ExplorationResult ParallelExplorer::runSequentialFallback(
     const Program& program) {
   ExplorerOptions sequential = options_;
   sequential.workers = 1;
-  std::unique_ptr<Explorer> explorer;
-  if (const std::optional<trace::Relation> rel = relation()) {
-    explorer = std::make_unique<CachingExplorer>(sequential, *rel);
-  } else {
-    explorer = std::make_unique<DfsExplorer>(sequential);
-  }
-  ExplorationResult result = explorer->explore(program);
+  DfsExplorer explorer(sequential, cacheKey_);
+  ExplorationResult result = explorer.explore(program);
   result.parallel.workers = options_.workers;
   result.parallel.fellBackSequential = true;
   return result;
@@ -254,7 +234,7 @@ ExplorationResult ParallelExplorer::explore(const Program& program) {
   LAZYHB_CHECK(!explored_);
   explored_ = true;
 
-  Impl impl(options_, relation(), seed_);
+  Impl impl(options_, cacheKey_, seed_);
   impl.program = &program;
 
   std::vector<campaign::WorkStealingPool::Task> roots;
@@ -308,7 +288,7 @@ ExplorationResult ParallelExplorer::explore(const Program& program) {
             });
   result.races = std::move(races);
 
-  if (relation().has_value()) result.cacheStats = cacheStatsOf(impl.cache);
+  if (cacheKey_) result.cacheStats = cacheStatsOf(impl.cache);
   return result;
 }
 

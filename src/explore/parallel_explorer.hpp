@@ -66,23 +66,16 @@
 
 namespace lazyhb::explore {
 
-/// Which sequential search a ParallelExplorer shards. The tree searches
-/// with order-independent counts.
-enum class ParallelStrategy {
-  Dfs,           ///< naive enumeration, no cache
-  CachingFull,   ///< Musuvathi–Qadeer HBR caching (shared cache, Full keys)
-  CachingLazy,   ///< the paper's lazy HBR caching (shared cache, Lazy keys)
-  CachingValue,  ///< value-class caching (shared cache, Value keys)
-};
-
 class ParallelExplorer final : public Explorer {
  public:
-  /// `options.workers` must be >= 2 (use the sequential strategy classes
-  /// for 1), and options must not request stopOnFirstViolation or
-  /// checkTheorems (the factory routes those to sequential explorers).
-  /// `seed` roots the frontier pool's per-worker victim-selection RNGs.
-  ParallelExplorer(ExplorerOptions options, ParallelStrategy strategy,
-                   std::uint64_t seed);
+  /// Shards DfsExplorer(options, cacheKey): `cacheKey` is its prefix-cache
+  /// key, shared by every worker, or nullopt for plain DFS.
+  /// `options.workers` must be >= 2 (use DfsExplorer for 1), and options
+  /// must not request stopOnFirstViolation or checkTheorems (the factory
+  /// routes those to sequential explorers). `seed` roots the frontier
+  /// pool's per-worker victim-selection RNGs.
+  ParallelExplorer(ExplorerOptions options,
+                   std::optional<trace::Relation> cacheKey, std::uint64_t seed);
   ~ParallelExplorer() override;
 
   [[nodiscard]] ExplorationResult explore(const Program& program) override;
@@ -90,7 +83,6 @@ class ParallelExplorer final : public Explorer {
   [[nodiscard]] const ExplorerOptions& options() const noexcept override {
     return options_;
   }
-  [[nodiscard]] ParallelStrategy strategy() const noexcept { return strategy_; }
 
   /// True when `options` can be sharded at all (the factory's gate):
   /// workers >= 2 and none of the order-sensitive options — no
@@ -106,15 +98,12 @@ class ParallelExplorer final : public Explorer {
  private:
   struct Impl;
 
-  /// The caching relation, or nullopt for plain DFS.
-  [[nodiscard]] std::optional<trace::Relation> relation() const noexcept;
-
-  /// Re-run the scenario with the matching sequential explorer (budget
-  /// abort path). Returns its result with parallel.fellBackSequential set.
+  /// Re-run the scenario with DfsExplorer(options, cacheKey) (budget abort
+  /// path). Returns its result with parallel.fellBackSequential set.
   [[nodiscard]] ExplorationResult runSequentialFallback(const Program& program);
 
   ExplorerOptions options_;
-  ParallelStrategy strategy_;
+  std::optional<trace::Relation> cacheKey_;
   std::uint64_t seed_;
   bool explored_ = false;
 };

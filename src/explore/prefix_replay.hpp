@@ -3,7 +3,7 @@
 // The incremental prefix-replay engine: the piece that lets a tree search
 // pay only for the *suffix* of each schedule past its divergence point.
 //
-// Tree searches (DFS, the caching explorers, DPOR) visit schedules in an
+// Tree searches (DFS, cached or not, and DPOR) visit schedules in an
 // order where consecutive schedules share a — usually deep — prefix: the
 // next schedule is "the previous one up to depth d, then a different
 // sibling". Classic stateless exploration re-runs the program from scratch

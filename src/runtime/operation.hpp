@@ -61,7 +61,7 @@ enum class OpKind : std::uint8_t {
 /// discards: blocking lock, unlock, and the condvar wait steps (which are an
 /// unlock and a lock in disguise). TryLock is deliberately excluded — its
 /// result observes the mutex state, so erasing its edges would break
-/// Theorem 2.2 (see DESIGN.md §4).
+/// Theorem 2.2 (see docs/architecture.md §2–3).
 [[nodiscard]] constexpr bool isLazyErasableMutexOp(OpKind kind) noexcept {
   return kind == OpKind::Lock || kind == OpKind::Unlock ||
          kind == OpKind::Wait || kind == OpKind::Reacquire;

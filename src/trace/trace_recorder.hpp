@@ -11,7 +11,8 @@
 //   Lazy  — the paper's lazy HBR: Full minus the inter-thread edges induced
 //           by blocking lock/unlock (and condvar wait's hidden unlock/lock).
 //           TryLock edges are retained: a trylock observes the mutex state,
-//           so erasing them would break Theorem 2.2 (see DESIGN.md).
+//           so erasing them would break Theorem 2.2 (see
+//           docs/architecture.md §2–3).
 //   Value — not a relation but an observation equivalence, coarser than
 //           Lazy (value-centric DPOR's framing): two prefixes are
 //           value-equivalent when they executed the same operations and
@@ -48,7 +49,7 @@
 //
 // The recorder builds only what a consumer declared at construction
 // (Options). Always: the Full/Lazy/Value prefix fingerprints, which is all
-// the caching explorers and the counts read. The predecessor half — event
+// the caching searches and the counts read. The predecessor half — event
 // records, the per-object cursors predecessors are collected from, and
 // what is built from the lists — runs only when one of these is set:
 //   fullClocks       — Full clock rows (DPOR's happens-before test);

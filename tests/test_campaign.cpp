@@ -33,7 +33,8 @@ TEST(ExplorerSpec, ParsesEveryCanonicalName) {
   for (const campaign::ExplorerSpec& spec : campaign::allExplorers()) {
     const auto parsed = campaign::parseExplorerSpec(spec.name);
     ASSERT_TRUE(parsed.has_value()) << spec.name;
-    EXPECT_EQ(parsed->kind, spec.kind);
+    EXPECT_EQ(parsed->search, spec.search);
+    EXPECT_EQ(parsed->cacheKey, spec.cacheKey);
     EXPECT_EQ(parsed->name, spec.name);
   }
   EXPECT_EQ(campaign::allExplorers().size(), 5u);

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "explore/caching_explorer.hpp"
 #include "explore/dfs_explorer.hpp"
 #include "explore/dpor_explorer.hpp"
 #include "explore/explorer.hpp"
@@ -47,17 +46,15 @@ inline explore::ExplorationResult runDfs(const explore::Program& p,
   return explorer.explore(p);
 }
 
-inline explore::ExplorationResult runDpor(const explore::Program& p, bool sleepSets = true,
+inline explore::ExplorationResult runDpor(const explore::Program& p,
                                           std::uint64_t limit = 200'000) {
-  explore::DporOptions dpor;
-  dpor.sleepSets = sleepSets;
-  explore::DporExplorer explorer(smallOptions(limit), dpor);
+  explore::DporExplorer explorer(smallOptions(limit));
   return explorer.explore(p);
 }
 
 inline explore::ExplorationResult runCaching(const explore::Program& p, trace::Relation r,
                                              std::uint64_t limit = 200'000) {
-  explore::CachingExplorer explorer(smallOptions(limit), r);
+  explore::DfsExplorer explorer(smallOptions(limit), r);
   return explorer.explore(p);
 }
 

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "explore/caching_explorer.hpp"
 #include "explore/dfs_explorer.hpp"
 #include "memory/memory_model.hpp"
 #include "explore/dpor_explorer.hpp"
@@ -332,9 +331,9 @@ TEST(IncrementalReplay, CachingAndDporCountsIdenticalAcrossModes) {
     const programs::ProgramSpec* spec = programs::byName(name);
     ASSERT_NE(spec, nullptr) << name;
     for (const trace::Relation relation :
-         {trace::Relation::Full, trace::Relation::Lazy}) {
-      explore::CachingExplorer off(optionsFor(false, false), relation);
-      explore::CachingExplorer on(optionsFor(true, spec->checkpointable), relation);
+         {trace::Relation::Full, trace::Relation::Lazy, trace::Relation::Value}) {
+      explore::DfsExplorer off(optionsFor(false, false), relation);
+      explore::DfsExplorer on(optionsFor(true, spec->checkpointable), relation);
       expectSameContractStats(
           off.explore(spec->body), on.explore(spec->body),
           std::string(name) + " caching-" + trace::relationName(relation));
@@ -591,7 +590,7 @@ TEST(IncrementalReplay, CountsIdenticalAcrossBudgetAndWorkerMatrix) {
           expectSameContractStats(baseline, on.explore(spec->body), label);
         } else {
           ASSERT_TRUE(explore::ParallelExplorer::shardable(options)) << label;
-          explore::ParallelExplorer on(options, explore::ParallelStrategy::Dfs,
+          explore::ParallelExplorer on(options, /*cacheKey=*/std::nullopt,
                                        /*seed=*/42);
           expectSameContractStats(baseline, on.explore(spec->body), label);
         }

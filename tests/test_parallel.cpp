@@ -93,10 +93,10 @@ void expectCountsIdentical(const explore::ExplorationResult& sequential,
 
 // The golden corpus slice of tests/test_golden_counts.cpp (whose absolute
 // values that suite pins); here each cell's sequential result is the
-// baseline its parallel runs must match byte-for-byte. All five explorer
-// modes are exercised: dfs / caching-full / caching-lazy shard, while
-// random / dpor must come out of the factory sequential — and therefore
-// trivially identical — whatever --workers says.
+// baseline its parallel runs must match byte-for-byte. All six explorer
+// modes are exercised: dfs / caching-full / caching-lazy / caching-value
+// shard, while random / dpor must come out of the factory sequential — and
+// therefore trivially identical — whatever --workers says.
 #if defined(LAZYHB_TSAN_BUILD)
 const char* const kGoldenPrograms[] = {
     "disjoint-lock-2", "cas-counter-3", "deadlock-ab",
@@ -112,7 +112,7 @@ constexpr std::uint64_t kMatrixLimit = 200;
 constexpr int kMatrixWorkerCounts[] = {2, 4, 8};
 #endif
 const char* const kExplorerModes[] = {
-    "dfs", "random", "dpor", "caching-full", "caching-lazy",
+    "dfs", "random", "dpor", "caching-full", "caching-lazy", "caching-value",
 };
 
 TEST(ParallelCountIdentity, GoldenMatrixAtAllWorkerCounts) {

@@ -54,7 +54,7 @@ TEST_P(CorpusSweep, CountingChainAndTheoremsHold) {
   options.scheduleLimit = 1500;
   options.maxEventsPerSchedule = 4096;
   options.checkTheorems = true;
-  explore::DporExplorer explorer(options, explore::DporOptions{});
+  explore::DporExplorer explorer(options);
   const auto result = explorer.explore(spec.body);
 
   // Every benchmark must actually run: schedules executed, events committed,
@@ -117,7 +117,7 @@ TEST_P(WeakMemTsoSweep, TsoBugClassificationAndChainsHold) {
   options.maxEventsPerSchedule = 4096;
   options.checkTheorems = true;
   options.memoryModel = memory::MemoryModel::Tso;
-  explore::DporExplorer explorer(options, explore::DporOptions{});
+  explore::DporExplorer explorer(options);
   const auto result = explorer.explore(spec.body);
 
   EXPECT_GT(result.schedulesExecuted, 0u) << spec.name;

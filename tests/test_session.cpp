@@ -7,7 +7,7 @@
 // to constructing the explorer by hand the way consumers did before the
 // facade existed. The sample spans the corpus regimes (coarse locking,
 // noisy counters, condvars, trylock, CAS, deadlock and lost-signal bugs)
-// and runs all five canonical strategies over each.
+// and runs all six strategies over each.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "campaign/explorer_spec.hpp"
-#include "explore/caching_explorer.hpp"
 #include "explore/dfs_explorer.hpp"
 #include "explore/dpor_explorer.hpp"
 #include "explore/random_explorer.hpp"
@@ -104,11 +103,15 @@ explore::ExplorationResult runDirect(const std::string& strategy,
     return explorer.explore(program);
   }
   if (strategy == "caching-full") {
-    explore::CachingExplorer explorer(options, trace::Relation::Full);
+    explore::DfsExplorer explorer(options, trace::Relation::Full);
     return explorer.explore(program);
   }
   if (strategy == "caching-lazy") {
-    explore::CachingExplorer explorer(options, trace::Relation::Lazy);
+    explore::DfsExplorer explorer(options, trace::Relation::Lazy);
+    return explorer.explore(program);
+  }
+  if (strategy == "caching-value") {
+    explore::DfsExplorer explorer(options, trace::Relation::Value);
     return explorer.explore(program);
   }
   ADD_FAILURE() << "unknown strategy " << strategy;
@@ -134,13 +137,14 @@ TEST(SessionParity, CountsMatchDirectConstructionAcrossStrategies) {
     const programs::ProgramSpec* spec = programs::byName(parity.program);
     ASSERT_NE(spec, nullptr) << parity.program;
     const memory::MemoryModel model = *memory::parseMemoryModel(parity.memoryModel);
-    for (const campaign::ExplorerSpec& mode : campaign::allExplorers()) {
-      SCOPED_TRACE(std::string(parity.program) + " x " + mode.name + " under " +
+    // Every mode, the extended caching-value included.
+    for (const std::string& mode : Session::strategies()) {
+      SCOPED_TRACE(std::string(parity.program) + " x " + mode + " under " +
                    parity.memoryModel);
       const explore::ExplorationResult direct =
-          runDirect(mode.name, spec->body, spec->checkpointable, model);
+          runDirect(mode, spec->body, spec->checkpointable, model);
       const TestReport viaSession = Session()
-                                        .strategy(mode.name)
+                                        .strategy(mode)
                                         .schedules(kParityLimit)
                                         .seed(kParitySeed)
                                         .memoryModel(parity.memoryModel)
@@ -200,26 +204,31 @@ TEST(Session, UnknownRelationThrows) {
 
 TEST(Session, StrategiesListsCanonicalThenExtended) {
   const std::vector<std::string> names = Session::strategies();
-  ASSERT_EQ(names.size(), 8u);
+  ASSERT_EQ(names.size(), 6u);
   EXPECT_EQ(names[0], "dfs");
   EXPECT_EQ(names[4], "caching-lazy");
-  EXPECT_EQ(names[5], "dpor-nosleep");
-  EXPECT_EQ(names[6], "dpor-lazy-cache");
-  EXPECT_EQ(names[7], "caching-value");
+  EXPECT_EQ(names[5], "caching-value");
   for (const std::string& name : names) {
     EXPECT_TRUE(campaign::parseExplorerSpec(name).has_value()) << name;
   }
 }
 
 TEST(Session, ExtendedStrategiesRunButStayOutOfTheCanonicalMatrix) {
-  const TestReport nosleep = Session()
-                                 .strategy("dpor-nosleep")
-                                 .schedules(kParityLimit)
-                                 .run("disjoint-lock-2");
-  EXPECT_GT(nosleep.schedulesExecuted, 0u);
+  const TestReport value = Session()
+                               .strategy("caching-value")
+                               .schedules(kParityLimit)
+                               .run("disjoint-lock-2");
+  EXPECT_GT(value.schedulesExecuted, 0u);
+  EXPECT_TRUE(value.cacheStats.enabled);
   for (const campaign::ExplorerSpec& spec : campaign::allExplorers()) {
-    EXPECT_NE(spec.name, "dpor-nosleep");
-    EXPECT_NE(spec.name, "dpor-lazy-cache");
+    EXPECT_NE(spec.name, "caching-value");
+  }
+  // The retired DPOR ablation modes are unknown names, not silent aliases.
+  for (const char* retired : {"dpor-nosleep", "dpor-lazy-cache"}) {
+    EXPECT_FALSE(campaign::parseExplorerSpec(retired).has_value()) << retired;
+    EXPECT_THROW((void)Session().strategy(retired).run("disjoint-lock-2"),
+                 std::invalid_argument)
+        << retired;
   }
 }
 
