@@ -14,9 +14,16 @@
 // each relation achieves: classes per state.
 
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
-#include "bench_common.hpp"
 #include "campaign/explorer_spec.hpp"
+#include "campaign/work_stealing_pool.hpp"
+#include "core/equivalence.hpp"
+#include "programs/registry.hpp"
+#include "support/options.hpp"
+#include "support/table.hpp"
 
 using namespace lazyhb;
 
@@ -74,12 +81,21 @@ Row checkBenchmark(const programs::ProgramSpec& spec, std::uint64_t limit,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto options = bench::corpusOptions(
+  support::Options options(
       "tab_theorem_check",
       "empirical verification of Theorems 2.1/2.2 and value soundness");
+  options.addInt("limit", 10000, "schedule budget per benchmark (paper: 100000)");
+  options.addInt("jobs", 4, "worker threads (benchmarks explored in parallel)");
+  options.addInt("max-events", 65536, "per-schedule event budget");
+  options.addFlag("csv", "also print machine-readable CSV");
+  options.addString("only", "", "run a single benchmark by name");
   if (!options.parse(argc, argv)) return options.parseError() ? 1 : 0;
 
-  const auto corpus = bench::selectCorpus(options);
+  std::vector<const programs::ProgramSpec*> corpus;
+  const std::string only = options.getString("only");
+  for (const auto& spec : programs::all()) {
+    if (only.empty() || spec.name == only) corpus.push_back(&spec);
+  }
   const auto limit = static_cast<std::uint64_t>(options.getInt("limit"));
   const auto maxEvents = static_cast<std::uint32_t>(options.getInt("max-events"));
 
@@ -87,11 +103,16 @@ int main(int argc, char** argv) {
               "%llu-schedule budget\n\n",
               static_cast<unsigned long long>(limit));
 
-  const auto rows = bench::runCorpus<Row>(
-      corpus, static_cast<int>(options.getInt("jobs")),
-      [&](const programs::ProgramSpec& spec) {
-        return checkBenchmark(spec, limit, maxEvents);
-      });
+  // Benchmarks are independent: explore them across a work-stealing pool,
+  // each result landing in its corpus slot.
+  std::vector<Row> rows(corpus.size());
+  std::vector<campaign::WorkStealingPool::Task> tasks;
+  tasks.reserve(corpus.size());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    tasks.push_back([&, i] { rows[i] = checkBenchmark(*corpus[i], limit, maxEvents); });
+  }
+  campaign::WorkStealingPool(static_cast<int>(options.getInt("jobs")))
+      .run(std::move(tasks));
 
   support::Table table({"id", "benchmark", "terminal-scheds", "HBR-classes",
                         "lazy-classes", "value-classes", "states",
@@ -121,7 +142,11 @@ int main(int argc, char** argv) {
     table.cell(row.thm22.conflicts);
     table.cell(row.thmValue.conflicts);
   }
-  bench::emit(table, options.getFlag("csv"));
+  std::fputs(table.toText().c_str(), stdout);
+  if (options.getFlag("csv")) {
+    std::fputs("\n--- CSV ---\n", stdout);
+    std::fputs(table.toCsv().c_str(), stdout);
+  }
 
   std::printf("\n%s terminal schedules checked; %llu theorem conflicts"
               " (must be 0: equal-(lazy)HBR and equal-value-class schedules"

@@ -99,19 +99,6 @@ ProgramSummary summarizeProgram(const std::vector<const CellResult*>& row) {
 
 }  // namespace
 
-core::BenchmarkCounts CellResult::counts() const {
-  core::BenchmarkCounts c;
-  c.name = program;
-  c.id = programId;
-  c.schedules = stats.schedulesExecuted;
-  c.hbrs = stats.distinctHbrs;
-  c.lazyHbrs = stats.distinctLazyHbrs;
-  c.valueClasses = stats.distinctValueClasses;
-  c.states = stats.distinctStates;
-  c.hitScheduleLimit = stats.hitScheduleLimit;
-  return c;
-}
-
 CampaignResult foldCells(std::vector<CellResult> cells,
                          const std::vector<std::string>& explorerOrder) {
   LAZYHB_CHECK(!explorerOrder.empty());
@@ -392,8 +379,8 @@ CampaignResult runCampaign(const CampaignOptions& options) {
         if (!cell.failed()) {
           // A timed-out prefix still satisfies the §3 chain (every count is
           // a prefix of the full run's), so the check stays on.
-          cell.inequalityDiagnostic = core::checkCountingChain(
-              cell.counts(), options.explorer.scheduleLimit);
+          cell.inequalityDiagnostic = checkCountingChain(
+              cell.program, cell.stats, options.explorer.scheduleLimit);
         }
 
         if (cell.timedOut || cell.failed()) {
@@ -442,43 +429,61 @@ CampaignResult runCampaign(const CampaignOptions& options) {
   return result;
 }
 
-std::vector<core::BenchmarkCounts> fig2Counts(const CampaignResult& result) {
-  std::vector<core::BenchmarkCounts> rows;
-  rows.reserve(result.programs.size());
-  for (const CellResult& cell : result.cells) {
-    if (cell.explorer == "dpor") rows.push_back(cell.counts());
+std::string checkCountingChain(const std::string& program,
+                               const ExplorationStats& stats,
+                               std::uint64_t scheduleLimit) {
+  const auto fail = [&](const char* link) {
+    return program + ": counting chain violated (" + link + ")";
+  };
+  if (stats.distinctStates > stats.distinctValueClasses) {
+    return fail("#states > #valueClasses");
   }
-  return rows;
+  if (stats.distinctValueClasses > stats.distinctLazyHbrs) {
+    return fail("#valueClasses > #lazyHBRs");
+  }
+  if (stats.distinctLazyHbrs > stats.distinctHbrs) return fail("#lazyHBRs > #HBRs");
+  if (stats.distinctHbrs > stats.schedulesExecuted) return fail("#HBRs > #schedules");
+  if (stats.schedulesExecuted > scheduleLimit) return fail("#schedules > limit");
+  return std::string();
 }
 
-std::vector<core::CachingCounts> fig3Counts(const CampaignResult& result) {
-  std::vector<core::CachingCounts> rows;
-  // Walk program rows; emit one row where both caching cells are present.
-  for (std::size_t i = 0; i < result.cells.size();) {
-    std::size_t j = i;
-    const CellResult* full = nullptr;
-    const CellResult* lazy = nullptr;
-    while (j < result.cells.size() &&
-           result.cells[j].programId == result.cells[i].programId) {
-      if (result.cells[j].explorer == "caching-full") full = &result.cells[j];
-      if (result.cells[j].explorer == "caching-lazy") lazy = &result.cells[j];
-      ++j;
+Figure2Summary foldFigure2(const std::vector<ProgramSummary>& programs) {
+  Figure2Summary s;
+  for (const ProgramSummary& program : programs) {
+    if (!program.hasDpor) continue;
+    ++s.benchmarks;
+    if (program.belowDiagonal) {
+      ++s.belowDiagonal;
+      s.hbrsBelow += program.dporHbrs;
+      s.lazyHbrsBelow += program.dporLazyHbrs;
     }
-    if (full != nullptr && lazy != nullptr) {
-      core::CachingCounts row;
-      row.name = full->program;
-      row.id = full->programId;
-      row.lazyHbrsByRegularCaching = full->stats.distinctLazyHbrs;
-      row.lazyHbrsByLazyCaching = lazy->stats.distinctLazyHbrs;
-      row.schedulesRegular = full->stats.schedulesExecuted;
-      row.schedulesLazy = lazy->stats.schedulesExecuted;
-      row.hitScheduleLimit =
-          full->stats.hitScheduleLimit || lazy->stats.hitScheduleLimit;
-      rows.push_back(row);
-    }
-    i = j;
   }
-  return rows;
+  s.redundantHbrs = s.hbrsBelow - s.lazyHbrsBelow;
+  if (s.hbrsBelow > 0) {
+    s.redundantPercent = 100.0 * static_cast<double>(s.redundantHbrs) /
+                         static_cast<double>(s.hbrsBelow);
+  }
+  return s;
+}
+
+Figure3Summary foldFigure3(const std::vector<ProgramSummary>& programs) {
+  Figure3Summary s;
+  for (const ProgramSummary& program : programs) {
+    if (!program.hasCachingPair) continue;
+    ++s.benchmarks;
+    if (program.cachingDiffers) {
+      ++s.differing;
+      s.extraLazyHbrs += program.lazyHbrsByLazyCaching - program.lazyHbrsByFullCaching;
+      s.regularOnDiffering += program.lazyHbrsByFullCaching;
+    } else if (program.lazyHbrsByFullCaching > program.lazyHbrsByLazyCaching) {
+      ++s.regularWon;
+    }
+  }
+  if (s.regularOnDiffering > 0) {
+    s.extraPercent = 100.0 * static_cast<double>(s.extraLazyHbrs) /
+                     static_cast<double>(s.regularOnDiffering);
+  }
+  return s;
 }
 
 }  // namespace lazyhb::campaign

@@ -2,12 +2,12 @@
 //
 // The corpus campaign layer: the paper's evaluation is a *campaign* — every
 // benchmark run under every technique, with the interesting quantities (the
-// §3 chain #states ≤ #lazyHBRs ≤ #HBRs ≤ #schedules, the Figure 2/3
-// redundancy gaps) emerging only from the aggregate. This layer owns the
-// (program × explorer) matrix: it fans the cells out across hardware
-// threads (WorkStealingPool), times each cell, feeds a thread-safe
-// Aggregator, and folds the cells into per-program and per-explorer
-// summaries plus campaign totals.
+// §3 chain, the Figure 2/3 redundancy gaps) emerging only from the
+// aggregate. This layer owns the (program × explorer) matrix: it fans the
+// cells out across hardware threads (WorkStealingPool), times each cell,
+// checks each cell's §3 chain, feeds a thread-safe Aggregator, and folds
+// the cells into per-program and per-explorer summaries plus campaign
+// totals. The Figure 2 and Figure 3 summaries fold the per-program rows.
 //
 // Determinism contract: each cell constructs its own single-use explorer
 // from its ExplorerSpec, the engine under it is single-threaded, and
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "campaign/explorer_spec.hpp"
-#include "core/redundancy.hpp"
 #include "explore/explorer.hpp"
 #include "lazyhb/progress.hpp"
 #include "programs/registry.hpp"
@@ -40,8 +39,7 @@ struct CellResult {
   explore::ExplorationResult stats;
   double wallSeconds = 0.0;
   /// Exploration throughput: logical events (elided ones included) per
-  /// second — the v2-compatible headline rate; incremental replay raises it
-  /// by eliding re-execution.
+  /// second; incremental replay raises it by eliding re-execution.
   double eventsPerSecond = 0.0;
   /// Hardware throughput: executed (non-elided) events per second — the
   /// per-event-cost view, immune to elision inflating the numerator.
@@ -60,9 +58,6 @@ struct CellResult {
     return inequalityDiagnostic.empty();
   }
   [[nodiscard]] bool failed() const noexcept { return !error.empty(); }
-  /// The cell's counts in the shape core::summarizeFig2 / checkCountingChain
-  /// consume.
-  [[nodiscard]] core::BenchmarkCounts counts() const;
 };
 
 /// One program's row across the campaign: the §3 check plus the reduction
@@ -246,16 +241,47 @@ class Aggregator {
 };
 
 /// Run the full (programs × explorers) matrix. The campaign entry point for
-/// the CLI's `bench` subcommand and the figure benches.
+/// the CLI's `bench` subcommand.
 [[nodiscard]] CampaignResult runCampaign(const CampaignOptions& options);
 
-/// Figure 2 rows (one per program) from a campaign that ran "dpor".
-[[nodiscard]] std::vector<core::BenchmarkCounts> fig2Counts(
-    const CampaignResult& result);
+/// Verify the §3 counting chain, extended with value classes,
+///     #states <= #valueClasses <= #lazyHBRs <= #HBRs <= #schedules <= limit,
+/// for one exploration of `program`. It holds for any correct explorer,
+/// complete or budget-bitten: lazy-equal schedules are value-equal, and a
+/// value class determines the terminal state. Returns an empty string when
+/// it holds, else "<program>: counting chain violated (<link>)".
+[[nodiscard]] std::string checkCountingChain(const std::string& program,
+                                             const ExplorationStats& stats,
+                                             std::uint64_t scheduleLimit);
 
-/// Figure 3 rows (one per program) from a campaign that ran both
-/// "caching-full" and "caching-lazy".
-[[nodiscard]] std::vector<core::CachingCounts> fig3Counts(
-    const CampaignResult& result);
+/// Figure 2 over the programs that ran "dpor": how many explored strictly
+/// fewer lazy HBRs than HBRs ("below the diagonal"), and what share of
+/// their unique HBRs the lazy relation proves redundant (the paper: 33 of
+/// 79 benchmarks, 910,007 = 80%).
+struct Figure2Summary {
+  int benchmarks = 0;
+  int belowDiagonal = 0;
+  std::uint64_t hbrsBelow = 0;      ///< sum of hbrs over below-diagonal rows
+  std::uint64_t lazyHbrsBelow = 0;  ///< sum of lazy hbrs over the same rows
+  std::uint64_t redundantHbrs = 0;  ///< hbrsBelow - lazyHbrsBelow
+  double redundantPercent = 0.0;    ///< redundantHbrs / hbrsBelow * 100
+};
+
+[[nodiscard]] Figure2Summary foldFigure2(const std::vector<ProgramSummary>& programs);
+
+/// Figure 3 over the programs that ran both caching modes: on how many lazy
+/// HBR caching reached strictly more terminal lazy HBRs than regular HBR
+/// caching within the same budget, and how many more (the paper: 18
+/// benchmarks, 8,969 = 84% more).
+struct Figure3Summary {
+  int benchmarks = 0;
+  int differing = 0;                 ///< lazy caching reached strictly more
+  int regularWon = 0;                ///< regular caching reached strictly more
+  std::uint64_t extraLazyHbrs = 0;   ///< sum(lazy - regular) over differing rows
+  std::uint64_t regularOnDiffering = 0;
+  double extraPercent = 0.0;         ///< extraLazyHbrs / regularOnDiffering * 100
+};
+
+[[nodiscard]] Figure3Summary foldFigure3(const std::vector<ProgramSummary>& programs);
 
 }  // namespace lazyhb::campaign

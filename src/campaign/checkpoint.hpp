@@ -59,10 +59,6 @@ class CampaignJournal {
   CampaignJournal(std::string directory, const JournalConfig& config,
                   bool requireExisting);
 
-  [[nodiscard]] const std::string& directory() const noexcept {
-    return directory_;
-  }
-
   /// True when the journal already holds the cell at matrix slot `index`.
   [[nodiscard]] bool completed(std::size_t index) const {
     return loaded_.count(index) != 0;

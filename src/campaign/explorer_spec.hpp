@@ -1,7 +1,7 @@
 // lazyhb/campaign/explorer_spec.hpp
 //
-// The one explorer factory shared by the CLI, the figure benches and the
-// campaign runner. An ExplorerSpec is a *value* naming an explorer
+// The one explorer factory shared by the CLI, the benches and the campaign
+// runner. An ExplorerSpec is a *value* naming an explorer
 // configuration; `create()` builds a fresh explorer instance from it.
 // Because explorers are single-use (ExplorerBase::explore may run once),
 // every campaign cell constructs its own explorer from the spec — which is

@@ -293,7 +293,7 @@ MergeOutcome mergeReports(const std::vector<std::string>& documents,
     // report must not inherit inequality verdicts it cannot verify.
     if (!cell.failed()) {
       cell.inequalityDiagnostic =
-          core::checkCountingChain(cell.counts(), scheduleLimit);
+          checkCountingChain(cell.program, cell.stats, scheduleLimit);
     }
     cells.push_back(std::move(cell));
   }

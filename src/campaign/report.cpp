@@ -138,17 +138,17 @@ void writeCellJson(support::JsonWriter& json, const CellResult& cell) {
   json.field("holds", cell.inequalityHolds());
   json.field("diagnostic", cell.inequalityDiagnostic);
   json.endObject();
-  // Schema v5 supervisor provenance — emitted only off the defaults, so a
-  // clean unsharded campaign's cell blocks are byte-identical to v4 ones.
+  // Supervisor provenance, emitted only off the defaults; the reader
+  // restores absent fields to them.
   if (cell.timedOut) json.field("timed_out", true);
   if (cell.attempts > 1) json.field("attempts", static_cast<std::int64_t>(cell.attempts));
   if (cell.failed()) json.field("error", cell.error);
   if (cell.fromCheckpoint) json.field("from_checkpoint", true);
   writeStatBlocks(json, cell.stats);
   if (cell.stats.parallel.workers > 0) {
-    // Schema v4: how the cell's intra-scenario sharding distributed work.
-    // All *count* fields above are byte-identical to a sequential run; this
-    // block carries only the parallel-only diagnostics.
+    // How the cell's intra-scenario sharding distributed work. All *count*
+    // fields above are byte-identical to a sequential run; this block
+    // carries only the parallel-only diagnostics.
     const explore::ParallelStats& par = cell.stats.parallel;
     json.key("parallel").beginObject();
     json.field("workers", static_cast<std::int64_t>(par.workers));
@@ -275,7 +275,7 @@ std::string writeReportJson(const CampaignResult& result,
   json.field("tasks_stolen", result.tasksStolen);
   json.field("inequality_violations",
              static_cast<std::int64_t>(result.inequalityViolations));
-  // Schema v5 supervisor/durability tallies, off-default only.
+  // Supervisor and durability tallies, off-default only, as per cell.
   if (result.cellsTimedOut > 0) {
     json.field("cells_timed_out", static_cast<std::int64_t>(result.cellsTimedOut));
   }

@@ -449,11 +449,38 @@ void printProgressHuman(const ProgressEvent& event) {
   std::fflush(stdout);
 }
 
+/// The paper's Figure 2 and Figure 3 summaries, each printed only when the
+/// campaign ran the explorers it folds, with the paper's numbers alongside.
+void printFigureLines(const std::vector<campaign::ProgramSummary>& programs) {
+  const campaign::Figure2Summary fig2 = campaign::foldFigure2(programs);
+  if (fig2.benchmarks > 0) {
+    std::printf("figure 2 (dpor): %d/%d programs below the diagonal; %s of "
+                "their %s unique HBRs are redundant (%.0f%%) [paper: 33/79, "
+                "910,007 = 80%%]\n",
+                fig2.belowDiagonal, fig2.benchmarks,
+                support::withCommas(fig2.redundantHbrs).c_str(),
+                support::withCommas(fig2.hbrsBelow).c_str(),
+                fig2.redundantPercent);
+  }
+  const campaign::Figure3Summary fig3 = campaign::foldFigure3(programs);
+  if (fig3.benchmarks > 0) {
+    std::printf("figure 3 (caching-full vs caching-lazy): %d/%d programs "
+                "differ; lazy caching reached %s (%.0f%%) more terminal lazy "
+                "HBRs on them; regular caching won on %d [paper: 18/79, "
+                "8,969 = 84%%]\n",
+                fig3.differing, fig3.benchmarks,
+                support::withCommas(fig3.extraLazyHbrs).c_str(),
+                fig3.extraPercent, fig3.regularWon);
+  }
+}
+
 int cmdBench(int argc, char** argv) {
   support::Options options(
       "lazyhb bench",
-      "run the (program x explorer) campaign matrix in parallel and emit a "
-      "machine-readable JSON report");
+      "run the (program x explorer) campaign matrix in parallel, check the "
+      "section-3 chain on every cell, print the paper's Figure 2 (with dpor) "
+      "and Figure 3 (with caching-full and caching-lazy) summaries, and emit "
+      "a machine-readable JSON report");
   options.addString("explorers", "",
                     "comma-separated explorer modes (default: all of " +
                         campaign::explorerNamesHelp() + ")");
@@ -689,6 +716,7 @@ int cmdBench(int argc, char** argv) {
       }
     }
   }
+  printFigureLines(result.programs);
 
   const std::string out = options.getString("out");
   if (!out.empty()) {

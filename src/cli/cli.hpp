@@ -6,13 +6,15 @@
 //   lazyhb explore  — run one program under one explorer, print stats
 //   lazyhb compare  — run one program under every explorer, one row each
 //   lazyhb bench    — run the (program × explorer) campaign matrix in
-//                     parallel and emit a machine-readable JSON report
+//                     parallel, check the §3 chain on every cell, print the
+//                     paper's Figure 2/3 summaries when their explorers ran,
+//                     and emit a machine-readable JSON report
 //   lazyhb replay   — re-execute a recorded schedule and render its trace
 //
 // Every subcommand builds on support::Options, so `lazyhb <cmd> --help`
 // prints the full flag table. Explorer construction goes through the shared
 // campaign::ExplorerSpec factory (campaign/explorer_spec.hpp), so the CLI,
-// the figure benches and the campaign runner accept the same mode names:
+// the benches and the campaign runner accept the same mode names:
 // dfs, random, dpor, caching-full, caching-lazy, and the extended
 // caching-value.
 

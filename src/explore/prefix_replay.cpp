@@ -81,8 +81,8 @@ void PrefixReplayEngine::settleStages(std::size_t keepAtOrBelow,
   // A divergence that lands strictly above the surviving rollback target
   // but at or below an evicted depth is the cost of the budget: had that
   // stage survived, the rollback would have been deeper. Count it once per
-  // prepareNext; the extra replay distance shows up in eventsReplayed /
-  // fullRestarts either way.
+  // prepareNext; the extra replay distance shows up in eventsReplayed
+  // either way.
   bool fallback = false;
   for (const std::size_t e : evictedDepths_) {
     if (e > keepAtOrBelow && e <= divergenceDepth) fallback = true;
@@ -138,7 +138,6 @@ std::size_t PrefixReplayEngine::prepareNext(std::size_t divergenceDepth) {
     // forward first) and re-execute, still eliding the recorder's share of
     // the prefix below.
     retired_ = std::move(exec_);
-    ++fullRestarts_;
   }
 
   // A re-executed schedule re-registers its prologue objects, so a depth-0

@@ -102,9 +102,8 @@ class PrefixReplayEngine {
   /// Prefix events re-executed to reach a divergence point (their recording
   /// was skipped whenever a recorder checkpoint covered them).
   [[nodiscard]] std::uint64_t eventsReplayed() const noexcept { return eventsReplayed_; }
-  /// Successful runtime rollbacks / cold restarts of the persistent execution.
+  /// Successful runtime rollbacks of the persistent execution.
   [[nodiscard]] std::uint64_t rollbacks() const noexcept { return rollbacks_; }
-  [[nodiscard]] std::uint64_t fullRestarts() const noexcept { return fullRestarts_; }
   /// Distinct depths staged over the whole run (re-stages of a still-live
   /// depth do not count).
   [[nodiscard]] std::uint64_t stagesCreated() const noexcept { return stagesCreated_; }
@@ -115,8 +114,6 @@ class PrefixReplayEngine {
   /// prepareNext calls where an evicted stage would have served the chosen
   /// divergence better than the deepest surviving one.
   [[nodiscard]] std::uint64_t replayFallbacks() const noexcept { return replayFallbacks_; }
-  /// Approximate bytes currently held by live staged checkpoints.
-  [[nodiscard]] std::uint64_t liveSnapshotBytes() const noexcept { return liveBytes_; }
 
  private:
   /// One live staged depth with the approximate bytes it pinned when staged
@@ -154,7 +151,6 @@ class PrefixReplayEngine {
   std::uint64_t eventsElided_ = 0;
   std::uint64_t eventsReplayed_ = 0;
   std::uint64_t rollbacks_ = 0;
-  std::uint64_t fullRestarts_ = 0;
 
   std::vector<StageInfo> stages_;          ///< live stages, sorted by depth
   std::vector<std::size_t> evictedDepths_; ///< evicted, still above no live stage

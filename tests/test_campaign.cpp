@@ -379,25 +379,6 @@ TEST(Campaign, CacheStatsSurfaceFootprint) {
   }
 }
 
-TEST(Campaign, Fig2AndFig3ViewsMatchCells) {
-  const auto result = campaign::runCampaign(smallCampaign(2));
-  const auto fig2 = campaign::fig2Counts(result);
-  ASSERT_EQ(fig2.size(), result.programs.size());
-  for (std::size_t p = 0; p < fig2.size(); ++p) {
-    EXPECT_EQ(fig2[p].name, result.programs[p].program);
-    EXPECT_EQ(fig2[p].hbrs, result.programs[p].dporHbrs);
-    EXPECT_EQ(fig2[p].lazyHbrs, result.programs[p].dporLazyHbrs);
-  }
-  const auto fig3 = campaign::fig3Counts(result);
-  ASSERT_EQ(fig3.size(), result.programs.size());
-  for (std::size_t p = 0; p < fig3.size(); ++p) {
-    EXPECT_EQ(fig3[p].lazyHbrsByRegularCaching,
-              result.programs[p].lazyHbrsByFullCaching);
-    EXPECT_EQ(fig3[p].lazyHbrsByLazyCaching,
-              result.programs[p].lazyHbrsByLazyCaching);
-  }
-}
-
 TEST(Campaign, ProgressCallbackSeesEveryCell) {
   auto options = smallCampaign(4);
   std::vector<std::size_t> doneValues;

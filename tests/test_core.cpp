@@ -1,6 +1,7 @@
 // Unit tests for the core module: the HBR prefix cache (including its
-// concurrency properties), the theorem checkers, the Figure 2/3 summary
-// aggregation and race aggregation.
+// concurrency properties), the theorem checkers and race aggregation; and
+// the campaign folds built on them: the Figure 2/3 summaries and the §3
+// counting chain.
 
 #include <gtest/gtest.h>
 
@@ -8,13 +9,14 @@
 #include <cstdint>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "campaign/campaign.hpp"
 #include "core/equivalence.hpp"
 #include "core/hbr_cache.hpp"
-#include "core/redundancy.hpp"
 
 namespace {
 
@@ -277,57 +279,93 @@ TEST(EquivalenceChecker, ManyClassesOneState) {
   EXPECT_EQ(checker.stats().conflicts, 0u);
 }
 
-core::BenchmarkCounts counts(const char* name, std::uint64_t schedules,
-                             std::uint64_t hbrs, std::uint64_t lazyHbrs,
-                             std::uint64_t states) {
-  core::BenchmarkCounts c;
-  c.name = name;
-  c.schedules = schedules;
-  c.hbrs = hbrs;
-  c.lazyHbrs = lazyHbrs;
-  c.states = states;
+/// One exploration's statistics. The engine counts a value class for every
+/// terminal schedule, so the fixtures place value classes between states
+/// and lazy HBRs.
+ExplorationStats counts(std::uint64_t schedules, std::uint64_t hbrs,
+                        std::uint64_t lazyHbrs, std::uint64_t valueClasses,
+                        std::uint64_t states) {
+  ExplorationStats c;
+  c.schedulesExecuted = schedules;
+  c.distinctHbrs = hbrs;
+  c.distinctLazyHbrs = lazyHbrs;
+  c.distinctValueClasses = valueClasses;
+  c.distinctStates = states;
+  return c;
+}
+
+/// A campaign cell: program `id` explored by `explorer`.
+campaign::CellResult cell(int id, const char* explorer, const ExplorationStats& stats) {
+  campaign::CellResult c;
+  c.programId = id;
+  c.program = "p" + std::to_string(id);
+  c.explorer = explorer;
+  static_cast<ExplorationStats&>(c.stats) = stats;
   return c;
 }
 
 TEST(Redundancy, Fig2SummaryMatchesPaperArithmetic) {
   // Mirror the paper's aggregate definition on a toy set: two benchmarks
   // below the diagonal (with 100+20 HBRs, 10+2 lazy) and one on it.
-  std::vector<core::BenchmarkCounts> rows{
-      counts("a", 1000, 100, 10, 5),
-      counts("b", 500, 20, 2, 2),
-      counts("c", 10, 7, 7, 3),
+  std::vector<campaign::CellResult> cells{
+      cell(1, "dpor", counts(1000, 100, 10, 8, 5)),
+      cell(2, "dpor", counts(500, 20, 2, 2, 2)),
+      cell(3, "dpor", counts(10, 7, 7, 4, 3)),
   };
-  const auto summary = core::summarizeFig2(rows);
+  const auto programs = campaign::foldCells(std::move(cells), {"dpor"}).programs;
+  const auto summary = campaign::foldFigure2(programs);
   EXPECT_EQ(summary.benchmarks, 3);
   EXPECT_EQ(summary.belowDiagonal, 2);
   EXPECT_EQ(summary.hbrsBelow, 120u);
   EXPECT_EQ(summary.lazyHbrsBelow, 12u);
   EXPECT_EQ(summary.redundantHbrs, 108u);
   EXPECT_NEAR(summary.redundantPercent, 90.0, 0.01);
+  // No caching pair ran: Figure 3 has no rows.
+  EXPECT_EQ(campaign::foldFigure3(programs).benchmarks, 0);
 }
 
 TEST(Redundancy, Fig3SummaryCountsDifferingOnly) {
-  std::vector<core::CachingCounts> rows(3);
-  rows[0].lazyHbrsByRegularCaching = 10;
-  rows[0].lazyHbrsByLazyCaching = 25;  // differs: +15
-  rows[1].lazyHbrsByRegularCaching = 7;
-  rows[1].lazyHbrsByLazyCaching = 7;  // equal
-  rows[2].lazyHbrsByRegularCaching = 3;
-  rows[2].lazyHbrsByLazyCaching = 6;  // differs: +3
-  const auto summary = core::summarizeFig3(rows);
+  // Terminal lazy HBRs by regular vs lazy caching: two programs where lazy
+  // caching reached more (+15, +3), one tie and one regular win.
+  const std::uint64_t regular[] = {10, 7, 3, 9};
+  const std::uint64_t lazy[] = {25, 7, 6, 4};
+  std::vector<campaign::CellResult> cells;
+  for (int p = 0; p < 4; ++p) {
+    cells.push_back(cell(p + 1, "caching-full", counts(100, 50, regular[p], 2, 1)));
+    cells.push_back(cell(p + 1, "caching-lazy", counts(100, 50, lazy[p], 2, 1)));
+  }
+  const auto programs =
+      campaign::foldCells(std::move(cells), {"caching-full", "caching-lazy"}).programs;
+  const auto summary = campaign::foldFigure3(programs);
+  EXPECT_EQ(summary.benchmarks, 4);
   EXPECT_EQ(summary.differing, 2);
-  EXPECT_EQ(summary.regularWon, 0);
+  EXPECT_EQ(summary.regularWon, 1);
   EXPECT_EQ(summary.extraLazyHbrs, 18u);
   EXPECT_EQ(summary.regularOnDiffering, 13u);
   EXPECT_NEAR(summary.extraPercent, 100.0 * 18.0 / 13.0, 0.01);
+  // No dpor cell ran: Figure 2 has no rows.
+  EXPECT_EQ(campaign::foldFigure2(programs).benchmarks, 0);
 }
 
 TEST(Redundancy, CountingChainDiagnostics) {
-  EXPECT_EQ(core::checkCountingChain(counts("ok", 100, 50, 20, 10), 1000), "");
-  EXPECT_NE(core::checkCountingChain(counts("bad1", 100, 50, 60, 10), 1000), "");
-  EXPECT_NE(core::checkCountingChain(counts("bad2", 100, 200, 20, 10), 1000), "");
-  EXPECT_NE(core::checkCountingChain(counts("bad3", 100, 50, 20, 30), 1000), "");
-  EXPECT_NE(core::checkCountingChain(counts("bad4", 2000, 50, 20, 10), 1000), "");
+  const auto check = [](const char* name, const ExplorationStats& stats) {
+    return campaign::checkCountingChain(name, stats, 1000);
+  };
+  EXPECT_EQ(check("ok", counts(100, 50, 20, 15, 10)), "");
+  EXPECT_EQ(check("bad1", counts(100, 50, 60, 15, 10)),
+            "bad1: counting chain violated (#lazyHBRs > #HBRs)");
+  EXPECT_EQ(check("bad2", counts(100, 200, 20, 15, 10)),
+            "bad2: counting chain violated (#HBRs > #schedules)");
+  EXPECT_EQ(check("bad3", counts(100, 50, 20, 15, 30)),
+            "bad3: counting chain violated (#states > #valueClasses)");
+  EXPECT_EQ(check("bad4", counts(2000, 50, 20, 15, 10)),
+            "bad4: counting chain violated (#schedules > limit)");
+  EXPECT_EQ(check("bad5", counts(100, 50, 20, 25, 10)),
+            "bad5: counting chain violated (#valueClasses > #lazyHBRs)");
+  // Every terminal schedule records a value class, so states above zero
+  // value classes are a bug, not a missing count.
+  EXPECT_EQ(check("novalue", counts(100, 50, 20, 0, 10)),
+            "novalue: counting chain violated (#states > #valueClasses)");
 }
 
 }  // namespace

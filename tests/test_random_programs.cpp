@@ -7,10 +7,10 @@
 //   * naive DFS enumerates the space (seeds whose spaces exceed the cap are
 //     still theorem-checked, just not completeness-compared);
 //   * Theorems 2.1 and 2.2 must hold over every terminal schedule;
-//   * the section-3 counting chain must hold;
-//   * DPOR (with and without sleep sets) and both caching explorers must
-//     reach exactly the same distinct terminal states (and lazy HBRs) as
-//     naive enumeration — the soundness property of every reduction;
+//   * the section-3 counting chain must hold on every explorer's counts;
+//   * DPOR and the caching explorers under all three keys must reach
+//     exactly the same distinct terminal states (and lazy HBRs) as naive
+//     enumeration — the soundness property of every reduction;
 //   * deadlocks found by naive search must also be found by DPOR.
 //
 // This is the suite that caught the subtle bugs during development; 40
@@ -19,8 +19,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "campaign/campaign.hpp"
 #include "support/rng.hpp"
 #include "test_helpers.hpp"
 
@@ -137,9 +139,8 @@ TEST_P(RandomProgramSweep, AllExplorersAgree) {
   // Theorems and the counting chain hold regardless of completeness.
   EXPECT_EQ(naive.theorem21.conflicts, 0u) << "seed " << seed;
   EXPECT_EQ(naive.theorem22.conflicts, 0u) << "seed " << seed;
-  EXPECT_LE(naive.distinctStates, naive.distinctLazyHbrs);
-  EXPECT_LE(naive.distinctLazyHbrs, naive.distinctHbrs);
-  EXPECT_LE(naive.distinctHbrs, naive.schedulesExecuted);
+  const std::string where = "seed " + std::to_string(seed);
+  EXPECT_EQ(campaign::checkCountingChain(where + " dfs", naive, kCap), "");
 
   if (!naive.complete) {
     GTEST_SKIP() << "seed " << seed << " space exceeds the cap; theorem-checked only";
@@ -154,13 +155,14 @@ TEST_P(RandomProgramSweep, AllExplorersAgree) {
   EXPECT_EQ(dpor.foundViolation(), naive.foundViolation()) << "seed " << seed;
   EXPECT_EQ(dpor.theorem21.conflicts, 0u);
   EXPECT_EQ(dpor.theorem22.conflicts, 0u);
+  EXPECT_EQ(campaign::checkCountingChain(where + " dpor", dpor, kCap), "");
 
   for (const auto relation :
        {trace::Relation::Full, trace::Relation::Lazy, trace::Relation::Value}) {
     const auto cached = lazyhb::testing::runCaching(program, relation, kCap);
-    const std::string label =
-        "seed " + std::to_string(seed) + " relation=" + trace::relationName(relation);
+    const std::string label = where + " relation=" + trace::relationName(relation);
     ASSERT_TRUE(cached.complete) << label;
+    EXPECT_EQ(campaign::checkCountingChain(label, cached, kCap), "");
     EXPECT_EQ(cached.distinctStates, naive.distinctStates) << label;
     EXPECT_EQ(cached.distinctValueClasses, naive.distinctValueClasses) << label;
     EXPECT_EQ(cached.foundViolation(), naive.foundViolation()) << label;

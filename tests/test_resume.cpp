@@ -104,6 +104,7 @@ campaign::CellResult fabricatedCell(std::uint64_t schedules) {
   cell.stats.terminalSchedules = schedules;
   cell.stats.distinctHbrs = 4;
   cell.stats.distinctLazyHbrs = 3;
+  cell.stats.distinctValueClasses = 3;
   cell.stats.distinctStates = 2;
   cell.stats.totalEvents = 10 * schedules;
   cell.stats.complete = true;
