@@ -293,11 +293,11 @@ CapturedTrace captureTouchTrace(int touchedSuffix) {
   return captured;
 }
 
-/// Feeds a captured trace's prefix into `recorder` and stages a base
-/// checkpoint there. Returns the base depth.
-std::size_t feedPrefixAndStage(trace::TraceRecorder& recorder,
-                               runtime::Execution& dummy,
-                               const CapturedTrace& full, std::size_t prefix) {
+/// Feeds a captured trace's prefix into `recorder` and captures the root
+/// snapshot there.
+void feedPrefixAndCapture(trace::TraceRecorder& recorder, runtime::Execution& dummy,
+                          const CapturedTrace& full, std::size_t prefix,
+                          trace::TraceRecorder::Snapshot& root) {
   recorder.onExecutionStart(dummy);
   for (const auto& reg : full.registrations) {
     recorder.onObjectRegistered(dummy, reg.index, reg.uid, reg.kind, reg.name,
@@ -306,14 +306,14 @@ std::size_t feedPrefixAndStage(trace::TraceRecorder& recorder,
   for (std::size_t i = 0; i < prefix; ++i) {
     recorder.onEvent(dummy, full.events[i]);
   }
-  return recorder.checkpoint();
+  (void)recorder.capture(root);
 }
 
 void BM_RecorderCheckpointStageTouched(benchmark::State& state) {
-  // One stage/rollback cycle where the span between stages touches K of
+  // One capture/restore cycle where the span between captures touches K of
   // the 256 registered objects: feed the K-store suffix (each first touch
-  // undo-logs one cursor pre-image), stage, roll back. Time per iteration
-  // must scale with K, not with the object population.
+  // undo-logs one cursor pre-image), capture, restore the root. Time per
+  // iteration must scale with K, not with the object population.
   const int touched = static_cast<int>(state.range(0));
   const CapturedTrace base = captureTouchTrace(0);
   const CapturedTrace full = captureTouchTrace(touched);
@@ -322,22 +322,24 @@ void BM_RecorderCheckpointStageTouched(benchmark::State& state) {
   runtime::StackPool pool;
   trace::TraceRecorder recorder;
   runtime::Execution dummy(runtime::Config{}, pool, nullptr);  // never run
-  const std::size_t depth = feedPrefixAndStage(recorder, dummy, full, prefix);
+  trace::TraceRecorder::Snapshot root;
+  trace::TraceRecorder::Snapshot staged;
+  feedPrefixAndCapture(recorder, dummy, full, prefix, root);
   for (auto _ : state) {
     for (std::size_t i = prefix; i < full.events.size(); ++i) {
       recorder.onEvent(dummy, full.events[i]);
     }
-    benchmark::DoNotOptimize(recorder.checkpoint());
-    recorder.rollbackTo(depth);
+    benchmark::DoNotOptimize(recorder.capture(staged));
+    recorder.restore(root);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * touched);
 }
 BENCHMARK(BM_RecorderCheckpointStageTouched)->Arg(1)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_RecorderUndoChainRollback(benchmark::State& state) {
-  // S stages spread along a 256-store suffix, then one rollback to the
-  // base: the rollback discards every deeper stage and replays the whole
-  // undo chain newest-first, whatever S is.
+  // S captures spread along a 256-store suffix, then one restore of the
+  // root: it invalidates every later snapshot and replays the whole undo
+  // chain newest-first, whatever S is.
   const int stages = static_cast<int>(state.range(0));
   const CapturedTrace base = captureTouchTrace(0);
   const CapturedTrace full = captureTouchTrace(kUndoObjects);
@@ -348,48 +350,21 @@ void BM_RecorderUndoChainRollback(benchmark::State& state) {
   runtime::StackPool pool;
   trace::TraceRecorder recorder;
   runtime::Execution dummy(runtime::Config{}, pool, nullptr);  // never run
-  const std::size_t depth = feedPrefixAndStage(recorder, dummy, full, prefix);
+  trace::TraceRecorder::Snapshot root;
+  std::vector<trace::TraceRecorder::Snapshot> staged(suffix / chunk);
+  feedPrefixAndCapture(recorder, dummy, full, prefix, root);
   for (auto _ : state) {
     std::size_t fed = 0;
     for (std::size_t i = prefix; i < full.events.size(); ++i) {
       recorder.onEvent(dummy, full.events[i]);
-      if (++fed % chunk == 0) (void)recorder.checkpoint();
+      if (++fed % chunk == 0) (void)recorder.capture(staged[fed / chunk - 1]);
     }
-    recorder.rollbackTo(depth);
+    recorder.restore(root);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(suffix));
 }
 BENCHMARK(BM_RecorderUndoChainRollback)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_RecorderRollbackPastEvicted(benchmark::State& state) {
-  // The byte-budget eviction path: stage mid-suffix, finish the suffix,
-  // evict the mid stage, then roll back to the base *past* the evicted
-  // depth — the retained undo entries must still replay cleanly.
-  const CapturedTrace base = captureTouchTrace(0);
-  const CapturedTrace full = captureTouchTrace(kUndoObjects);
-  const std::size_t prefix = base.events.size();
-  const std::size_t mid = prefix + (full.events.size() - prefix) / 2;
-
-  runtime::StackPool pool;
-  trace::TraceRecorder recorder;
-  runtime::Execution dummy(runtime::Config{}, pool, nullptr);  // never run
-  const std::size_t depth = feedPrefixAndStage(recorder, dummy, full, prefix);
-  for (auto _ : state) {
-    for (std::size_t i = prefix; i < mid; ++i) {
-      recorder.onEvent(dummy, full.events[i]);
-    }
-    const std::size_t midDepth = recorder.checkpoint();
-    for (std::size_t i = mid; i < full.events.size(); ++i) {
-      recorder.onEvent(dummy, full.events[i]);
-    }
-    benchmark::DoNotOptimize(recorder.evictCheckpoint(midDepth));
-    recorder.rollbackTo(depth);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(full.events.size() - prefix));
-}
-BENCHMARK(BM_RecorderRollbackPastEvicted);
 
 int gDeepStores = 0;  // stores per thread in deepTreeProgram
 

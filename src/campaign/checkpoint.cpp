@@ -107,6 +107,16 @@ std::size_t cellIndexFromName(const std::string& name) {
 
 }  // namespace
 
+CellResult readJournalCell(const std::string& document, const std::string& name) {
+  std::string parseError;
+  const auto value = support::JsonValue::parse(document, &parseError);
+  CellResult cell;
+  if (value == nullptr || !parseCellJson(*value, &cell, &parseError)) {
+    raise("campaign journal cell '" + name + "' is malformed: " + parseError);
+  }
+  return cell;
+}
+
 CampaignJournal::CampaignJournal(std::string directory,
                                  const JournalConfig& config,
                                  bool requireExisting)
@@ -152,17 +162,7 @@ CampaignJournal::CampaignJournal(std::string directory,
       raise("campaign journal '" + directory_ + "' holds out-of-range cell '" +
             name + "'");
     }
-    const std::string document = readFile(entry.path().string());
-    std::string parseError;
-    const auto value = support::JsonValue::parse(document, &parseError);
-    if (value == nullptr) {
-      raise("campaign journal cell '" + name + "' is malformed: " + parseError);
-    }
-    CellResult cell;
-    if (!parseCellJson(*value, &cell, &parseError)) {
-      raise("campaign journal cell '" + name + "' is malformed: " + parseError);
-    }
-    loaded_.emplace(index, std::move(cell));
+    loaded_.emplace(index, readJournalCell(readFile(entry.path().string()), name));
   }
 }
 

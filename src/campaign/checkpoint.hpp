@@ -46,6 +46,11 @@ struct JournalConfig : CampaignConfig {
   std::vector<std::string> programs;
 };
 
+/// Decode one journal cell file's content: the cell object writeCellJson
+/// wrote. Throws std::runtime_error naming `name` when it is malformed.
+[[nodiscard]] CellResult readJournalCell(const std::string& document,
+                                         const std::string& name);
+
 /// One campaign's journal directory. Construction opens an existing journal
 /// (verifying its manifest and loading every completed cell) or creates a
 /// fresh one. record() is thread-safe; completed()/loaded() are read-only

@@ -1,6 +1,8 @@
 #include "explore/explorer.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <type_traits>
 
@@ -8,14 +10,30 @@
 
 namespace lazyhb::explore {
 
+std::optional<std::uint64_t> parseSnapshotBudgetEnv(std::string_view text) noexcept {
+  if (text.empty()) return std::uint64_t{256} * 1024 * 1024;
+  // Unsigned from_chars takes no sign, space or suffix and reports
+  // overflow, so only plain decimal digits that fit get through.
+  std::uint64_t bytes = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, bytes);
+  if (error != std::errc{} || stop != end) return std::nullopt;
+  return bytes;
+}
+
 std::uint64_t defaultSnapshotBudgetBytes() noexcept {
   static const std::uint64_t value = [] {
-    if (const char* env = std::getenv("LAZYHB_SNAPSHOT_BUDGET")) {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0') return static_cast<std::uint64_t>(parsed);
+    const char* env = std::getenv("LAZYHB_SNAPSHOT_BUDGET");
+    const std::optional<std::uint64_t> bytes =
+        parseSnapshotBudgetEnv(env == nullptr ? "" : env);
+    if (!bytes) {
+      std::fprintf(stderr,
+                   "lazyhb: LAZYHB_SNAPSHOT_BUDGET must be a byte count in plain "
+                   "decimal digits (0: unlimited; empty: the default), got '%s'\n",
+                   env);
+      std::abort();
     }
-    return std::uint64_t{256} * 1024 * 1024;
+    return *bytes;
   }();
   return value;
 }

@@ -25,7 +25,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -48,10 +50,17 @@ using Program = std::function<void()>;
 
 /// Default byte budget for the incremental engine's staged snapshots (see
 /// ExplorerOptions::snapshotBudgetBytes): the LAZYHB_SNAPSHOT_BUDGET
-/// environment variable when set (bytes; 0 = unlimited), else 256 MiB —
-/// roomy next to the HbrCache approxMemoryBytes footprints the campaign
-/// reports, so eviction only engages on genuinely deep trees.
+/// environment variable when set and non-empty (bytes; 0 = unlimited), else
+/// 256 MiB — roomy next to the HbrCache approxMemoryBytes footprints the
+/// campaign reports, so eviction only engages on genuinely deep trees. A
+/// malformed value prints a diagnostic and aborts.
 [[nodiscard]] std::uint64_t defaultSnapshotBudgetBytes() noexcept;
+
+/// The budget a LAZYHB_SNAPSHOT_BUDGET value selects: 256 MiB for the empty
+/// string (unset), the number for plain decimal digits that fit in 64 bits,
+/// nullopt for anything else (a sign, a space, a suffix, overflow).
+[[nodiscard]] std::optional<std::uint64_t> parseSnapshotBudgetEnv(
+    std::string_view text) noexcept;
 
 struct ExplorerOptions {
   /// Maximum number of executions (the paper's experiments use 100,000).

@@ -48,7 +48,6 @@ struct WorkerContext {
   runtime::StackPool stackPool;
   trace::TraceRecorder recorder;
   PrefixReplayEngine engine;
-  bool ranASchedule = false;  ///< engine.prepareNext needs a first schedule
   ScheduleTally tally;
 };
 
@@ -180,8 +179,7 @@ void ParallelExplorer::Impl::runJob(FrontierJob job) {
 
   // This job's tree shares nothing with whatever this worker ran before:
   // divergence is at the root as far as the replay engine is concerned.
-  std::size_t startDepth = cx.ranASchedule ? cx.engine.prepareNext(0) : 0;
-  cx.ranASchedule = true;
+  std::size_t startDepth = cx.engine.prepareNext(0);
 
   for (;;) {
     if (aborted.load(std::memory_order_relaxed)) return;

@@ -1,6 +1,7 @@
 #include "explore/prefix_replay.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/diagnostics.hpp"
 
@@ -22,156 +23,124 @@ void PrefixReplayEngine::stageCheckpoint(runtime::Execution& exec, std::size_t d
   if (!incremental_) return;
   // While the recorder is skipping a replayed prefix its depth lags the
   // scheduler's; those depths are already staged from an earlier schedule.
-  // The runtime side must not stage there either: exec and recorder
-  // checkpoints are rolled back in lockstep by prepareNext, so a depth
-  // staged on one but not the other would make that rollback fail.
   if (recorder_.eventCount() != depth) return;
-  const bool fresh = stages_.empty() || stages_.back().depth < depth;
-  recorder_.checkpoint();
-  std::uint64_t execBytes = 0;
+  if (!stages_.empty() && stages_.back()->depth == depth) return;
+  // Staging deepens monotonically between rollbacks.
+  LAZYHB_CHECK(stages_.empty() || stages_.back()->depth < depth);
+  Stage& stage = pushStage();
+  stage.depth = depth;
+  stage.bytes = recorder_.capture(stage.recorder);
   if (runtimeRollback_) {
     LAZYHB_CHECK(&exec == exec_.get());
-    // After a full restart the ledger can already hold recorder-only
-    // stages; the fresh execution's first checkpoint then lands on a
-    // ledgered depth and only the runtime share is new cost.
-    const bool execFresh = exec.deepestCheckpointAtOrBelow(depth) != depth;
-    exec.checkpoint();
-    if (execFresh) execBytes = exec.checkpointApproxBytes(depth);
+    stage.bytes += exec.capture(stage.exec);
   }
-  if (fresh) {
-    StageInfo info;
-    info.depth = depth;
-    info.bytes = recorder_.checkpointApproxBytes(depth) + execBytes;
-    stages_.push_back(info);
-    liveBytes_ += info.bytes;
-    ++stagesCreated_;
-    bytesStaged_ += info.bytes;
-  } else if (execBytes != 0) {
-    stages_.back().bytes += execBytes;
-    liveBytes_ += execBytes;
-    bytesStaged_ += execBytes;
-  } else {
-    return;  // nothing new was pinned; budget unchanged
-  }
+  liveBytes_ += stage.bytes;
+  ++stagesCreated_;
+  bytesStaged_ += stage.bytes;
   enforceBudget();
+}
+
+PrefixReplayEngine::Stage& PrefixReplayEngine::pushStage() {
+  if (pool_.empty()) {
+    stages_.push_back(std::make_unique<Stage>());
+  } else {
+    stages_.push_back(std::move(pool_.back()));
+    pool_.pop_back();
+  }
+  return *stages_.back();
+}
+
+void PrefixReplayEngine::recycle(std::vector<std::unique_ptr<Stage>>::iterator stage) {
+  liveBytes_ -= (*stage)->bytes;
+  (*stage)->exec.release();
+  pool_.push_back(std::move(*stage));
+  stages_.erase(stage);
 }
 
 void PrefixReplayEngine::enforceBudget() {
   if (budgetBytes_ == 0) return;
   // Shallowest-first: of all live stages the shallowest is the one furthest
   // from the frontier of the deepest-first tree walk, i.e. the one whose
-  // next use is furthest in the future. The deepest (just-staged) stage is
-  // never evicted — it is the imminent rollback target.
+  // next use is furthest in the future. Its undo-log entries stay in place,
+  // so rolling back past it to a shallower stage still works.
   while (liveBytes_ > budgetBytes_ && stages_.size() > 1) {
-    const StageInfo victim = stages_.front();
-    stages_.erase(stages_.begin());
-    liveBytes_ -= victim.bytes;
-    (void)recorder_.evictCheckpoint(victim.depth);
-    if (runtimeRollback_ && exec_ != nullptr) {
-      (void)exec_->evictCheckpoint(victim.depth);
-    }
-    evictedDepths_.push_back(victim.depth);
+    evictedDepths_.push_back(stages_.front()->depth);
     ++evictions_;
-  }
-}
-
-void PrefixReplayEngine::settleStages(std::size_t keepAtOrBelow,
-                                      std::size_t divergenceDepth,
-                                      bool repriceRecorderOnly) {
-  // A divergence that lands strictly above the surviving rollback target
-  // but at or below an evicted depth is the cost of the budget: had that
-  // stage survived, the rollback would have been deeper. Count it once per
-  // prepareNext; the extra replay distance shows up in eventsReplayed
-  // either way.
-  bool fallback = false;
-  for (const std::size_t e : evictedDepths_) {
-    if (e > keepAtOrBelow && e <= divergenceDepth) fallback = true;
-  }
-  if (fallback) ++replayFallbacks_;
-  // Evicted depths above the rollback target are finished subtrees or the
-  // just-counted fallback; only shallower ones can still shadow a future,
-  // shallower divergence.
-  evictedDepths_.erase(
-      std::remove_if(evictedDepths_.begin(), evictedDepths_.end(),
-                     [&](std::size_t e) { return e > keepAtOrBelow; }),
-      evictedDepths_.end());
-  while (!stages_.empty() && stages_.back().depth > keepAtOrBelow) {
-    liveBytes_ -= stages_.back().bytes;
-    stages_.pop_back();
-  }
-  if (repriceRecorderOnly) {
-    // The persistent execution was retired: surviving stages keep only
-    // their recorder share alive, so re-price them before the next
-    // enforceBudget sees stale runtime bytes.
-    liveBytes_ = 0;
-    for (StageInfo& s : stages_) {
-      s.bytes = recorder_.checkpointApproxBytes(s.depth);
-      liveBytes_ += s.bytes;
-    }
+    recycle(stages_.begin());
   }
 }
 
 std::size_t PrefixReplayEngine::prepareNext(std::size_t divergenceDepth) {
   pendingResume_ = false;
-  pendingStart_ = 0;
-  pendingElided_ = 0;
+  recorderArmed_ = false;
+  pendingDepth_ = 0;
   pendingReplayed_ = divergenceDepth;
   if (!incremental_) return 0;
 
-  if (runtimeRollback_ && exec_ != nullptr) {
+  // The rollback target is the deepest stage at or below the divergence;
+  // deeper stages lie in finished subtrees.
+  while (!stages_.empty() && stages_.back()->depth > divergenceDepth) {
+    recycle(stages_.end() - 1);
+  }
+  const std::size_t target = stages_.empty() ? 0 : stages_.back()->depth;
+  // A divergence that lands strictly above the target but at or below an
+  // evicted depth is the cost of the budget: had that stage survived, the
+  // rollback would have been deeper. Count it once per prepareNext; the
+  // extra replay distance shows up in eventsReplayed either way. Evicted
+  // depths above the target are finished subtrees or the just-counted
+  // fallback; only shallower ones can still shadow a later divergence.
+  bool fallback = false;
+  for (const std::size_t e : evictedDepths_) {
+    if (e > target && e <= divergenceDepth) fallback = true;
+  }
+  if (fallback) ++replayFallbacks_;
+  evictedDepths_.erase(
+      std::remove_if(evictedDepths_.begin(), evictedDepths_.end(),
+                     [&](std::size_t e) { return e > target; }),
+      evictedDepths_.end());
+
+  // With no stage to resume from the next schedule runs fresh, and
+  // beginSchedule drops the ledger.
+  if (stages_.empty()) return 0;
+  const Stage& stage = *stages_.back();
+  if (runtimeRollback_) {
     // Depth 0 qualifies too: a walk rolled back to its first scheduling
     // point skips the execution's construction and thread 0's prologue.
-    const std::size_t depth = exec_->deepestCheckpointAtOrBelow(divergenceDepth);
-    if (depth != runtime::Execution::kNoCheckpoint) {
-      exec_->rollbackTo(depth);
-      recorder_.rollbackTo(depth);
-      pendingResume_ = true;
-      pendingStart_ = depth;
-      pendingElided_ = depth;
-      pendingReplayed_ = divergenceDepth - depth;
-      ++rollbacks_;
-      settleStages(depth, divergenceDepth, /*repriceRecorderOnly=*/false);
-      return depth;
-    }
-    // No usable runtime checkpoint: retire the persistent execution (the
-    // next beginSchedule restarts it in place, running its leftover fibers
-    // forward first) and re-execute, still eliding the recorder's share of
-    // the prefix below.
-    retired_ = std::move(exec_);
+    exec_->restore(stage.exec);
+    recorder_.restore(stage.recorder);
+    pendingResume_ = true;
+    pendingDepth_ = stage.depth;
+    pendingReplayed_ = divergenceDepth - stage.depth;
+    ++rollbacks_;
+    return stage.depth;
   }
-
-  // A re-executed schedule re-registers its prologue objects, so a depth-0
-  // resume would count them twice: the recorder resets instead.
-  const std::size_t depth = recorder_.deepestCheckpointAtOrBelow(divergenceDepth);
-  const bool armed = depth != trace::TraceRecorder::kNoCheckpoint && depth > 0;
-  if (armed) {
-    recorder_.armResume(depth);
-  }
-  settleStages(armed ? depth : 0, divergenceDepth,
-               /*repriceRecorderOnly=*/runtimeRollback_);
-  if (!armed) {
-    // The recorder resets on the next execution start, clearing every
-    // staged checkpoint — drop the whole ledger to match.
-    stages_.clear();
-    evictedDepths_.clear();
-    liveBytes_ = 0;
+  // The elision tier re-executes the prefix, still eliding the recorder's
+  // share of it. A re-executed schedule re-registers its prologue objects,
+  // so a depth-0 resume would count them twice: the recorder resets instead.
+  if (stage.depth > 0) {
+    recorder_.armResume(stage.recorder);
+    recorderArmed_ = true;
   }
   return 0;
 }
 
 PrefixReplayEngine::Session PrefixReplayEngine::beginSchedule(
     const runtime::Config& config, runtime::ExecutionObserver* observer) {
-  eventsElided_ += pendingElided_;
-  eventsReplayed_ += pendingReplayed_;
-  pendingElided_ = 0;
-  pendingReplayed_ = 0;
-  if (pendingResume_) {
-    pendingResume_ = false;
-    return Session{exec_.get(), true, pendingStart_};
+  const std::size_t resumeDepth = std::exchange(pendingDepth_, 0);
+  eventsElided_ += resumeDepth;
+  eventsReplayed_ += std::exchange(pendingReplayed_, 0);
+  if (std::exchange(pendingResume_, false)) {
+    return Session{exec_.get(), true, resumeDepth};
   }
-  // A fresh schedule recycles the previous execution's storage: restarted
+  // A fresh schedule the recorder does not resume into starts a new tree:
+  // the recorder resets and the execution restarts, so no staged snapshot
+  // stays valid.
+  if (!std::exchange(recorderArmed_, false)) {
+    while (!stages_.empty()) recycle(stages_.end() - 1);
+    evictedDepths_.clear();
+  }
+  // The fresh schedule recycles the previous execution's storage: restarted
   // in place, it reuses its thread records, fibers, stacks and logs.
-  if (exec_ == nullptr) exec_ = std::move(retired_);
   if (exec_ == nullptr) {
     exec_ = std::make_unique<runtime::Execution>(config, stackPool_, observer);
   } else {

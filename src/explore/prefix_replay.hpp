@@ -16,16 +16,24 @@
 //   * Full runtime rollback (checkpointable programs, fast-fiber builds):
 //     one persistent resumable Execution survives across schedules. At
 //     every scheduling point that the search will revisit (a node with
-//     unexplored siblings), the engine stages an Execution checkpoint and a
-//     TraceRecorder checkpoint in lockstep. To start the next schedule it
-//     rolls both back to the divergence depth and resumes — the prefix is
-//     never re-executed at all ("elided" events).
+//     unexplored siblings), the engine stages a checkpoint: an Execution
+//     snapshot and a TraceRecorder snapshot, captured together. To start
+//     the next schedule it restores both at the divergence depth and
+//     resumes — the prefix is never re-executed at all ("elided" events).
 //
 //   * Recorder elision (every other program/build): the program is
-//     re-executed from scratch as before, but the recorder is rolled back
-//     to its staged checkpoint and *skips* the replayed prefix events
-//     instead of recomputing clock rows, hashes and histories for them
-//     ("replayed" events; only their recording cost disappears).
+//     re-executed from scratch as before, but the recorder is armed with
+//     its staged snapshot and *skips* the replayed prefix events instead of
+//     recomputing clock rows, hashes and histories for them ("replayed"
+//     events; only their recording cost disappears).
+//
+// The engine owns the one checkpoint ledger: which depths are staged, which
+// stage a divergence rolls back to, and what the byte budget evicts.
+// Execution and TraceRecorder only capture and restore snapshots; they
+// keep none themselves. Both layers record their non-truncatable state in
+// undo logs (support/undo_log.hpp), so a snapshot is a few cursors and log
+// marks, and an evicted stage's log entries stay in place — rolling back
+// past it to a shallower stage replays them.
 //
 // Both tiers leave every observable count byte-identical to a
 // non-incremental run: rollback restores exactly the state the prefix
@@ -75,23 +83,25 @@ class PrefixReplayEngine {
 
   /// Scheduler hook: called from Scheduler::pick at a node the search may
   /// revisit (unexplored siblings remain), with `depth` == the number of
-  /// committed events. Stages recorder and (full tier) execution
-  /// checkpoints; no-ops while the recorder is still skipping a replayed
-  /// prefix, or when the depth is already staged.
+  /// committed events. Stages a checkpoint there (a recorder snapshot and,
+  /// on the full tier, an execution snapshot); no-op while the recorder is
+  /// still skipping a replayed prefix, or when the depth is already staged.
   void stageCheckpoint(runtime::Execution& exec, std::size_t depth);
 
   /// Plan the next schedule given the divergence depth the search's
-  /// advance() chose. Performs the rollback (full tier, to any staged
-  /// depth including 0 — a random walk's root) or arms the recorder resume
-  /// (elision tier, depth > 0). Returns the Session::startDepth the next
-  /// scheduler must be constructed with.
+  /// advance() chose. Rolls back to the deepest stage at or below it: on
+  /// the full tier by restoring both snapshots (any staged depth, 0 too —
+  /// a random walk's root), on the elision tier by arming the recorder
+  /// (depth > 0). Returns the Session::startDepth the next scheduler must
+  /// be constructed with.
   std::size_t prepareNext(std::size_t divergenceDepth);
 
   /// Hand out the execution for the next schedule: the rolled-back
   /// persistent one, or a fresh one — the previous execution restarted in
   /// place (Execution::restart), so a steady-state fresh schedule allocates
-  /// nothing here. Also commits the pending elided/replayed accounting
-  /// planned by prepareNext.
+  /// nothing here. A fresh schedule the recorder does not resume into
+  /// starts a new tree and drops the ledger. Also commits the pending
+  /// elided/replayed accounting planned by prepareNext.
   Session beginSchedule(const runtime::Config& config,
                         runtime::ExecutionObserver* observer);
 
@@ -100,7 +110,7 @@ class PrefixReplayEngine {
   /// Prefix events never re-executed (full runtime rollback).
   [[nodiscard]] std::uint64_t eventsElided() const noexcept { return eventsElided_; }
   /// Prefix events re-executed to reach a divergence point (their recording
-  /// was skipped whenever a recorder checkpoint covered them).
+  /// was skipped whenever a staged recorder snapshot covered them).
   [[nodiscard]] std::uint64_t eventsReplayed() const noexcept { return eventsReplayed_; }
   /// Successful runtime rollbacks of the persistent execution.
   [[nodiscard]] std::uint64_t rollbacks() const noexcept { return rollbacks_; }
@@ -116,23 +126,23 @@ class PrefixReplayEngine {
   [[nodiscard]] std::uint64_t replayFallbacks() const noexcept { return replayFallbacks_; }
 
  private:
-  /// One live staged depth with the approximate bytes it pinned when staged
-  /// (kept sorted by depth: staging is strictly deepening between rollbacks).
-  struct StageInfo {
+  /// One staged checkpoint: its depth, the approximate bytes its snapshots
+  /// pinned when captured, and the snapshots themselves.
+  struct Stage {
     std::size_t depth = 0;
     std::uint64_t bytes = 0;
+    trace::TraceRecorder::Snapshot recorder;
+    runtime::Execution::Snapshot exec;  ///< full tier only
   };
 
+  /// A stage taken from the pool (or a new one), appended as the deepest.
+  Stage& pushStage();
+  /// Return a live stage to the pool, dropping its fiber images at once.
+  void recycle(std::vector<std::unique_ptr<Stage>>::iterator stage);
   /// Evict shallowest-first until the ledger fits the budget; never evicts
   /// the deepest (just-staged) stage — it is the imminent rollback target.
   void enforceBudget();
-  /// Reconcile the ledger with a prepareNext decision: count a replay
-  /// fallback if an evicted depth in (keepAtOrBelow, divergenceDepth] would
-  /// have been the better rollback target, drop ledger entries above
-  /// keepAtOrBelow, and (after a full restart) re-price surviving stages to
-  /// their recorder-only cost.
-  void settleStages(std::size_t keepAtOrBelow, std::size_t divergenceDepth,
-                    bool repriceRecorderOnly);
+
   runtime::StackPool& stackPool_;
   trace::TraceRecorder& recorder_;
   bool incremental_;
@@ -140,20 +150,22 @@ class PrefixReplayEngine {
   std::uint64_t budgetBytes_;  ///< 0 = unlimited
 
   std::unique_ptr<runtime::Execution> exec_;
-  /// The persistent execution after a full restart: no longer a rollback
-  /// target, kept for beginSchedule to restart in place.
-  std::unique_ptr<runtime::Execution> retired_;
-  bool pendingResume_ = false;
-  std::size_t pendingStart_ = 0;
-  std::uint64_t pendingElided_ = 0;
+  bool pendingResume_ = false;    ///< the next schedule resumes exec_
+  bool recorderArmed_ = false;    ///< the next fresh schedule resumes the recorder
+  std::size_t pendingDepth_ = 0;  ///< depth the rollback restored
   std::uint64_t pendingReplayed_ = 0;
 
   std::uint64_t eventsElided_ = 0;
   std::uint64_t eventsReplayed_ = 0;
   std::uint64_t rollbacks_ = 0;
 
-  std::vector<StageInfo> stages_;          ///< live stages, sorted by depth
-  std::vector<std::size_t> evictedDepths_; ///< evicted, still above no live stage
+  // The ledger. Stages are pooled: a popped stage keeps its snapshots'
+  // storage for the next one, so steady-state staging allocates nothing.
+  // Held by pointer, so moving one between the lists (or evicting from the
+  // front) moves no snapshot.
+  std::vector<std::unique_ptr<Stage>> stages_;  ///< live, shallow -> deep
+  std::vector<std::unique_ptr<Stage>> pool_;
+  std::vector<std::size_t> evictedDepths_;  ///< evicted, still above no live stage
   std::uint64_t liveBytes_ = 0;
   std::uint64_t stagesCreated_ = 0;
   std::uint64_t bytesStaged_ = 0;

@@ -64,18 +64,11 @@ void Execution::restart(const Config& config, ExecutionObserver* observer) {
   clearViolation();
   finalFingerprint_ = support::Hash128{};
 
-  // Staged checkpoints go back to the pool (their images released, as
-  // evictCheckpoint does); the undo logs' entries are dead but keep their
-  // capacity. Epochs need no reset: nothing is logged while no stage is
-  // live, and the next checkpoint opens a fresh epoch.
-  while (!snapshots_.empty()) {
-    for (ThreadSnapshot& ts : snapshots_.back().threads) ts.image = nullptr;
-    snapshotPool_.push_back(std::move(snapshots_.back()));
-    snapshots_.pop_back();
-  }
+  // Every snapshot of the previous run is dead: the undo logs stop logging
+  // until the next capture, their entries keeping their capacity.
   imageCache_.clear();
-  undoSize_ = 0;
-  bufferUndoSize_ = 0;
+  objectUndo_.clear();
+  bufferUndo_.clear();
   stagedStore_ = false;
   flushEvents_ = 0;
   fenceEvents_ = 0;
@@ -179,28 +172,17 @@ Outcome Execution::finishRun() {
   return outcome_;
 }
 
-std::size_t Execution::checkpoint() {
+std::size_t Execution::capture(Snapshot& s) {
   // Only legal at a scheduling point: the host loop is asking the scheduler
   // for a pick, so every fiber is suspended at its publish/park site.
   LAZYHB_CHECK(resumable_ && !done_ && currentThread_ == -1);
-  const std::size_t depth = events_.size();
-  LAZYHB_CHECK(choices_.size() == depth);
-  if (!snapshots_.empty() && snapshots_.back().depth == depth) {
-    return depth;  // already staged at this depth
-  }
-  LAZYHB_CHECK(snapshots_.empty() || snapshots_.back().depth < depth);
-  if (snapshotPool_.empty()) {
-    snapshots_.emplace_back();
-  } else {
-    snapshots_.push_back(std::move(snapshotPool_.back()));
-    snapshotPool_.pop_back();
-  }
-  ExecSnapshot& s = snapshots_.back();
-  s.depth = depth;
+  s.depth = events_.size();
+  LAZYHB_CHECK(choices_.size() == s.depth);
   s.threadCount = threads_.size();
   s.objectCount = objects_.size();
   if (s.threads.size() < s.threadCount) s.threads.resize(s.threadCount);
   if (imageCache_.size() < threads_.size()) imageCache_.resize(threads_.size());
+  std::size_t bytes = sizeof(Snapshot);
   for (std::size_t i = 0; i < s.threadCount; ++i) {
     const ThreadRec& t = threads_[i];
     ThreadSnapshot& ts = s.threads[i];
@@ -213,6 +195,7 @@ std::size_t Execution::checkpoint() {
     ts.signalPredecessor = t.signalPredecessor;
     ts.joinPredecessor = t.joinPredecessor;
     ts.lastEventIndex = t.lastEventIndex;
+    bytes += sizeof(ThreadSnapshot);
     if (t.status == ThreadStatus::Finished) {
       // A finished thread never runs again on any suffix of this prefix;
       // its continuation is irrelevant and its stack bytes stay dead.
@@ -221,7 +204,7 @@ std::size_t Execution::checkpoint() {
     }
     // Image sharing: the stack only changes when the fiber is advanced, so
     // a cached image at the same advanceCount is byte-identical — only the
-    // (usually one) thread that moved since the last checkpoint is copied.
+    // (usually one) thread that moved since the last capture is copied.
     ImageCacheEntry& cached = imageCache_[i];
     if (cached.version != t.advanceCount || cached.image == nullptr) {
       auto image = std::make_shared<ThreadImage>();
@@ -231,65 +214,57 @@ std::size_t Execution::checkpoint() {
       cached.image = std::move(image);
     }
     ts.image = cached.image;
+    bytes += sizeof(ThreadImage) + ts.image->fiber.bytes.size();
   }
-  // Object state is not copied: the undo log above `undoMark` is this
-  // stage's pre-image. A fresh epoch makes the next write to any object
-  // log it again (relative to *this* checkpoint).
-  s.undoMark = undoSize_;
-  // Store buffers follow the same pattern via their own undo log; the stat
-  // counters are tiny scalars, copied outright so replayed prefixes report
-  // the same totals regardless of how they were reached.
-  s.bufferUndoMark = bufferUndoSize_;
+  // Object state and store buffers are not copied: the logs above the marks
+  // are this snapshot's pre-image, and the fresh epochs the marks open make
+  // the next write to anything log it again. The stat counters are tiny
+  // scalars, copied outright so replayed prefixes report the same totals
+  // regardless of how they were reached.
+  s.objectUndoMark = objectUndo_.mark();
+  s.bufferUndoMark = bufferUndo_.mark();
   s.flushEvents = flushEvents_;
   s.fenceEvents = fenceEvents_;
   s.maxBufferedStores = maxBufferedStores_;
-  currentEpoch_ = ++epochCounter_;
-  return depth;
+  return bytes;
 }
 
-void Execution::logObjectUndo(std::int32_t index, const ObjectInfo& o) {
-  if (undoSize_ == undoLog_.size()) undoLog_.emplace_back();
-  ObjectUndo& u = undoLog_[undoSize_++];
+void Execution::logObject(std::int32_t index, const ObjectInfo& o) {
+  ObjectUndo& u = objectUndo_.append();
   u.index = index;
   u.valueHash = o.valueHash;
   u.a = o.a;
   u.waiters.assign(o.waiters.begin(), o.waiters.end());
 }
 
-std::size_t Execution::deepestCheckpointAtOrBelow(std::size_t depth) const noexcept {
-  for (auto it = snapshots_.rbegin(); it != snapshots_.rend(); ++it) {
-    if (it->depth <= depth) return it->depth;
-  }
-  return kNoCheckpoint;
+void Execution::logBuffer(int tid, const ThreadRec& t) {
+  BufferUndo& u = bufferUndo_.append();
+  u.tid = tid;
+  u.flushCount = t.flushCount;
+  u.entries.assign(t.storeBuffer.begin(), t.storeBuffer.end());
 }
 
-void Execution::rollbackTo(std::size_t depth) {
+void Execution::restore(const Snapshot& s) {
   LAZYHB_CHECK(resumable_ && ran_ && done_);
   LAZYHB_CHECK(g_current == nullptr);
-  while (!snapshots_.empty() && snapshots_.back().depth > depth) {
-    for (ThreadSnapshot& ts : snapshots_.back().threads) ts.image = nullptr;
-    snapshotPool_.push_back(std::move(snapshots_.back()));
-    snapshots_.pop_back();
-  }
-  LAZYHB_CHECK(!snapshots_.empty() && snapshots_.back().depth == depth);
-  const ExecSnapshot& s = snapshots_.back();
+  LAZYHB_CHECK(s.depth <= events_.size());
 
   // Store buffers roll back before the thread truncation below: an undo
-  // entry can name a thread spawned past the checkpoint, whose rec must
-  // still be addressable while its (empty) pre-image is applied.
-  while (bufferUndoSize_ > s.bufferUndoMark) {
-    BufferUndo& u = bufferUndoLog_[--bufferUndoSize_];
+  // entry can name a thread spawned past the snapshot, whose rec must
+  // still be addressable while its (empty) pre-image is applied. Swaps
+  // consume each entry and keep its vector's capacity pooled.
+  bufferUndo_.rollBack(s.bufferUndoMark, [this](BufferUndo& u) {
     ThreadRec& t = threads_[static_cast<std::size_t>(u.tid)];
-    t.storeBuffer.swap(u.entries);  // consume the entry; keep capacity pooled
+    t.storeBuffer.swap(u.entries);
     t.flushCount = u.flushCount;
-  }
+  });
   flushEvents_ = s.flushEvents;
   fenceEvents_ = s.fenceEvents;
   maxBufferedStores_ = s.maxBufferedStores;
 
-  // Threads spawned past the checkpoint are discarded outright: their
-  // stacks are dropped as raw bytes (checkpointable-program contract), and
-  // their records retire with their fibers for the next spawn to re-arm.
+  // Threads spawned past the snapshot are discarded outright: their stacks
+  // are dropped as raw bytes (checkpointable-program contract), and their
+  // records retire with their fibers for the next spawn to re-arm.
   for (std::size_t i = s.threadCount; i < threads_.size(); ++i) {
     threads_[i].fiber->abandonForRollback();
   }
@@ -328,64 +303,27 @@ void Execution::rollbackTo(std::size_t depth) {
     }
   }
 
-  // Replay the undo log backwards to this stage's mark, then drop the
-  // objects registered past the checkpoint. Replay-before-truncate order
-  // matters: entries can reference indices >= s.objectCount (objects that
-  // existed under a deeper stage), which must still be addressable while
-  // their pre-images are applied — the resize then discards them.
-  while (undoSize_ > s.undoMark) {
-    ObjectUndo& u = undoLog_[--undoSize_];
+  // Replay the object log backwards to the mark, then drop the objects
+  // registered past the snapshot. Replay-before-truncate order matters:
+  // entries can reference indices >= s.objectCount (objects that existed
+  // under a deeper snapshot), which must still be addressable while their
+  // pre-images are applied — the retirement then discards them.
+  objectUndo_.rollBack(s.objectUndoMark, [this](ObjectUndo& u) {
     ObjectInfo& o = objects_[static_cast<std::size_t>(u.index)];
     o.valueHash = u.valueHash;
     o.a = u.a;
-    o.waiters.swap(u.waiters);  // entry is consumed; swap keeps capacity pooled
-  }
+    o.waiters.swap(u.waiters);
+  });
   retireObjectsAbove(s.objectCount);
-  // New epoch: post-rollback writes must re-log their pre-images so this
-  // same stage can be rolled back to again (once per remaining sibling).
-  currentEpoch_ = ++epochCounter_;
 
-  events_.resize(depth);
-  choices_.resize(depth);
+  events_.resize(s.depth);
+  choices_.resize(s.depth);
   done_ = false;
   outcome_ = Outcome::Terminal;
   clearViolation();
   finalFingerprint_ = support::Hash128{};
   teardownFuel_ = 0;
   LAZYHB_CHECK(!abandoning_);
-}
-
-bool Execution::evictCheckpoint(std::size_t depth) {
-  for (std::size_t i = 0; i < snapshots_.size(); ++i) {
-    if (snapshots_[i].depth != depth) continue;
-    // Release the fiber images now — a pooled entry would otherwise keep
-    // them alive until reuse. The undo log keeps this stage's entries:
-    // rolling back past this depth to a shallower stage replays them.
-    for (ThreadSnapshot& ts : snapshots_[i].threads) ts.image = nullptr;
-    snapshotPool_.push_back(std::move(snapshots_[i]));
-    snapshots_.erase(snapshots_.begin() + static_cast<std::ptrdiff_t>(i));
-    return true;
-  }
-  return false;
-}
-
-std::size_t Execution::checkpointApproxBytes(std::size_t depth) const noexcept {
-  // Reverse scan: snapshots are depth-ascending and every caller asks about
-  // the just-staged (deepest) one — a forward scan made staging O(stages)
-  // and deep-tree branches quadratic.
-  for (auto it = snapshots_.rbegin(); it != snapshots_.rend(); ++it) {
-    const ExecSnapshot& s = *it;
-    if (s.depth != depth) continue;
-    std::size_t bytes = sizeof(ExecSnapshot);
-    for (std::size_t i = 0; i < s.threadCount; ++i) {
-      bytes += sizeof(ThreadSnapshot);
-      if (s.threads[i].image != nullptr) {
-        bytes += sizeof(ThreadImage) + s.threads[i].image->fiber.bytes.size();
-      }
-    }
-    return bytes;
-  }
-  return 0;
 }
 
 Execution::ThreadRec& Execution::addThread(std::function<void()> entry) {
@@ -812,14 +750,6 @@ void Execution::commitFlush(int tid) {
   event.valueHash = entry.valueHash;
   events_.push_back(event);
   if (observer_ != nullptr) observer_->onEvent(*this, events_.back());
-}
-
-void Execution::logBufferUndo(int tid, const ThreadRec& t) {
-  if (bufferUndoSize_ == bufferUndoLog_.size()) bufferUndoLog_.emplace_back();
-  BufferUndo& u = bufferUndoLog_[bufferUndoSize_++];
-  u.tid = tid;
-  u.flushCount = t.flushCount;
-  u.entries.assign(t.storeBuffer.begin(), t.storeBuffer.end());
 }
 
 void Execution::fenceNow() {

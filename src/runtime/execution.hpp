@@ -17,12 +17,15 @@
 // consecutive schedules share a prefix; re-running it costs fibers, engine
 // bookkeeping and recorder work just to get back to the divergence point.
 // In resumable mode an execution can instead *fork itself at a scheduling
-// point*: checkpoint() snapshots every thread's suspended continuation
-// (fiber stack bytes restored in place — see fiber.hpp), the object table
-// and the append-only event/choice logs; rollbackTo(depth) restores the
-// snapshot after the schedule completes, and resume() drives the host loop
-// onward along a different suffix. Threads spawned past the checkpoint are
-// discarded, threads that existed resume exactly where they were parked.
+// point*: capture() fills a Snapshot with every thread's suspended
+// continuation (fiber stack bytes restored in place — see fiber.hpp) and
+// the undo-log marks of the object table and store buffers; restore()
+// returns to it after the schedule completes, and resume() drives the host
+// loop onward along a different suffix. Threads spawned past the snapshot
+// are discarded, threads that existed resume exactly where they were
+// parked. The execution keeps no snapshots itself: which scheduling points
+// are captured, and which snapshot a divergence restores, is the replay
+// engine's ledger (explore/prefix_replay.hpp).
 //
 // Soundness contract (the "checkpointable program" contract): restore
 // rewrites fiber stacks as raw bytes, so the program under test must keep
@@ -59,6 +62,7 @@
 #include "runtime/operation.hpp"
 #include "support/hash.hpp"
 #include "support/thread_set.hpp"
+#include "support/undo_log.hpp"
 
 namespace lazyhb::runtime {
 
@@ -129,9 +133,8 @@ struct ObjectInfo {
   std::uint64_t valueHash = 0;
   std::int64_t a = -1;
   std::vector<int> waiters;  ///< CondVar: parked thread indices, FIFO
-  /// Dirty stamp: the checkpoint epoch that last undo-logged this object.
-  /// Engine-internal (undo-log staging); epochs are never reused, so a
-  /// stale stamp is simply "not dirty in the current epoch".
+  /// Engine-internal undo-log stamp (support/undo_log.hpp): the epoch that
+  /// last logged this object's pre-image.
   std::uint64_t epoch = 0;
 };
 
@@ -167,9 +170,6 @@ class Execution {
 
   // --- resumable mode (incremental prefix replay) ---------------------------
 
-  /// Sentinel for "no staged checkpoint".
-  static constexpr std::size_t kNoCheckpoint = static_cast<std::size_t>(-1);
-
   /// True when this build can snapshot/restore executions (fast-fiber
   /// switch, no AddressSanitizer).
   [[nodiscard]] static constexpr bool checkpointingSupported() noexcept {
@@ -178,36 +178,24 @@ class Execution {
 
   /// Switch this execution into resumable mode. Must be called before
   /// run(). End-of-run teardown is deferred (fibers keep their state so
-  /// checkpoints can be restored); the destructor tears down whatever is
+  /// snapshots can be restored); the destructor tears down whatever is
   /// left. Requires checkpointingSupported().
   void enableResumable();
 
-  /// Stage a snapshot at the current scheduling point (only callable from
-  /// Scheduler::pick, when every fiber is suspended). Checkpoints form a
-  /// stack ordered by depth; staging at the top's depth is a no-op.
-  /// Returns the staged depth (== events().size()).
-  std::size_t checkpoint();
+  class Snapshot;
 
-  /// Deepest staged checkpoint at depth <= `depth`, or kNoCheckpoint.
-  [[nodiscard]] std::size_t deepestCheckpointAtOrBelow(std::size_t depth) const noexcept;
+  /// Capture the current scheduling point into `s`, reusing its storage
+  /// (only callable from Scheduler::pick, when every fiber is suspended).
+  /// Returns the snapshot's approximate resident bytes: dominated by the
+  /// fiber stack images, which adjacent snapshots share — each referenced
+  /// image counts in full, an upper bound.
+  std::size_t capture(Snapshot& s);
 
-  /// After run()/resume() has returned: restore the staged checkpoint at
-  /// exactly `depth`, discarding deeper ones (they stay staged for reuse —
-  /// a node can be rolled back to once per remaining sibling).
-  void rollbackTo(std::size_t depth);
-
-  /// Drop the staged checkpoint at exactly `depth`, freeing its fiber
-  /// images (byte-budgeted snapshot store; explore/prefix_replay.hpp owns
-  /// the policy). The undo log is retained — rolling back *past* an evicted
-  /// depth to a shallower stage still replays its entries. Returns false
-  /// when nothing is staged at that depth.
-  bool evictCheckpoint(std::size_t depth);
-
-  /// Approximate resident bytes of the checkpoint staged at `depth`:
-  /// dominated by the fiber stack images (which adjacent checkpoints may
-  /// share — this counts each referenced image in full, an upper bound).
-  /// 0 when nothing is staged at that depth.
-  [[nodiscard]] std::size_t checkpointApproxBytes(std::size_t depth) const noexcept;
+  /// After run()/resume() has returned: return to the scheduling point `s`
+  /// captured. `s` stays valid — a node is restored once per remaining
+  /// sibling — but every snapshot captured after it is invalidated (the
+  /// undo logs they point into are rolled back past them).
+  void restore(const Snapshot& s);
 
   /// Continue a rolled-back execution under `scheduler` from its restored
   /// scheduling point. Returns like run().
@@ -382,7 +370,7 @@ class Execution {
     /// TSO: flush events committed for this thread's buffer so far — the
     /// indexInThread counter of its flush agent's event stream.
     std::uint32_t flushCount = 0;
-    /// Dirty stamp for the buffer undo log (mirrors ObjectInfo::epoch).
+    /// Undo-log stamp of the store buffer (mirrors ObjectInfo::epoch).
     std::uint64_t bufferEpoch = 0;
     std::uint32_t creationSeq = 0;   ///< per-thread counter for derived UIDs
     std::int32_t spawnPredecessor = -1;   ///< consumed by the first event
@@ -396,14 +384,14 @@ class Execution {
     std::uint32_t advanceCount = 0;
     /// A closure handed to spawnThread is parked here, engine-side, before
     /// the Spawn is published — so no fiber stack owns heap at a
-    /// suspension point and checkpoints can copy the slot instead.
+    /// suspension point and snapshots can copy the slot instead.
     std::function<void()> pendingSpawnFn;
   };
 
   /// The byte-level part of a thread's suspended state: fiber continuation
   /// plus the armed spawn slot. Immutable once captured and shared between
   /// adjacent snapshots — a thread's stack only changes when the thread is
-  /// advanced, so consecutive checkpoints along a descent reuse the same
+  /// advanced, so consecutive snapshots along a descent reuse the same
   /// image for every thread that did not move (advanceCount versioning).
   struct ThreadImage {
     FiberImage fiber;
@@ -431,12 +419,10 @@ class Execution {
   };
   static constexpr std::uint32_t kInvalidVersion = static_cast<std::uint32_t>(-1);
 
-  /// One undo-log entry: the pre-image of an object's mutable state the
-  /// first time it is written after a checkpoint (uid/kind/name are
-  /// immutable after registration and need no copy). Replaying entries
-  /// newest-first restores the object table to any staged depth, so
-  /// checkpoint() costs O(objects touched since the last stage) instead of
-  /// O(all objects).
+  /// Object undo-log entry: the pre-image of an object's mutable state on
+  /// its first write after a capture (uid/kind/name are immutable after
+  /// registration and need no copy), so a capture costs O(objects touched
+  /// since the last one) instead of O(all objects).
   struct ObjectUndo {
     std::int32_t index = -1;
     std::uint64_t valueHash = 0;
@@ -444,30 +430,13 @@ class Execution {
     std::vector<int> waiters;
   };
 
-  /// One buffer undo-log entry: the pre-image of a thread's store buffer
-  /// (and flush counter) the first time either mutates after a checkpoint —
-  /// the store-buffer twin of ObjectUndo, so TSO checkpoints stay
-  /// O(buffers touched) like object checkpoints stay O(objects touched).
+  /// Store-buffer undo-log entry: the pre-image of a thread's store buffer
+  /// and flush counter on the first mutation of either after a capture —
+  /// the store-buffer twin of ObjectUndo.
   struct BufferUndo {
     int tid = -1;
     std::uint32_t flushCount = 0;
     std::vector<StoreBufferEntry> entries;
-  };
-
-  /// One staged rollback point of the whole execution. Object state is not
-  /// copied: `undoMark` remembers the undo-log length at staging time, and
-  /// rollback replays the entries above it backwards. Store buffers work
-  /// the same way through `bufferUndoMark`.
-  struct ExecSnapshot {
-    std::size_t depth = 0;  ///< events_.size() == choices_.size()
-    std::size_t threadCount = 0;
-    std::size_t objectCount = 0;
-    std::size_t undoMark = 0;  ///< undo-log length when this was staged
-    std::size_t bufferUndoMark = 0;  ///< buffer undo-log length at staging
-    std::uint64_t flushEvents = 0;   ///< TSO stat counters at staging time
-    std::uint64_t fenceEvents = 0;
-    std::uint32_t maxBufferedStores = 0;
-    std::vector<ThreadSnapshot> threads;
   };
 
   /// Run tid's fiber until it publishes its next operation or finishes.
@@ -532,27 +501,19 @@ class Execution {
   /// Shared<T>); false directs the caller to write through.
   bool stageStoreTso(std::int32_t object, std::int64_t bits);
 
-  /// Dirty-tracking hook for store buffers (the touchObject analogue).
-  void touchBuffer(int tid) {
-    if (snapshots_.empty()) return;
-    ThreadRec& t = threads_[static_cast<std::size_t>(tid)];
-    if (t.bufferEpoch == currentEpoch_) return;
-    t.bufferEpoch = currentEpoch_;
-    logBufferUndo(tid, t);
-  }
-  void logBufferUndo(int tid, const ThreadRec& t);
-
-  /// Dirty-tracking hook: called before the first mutation of an object's
-  /// state since the last checkpoint; logs its pre-image once per epoch.
-  /// No-op when nothing is staged (there is nothing to roll back to).
+  /// Undo-log hooks, called before every mutation of an object's state or
+  /// a thread's store buffer: the first touch per epoch logs the
+  /// pre-image; no-ops until the first capture.
   void touchObject(std::int32_t index) {
-    if (snapshots_.empty()) return;
     ObjectInfo& o = objects_[static_cast<std::size_t>(index)];
-    if (o.epoch == currentEpoch_) return;
-    o.epoch = currentEpoch_;
-    logObjectUndo(index, o);
+    if (objectUndo_.firstTouch(o.epoch)) logObject(index, o);
   }
-  void logObjectUndo(std::int32_t index, const ObjectInfo& o);
+  void touchBuffer(int tid) {
+    ThreadRec& t = threads_[static_cast<std::size_t>(tid)];
+    if (bufferUndo_.firstTouch(t.bufferEpoch)) logBuffer(tid, t);
+  }
+  void logObject(std::int32_t index, const ObjectInfo& o);
+  void logBuffer(int tid, const ThreadRec& t);
 
   [[nodiscard]] support::ThreadSet scanEnabled() const;
   [[nodiscard]] bool isEnabled(const ThreadRec& t) const;
@@ -599,28 +560,15 @@ class Execution {
   Violation violation_;
   support::Hash128 finalFingerprint_;
 
-  // Staged rollback points (resumable mode), shallow -> deep (eviction may
-  // leave depth gaps); entries are pooled so their vectors keep capacity
-  // across restage cycles.
-  std::vector<ExecSnapshot> snapshots_;
-  std::vector<ExecSnapshot> snapshotPool_;
+  // Resumable mode: the latest captured image per thread, and the undo
+  // logs captures mark and restores roll back (the buffer log stays empty
+  // under SC).
   std::vector<ImageCacheEntry> imageCache_;  // per thread, advanceCount-keyed
-
-  // Object undo log (see ObjectUndo): an arena indexed by undoSize_ — the
-  // vector never shrinks, so the per-entry waiters vectors keep their
-  // capacity across reuse. Epochs are handed out by a monotone counter;
-  // an object is logged at most once per epoch.
-  std::vector<ObjectUndo> undoLog_;
-  std::size_t undoSize_ = 0;
-  std::uint64_t epochCounter_ = 0;
-  std::uint64_t currentEpoch_ = 0;
+  support::UndoLog<ObjectUndo> objectUndo_;
+  support::UndoLog<BufferUndo> bufferUndo_;
 
   // --- TSO state (quiescent under SC) ---------------------------------------
 
-  /// Store-buffer undo log, arena-indexed like undoLog_ (entry vectors keep
-  /// their capacity across reuse).
-  std::vector<BufferUndo> bufferUndoLog_;
-  std::size_t bufferUndoSize_ = 0;
   /// Set by stageStoreTso, consumed by varCommit: the granted Write between
   /// them staged a buffer entry (no scheduling point separates the two, so
   /// one flag — not per-thread state — suffices).
@@ -630,6 +578,31 @@ class Execution {
   std::uint64_t flushEvents_ = 0;
   std::uint64_t fenceEvents_ = 0;
   std::uint32_t maxBufferedStores_ = 0;
+};
+
+/// One captured scheduling point of a resumable execution. Object state is
+/// not copied: the undo-log marks remember where the logs stood, and a
+/// restore replays the entries above them backwards. Default-constructed
+/// empty; capture() refills one in place, keeping its storage.
+class Execution::Snapshot {
+ public:
+  /// Drop the fiber images now, keeping the rest of the storage for reuse
+  /// (a pooled snapshot would otherwise keep them alive until recaptured).
+  void release() noexcept {
+    for (ThreadSnapshot& ts : threads) ts.image = nullptr;
+  }
+
+ private:
+  friend class Execution;
+  std::size_t depth = 0;  ///< events_.size() == choices_.size()
+  std::size_t threadCount = 0;
+  std::size_t objectCount = 0;
+  std::size_t objectUndoMark = 0;
+  std::size_t bufferUndoMark = 0;
+  std::uint64_t flushEvents = 0;  ///< TSO stat counters at capture time
+  std::uint64_t fenceEvents = 0;
+  std::uint32_t maxBufferedStores = 0;
+  std::vector<ThreadSnapshot> threads;
 };
 
 }  // namespace lazyhb::runtime

@@ -42,7 +42,7 @@ class ClockArena {
   void reset() noexcept { rowCount_ = 0; }
 
   /// Drop every row past the first `rows` — the arena-side half of the
-  /// recorder's rollbackTo(depth). Rows are append-only, so rolling a
+  /// recorder's restore(snapshot). Rows are append-only, so rolling a
   /// prefix back is pure truncation: the retained rows are untouched and
   /// the storage stays allocated for the re-extension that follows.
   void truncate(std::size_t rows) noexcept {

@@ -43,12 +43,12 @@ TraceRecorder::TraceRecorder(Options options) : options_(options) {
 }
 
 void TraceRecorder::onExecutionStart(const runtime::Execution&) {
-  if (pendingResume_ != kNoCheckpoint) {
-    // Re-executed schedule with a shared prefix: rewind to the staged point
-    // and treat the first pendingResume_ events as replays to skip.
-    rollbackTo(pendingResume_);
-    skipEvents_ = pendingResume_;
-    pendingResume_ = kNoCheckpoint;
+  if (pendingResume_ != nullptr) {
+    // Re-executed schedule with a shared prefix: rewind to the armed
+    // snapshot and treat the events below its depth as replays to skip.
+    restore(*pendingResume_);
+    skipEvents_ = pendingResume_->eventCount;
+    pendingResume_ = nullptr;
     return;
   }
   resetAll();
@@ -67,8 +67,7 @@ void TraceRecorder::resetAll() {
   prefixValue_ = support::MultisetHash{};
   valueState_ = support::MultisetHash{};
   races_.clear();
-  undoSize_ = 0;  // no stages left to roll back to; entries are dead
-  recycleCheckpoints();
+  undo_.clear();  // every snapshot of the previous execution is dead
 }
 
 support::Hash128 TraceRecorder::cvQueueContribution(const ObjectHistory& h) noexcept {
@@ -99,7 +98,7 @@ void TraceRecorder::onObjectRegistered(const runtime::Execution&, std::int32_t i
   // contribute their (empty) wait-queue fold. Mutexes, semaphores and
   // threads need no contribution: their state is a function of the
   // operation multiset prefixValue_ already carries. A rollback restores
-  // valueState_ wholesale from the checkpoint copy, which un-registers
+  // valueState_ wholesale from the snapshot copy, which un-registers
   // objects born past the stage.
   if (kind == ObjectKind::Var) {
     h.valueHash = initialValueHash;
@@ -115,124 +114,62 @@ void TraceRecorder::onObjectRegistered(const runtime::Execution&, std::int32_t i
   }
 }
 
-std::size_t TraceRecorder::checkpoint() {
-  if (!checkpoints_.empty() && checkpoints_.back().eventCount == eventCount_) {
-    return eventCount_;  // already staged at this depth
-  }
-  LAZYHB_CHECK(checkpoints_.empty() || checkpoints_.back().eventCount < eventCount_);
-  if (checkpointPool_.empty()) {
-    checkpoints_.emplace_back();
-  } else {
-    checkpoints_.push_back(std::move(checkpointPool_.back()));
-    checkpointPool_.pop_back();
-  }
-  Checkpoint& cp = checkpoints_.back();
-  cp.eventCount = eventCount_;
-  cp.prefixFull = prefixFull_;
-  cp.prefixLazy = prefixLazy_;
-  cp.prefixValue = prefixValue_;
-  cp.valueState = valueState_;
-  cp.threadCount = threadCount_;
-  cp.threadLastEvent.assign(threadLastEvent_.begin(),
-                            threadLastEvent_.begin() +
-                                static_cast<std::ptrdiff_t>(threadCount_));
-  cp.objectCount = objectCount_;
-  // Object cursors are not copied: the undo log above `undoMark` is this
-  // stage's pre-image. A fresh stamp makes the next update of any history
-  // log it again (relative to *this* checkpoint).
-  cp.undoMark = undoSize_;
-  currentStamp_ = ++stampCounter_;
-  cp.raceCount = races_.size();
-  return eventCount_;
+std::size_t TraceRecorder::capture(Snapshot& s) {
+  s.eventCount = eventCount_;
+  s.prefixFull = prefixFull_;
+  s.prefixLazy = prefixLazy_;
+  s.prefixValue = prefixValue_;
+  s.valueState = valueState_;
+  s.threadCount = threadCount_;
+  s.threadLastEvent.assign(threadLastEvent_.begin(),
+                           threadLastEvent_.begin() +
+                               static_cast<std::ptrdiff_t>(threadCount_));
+  s.objectCount = objectCount_;
+  // Object cursors are not copied: the undo log above the mark is this
+  // snapshot's pre-image, and the fresh epoch the mark opens makes the next
+  // update of any history log it again.
+  s.undoMark = undo_.mark();
+  s.raceCount = races_.size();
+  return sizeof(Snapshot) + s.threadLastEvent.capacity() * sizeof(std::int32_t);
 }
 
-void TraceRecorder::logHistoryUndo(std::int32_t index, const ObjectHistory& h) {
-  if (undoSize_ == undoLog_.size()) undoLog_.emplace_back();
-  ObjectUndo& u = undoLog_[undoSize_++];
+void TraceRecorder::logHistory(std::int32_t index, const ObjectHistory& h) {
+  ObjectUndo& u = undo_.append();
   u.index = index;
   u.chainSize = h.chain.size();
   u.cursor = static_cast<const ObjectCursor&>(h);  // vectors reuse the slot's capacity
 }
 
-std::size_t TraceRecorder::deepestCheckpointAtOrBelow(std::size_t depth) const noexcept {
-  for (auto it = checkpoints_.rbegin(); it != checkpoints_.rend(); ++it) {
-    if (it->eventCount <= depth) return it->eventCount;
+void TraceRecorder::restore(const Snapshot& s) {
+  LAZYHB_CHECK(s.eventCount <= eventCount_);
+  eventCount_ = s.eventCount;
+  if (tracksPredecessors()) records_.resize(s.eventCount);
+  if (options_.detectRaces) syncClocks_.truncate(s.eventCount);
+  if (options_.fullClocks) fullClocks_.truncate(s.eventCount);
+  prefixFull_ = s.prefixFull;
+  prefixLazy_ = s.prefixLazy;
+  prefixValue_ = s.prefixValue;
+  valueState_ = s.valueState;
+  threadCount_ = s.threadCount;
+  for (std::size_t i = 0; i < s.threadCount; ++i) {
+    threadLastEvent_[i] = s.threadLastEvent[i];
   }
-  return kNoCheckpoint;
-}
-
-void TraceRecorder::rollbackTo(std::size_t depth) {
-  while (!checkpoints_.empty() && checkpoints_.back().eventCount > depth) {
-    checkpointPool_.push_back(std::move(checkpoints_.back()));
-    checkpoints_.pop_back();
-  }
-  LAZYHB_CHECK(!checkpoints_.empty() && checkpoints_.back().eventCount == depth);
-  const Checkpoint& cp = checkpoints_.back();
-  eventCount_ = depth;
-  if (tracksPredecessors()) records_.resize(depth);
-  if (options_.detectRaces) syncClocks_.truncate(depth);
-  if (options_.fullClocks) fullClocks_.truncate(depth);
-  prefixFull_ = cp.prefixFull;
-  prefixLazy_ = cp.prefixLazy;
-  prefixValue_ = cp.prefixValue;
-  valueState_ = cp.valueState;
-  threadCount_ = cp.threadCount;
-  for (std::size_t i = 0; i < cp.threadCount; ++i) {
-    threadLastEvent_[i] = cp.threadLastEvent[i];
-  }
-  // Replay the undo log backwards to this stage's mark. Entries can
-  // reference histories past cp.objectCount (objects that existed under a
-  // deeper stage); applying them is harmless — those histories are dead
-  // until a re-registration resets them. Swaps consume the entry and keep
-  // the arena slot's vector capacity pooled.
-  while (undoSize_ > cp.undoMark) {
-    ObjectUndo& u = undoLog_[--undoSize_];
+  // Replay the undo log backwards to the mark. Entries can reference
+  // histories past s.objectCount (objects that existed under a deeper
+  // snapshot); applying them is harmless — those histories are dead until a
+  // re-registration resets them. Swaps consume the entry and keep the
+  // arena slot's vector capacity pooled.
+  undo_.rollBack(s.undoMark, [this](ObjectUndo& u) {
     ObjectHistory& h = objects_[static_cast<std::size_t>(u.index)];
     std::swap(static_cast<ObjectCursor&>(h), u.cursor);
     LAZYHB_ASSERT(h.chain.size() >= u.chainSize);
     h.chain.resize(u.chainSize);
-  }
-  objectCount_ = cp.objectCount;
-  // New stamp: post-rollback updates must re-log their pre-images so this
-  // same stage can be rolled back to again.
-  currentStamp_ = ++stampCounter_;
-  races_.resize(cp.raceCount);
+  });
+  objectCount_ = s.objectCount;
+  races_.resize(s.raceCount);
 }
 
-bool TraceRecorder::evictCheckpoint(std::size_t depth) {
-  for (std::size_t i = 0; i < checkpoints_.size(); ++i) {
-    if (checkpoints_[i].eventCount != depth) continue;
-    checkpointPool_.push_back(std::move(checkpoints_[i]));
-    checkpoints_.erase(checkpoints_.begin() + static_cast<std::ptrdiff_t>(i));
-    return true;
-  }
-  return false;
-}
-
-std::size_t TraceRecorder::checkpointApproxBytes(std::size_t depth) const noexcept {
-  // Reverse scan: checkpoints are depth-ascending and the engine prices the
-  // just-staged (deepest) one on every stage — a forward scan made staging
-  // O(stages) and deep-tree branches quadratic.
-  for (auto it = checkpoints_.rbegin(); it != checkpoints_.rend(); ++it) {
-    const Checkpoint& cp = *it;
-    if (cp.eventCount != depth) continue;
-    return sizeof(Checkpoint) +
-           cp.threadLastEvent.capacity() * sizeof(std::int32_t);
-  }
-  return 0;
-}
-
-void TraceRecorder::armResume(std::size_t depth) {
-  LAZYHB_CHECK(deepestCheckpointAtOrBelow(depth) == depth);
-  pendingResume_ = depth;
-}
-
-void TraceRecorder::recycleCheckpoints() noexcept {
-  while (!checkpoints_.empty()) {
-    checkpointPool_.push_back(std::move(checkpoints_.back()));
-    checkpoints_.pop_back();
-  }
-}
+void TraceRecorder::armResume(const Snapshot& s) { pendingResume_ = &s; }
 
 TraceRecorder::ObjectHistory& TraceRecorder::history(std::int32_t objectIndex) {
   const auto i = static_cast<std::size_t>(objectIndex);
@@ -315,7 +252,7 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
   // the objects the event touches, read before the event opens any of them
   // (see the header). Full and Lazy differ only on mutexes. Each
   // touchHistory call undo-logs the history's pre-image on its first
-  // update since the last checkpoint — and must precede taking the
+  // update since the last capture — and must precede taking the
   // reference it guards (the history() call inside may grow objects_).
   const support::Hash128 label = ev.labelHash();
   support::Hash128 full = label;

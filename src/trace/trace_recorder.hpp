@@ -77,15 +77,17 @@
 //
 // Incremental prefix replay: consecutive schedules of a tree search share a
 // prefix, and everything the recorder computes for that prefix is identical
-// across them. checkpoint() stages a rollback point at the current depth
-// (the per-event arrays are append-only, the clock matrices truncate in
-// place, and the prefix fingerprint accumulator is abelian — so a staged
-// point is just the handful of non-monotonic cursors); rollbackTo(depth)
-// rewinds the whole recorder to a staged point. Two consumers exist:
-// resumable executions re-extend directly after a rollback, and re-executed
-// schedules arm armResume(depth) so the next onExecutionStart rolls back
-// and then *skips* the first `depth` replayed events instead of recomputing
-// them — the recorder's share of the replay cost disappears.
+// across them. capture() fills a Snapshot of the current depth (the
+// per-event arrays are append-only, the clock matrices truncate in place,
+// and the prefix fingerprint accumulators are abelian — so a snapshot is
+// just the handful of non-monotonic cursors plus an undo-log mark);
+// restore() rewinds the whole recorder to it. Two consumers exist:
+// resumable executions re-extend directly after a restore, and re-executed
+// schedules arm armResume() so the next onExecutionStart restores and then
+// *skips* the replayed prefix events instead of recomputing them — the
+// recorder's share of the replay cost disappears. The recorder keeps no
+// snapshots itself; the replay engine's ledger does
+// (explore/prefix_replay.hpp).
 
 #pragma once
 
@@ -98,6 +100,7 @@
 #include "runtime/execution.hpp"
 #include "runtime/operation.hpp"
 #include "support/hash.hpp"
+#include "support/undo_log.hpp"
 #include "trace/clock_arena.hpp"
 #include "trace/vector_clock.hpp"
 
@@ -153,43 +156,29 @@ class TraceRecorder final : public runtime::ExecutionObserver {
 
   // --- incremental prefix replay ---------------------------------------------
 
-  /// Sentinel for "no staged checkpoint".
-  static constexpr std::size_t kNoCheckpoint = static_cast<std::size_t>(-1);
+  class Snapshot;
 
-  /// Stage a rollback point at the current depth (eventCount()). Checkpoints
-  /// form a stack ordered by depth; staging at the current top's depth is a
-  /// no-op. Returns the staged depth.
-  std::size_t checkpoint();
+  /// Capture the current depth (eventCount()) into `s`, reusing its
+  /// storage. Returns its approximate bytes (cursors only, small next to
+  /// the fiber images of Execution::capture).
+  std::size_t capture(Snapshot& s);
 
-  /// Deepest staged checkpoint at depth <= `depth`, or kNoCheckpoint.
-  [[nodiscard]] std::size_t deepestCheckpointAtOrBelow(std::size_t depth) const noexcept;
+  /// Rewind to the depth `s` captured. All per-event data below it stays
+  /// valid; everything past it is truncated and the cursors and
+  /// fingerprints restored. `s` stays valid, but every snapshot captured
+  /// after it is invalidated.
+  void restore(const Snapshot& s);
 
-  /// Rewind to the staged checkpoint at exactly `depth`, discarding every
-  /// deeper one. All per-event data in [0, depth) stays valid; everything
-  /// past it is truncated and the cursors/fingerprints restored.
-  void rollbackTo(std::size_t depth);
+  /// Arm the next onExecutionStart to restore(s) and then skip the replayed
+  /// events below its depth (and their object re-registrations) instead of
+  /// resetting — for re-executed schedules whose prefix is a replay of the
+  /// previous one. `s` must stay untouched until that start.
+  void armResume(const Snapshot& s);
 
-  /// Arm the next onExecutionStart to rollbackTo(depth) and then skip the
-  /// first `depth` replayed events (and their object re-registrations)
-  /// instead of resetting — for re-executed schedules whose prefix is a
-  /// replay of the previous one.
-  void armResume(std::size_t depth);
-
-  /// Drop the staged checkpoint at exactly `depth` (byte-budgeted snapshot
-  /// store; explore/prefix_replay.hpp owns the policy). The undo log keeps
-  /// its entries — rolling back past an evicted depth still replays them.
-  /// Returns false when nothing is staged at that depth.
-  bool evictCheckpoint(std::size_t depth);
-
-  /// Approximate resident bytes of the checkpoint staged at `depth` (the
-  /// recorder side is cursors only, so this is small next to the fiber
-  /// images of Execution::checkpointApproxBytes). 0 when nothing is staged.
-  [[nodiscard]] std::size_t checkpointApproxBytes(std::size_t depth) const noexcept;
-
-  /// Live undo-log entries: one per object touched between two stages.
+  /// Live undo-log entries: one per object touched between two captures.
   /// Introspection for tests pinning the O(touched) staging contract (two
-  /// writes to one object between stages must coalesce into one entry).
-  [[nodiscard]] std::size_t undoLogSize() const noexcept { return undoSize_; }
+  /// writes to one object between captures must coalesce into one entry).
+  [[nodiscard]] std::size_t undoLogSize() const noexcept { return undo_.size(); }
 
   /// Events skipped as already-recorded replays since construction.
   [[nodiscard]] std::uint64_t replaysSkipped() const noexcept { return replaysSkipped_; }
@@ -279,9 +268,8 @@ class TraceRecorder final : public runtime::ExecutionObserver {
     /// semaphore, thread objects), schedule order. Append-only, so an undo
     /// entry records its length only.
     std::vector<std::int32_t> chain;
-    /// Dirty stamp: the stage that last undo-logged this history. Stamps
-    /// are never reused, so reset() need not clear it — a stale stamp
-    /// simply reads as "not yet logged since the current stage".
+    /// Undo-log stamp (support/undo_log.hpp): epochs are never reused, so
+    /// reset() need not clear it.
     std::uint64_t stamp = 0;
 
     /// Clears per-execution state; every vector keeps its capacity, so a
@@ -303,34 +291,16 @@ class TraceRecorder final : public runtime::ExecutionObserver {
     }
   };
 
-  /// One undo-log entry: an object's cursor pre-image, logged on its first
-  /// history update after a checkpoint — so checkpoint() costs O(objects
-  /// touched since the last stage) instead of O(all objects), and rollback
-  /// replays entries newest-first.
+  /// Undo-log entry: an object's cursor pre-image, logged on its first
+  /// history update after a capture — so a capture costs O(objects touched
+  /// since the last one) instead of O(all objects).
   struct ObjectUndo {
     std::int32_t index = -1;
     std::size_t chainSize = 0;
     ObjectCursor cursor;
   };
 
-  /// One staged rollback point: the non-truncatable state at a depth.
-  /// Object cursors are not copied — `undoMark` remembers the undo-log
-  /// length at staging time.
-  struct Checkpoint {
-    std::size_t eventCount = 0;
-    support::MultisetHash prefixFull;
-    support::MultisetHash prefixLazy;
-    support::MultisetHash prefixValue;
-    support::MultisetHash valueState;
-    std::size_t threadCount = 0;
-    std::vector<std::int32_t> threadLastEvent;
-    std::size_t objectCount = 0;
-    std::size_t undoMark = 0;
-    std::size_t raceCount = 0;
-  };
-
   void resetAll();
-  void recycleCheckpoints() noexcept;
 
   /// True when a consumer reads what the predecessor half builds.
   [[nodiscard]] bool tracksPredecessors() const noexcept {
@@ -344,17 +314,13 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   void trackPredecessors(const runtime::Execution& exec,
                          const runtime::EventRecord& ev, std::int32_t index);
 
-  /// Dirty-tracking hook: called before the first history update of an
-  /// object since the last checkpoint; logs its cursor pre-image once per
-  /// stage. No-op when nothing is staged.
+  /// Undo-log hook, called before every history update: the first touch
+  /// per epoch logs the cursor pre-image; a no-op until the first capture.
   void touchHistory(std::int32_t index) {
-    if (checkpoints_.empty()) return;
     ObjectHistory& h = history(index);
-    if (h.stamp == currentStamp_) return;
-    h.stamp = currentStamp_;
-    logHistoryUndo(index, h);
+    if (undo_.firstTouch(h.stamp)) logHistory(index, h);
   }
-  void logHistoryUndo(std::int32_t index, const ObjectHistory& h);
+  void logHistory(std::int32_t index, const ObjectHistory& h);
 
   /// The condvar's contribution to valueState_: an order-sensitive fold of
   /// its FIFO wait queue over the condvar's uid. Computed before and after
@@ -407,23 +373,28 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   std::vector<std::int32_t> scratchLazy_;
   std::vector<std::int32_t> scratchSync_;
 
-  // Incremental prefix replay. Checkpoint entries are pooled so the nested
-  // cursor vectors keep their capacity across stage/discard cycles;
-  // eviction may leave depth gaps in the stack.
-  std::vector<Checkpoint> checkpoints_;     // stack, shallow -> deep
-  std::vector<Checkpoint> checkpointPool_;  // recycled entries
-
-  // Object-cursor undo log: an arena indexed by undoSize_ — the vector
-  // never shrinks, so per-entry cursor vectors keep capacity across reuse.
-  // Stamps come from a monotone counter; one log entry per object per stage.
-  std::vector<ObjectUndo> undoLog_;
-  std::size_t undoSize_ = 0;
-  std::uint64_t stampCounter_ = 0;
-  std::uint64_t currentStamp_ = 0;
-
-  std::size_t pendingResume_ = kNoCheckpoint;
+  // Incremental prefix replay.
+  support::UndoLog<ObjectUndo> undo_;  // object cursors
+  const Snapshot* pendingResume_ = nullptr;  // armed by armResume
   std::size_t skipEvents_ = 0;  // replayed prefix events left to skip
   std::uint64_t replaysSkipped_ = 0;
+};
+
+/// The recorder's non-truncatable state at one depth. Object cursors are
+/// not copied: `undoMark` remembers where the undo log stood. Default-
+/// constructed empty; capture() refills one in place, keeping its storage.
+class TraceRecorder::Snapshot {
+  friend class TraceRecorder;
+  std::size_t eventCount = 0;
+  support::MultisetHash prefixFull;
+  support::MultisetHash prefixLazy;
+  support::MultisetHash prefixValue;
+  support::MultisetHash valueState;
+  std::size_t threadCount = 0;
+  std::vector<std::int32_t> threadLastEvent;
+  std::size_t objectCount = 0;
+  std::size_t undoMark = 0;
+  std::size_t raceCount = 0;
 };
 
 }  // namespace lazyhb::trace

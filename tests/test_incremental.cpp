@@ -353,17 +353,28 @@ TEST(IncrementalReplay, ElisionAccountingIsConsistent) {
   EXPECT_EQ(base.eventsElided, 0u);
   EXPECT_GT(base.eventsReplayed, 0u);  // replays exist; they are just re-run
 
-  explore::DfsExplorer on(optionsFor(true, spec->checkpointable));
-  const explore::ExplorationResult fast = on.explore(spec->body);
-  EXPECT_EQ(fast.totalEvents, base.totalEvents);
-  if (runtime::Execution::checkpointingSupported()) {
-    EXPECT_GT(fast.eventsElided, 0u);
-    // Elided + replayed per schedule == divergence depth, and the engine
-    // rolls back exactly to staged divergence points, so the two modes
-    // partition the same redundant-prefix total.
-    EXPECT_EQ(fast.eventsElided + fast.eventsReplayed, base.eventsReplayed);
+  // At the engine default every divergence finds its stage; at 512 bytes
+  // (less than one stage) eviction and the replay fallback run constantly.
+  for (const std::uint64_t budget : {explore::defaultSnapshotBudgetBytes(), std::uint64_t{512}}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    explore::ExplorerOptions options = optionsFor(true, spec->checkpointable);
+    options.snapshotBudgetBytes = budget;
+    explore::DfsExplorer on(options);
+    const explore::ExplorationResult fast = on.explore(spec->body);
+    EXPECT_EQ(fast.totalEvents, base.totalEvents);
+    if (runtime::Execution::checkpointingSupported()) {
+      EXPECT_GT(fast.eventsElided, 0u);
+      // Elided + replayed per schedule == divergence depth, so the two
+      // modes partition the same redundant-prefix total at any budget —
+      // a fallback only moves events from elided to replayed.
+      EXPECT_EQ(fast.eventsElided + fast.eventsReplayed, base.eventsReplayed);
+      if (budget == 512) {
+        EXPECT_GT(fast.checkpointStats.evictions, 0u);
+        EXPECT_GT(fast.checkpointStats.replayFallbacks, 0u);
+      }
+    }
+    EXPECT_LE(fast.eventsElided, fast.totalEvents);
   }
-  EXPECT_LE(fast.eventsElided, fast.totalEvents);
 }
 
 // --- snapshot-budget identity ------------------------------------------------
@@ -372,6 +383,18 @@ TEST(IncrementalReplay, ElisionAccountingIsConsistent) {
 // staged checkpoints under pressure and falls back to replaying from a
 // shallower stage (or a full restart). None of that may move a single
 // observable: traces and counts are byte-identical at any budget.
+
+TEST(SnapshotBudget, EnvironmentValueMustBePlainDecimal) {
+  // LAZYHB_SNAPSHOT_BUDGET: empty means unset (CI legs export it empty);
+  // anything but plain decimal digits that fit in 64 bits is refused, and
+  // defaultSnapshotBudgetBytes() aborts with a diagnostic on a refusal.
+  EXPECT_EQ(explore::parseSnapshotBudgetEnv(""), std::uint64_t{256} * 1024 * 1024);
+  EXPECT_EQ(explore::parseSnapshotBudgetEnv("0"), 0u);
+  EXPECT_EQ(explore::parseSnapshotBudgetEnv("4096"), 4096u);
+  for (const char* bad : {"-1", "4k", " 4096", "99999999999999999999"}) {
+    EXPECT_EQ(explore::parseSnapshotBudgetEnv(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
 
 TEST(IncrementalReplay, TracesIdenticalAtAnySnapshotBudget) {
   // A 64-byte budget keeps at most the deepest stage alive — every
@@ -643,26 +666,29 @@ TEST(IncrementalReplay, UndoEntriesCoalescePerObjectBetweenStages) {
     }
   };
 
-  // No stage, no undo-logging: the hook must be a no-op.
+  // No capture, no undo-logging: the hook must be a no-op.
   feedThrough(writes[0]);
   EXPECT_EQ(recorder.undoLogSize(), 0u);
 
-  const std::size_t d0 = recorder.checkpoint();
+  trace::TraceRecorder::Snapshot s0;
+  trace::TraceRecorder::Snapshot s1;
+  const std::size_t d0 = recorder.eventCount();
+  (void)recorder.capture(s0);
   feedThrough(writes[1]);
-  EXPECT_EQ(recorder.undoLogSize(), 1u);  // first touch of `a` since the stage
+  EXPECT_EQ(recorder.undoLogSize(), 1u);  // first touch of `a` since the capture
   feedThrough(writes[2]);
   EXPECT_EQ(recorder.undoLogSize(), 1u);  // second write to `a` coalesces
   feedThrough(writes[3]);
   EXPECT_EQ(recorder.undoLogSize(), 2u);  // `b` is a fresh object
 
-  const std::size_t d1 = recorder.checkpoint();
+  (void)recorder.capture(s1);
   feedThrough(writes[4]);
-  EXPECT_EQ(recorder.undoLogSize(), 3u);  // a new stage re-logs `a` once
+  EXPECT_EQ(recorder.undoLogSize(), 3u);  // a new capture re-logs `a` once
 
-  // Rolling back trims the undo log to each stage's mark.
-  recorder.rollbackTo(d1);
+  // Restoring trims the undo log to each snapshot's mark.
+  recorder.restore(s1);
   EXPECT_EQ(recorder.undoLogSize(), 2u);
-  recorder.rollbackTo(d0);
+  recorder.restore(s0);
   EXPECT_EQ(recorder.undoLogSize(), 0u);
   EXPECT_EQ(recorder.eventCount(), d0);
 }
@@ -691,38 +717,42 @@ TEST(IncrementalReplay, EvictThenRollbackPastEvictedRestoresState) {
   };
 
   feedThrough(writes[0]);
-  const std::size_t d0 = recorder.checkpoint();
+  trace::TraceRecorder::Snapshot base;
+  trace::TraceRecorder::Snapshot mid;
+  const std::size_t d0 = recorder.eventCount();
+  (void)recorder.capture(base);
   const support::Hash128 fullAtD0 = recorder.fingerprint(trace::Relation::Full);
   const support::Hash128 lazyAtD0 = recorder.fingerprint(trace::Relation::Lazy);
 
   feedThrough(writes[2]);
-  const std::size_t d1 = recorder.checkpoint();
+  const std::size_t d1 = recorder.eventCount();
+  (void)recorder.capture(mid);
   feedThrough(writes[4]);
   const support::Hash128 fullEnd = recorder.fingerprint(trace::Relation::Full);
 
-  // Evict the mid stage: its slot empties, but the undo entries logged
-  // since d0 are retained, so rolling back *past* d1 still lands exactly
-  // on d0's state.
-  EXPECT_TRUE(recorder.evictCheckpoint(d1));
-  EXPECT_FALSE(recorder.evictCheckpoint(d1));  // already gone
-  EXPECT_EQ(recorder.checkpointApproxBytes(d1), 0u);
-  EXPECT_EQ(recorder.deepestCheckpointAtOrBelow(d1), d0);
-
-  recorder.rollbackTo(d0);
+  // Evicting the mid stage is the replay engine dropping its snapshot: the
+  // undo entries logged above its mark stay in the log, so restoring the
+  // base *past* it still lands exactly on d0's state.
+  recorder.restore(base);
   EXPECT_EQ(recorder.eventCount(), d0);
   EXPECT_EQ(recorder.fingerprint(trace::Relation::Full), fullAtD0);
   EXPECT_EQ(recorder.fingerprint(trace::Relation::Lazy), lazyAtD0);
 
-  // Re-extending along the same suffix reproduces the original trace.
+  // Re-extending along the same suffix reproduces the original trace, and
+  // the evicted snapshot's storage serves the next capture.
   next = writes[0] + 1;
+  feedThrough(writes[2]);
+  (void)recorder.capture(mid);
   feedThrough(writes[4]);
   EXPECT_EQ(recorder.fingerprint(trace::Relation::Full), fullEnd);
+  recorder.restore(mid);
+  EXPECT_EQ(recorder.eventCount(), d1);
 }
 
 TEST(IncrementalReplay, ValueFingerprintSurvivesRollbackAndReplay) {
   // The observation state behind Relation::Value (abelian prefix digest,
   // per-var value hashes, condvar queues) must restore across
-  // checkpoint/rollback exactly like the relation state: a rolled-back and
+  // capture/restore exactly like the relation state: a rolled-back and
   // re-extended recorder's Value fingerprint is byte-identical to a fresh
   // recorder fed the same stream.
   runtime::StackPool pool;
@@ -755,7 +785,8 @@ TEST(IncrementalReplay, ValueFingerprintSurvivesRollbackAndReplay) {
   seed(recorder);
   const std::size_t half = captured.events.size() / 2;
   for (std::size_t i = 0; i < half; ++i) recorder.onEvent(dummy, captured.events[i]);
-  const std::size_t d = recorder.checkpoint();
+  trace::TraceRecorder::Snapshot atHalf;
+  (void)recorder.capture(atHalf);
   const support::Hash128 valueAtD = recorder.fingerprint(trace::Relation::Value);
   for (std::size_t i = half; i < captured.events.size(); ++i) {
     recorder.onEvent(dummy, captured.events[i]);
@@ -763,7 +794,7 @@ TEST(IncrementalReplay, ValueFingerprintSurvivesRollbackAndReplay) {
   const support::Hash128 valueEnd = recorder.fingerprint(trace::Relation::Value);
   EXPECT_NE(valueAtD, valueEnd);  // the suffix must actually change it
 
-  recorder.rollbackTo(d);
+  recorder.restore(atHalf);
   EXPECT_EQ(recorder.fingerprint(trace::Relation::Value), valueAtD);
   for (std::size_t i = half; i < captured.events.size(); ++i) {
     recorder.onEvent(dummy, captured.events[i]);

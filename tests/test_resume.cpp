@@ -31,6 +31,7 @@
 #include "lazyhb/lazyhb.hpp"
 #include "programs/registry.hpp"
 #include "support/json_reader.hpp"
+#include "support/json_writer.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -657,6 +658,36 @@ TEST(ReportReader, HostileInputRaisesInsteadOfCrashing) {
       EXPECT_NE(diffRefusal(order[0], order[1]), "");
     }
   }
+
+  // Mutation sweep: every proper prefix that stops before the closing
+  // brace, and the document with each byte replaced by one of {}[]",:
+  // (cycling by position). Each input must parse or raise — a crash or a
+  // foreign exception fails the test, and the ASan+UBSan leg runs it.
+  const auto sweep = [](const std::string& document, const auto& read) {
+    const std::size_t closing = document.rfind('}');
+    for (std::size_t n = 0; n < closing; ++n) read(document.substr(0, n));
+    static constexpr char kStructural[] = "{}[]\",:";
+    for (std::size_t i = 0; i < document.size(); ++i) {
+      std::string mutated = document;
+      mutated[i] = kStructural[i % (sizeof kStructural - 1)];
+      read(mutated);
+    }
+  };
+  const auto parseOrRaise = [](const auto& read) {
+    try {
+      read();
+    } catch (const std::runtime_error&) {
+    }
+  };
+  sweep(good, [&](const std::string& input) {
+    parseOrRaise([&] { (void)campaign::mergeReports({input}, {"x"}); });
+    parseOrRaise([&] { (void)campaign::diffReports(good, input, "x", "y"); });
+  });
+  support::JsonWriter cell;
+  campaign::writeCellJson(cell, everyBlockCell());
+  sweep(cell.str() + "\n", [&](const std::string& input) {
+    parseOrRaise([&] { (void)campaign::readJournalCell(input, "cell-0.json"); });
+  });
 }
 
 TEST(ReportReader, RefusesAMergeBlockItsSourcesCannotCover) {

@@ -226,13 +226,15 @@ TEST(Runtime, RearmedFiberRunsOnItsOwnStack) {
 /// Follows `script` (a pick per scheduling point, skipping any that is not
 /// enabled), then the lowest enabled real thread; abandons after `abandonAt`
 /// picks. Never picks a flush, so TSO stores stay buffered until the end.
+/// Captures depth 2 into `atTwo` when one is given.
 class Scripted final : public runtime::Scheduler {
  public:
-  Scripted(std::vector<int> script, std::size_t abandonAt, bool stageAtTwo)
-      : script_(std::move(script)), abandonAt_(abandonAt), stageAtTwo_(stageAtTwo) {}
+  Scripted(std::vector<int> script, std::size_t abandonAt,
+           Execution::Snapshot* atTwo = nullptr)
+      : script_(std::move(script)), abandonAt_(abandonAt), atTwo_(atTwo) {}
   int pick(Execution& exec) override {
     const std::size_t depth = exec.choices().size();
-    if (stageAtTwo_ && depth == 2) (void)exec.checkpoint();
+    if (atTwo_ != nullptr && depth == 2) (void)exec.capture(*atTwo_);
     if (depth >= abandonAt_) return kAbandon;
     const support::ThreadSet enabled = exec.enabled();
     if (depth < script_.size() && enabled.contains(script_[depth])) return script_[depth];
@@ -245,7 +247,7 @@ class Scripted final : public runtime::Scheduler {
  private:
   std::vector<int> script_;
   std::size_t abandonAt_;
-  bool stageAtTwo_;
+  Execution::Snapshot* atTwo_;
 };
 
 /// Everything a run leaves behind that a caller can observe.
@@ -296,7 +298,7 @@ RunRecord recordOf(Outcome outcome, const Execution& exec,
 TEST(Runtime, RestartedExecutionMatchesAFreshOne) {
   // One execution recycled through restart() must be indistinguishable from
   // a freshly constructed one on every schedule of a varied sequence: its
-  // retired thread records, fibers, objects, logs, checkpoints and
+  // retired thread records, fibers, objects, logs, cached fiber images and
   // violation record must carry nothing over.
   auto workers = [](int n) {
     // Checkpointable (no heap on fiber stacks), so resumable steps can roll
@@ -372,7 +374,7 @@ TEST(Runtime, RestartedExecutionMatchesAFreshOne) {
     std::vector<int> script;
     std::size_t abandonAt;
     Outcome expected;
-    /// Resumable: stage at depth 2, then roll back there and resume along
+    /// Resumable: capture depth 2, then restore it and resume along
     /// `resumeScript`.
     bool resumable = false;
     std::vector<int> resumeScript = {};
@@ -391,7 +393,7 @@ TEST(Runtime, RestartedExecutionMatchesAFreshOne) {
   };
   if (Execution::checkpointingSupported()) {
     // Resumable runs defer teardown: restart() must run the suspended
-    // fibers forward and drop the staged checkpoints and cached images.
+    // fibers forward and drop the undo logs and cached images.
     // Both reach depth 2 with equal advance counts, so a cached fiber image
     // surviving restart() would be taken for the second program's.
     steps.push_back({"resumable abandoned", workers(3), sc, {0, 0}, 5, Outcome::Abandoned,
@@ -404,11 +406,12 @@ TEST(Runtime, RestartedExecutionMatchesAFreshOne) {
   auto play = [never](Execution& exec, const lazyhb::testing::CapturedTrace& trace,
                       const Step& step) {
     std::vector<RunRecord> records;
-    Scripted scheduler(step.script, step.abandonAt, step.resumable);
+    Execution::Snapshot atTwo;
+    Scripted scheduler(step.script, step.abandonAt, step.resumable ? &atTwo : nullptr);
     records.push_back(recordOf(exec.run(step.body, scheduler), exec, trace));
     if (step.resumable) {
-      exec.rollbackTo(2);
-      Scripted other(step.resumeScript, never, false);
+      exec.restore(atTwo);
+      Scripted other(step.resumeScript, never);
       records.push_back(recordOf(exec.resume(other), exec, trace));
     }
     return records;

@@ -15,6 +15,7 @@
 #include "support/rng.hpp"
 #include "support/table.hpp"
 #include "support/thread_set.hpp"
+#include "support/undo_log.hpp"
 
 namespace {
 
@@ -110,6 +111,36 @@ TEST(ThreadSet, FirstNAndIteration) {
   EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_EQ(ThreadSet::firstN(64).size(), 64);
   EXPECT_TRUE(ThreadSet::firstN(0).empty());
+}
+
+TEST(UndoLog, LogsFirstTouchPerEpochAndRollsBackNewestFirst) {
+  UndoLog<int> log;
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  EXPECT_FALSE(log.firstTouch(a));  // nothing is logged before the first mark
+  const std::size_t m0 = log.mark();
+  ASSERT_TRUE(log.firstTouch(a));
+  log.append() = 1;
+  EXPECT_FALSE(log.firstTouch(a));  // coalesces within the epoch
+  ASSERT_TRUE(log.firstTouch(b));
+  log.append() = 2;
+  const std::size_t m1 = log.mark();
+  ASSERT_TRUE(log.firstTouch(a));  // a new epoch logs `a` again
+  log.append() = 3;
+  EXPECT_EQ(log.size(), 3u);
+
+  std::vector<int> undone;
+  const auto collect = [&](int entry) { undone.push_back(entry); };
+  log.rollBack(m1, collect);
+  EXPECT_EQ(undone, std::vector<int>{3});
+  EXPECT_TRUE(log.firstTouch(a));  // the rollback opened a new epoch
+  log.append() = 4;
+  log.rollBack(m0, collect);  // past m1: every entry above m0, newest first
+  EXPECT_EQ(undone, (std::vector<int>{3, 4, 2, 1}));
+  EXPECT_EQ(log.size(), 0u);
+
+  log.clear();
+  EXPECT_FALSE(log.firstTouch(b));  // cleared: off until the next mark
 }
 
 TEST(Rng, DeterministicPerSeed) {

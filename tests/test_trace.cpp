@@ -464,6 +464,7 @@ std::vector<PrefixFingerprints> feed(TraceRecorder& recorder, const RecordedStre
   const runtime::Execution& exec = *stream.source;
   const std::size_t half = c.events.size() / 2;
   std::vector<PrefixFingerprints> prefixes;
+  TraceRecorder::Snapshot atHalf;
   auto extend = [&](std::size_t from) {
     std::size_t reg = 0;
     while (reg < c.registrations.size() && c.registrations[reg].atEvent < from) ++reg;
@@ -475,12 +476,12 @@ std::vector<PrefixFingerprints> feed(TraceRecorder& recorder, const RecordedStre
       if (i == c.events.size()) break;
       recorder.onEvent(exec, c.events[i]);
       prefixes.push_back(lazyhb::testing::prefixFingerprints(recorder));
-      if (i + 1 == half) (void)recorder.checkpoint();
+      if (i + 1 == half) (void)recorder.capture(atHalf);
     }
   };
   recorder.onExecutionStart(exec);
   extend(0);
-  recorder.rollbackTo(half);
+  recorder.restore(atHalf);
   EXPECT_EQ(recorder.eventCount(), half);
   extend(half);
   EXPECT_EQ(recorder.eventCount(), c.events.size());
