@@ -109,11 +109,11 @@ CacheStats cacheStatsOf(const core::HbrCache& cache) {
   return stats;
 }
 
-ScheduleTally::ScheduleTally(const ExplorerOptions& options,
-                             std::size_t keepViolations)
+ScheduleTally::ScheduleTally(const ExplorerOptions& options, Keep keep)
     : checkTheorems_(options.checkTheorems),
       detectRaces_(options.detectRaces),
-      keepViolations_(keepViolations) {
+      keepViolations_(options.maxViolationsKept),
+      keep_(keep) {
   config_.maxEventsPerSchedule = options.maxEventsPerSchedule;
   config_.memoryModel = options.memoryModel;
 }
@@ -160,10 +160,7 @@ runtime::Outcome ScheduleTally::execute(PrefixReplayEngine& engine,
     case runtime::Outcome::AssertionFailure:
     case runtime::Outcome::UsageError: {
       ++result_.violationSchedules;
-      if (result_.violations.size() < keepViolations_) {
-        const runtime::Violation& v = exec.violation();
-        result_.violations.push_back(ViolationRecord{v.kind, v.message, v.schedule});
-      }
+      keepViolation(exec.violation());
       break;
     }
     case runtime::Outcome::Abandoned:
@@ -175,6 +172,24 @@ runtime::Outcome ScheduleTally::execute(PrefixReplayEngine& engine,
 
   if (detectRaces_) races_.ingest(recorder);
   return outcome;
+}
+
+void ScheduleTally::keepViolation(const runtime::Violation& v) {
+  std::vector<ViolationRecord>& kept = result_.violations;
+  if (kept.size() < keepViolations_) {
+    kept.push_back(ViolationRecord{v.kind, v.message, v.schedule});
+    if (keep_ == Keep::Smallest) std::push_heap(kept.begin(), kept.end(), dfsOrderLess);
+    return;
+  }
+  if (keep_ == Keep::First || kept.empty() || !(v.schedule < kept.front().schedule)) {
+    return;
+  }
+  std::pop_heap(kept.begin(), kept.end(), dfsOrderLess);
+  ViolationRecord& displaced = kept.back();
+  displaced.kind = v.kind;
+  displaced.message.assign(v.message);
+  displaced.schedule.assign(v.schedule.begin(), v.schedule.end());
+  std::push_heap(kept.begin(), kept.end(), dfsOrderLess);
 }
 
 void ScheduleTally::addReplayStats(const PrefixReplayEngine& engine) {
@@ -217,7 +232,7 @@ ExplorerBase::ExplorerBase(ExplorerOptions options, bool fullClocks)
     : options_(options),
       recorder_(trace::TraceRecorder::Options{.detectRaces = options.detectRaces,
                                               .fullClocks = fullClocks}),
-      tally_(options, options.maxViolationsKept),
+      tally_(options),
       engine_(stackPool_, recorder_, options.incremental,
               options.checkpointable &&
                   runtime::Execution::checkpointingSupported(),

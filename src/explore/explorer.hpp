@@ -136,6 +136,14 @@ struct ViolationRecord {
   std::vector<int> schedule;  ///< thread picked at each step; replayable
 };
 
+/// Sequential DFS order on violation records: lexicographic on the
+/// schedule, because a depth-first search tries a node's children lowest
+/// pick first (under TSO the flush picks, 32 + t, come after every thread).
+[[nodiscard]] inline bool dfsOrderLess(const ViolationRecord& a,
+                                       const ViolationRecord& b) {
+  return a.schedule < b.schedule;
+}
+
 /// Per-worker share of a parallel exploration (explore/parallel_explorer.hpp):
 /// how many schedules the worker ran and how many frontier tasks it stole.
 /// The campaign report surfaces these so load imbalance is visible per
@@ -149,11 +157,13 @@ struct WorkerShare {
 /// the search ran sequentially (no pool was involved at all).
 struct ParallelStats {
   int workers = 0;
-  std::uint64_t frontierJobs = 0;  ///< subtree tasks executed across the pool
-  /// The schedule budget bit mid-flight: parallel order would then decide
-  /// *which* schedules fit the budget, so the run was aborted and redone
+  std::uint64_t frontierJobs = 0;  ///< subtree tasks submitted to the pool
+  /// The schedule budget bit mid-flight, so the last schedules ran
   /// sequentially (whether the budget bites at all is order-independent,
-  /// so this fallback triggers identically at any worker count).
+  /// so this triggers identically at any worker count). Plain DFS finishes
+  /// from the root job's stack and `byWorker` describes the sharded
+  /// attempt; a cache-keyed search reruns from scratch and `byWorker` is
+  /// empty (explore/parallel_explorer.hpp).
   bool fellBackSequential = false;
   std::vector<WorkerShare> byWorker;
 };
@@ -274,8 +284,15 @@ void foldStats(ExplorationStats& into, const ExplorationStats& from);
 /// call and no table walk.
 class ScheduleTally {
  public:
-  /// Keep at most `keepViolations` violation records.
-  ScheduleTally(const ExplorerOptions& options, std::size_t keepViolations);
+  /// Which violation records a tally keeps once it holds
+  /// options.maxViolationsKept of them.
+  enum class Keep {
+    First,     ///< the first found, in the explorer's own visit order
+    Smallest,  ///< the first in sequential DFS order (dfsOrderLess),
+               ///< whatever order they were found in
+  };
+
+  explicit ScheduleTally(const ExplorerOptions& options, Keep keep = Keep::First);
 
   /// Run one schedule under `scheduler` — resuming the engine's rolled-back
   /// execution when it has one — and account it. Statistics are identical
@@ -290,7 +307,8 @@ class ScheduleTally {
   void addReplayStats(const PrefixReplayEngine& engine);
 
   /// Fold another worker's tally in, before finish(): statistics by the
-  /// table, fingerprint sets by union, violation records appended.
+  /// table, fingerprint sets by union, violation records appended
+  /// (unbounded, in no particular order).
   void absorb(const ScheduleTally& other);
 
   /// Complete the result: distinct-class counts from the fingerprint sets,
@@ -304,10 +322,16 @@ class ScheduleTally {
  private:
   using Hash128Set = std::unordered_set<support::Hash128, support::Hash128Hasher>;
 
+  /// Record `v` if the keep policy has room for it. Keep::Smallest holds
+  /// the records as a max-heap in DFS order, so the front is the one a
+  /// smaller record displaces.
+  void keepViolation(const runtime::Violation& v);
+
   runtime::Config config_;
   bool checkTheorems_;
   bool detectRaces_;
   std::size_t keepViolations_;
+  Keep keep_;
   ExplorationResult result_;
   Hash128Set hbrs_;
   Hash128Set lazyHbrs_;

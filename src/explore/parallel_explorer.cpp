@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <memory>
-#include <tuple>
 #include <unordered_set>
 #include <vector>
 
@@ -19,57 +17,68 @@ namespace lazyhb::explore {
 
 namespace {
 
-/// One subtree of the schedule tree, claimable by any worker: force the
-/// choices in `prefix`, then explore every child in `enabled - done` of the
-/// node at depth prefix.size(). An empty `enabled` marks the root job (the
-/// whole tree; the real enabled set is discovered by the first execution).
+/// One donated subtree of the schedule tree, claimable by any worker: force
+/// the choices in `prefix`, then explore every child in `enabled - done` of
+/// the node at depth prefix.size().
 struct FrontierJob {
   std::vector<int> prefix;
   support::ThreadSet enabled;
   support::ThreadSet done;
 };
 
-/// A worker's private exploration kit plus its share of the statistics.
-/// Nothing in here is touched by any other thread until the merge.
-struct WorkerContext {
-  WorkerContext(const ExplorerOptions& opts, std::uint64_t snapshotBudgetBytes)
+/// A private sequential exploration kit: fiber stacks, recorder and
+/// incremental prefix-replay engine, used by one thread at a time.
+struct Kit {
+  Kit(const ExplorerOptions& opts, std::uint64_t snapshotBudgetBytes)
       : recorder(trace::TraceRecorder::Options{.detectRaces = opts.detectRaces}),
         engine(stackPool, recorder, opts.incremental,
                opts.checkpointable &&
                    runtime::Execution::checkpointingSupported(),
-               snapshotBudgetBytes),
-        // Keep every violation record: capping per worker would make the
-        // post-merge kept set depend on how violations happened to shard
-        // across workers. The maxViolationsKept cut is applied once, after
-        // the global sort, so the surviving set is a function of the full
-        // violation multiset alone — identical at any worker count.
-        tally(opts, std::numeric_limits<std::size_t>::max()) {}
+               snapshotBudgetBytes) {}
 
   runtime::StackPool stackPool;
   trace::TraceRecorder recorder;
   PrefixReplayEngine engine;
+};
+
+/// A pool worker's kit plus the tally of the donated jobs it ran. Nothing
+/// in here is touched by any other thread until the merge.
+struct WorkerContext {
+  WorkerContext(const ExplorerOptions& opts, std::uint64_t snapshotBudgetBytes)
+      : kit(opts, snapshotBudgetBytes), tally(opts, ScheduleTally::Keep::Smallest) {}
+
+  Kit kit;
   ScheduleTally tally;
 };
 
-/// Stable order for merged violation records: worker completion order is
-/// nondeterministic, so the merged list is sorted before the
-/// maxViolationsKept cut — workers keep all records so the cut sees the
-/// full multiset regardless of sharding. (In caching mode the *reproducer
-/// schedules* may still differ between runs — see the header; the counts
-/// never do.)
-bool violationLess(const ViolationRecord& a, const ViolationRecord& b) {
-  return std::tie(a.kind, a.message, a.schedule) <
-         std::tie(b.kind, b.message, b.schedule);
+/// The job that starts at the root of the tree. Its schedules are the first
+/// of sequential DFS order (see the header), so it owns its search stack
+/// and tally: a budget hit finishes the search from them.
+struct RootJob {
+  explicit RootJob(const ExplorerOptions& opts)
+      : tally(opts, ScheduleTally::Keep::Smallest) {}
+
+  TreeSearchState state;
+  ScheduleTally tally;
+  int worker = -1;         ///< the pool worker that ran it
+  bool exhausted = false;  ///< its own subtree ran out before the pool stopped
+};
+
+/// Sort `records` into sequential DFS order and keep the first `keep`.
+void keepFirstInDfsOrder(std::vector<ViolationRecord>& records, std::size_t keep) {
+  std::sort(records.begin(), records.end(), dfsOrderLess);
+  if (records.size() > keep) records.resize(keep);
 }
 
 }  // namespace
 
 /// Everything alive only during one explore() call: the frontier pool, the
-/// shared cache, the per-worker contexts and the global coordination state.
+/// shared cache, the per-worker contexts, the root job and the global
+/// coordination state.
 struct ParallelExplorer::Impl {
   Impl(const ExplorerOptions& opts, std::optional<trace::Relation> key,
        std::uint64_t seed)
-      : options(opts), cacheKey(key), pool(opts.workers, seed) {
+      : options(opts), cacheKey(key), pool(opts.workers, seed), root(opts) {
     const int n = pool.workerCount();
     // Each worker runs its own replay engine, so the scenario's snapshot
     // budget is split evenly across them — the combined footprint stays
@@ -79,27 +88,33 @@ struct ParallelExplorer::Impl {
             ? 0
             : std::max<std::uint64_t>(
                   1, opts.snapshotBudgetBytes / static_cast<std::uint64_t>(n));
-    contexts.reserve(static_cast<std::size_t>(n));
+    workers.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
-      contexts.push_back(std::make_unique<WorkerContext>(opts, perWorkerBudget));
+      workers.push_back(std::make_unique<WorkerContext>(opts, perWorkerBudget));
     }
   }
 
   const ExplorerOptions& options;
   std::optional<trace::Relation> cacheKey;
   campaign::WorkStealingPool pool;
-  std::vector<std::unique_ptr<WorkerContext>> contexts;
+  std::vector<std::unique_ptr<WorkerContext>> workers;
+  RootJob root;
   core::HbrCache cache;  ///< shared; unused (empty) for plain DFS
   const Program* program = nullptr;
 
   std::atomic<std::uint64_t> claimed{0};  ///< global budget slots taken
-  std::atomic<bool> aborted{false};       ///< budget exceeded: discard all
+  std::atomic<bool> aborted{false};       ///< budget exceeded: every job stops
   std::atomic<std::uint64_t> frontierJobs{0};
 
+  void runRoot();
   void runJob(FrontierJob job);
   void submitJob(FrontierJob job);
-  runtime::Outcome executeOne(WorkerContext& cx, runtime::Scheduler& sched);
+  bool search(Kit& kit, ScheduleTally& tally, TreeSearchState& state);
   void maybeDonate(TreeSearchState& state);
+
+  [[nodiscard]] std::vector<WorkerShare> shares() const;
+  [[nodiscard]] ExplorationResult mergeComplete();
+  [[nodiscard]] ExplorationResult finishFromRoot();
 };
 
 void ParallelExplorer::Impl::submitJob(FrontierJob job) {
@@ -107,21 +122,6 @@ void ParallelExplorer::Impl::submitJob(FrontierJob job) {
   pool.submit([this, job = std::move(job)]() mutable {
     runJob(std::move(job));
   });
-}
-
-/// One schedule through the worker's tally; the caching terminal seeding
-/// from DfsExplorer::runSearch lives here too.
-runtime::Outcome ParallelExplorer::Impl::executeOne(WorkerContext& cx,
-                                                    runtime::Scheduler& sched) {
-  const runtime::Outcome outcome =
-      cx.tally.execute(cx.engine, cx.recorder, *program, sched);
-  if (cacheKey && outcome != runtime::Outcome::Abandoned &&
-      cx.recorder.eventCount() > 0) {
-    // The final event's prefix is never tested by the scheduler (there is
-    // no further pick); seed it so any worker can prune against it.
-    cache.insert(cx.recorder.fingerprint(*cacheKey));
-  }
-  return outcome;
 }
 
 /// Stack splitting: when the pool signals an idle worker, give away the
@@ -143,16 +143,65 @@ void ParallelExplorer::Impl::maybeDonate(TreeSearchState& state) {
     child.enabled = node.enabled;
     child.done = node.enabled.minus(stealable);  // donee owns exactly these
     node.done = node.done.unionWith(stealable);  // we never revisit them
+    node.donated = node.donated.unionWith(stealable);
     submitJob(std::move(child));
     return;
   }
+}
+
+/// Run `state`'s subtree on `kit` into `tally`, donating to hungry workers.
+/// Returns true when the subtree is exhausted, false when the budget
+/// stopped it — with `state` at the next schedule, not yet run.
+bool ParallelExplorer::Impl::search(Kit& kit, ScheduleTally& tally,
+                                    TreeSearchState& state) {
+  // This job's tree shares nothing with whatever this worker ran before:
+  // divergence is at the root as far as the replay engine is concerned.
+  std::size_t startDepth = kit.engine.prepareNext(0);
+  for (;;) {
+    if (aborted.load(std::memory_order_relaxed)) return false;
+    // Claim a budget slot before executing, like the sequential loop checks
+    // budgetExhausted() before each schedule. Total demand is
+    // order-independent (see header), so whether this trips is a function
+    // of the scenario, not of scheduling.
+    if (claimed.fetch_add(1, std::memory_order_relaxed) >=
+        options.scheduleLimit) {
+      aborted.store(true, std::memory_order_relaxed);
+      return false;
+    }
+
+    std::function<bool()> pruneHook;
+    if (cacheKey) {
+      pruneHook = [this, &kit] {
+        return cache.checkAndInsert(kit.recorder.fingerprint(*cacheKey));
+      };
+    }
+    TreeScheduler scheduler(state, std::move(pruneHook), &kit.engine, startDepth);
+    const runtime::Outcome outcome =
+        tally.execute(kit.engine, kit.recorder, *program, scheduler);
+    if (cacheKey && outcome != runtime::Outcome::Abandoned &&
+        kit.recorder.eventCount() > 0) {
+      // The final event's prefix is never tested by the scheduler (there is
+      // no further pick); seed it so any worker can prune against it.
+      cache.insert(kit.recorder.fingerprint(*cacheKey));
+    }
+    maybeDonate(state);
+    if (!state.advance()) return true;
+    startDepth = kit.engine.prepareNext(state.checkFromDepth);
+  }
+}
+
+void ParallelExplorer::Impl::runRoot() {
+  root.worker = pool.currentWorkerIndex();
+  LAZYHB_CHECK(root.worker >= 0);
+  Kit& kit = workers[static_cast<std::size_t>(root.worker)]->kit;
+  root.exhausted = search(kit, root.tally, root.state);
 }
 
 void ParallelExplorer::Impl::runJob(FrontierJob job) {
   if (aborted.load(std::memory_order_relaxed)) return;
   const int workerIndex = pool.currentWorkerIndex();
   LAZYHB_CHECK(workerIndex >= 0);
-  WorkerContext& cx = *contexts[static_cast<std::size_t>(workerIndex)];
+  WorkerContext& cx = *workers[static_cast<std::size_t>(workerIndex)];
 
   // Rebuild the job's subtree root as a search stack: forced single-choice
   // nodes pin the prefix (advance() can never flip them), then the
@@ -168,44 +217,103 @@ void ParallelExplorer::Impl::runJob(FrontierJob job) {
     forced.chosen = choice;
     state.nodes.push_back(forced);
   }
-  if (!job.enabled.empty()) {
-    SearchNode divergence;
-    divergence.enabled = job.enabled;
-    divergence.done = job.done;
-    divergence.chosen = job.enabled.minus(job.done).first();
-    state.nodes.push_back(divergence);
-  }
+  SearchNode divergence;
+  divergence.enabled = job.enabled;
+  divergence.done = job.done;
+  divergence.chosen = job.enabled.minus(job.done).first();
+  state.nodes.push_back(divergence);
   state.checkFromDepth = job.prefix.size();
+  (void)search(cx.kit, cx.tally, state);
+}
 
-  // This job's tree shares nothing with whatever this worker ran before:
-  // divergence is at the root as far as the replay engine is concerned.
-  std::size_t startDepth = cx.engine.prepareNext(0);
-
-  for (;;) {
-    if (aborted.load(std::memory_order_relaxed)) return;
-    // Claim a budget slot before executing, like the sequential loop checks
-    // budgetExhausted() before each schedule. Total demand is
-    // order-independent (see header), so whether this trips is a function
-    // of the scenario, not of scheduling.
-    if (claimed.fetch_add(1, std::memory_order_relaxed) >=
-        options.scheduleLimit) {
-      aborted.store(true, std::memory_order_relaxed);
-      return;
+std::vector<WorkerShare> ParallelExplorer::Impl::shares() const {
+  const std::vector<std::uint64_t> steals = pool.stealsByWorker();
+  std::vector<WorkerShare> byWorker;
+  for (std::size_t i = 0; i < workers.size(); ++i) {
+    std::uint64_t visited = workers[i]->tally.result().schedulesExecuted;
+    if (static_cast<int>(i) == root.worker) {
+      visited += root.tally.result().schedulesExecuted;
     }
-
-    std::function<bool()> pruneHook;
-    if (cacheKey) {
-      pruneHook = [this, &cx] {
-        return cache.checkAndInsert(cx.recorder.fingerprint(*cacheKey));
-      };
-    }
-    TreeScheduler scheduler(state, std::move(pruneHook), &cx.engine,
-                            startDepth);
-    (void)executeOne(cx, scheduler);
-    maybeDonate(state);
-    if (!state.advance()) return;  // subtree exhausted
-    startDepth = cx.engine.prepareNext(state.checkFromDepth);
+    byWorker.push_back(WorkerShare{visited, steals[i]});
   }
+  return byWorker;
+}
+
+/// Deterministic merge of a complete search. Statistics fold by the table,
+/// fingerprint classes are set unions, violations are cut in DFS order,
+/// races dedup on the racy object across jobs.
+ExplorationResult ParallelExplorer::Impl::mergeComplete() {
+  ScheduleTally merged(options);
+  std::vector<trace::RaceReport> races;
+  std::unordered_set<runtime::Uid> raceUids;
+  auto absorb = [&](const ScheduleTally& tally) {
+    merged.absorb(tally);
+    for (const trace::RaceReport& race : tally.races().distinctRaces()) {
+      if (raceUids.insert(race.objectUid).second) races.push_back(race);
+    }
+  };
+  absorb(root.tally);
+  for (const std::unique_ptr<WorkerContext>& cx : workers) {
+    absorb(cx->tally);
+    merged.addReplayStats(cx->kit.engine);
+  }
+  ExplorationResult result = std::move(merged.finish());
+  result.complete = true;
+  result.hitScheduleLimit = false;
+  result.parallel = ParallelStats{pool.workerCount(),
+                                  frontierJobs.load(std::memory_order_relaxed),
+                                  false, shares()};
+  keepFirstInDfsOrder(result.violations, options.maxViolationsKept);
+  std::sort(races.begin(), races.end(),
+            [](const trace::RaceReport& a, const trace::RaceReport& b) {
+              return a.objectUid < b.objectUid;
+            });
+  result.races = std::move(races);
+  if (cacheKey) result.cacheStats = cacheStatsOf(cache);
+  return result;
+}
+
+/// A plain-DFS budget hit: the root job ran the first k schedules of
+/// sequential DFS order, so take its donations back and run the next
+/// limit − k sequentially into its tally (see the header).
+ExplorationResult ParallelExplorer::Impl::finishFromRoot() {
+  std::vector<WorkerShare> byWorker = shares();
+  ScheduleTally& tally = root.tally;
+  for (const std::unique_ptr<WorkerContext>& cx : workers) {
+    tally.addReplayStats(cx->kit.engine);
+  }
+  workers.clear();  // helpers' tallies dropped, every kit's snapshots freed
+
+  TreeSearchState& state = root.state;
+  for (SearchNode& node : state.nodes) {
+    node.done = node.done.minus(node.donated);
+    node.donated = {};
+  }
+  // An exhausted root's stack ends at its deepest donation, whose chosen
+  // child is done; otherwise the stack already names the next schedule.
+  bool more = !root.exhausted || state.advance();
+  const std::uint64_t rootSchedules = tally.result().schedulesExecuted;
+  Kit kit(options, options.snapshotBudgetBytes);
+  std::size_t startDepth = kit.engine.prepareNext(0);
+  while (more && tally.result().schedulesExecuted < options.scheduleLimit) {
+    TreeScheduler scheduler(state, {}, &kit.engine, startDepth);
+    (void)tally.execute(kit.engine, kit.recorder, *program, scheduler);
+    more = state.advance();
+    if (more) startDepth = kit.engine.prepareNext(state.checkFromDepth);
+  }
+  // The budget bit, so the tree holds more than `limit` schedules.
+  LAZYHB_CHECK(more);
+  tally.addReplayStats(kit.engine);
+  byWorker[static_cast<std::size_t>(root.worker)].schedulesVisited +=
+      tally.result().schedulesExecuted - rootSchedules;
+
+  ExplorationResult result = std::move(tally.finish());
+  result.hitScheduleLimit = true;
+  result.parallel = ParallelStats{pool.workerCount(),
+                                  frontierJobs.load(std::memory_order_relaxed),
+                                  true, std::move(byWorker)};
+  keepFirstInDfsOrder(result.violations, options.maxViolationsKept);
+  return result;
 }
 
 ParallelExplorer::ParallelExplorer(ExplorerOptions options,
@@ -237,57 +345,15 @@ ExplorationResult ParallelExplorer::explore(const Program& program) {
 
   std::vector<campaign::WorkStealingPool::Task> roots;
   impl.frontierJobs.store(1, std::memory_order_relaxed);
-  roots.push_back([&impl] { impl.runJob(FrontierJob{}); });
+  roots.push_back([&impl] { impl.runRoot(); });
   impl.pool.run(std::move(roots));
 
-  if (impl.aborted.load(std::memory_order_relaxed)) {
-    // The budget bit: parallel order would decide which schedules fit it.
-    // Discard everything (including the polluted shared cache — the
-    // fallback explorer builds its own) and redo sequentially.
-    return runSequentialFallback(program);
-  }
-
-  // Deterministic merge. Statistics fold by the table, fingerprint classes
-  // are set unions, violations sort lexicographically before the keep-cap,
-  // races dedup on the racy object across workers.
-  ScheduleTally merged(options_, std::numeric_limits<std::size_t>::max());
-  std::vector<trace::RaceReport> races;
-  std::unordered_set<runtime::Uid> raceUids;
-  std::vector<WorkerShare> byWorker;
-  const std::vector<std::uint64_t> steals = impl.pool.stealsByWorker();
-  for (std::size_t i = 0; i < impl.contexts.size(); ++i) {
-    const WorkerContext& cx = *impl.contexts[i];
-    merged.absorb(cx.tally);
-    merged.addReplayStats(cx.engine);
-    for (const trace::RaceReport& race : cx.tally.races().distinctRaces()) {
-      if (raceUids.insert(race.objectUid).second) {
-        races.push_back(race);
-      }
-    }
-    byWorker.push_back(WorkerShare{cx.tally.result().schedulesExecuted, steals[i]});
-  }
-  ExplorationResult result = std::move(merged.finish());
-  result.complete = true;
-  result.hitScheduleLimit = false;
-  result.parallel.workers = impl.pool.workerCount();
-  result.parallel.frontierJobs =
-      impl.frontierJobs.load(std::memory_order_relaxed);
-  result.parallel.byWorker = std::move(byWorker);
-
-  std::vector<ViolationRecord>& violations = result.violations;
-  std::sort(violations.begin(), violations.end(), violationLess);
-  if (violations.size() > options_.maxViolationsKept) {
-    violations.resize(options_.maxViolationsKept);
-  }
-
-  std::sort(races.begin(), races.end(),
-            [](const trace::RaceReport& a, const trace::RaceReport& b) {
-              return a.objectUid < b.objectUid;
-            });
-  result.races = std::move(races);
-
-  if (cacheKey_) result.cacheStats = cacheStatsOf(impl.cache);
-  return result;
+  if (!impl.aborted.load(std::memory_order_relaxed)) return impl.mergeComplete();
+  // The budget bit. A cache-keyed search's partial run is no prefix of the
+  // sequential one: discard everything (including the polluted shared
+  // cache — the fallback explorer builds its own) and redo sequentially.
+  if (cacheKey_) return runSequentialFallback(program);
+  return impl.finishFromRoot();
 }
 
 }  // namespace lazyhb::explore

@@ -38,16 +38,40 @@
 // counts are sums over that quotient. (What is NOT invariant: which
 // concrete schedule witnesses a violation class — the reproducer schedules
 // in `violations` may differ between runs in caching mode; their count may
-// not.)
+// not.) Violation records merge in sequential DFS order (dfsOrderLess):
+// every tally keeps only its maxViolationsKept smallest, so the merged
+// cut is the global smallest — for plain DFS exactly the sequential run's
+// records.
 //
-// A schedule *budget* breaks the argument mid-flight: arrival order would
-// decide which schedules fit the limit. But whether the budget bites at all
-// is itself order-independent (total arrivals is fixed), so workers claim
-// budget slots from one global counter and, the moment the claim count
-// exceeds the limit, the parallel run aborts and the scenario is redone
-// sequentially — byte-identical to `workers == 1` by construction, at the
-// cost of the wasted partial run. Budget-bound scenarios are the quick
-// modes; the deep runs this explorer exists for complete within budget.
+// ## When the schedule budget bites
+//
+// A schedule *budget* breaks that argument mid-flight: arrival order would
+// decide which schedules fit the limit. Whether the budget bites at all is
+// order-independent (total arrivals are fixed), so workers claim budget
+// slots from one global counter, and the first claim past the limit stops
+// every job at its next claim.
+//
+// Plain DFS then finishes from its leftmost job. Donation always gives
+// away *every* unexplored sibling of a job's shallowest split node, so all
+// the work a job still has lies to the left of everything it gave away,
+// in sequential DFS order (a node's children tried lowest pick first). The
+// root job's schedules are therefore exactly the first k of that order. It
+// owns its search stack and tally so both outlive the pool run, and its
+// stack stops at a node with donated children instead of popping it
+// (TreeSearchState::advance), so it still leads to every donated sibling
+// after its own subtree has run out. On a budget hit the helpers' tallies
+// are dropped, the root's donations are taken back, and the remaining
+// limit − k schedules run sequentially into the root's tally. That finish
+// runs on the calling thread once the pool has stopped, with a fresh kit
+// (no fiber changes OS threads) built after every worker's kit is released
+// (staged snapshots stay within the snapshot budget). Counts, race
+// reports and the first maxViolationsKept violation records then equal
+// DfsExplorer's at the same budget, and `parallel` describes the sharded
+// attempt; the root's worker also counts the sequential finish.
+//
+// A cache-keyed search still reruns from scratch (runSequentialFallback):
+// its prune decisions depend on entries other workers inserted, so no
+// job's schedules are a prefix of the sequential order.
 //
 // Strategies that are inherently order-sensitive are not shardable:
 // random walks (one RNG stream), DPOR (backtrack sets mutate on visit
@@ -98,8 +122,9 @@ class ParallelExplorer final : public Explorer {
  private:
   struct Impl;
 
-  /// Re-run the scenario with DfsExplorer(options, cacheKey) (budget abort
-  /// path). Returns its result with parallel.fellBackSequential set.
+  /// Re-run the scenario with DfsExplorer(options, cacheKey) (a
+  /// cache-keyed search's budget hit). Returns its result with
+  /// parallel.fellBackSequential set.
   [[nodiscard]] ExplorationResult runSequentialFallback(const Program& program);
 
   ExplorerOptions options_;

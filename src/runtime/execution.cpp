@@ -62,7 +62,6 @@ void Execution::restart(const Config& config, ExecutionObserver* observer) {
   teardownFuel_ = 0;
   outcome_ = Outcome::Terminal;
   clearViolation();
-  finalFingerprint_ = support::Hash128{};
 
   // Every snapshot of the previous run is dead: the undo logs stop logging
   // until the next capture, their entries keeping their capacity.
@@ -161,7 +160,7 @@ void Execution::driveLoop(Scheduler& scheduler) {
 }
 
 Outcome Execution::finishRun() {
-  finalFingerprint_ = computeStateFingerprint();
+  endObjectCount_ = objects_.size();
   done_ = true;
   // Resumable executions stay restorable: teardown is deferred until the
   // destructor (or never needed, when the schedule ended with every fiber
@@ -321,7 +320,6 @@ void Execution::restore(const Snapshot& s) {
   done_ = false;
   outcome_ = Outcome::Terminal;
   clearViolation();
-  finalFingerprint_ = support::Hash128{};
   teardownFuel_ = 0;
   LAZYHB_CHECK(!abandoning_);
 }
@@ -392,11 +390,11 @@ void Execution::publishAndPark(OpKind kind, std::int32_t object,
                                std::int32_t mutexObject, int targetThread,
                                std::uint64_t aux) {
   // During teardown, visible operations are granted immediately as no-ops:
-  // the state fingerprint has already been snapshotted and nothing observes
-  // the execution any more. This lets fibers run forward to the end of
-  // their entry function with destructors executing in ordinary contexts
-  // (unwinding with an exception would std::terminate when the suspension
-  // point is inside a destructor, e.g. a lock guard publishing its unlock).
+  // the schedule's end state is fixed and nothing observes the execution
+  // any more. This lets fibers run forward to the end of their entry
+  // function with destructors executing in ordinary contexts (unwinding
+  // with an exception would std::terminate when the suspension point is
+  // inside a destructor, e.g. a lock guard publishing its unlock).
   if (abandoning_) {
     consumeTeardownFuel();
     return;
@@ -579,12 +577,13 @@ const ObjectInfo& Execution::object(std::int32_t index) const {
 }
 
 support::Hash128 Execution::stateFingerprint() const {
-  return done_ ? finalFingerprint_ : computeStateFingerprint();
-}
-
-support::Hash128 Execution::computeStateFingerprint() const {
+  // Teardown mutates no fingerprinted state (every mutator returns early
+  // while abandoning_), but a fiber run forward may still register objects:
+  // the schedule's end state is the first endObjectCount_ of them.
+  const std::size_t objectCount = done_ ? endObjectCount_ : objects_.size();
   support::MultisetHash acc;
-  for (const ObjectInfo& obj : objects_) {
+  for (std::size_t i = 0; i < objectCount; ++i) {
+    const ObjectInfo& obj = objects_[i];
     switch (obj.kind) {
       case ObjectKind::Var:
         acc.add(support::hash128(obj.uid, obj.valueHash));
@@ -646,7 +645,10 @@ void Execution::varPublish(std::int32_t object, OpKind kind) {
 
 void Execution::varCommit(std::int32_t object, OpKind kind,
                           std::uint64_t newValueHash) {
-  if (tso_ && !abandoning_) {
+  // A teardown-time store still lands in the value bits (setVarBits), so the
+  // fiber runs forward on the values it wrote; its hash is not an event.
+  if (abandoning_) return;
+  if (tso_) {
     varCommitTso(object, kind, newValueHash);
     return;
   }

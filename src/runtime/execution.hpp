@@ -249,11 +249,12 @@ class Execution {
   [[nodiscard]] const std::vector<int>& choices() const noexcept { return choices_; }
 
   /// Fingerprint of the shared state: all Var values, mutex owners and
-  /// semaphore counts, combined order-independently. While the execution is
-  /// in flight this is computed live; once run() has returned it is the
-  /// state at the moment the schedule ended (teardown destructors run after
-  /// that point and do not perturb it). Meaningful for comparing *terminal*
-  /// states of complete executions (Theorems 2.1/2.2).
+  /// semaphore counts, combined order-independently. Computed on each call:
+  /// while the execution is in flight, of the live state; once run() has
+  /// returned, of the state at the moment the schedule ended (teardown
+  /// destructors run after that point and do not perturb it). Meaningful
+  /// for comparing *terminal* states of complete executions (Theorems
+  /// 2.1/2.2).
   [[nodiscard]] support::Hash128 stateFingerprint() const;
 
   /// The violation record if run() ended with isViolation(outcome).
@@ -463,7 +464,7 @@ class Execution {
   /// The scheduling loop shared by run() and resume().
   void driveLoop(Scheduler& scheduler);
 
-  /// Common tail of run()/resume(): fingerprint, teardown (unless
+  /// Common tail of run()/resume(): end-state bound, teardown (unless
   /// resumable), observer notification.
   Outcome finishRun();
 
@@ -518,7 +519,6 @@ class Execution {
   [[nodiscard]] support::ThreadSet scanEnabled() const;
   [[nodiscard]] bool isEnabled(const ThreadRec& t) const;
   [[nodiscard]] bool allFinished() const;
-  [[nodiscard]] support::Hash128 computeStateFingerprint() const;
   void teardownUnfinished();
   void consumeTeardownFuel();
   /// Fill or clear violation_ in place (its buffers keep their capacity).
@@ -558,7 +558,9 @@ class Execution {
   std::uint32_t teardownFuel_ = 0;
   Outcome outcome_ = Outcome::Terminal;
   Violation violation_;
-  support::Hash128 finalFingerprint_;
+  /// objects_.size() when the run ended: objects a teardown registers are
+  /// not part of the end state stateFingerprint() describes.
+  std::size_t endObjectCount_ = 0;
 
   // Resumable mode: the latest captured image per thread, and the undo
   // logs captures mark and restores roll back (the buffer log stays empty

@@ -17,7 +17,13 @@
 //     counts, so a racy merge or a lost frontier job has real iterations in
 //     which to flake;
 //   * invariants of the parallel metadata block (worker shares sum to the
-//     total, budget aborts fall back to a sequential rerun).
+//     total, a cache-keyed budget hit reruns sequentially);
+//   * the plain-DFS budget hit, which finishes from the root job's stack:
+//     its counts, violation records and race reports equal the sequential
+//     run's at the same budget, including when the root's own subtree ran
+//     out before the hit;
+//   * violation records cut in sequential DFS order on a program whose
+//     violations mix deadlocks and assertion failures.
 //
 // The suite is also half of the ThreadSanitizer CI leg (with test_core) —
 // under LAZYHB_SANITIZE=thread these same runs double as race hunts.
@@ -34,6 +40,7 @@
 #include "explore/explorer.hpp"
 #include "explore/parallel_explorer.hpp"
 #include "programs/registry.hpp"
+#include "runtime/api.hpp"
 #include "test_helpers.hpp"
 
 // Scale every heavy test to the build. Under ThreadSanitizer the forced
@@ -60,19 +67,25 @@ namespace {
 using namespace lazyhb;
 using lazyhb::testing::expectSameContractStats;
 
-/// Explore `program` under `mode` with the given worker count, through the
-/// same ExplorerSpec factory every production consumer uses (so workers >= 2
-/// on a shardable mode really does construct a ParallelExplorer).
+/// Explore `program` under `mode` with `options`, through the same
+/// ExplorerSpec factory every production consumer uses (so workers >= 2 on a
+/// shardable mode really does construct a ParallelExplorer).
+explore::ExplorationResult runWithOptions(const explore::Program& program,
+                                          const std::string& mode,
+                                          const explore::ExplorerOptions& options) {
+  const auto explorerSpec = campaign::parseExplorerSpec(mode);
+  EXPECT_TRUE(explorerSpec.has_value()) << mode;
+  auto explorer = explorerSpec->create(options, /*seed=*/42);
+  return explorer->explore(program);
+}
+
 explore::ExplorationResult runWith(const programs::ProgramSpec& spec,
                                    const std::string& mode, int workers,
                                    std::uint64_t scheduleLimit) {
-  const auto explorerSpec = campaign::parseExplorerSpec(mode);
-  EXPECT_TRUE(explorerSpec.has_value()) << mode;
   explore::ExplorerOptions options;
   options.scheduleLimit = scheduleLimit;
   options.workers = workers;
-  auto explorer = explorerSpec->create(options, /*seed=*/42);
-  return explorer->explore(spec.body);
+  return runWithOptions(spec.body, mode, options);
 }
 
 /// Assert every order-independent count of `parallel` equals `sequential`.
@@ -89,6 +102,49 @@ void expectCountsIdentical(const explore::ExplorationResult& sequential,
   EXPECT_EQ(parallel.races.size(), sequential.races.size()) << label;
   EXPECT_EQ(parallel.cacheStats.enabled, sequential.cacheStats.enabled)
       << label;
+}
+
+/// Assert `parallel` reports the same violation records and race reports
+/// as `sequential`, in the same order.
+void expectSameFindings(const explore::ExplorationResult& sequential,
+                        const explore::ExplorationResult& parallel,
+                        const std::string& label) {
+  ASSERT_EQ(parallel.violations.size(), sequential.violations.size()) << label;
+  for (std::size_t i = 0; i < sequential.violations.size(); ++i) {
+    const explore::ViolationRecord& want = sequential.violations[i];
+    const explore::ViolationRecord& got = parallel.violations[i];
+    EXPECT_EQ(got.kind, want.kind) << label << " violation " << i;
+    EXPECT_EQ(got.message, want.message) << label << " violation " << i;
+    EXPECT_EQ(got.schedule, want.schedule) << label << " violation " << i;
+  }
+  ASSERT_EQ(parallel.races.size(), sequential.races.size()) << label;
+  for (std::size_t i = 0; i < sequential.races.size(); ++i) {
+    const trace::RaceReport& want = sequential.races[i];
+    const trace::RaceReport& got = parallel.races[i];
+    EXPECT_EQ(got.objectUid, want.objectUid) << label << " race " << i;
+    EXPECT_EQ(got.objectName, want.objectName) << label << " race " << i;
+    EXPECT_EQ(got.firstEvent, want.firstEvent) << label << " race " << i;
+    EXPECT_EQ(got.secondEvent, want.secondEvent) << label << " race " << i;
+  }
+}
+
+/// Assert a budget-bitten sharded dfs run finished from the root job: the
+/// fallback marker is set and the worker shares describe the sharded
+/// attempt plus the sequential finish.
+void expectFinishedFromRoot(const explore::ExplorationResult& parallel,
+                            int workers, const std::string& label) {
+  EXPECT_TRUE(parallel.hitScheduleLimit) << label;
+  EXPECT_FALSE(parallel.complete) << label;
+  EXPECT_TRUE(parallel.parallel.fellBackSequential) << label;
+  EXPECT_EQ(parallel.parallel.workers, workers) << label;
+  EXPECT_GE(parallel.parallel.frontierJobs, 1u) << label;
+  ASSERT_EQ(parallel.parallel.byWorker.size(), static_cast<std::size_t>(workers))
+      << label;
+  std::uint64_t visited = 0;
+  for (const explore::WorkerShare& share : parallel.parallel.byWorker) {
+    visited += share.schedulesVisited;
+  }
+  EXPECT_GE(visited, parallel.schedulesExecuted) << label;
 }
 
 // The golden corpus slice of tests/test_golden_counts.cpp (whose absolute
@@ -217,9 +273,10 @@ TEST(ParallelMetadata, WorkerSharesSumToTheTotal) {
 
 TEST(ParallelMetadata, BudgetAbortRerunsSequentially) {
   // When the shared schedule budget bites mid-flight, whether any worker's
-  // claim exceeds it is itself order-independent — but the partial tallies
-  // are not, so the explorer discards them and reruns sequentially. The
-  // result must carry the fallback marker and the sequential run's counts.
+  // claim exceeds it is itself order-independent — but a cache-keyed
+  // search's partial tallies are not a prefix of the sequential run, so the
+  // explorer discards them and reruns sequentially. The result must carry
+  // the fallback marker, the sequential run's counts, and no worker shares.
   const programs::ProgramSpec* spec = programs::byName("noisy-flags-3x2");
   ASSERT_NE(spec, nullptr);
   const auto sequential = runWith(*spec, "caching-lazy", 1, 200);
@@ -227,7 +284,137 @@ TEST(ParallelMetadata, BudgetAbortRerunsSequentially) {
   const auto parallel = runWith(*spec, "caching-lazy", 4, 200);
   EXPECT_TRUE(parallel.parallel.fellBackSequential);
   EXPECT_EQ(parallel.parallel.workers, 4);
+  EXPECT_TRUE(parallel.parallel.byWorker.empty());
   expectCountsIdentical(sequential, parallel, "budget-abort fallback");
+}
+
+// --- the plain-dfs budget hit --------------------------------------------------
+
+TEST(ParallelBudget, DfsBudgetHitFinishesFromTheRootJob) {
+  // A budget-bitten plain dfs search keeps the root job's schedules — the
+  // first of sequential DFS order — and runs the rest of the budget
+  // sequentially from its stack. Counts, violation records (in order) and
+  // race reports must equal the sequential run's at the same budget, under
+  // both memory models.
+  struct Case {
+    const char* program;
+    memory::MemoryModel model;
+  };
+#if defined(LAZYHB_TSAN_BUILD)
+  const Case cases[] = {{"wronglock-3", memory::MemoryModel::Sc},
+                        {"dekker-unfenced", memory::MemoryModel::Tso}};
+  constexpr std::uint64_t kLimit = 40;
+#else
+  const Case cases[] = {{"wronglock-3", memory::MemoryModel::Sc},
+                        {"dining-deadlock-3", memory::MemoryModel::Sc},
+                        {"noisy-counter-3x2", memory::MemoryModel::Sc},
+                        {"peterson-unfenced", memory::MemoryModel::Tso},
+                        {"wronglock-3", memory::MemoryModel::Tso}};
+  constexpr std::uint64_t kLimit = 2000;
+#endif
+  for (const Case& c : cases) {
+    const programs::ProgramSpec* spec = programs::byName(c.program);
+    ASSERT_NE(spec, nullptr) << c.program;
+    explore::ExplorerOptions options;
+    options.scheduleLimit = kLimit;
+    options.detectRaces = true;
+    options.memoryModel = c.model;
+    const auto sequential = runWithOptions(spec->body, "dfs", options);
+    ASSERT_TRUE(sequential.hitScheduleLimit) << c.program;
+    ASSERT_TRUE(sequential.foundViolation() || !sequential.races.empty())
+        << c.program;
+    for (const int workers : kMatrixWorkerCounts) {
+      options.workers = workers;
+      const auto parallel = runWithOptions(spec->body, "dfs", options);
+      const std::string label = std::string(c.program) + " " +
+                                memory::memoryModelName(c.model) + " @" +
+                                std::to_string(workers) + " workers";
+      expectCountsIdentical(sequential, parallel, label);
+      expectSameFindings(sequential, parallel, label);
+      expectFinishedFromRoot(parallel, workers, label);
+    }
+  }
+}
+
+TEST(ParallelBudget, BudgetOneBelowCompleteFlakinessLoop) {
+  // One schedule short of the complete tree, the root job often runs out of
+  // its own subtree before any helper claims past the budget: the finish
+  // then starts from the root's kept stack, at its deepest donation.
+#if defined(LAZYHB_TSAN_BUILD)
+  constexpr int kIterations = 6;
+  const char* const kProgram = "airline-2";  // 75 schedules
+  constexpr memory::MemoryModel kModel = memory::MemoryModel::Sc;
+#else
+  constexpr int kIterations = 20;
+  const char* const kProgram = "dekker-unfenced";  // 1,214 schedules
+  constexpr memory::MemoryModel kModel = memory::MemoryModel::Tso;
+#endif
+  const programs::ProgramSpec* spec = programs::byName(kProgram);
+  ASSERT_NE(spec, nullptr);
+  explore::ExplorerOptions options;
+  options.detectRaces = true;
+  options.memoryModel = kModel;
+  const auto complete = runWithOptions(spec->body, "dfs", options);
+  ASSERT_TRUE(complete.complete);
+  options.scheduleLimit = complete.schedulesExecuted - 1;
+  const auto sequential = runWithOptions(spec->body, "dfs", options);
+  ASSERT_TRUE(sequential.hitScheduleLimit);
+  for (int i = 0; i < kIterations; ++i) {
+    options.workers = 2 << (i % 3);  // 2, 4, 8, 2, ...
+    const auto parallel = runWithOptions(spec->body, "dfs", options);
+    const std::string label = "iteration " + std::to_string(i) + " @" +
+                              std::to_string(options.workers) + " workers";
+    expectCountsIdentical(sequential, parallel, label);
+    expectSameFindings(sequential, parallel, label);
+    expectFinishedFromRoot(parallel, options.workers, label);
+  }
+}
+
+/// Deadlocks and lost updates in one program: two threads each bump a
+/// shared counter unlocked, then take the same two mutexes in opposite
+/// orders. Its violation kinds interleave in DFS order, so any cut that
+/// orders records by kind or message keeps different ones.
+void deadlockOrLostUpdate() {
+  Mutex a("a");
+  Mutex b("b");
+  Shared<int> counter{0, "counter"};
+  auto t = spawn([&] {
+    counter.store(counter.load() + 1);
+    LockGuard first(b);
+    LockGuard second(a);
+  });
+  counter.store(counter.load() + 1);
+  {
+    LockGuard first(a);
+    LockGuard second(b);
+  }
+  t.join();
+  checkAlways(counter.load() == 2, "no update lost");
+}
+
+TEST(ParallelBudget, ViolationRecordsAreTheFirstInDfsOrder) {
+  // Every tally keeps only its maxViolationsKept smallest records in DFS
+  // order, so the merged cut is exactly the sequential run's records, in
+  // the same order, whatever kinds and messages they carry.
+  explore::ExplorerOptions options;
+  const auto sequential = runWithOptions(deadlockOrLostUpdate, "dfs", options);
+  ASSERT_TRUE(sequential.complete);
+  ASSERT_GT(sequential.violationSchedules, options.maxViolationsKept);
+  ASSERT_EQ(sequential.violations.size(), options.maxViolationsKept);
+  bool deadlock = false;
+  bool assertion = false;
+  for (const explore::ViolationRecord& v : sequential.violations) {
+    deadlock = deadlock || v.kind == runtime::Outcome::Deadlock;
+    assertion = assertion || v.kind == runtime::Outcome::AssertionFailure;
+  }
+  ASSERT_TRUE(deadlock && assertion);
+  for (const int workers : kMatrixWorkerCounts) {
+    options.workers = workers;
+    const auto parallel = runWithOptions(deadlockOrLostUpdate, "dfs", options);
+    const std::string label = std::to_string(workers) + " workers";
+    expectCountsIdentical(sequential, parallel, label);
+    expectSameFindings(sequential, parallel, label);
+  }
 }
 
 TEST(ParallelMetadata, SequentialRunsCarryNoParallelBlock) {
