@@ -14,7 +14,6 @@ bool TreeSearchState::advance() {
       checkFromDepth = nodes.size() - 1;
       return true;
     }
-    if (!node.donated.empty()) return false;
     nodes.pop_back();
   }
   return false;

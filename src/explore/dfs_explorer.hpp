@@ -50,9 +50,6 @@ namespace lazyhb::explore {
 struct SearchNode {
   support::ThreadSet enabled;
   support::ThreadSet done;
-  /// The children of `done` given away to another job of a sharded search
-  /// (explore/parallel_explorer.hpp) rather than explored here.
-  support::ThreadSet donated;
   int chosen = -1;
 };
 
@@ -65,8 +62,6 @@ struct TreeSearchState {
 
   /// Advance to the next unexplored sibling, deepest first. Truncates the
   /// stack below the flipped node. Returns false when the tree is exhausted.
-  /// A node with donated children is never popped: the search stops there
-  /// instead, so the stack still leads to every donated sibling.
   bool advance();
 };
 

@@ -158,12 +158,13 @@ struct WorkerShare {
 struct ParallelStats {
   int workers = 0;
   std::uint64_t frontierJobs = 0;  ///< subtree tasks submitted to the pool
-  /// The schedule budget bit mid-flight, so the last schedules ran
-  /// sequentially (whether the budget bites at all is order-independent,
-  /// so this triggers identically at any worker count). Plain DFS finishes
-  /// from the root job's stack and `byWorker` describes the sharded
-  /// attempt; a cache-keyed search reruns from scratch and `byWorker` is
-  /// empty (explore/parallel_explorer.hpp).
+  /// The schedule budget bit mid-flight (whether it bites at all is
+  /// order-independent, so this triggers identically at any worker
+  /// count). Plain DFS keeps the first schedules of sequential DFS order
+  /// from the jobs that ran them, reruns sequentially at most the part of
+  /// one job before the cut, and `byWorker` describes the sharded attempt;
+  /// a cache-keyed search reruns from scratch and `byWorker` is empty
+  /// (explore/parallel_explorer.hpp).
   bool fellBackSequential = false;
   std::vector<WorkerShare> byWorker;
 };

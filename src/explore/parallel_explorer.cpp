@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <unordered_set>
 #include <vector>
 
@@ -16,15 +18,6 @@
 namespace lazyhb::explore {
 
 namespace {
-
-/// One donated subtree of the schedule tree, claimable by any worker: force
-/// the choices in `prefix`, then explore every child in `enabled - done` of
-/// the node at depth prefix.size().
-struct FrontierJob {
-  std::vector<int> prefix;
-  support::ThreadSet enabled;
-  support::ThreadSet done;
-};
 
 /// A private sequential exploration kit: fiber stacks, recorder and
 /// incremental prefix-replay engine, used by one thread at a time.
@@ -41,28 +34,56 @@ struct Kit {
   PrefixReplayEngine engine;
 };
 
-/// A pool worker's kit plus the tally of the donated jobs it ran. Nothing
-/// in here is touched by any other thread until the merge.
-struct WorkerContext {
-  WorkerContext(const ExplorerOptions& opts, std::uint64_t snapshotBudgetBytes)
-      : kit(opts, snapshotBudgetBytes), tally(opts, ScheduleTally::Keep::Smallest) {}
+/// One contiguous range of sequential DFS order (see the header): a search
+/// stack whose unexplored siblings are the range, run by one pool worker
+/// into its own tally.
+struct Job {
+  Job(const ExplorerOptions& opts, TreeSearchState from)
+      : start(std::move(from)), state(start), tally(opts, ScheduleTally::Keep::Smallest) {
+    key.reserve(start.nodes.size());
+    for (const SearchNode& node : start.nodes) key.push_back(node.chosen);
+  }
+  Job(const Job&) = delete;  // other threads hold its address
+  Job& operator=(const Job&) = delete;
 
-  Kit kit;
-  ScheduleTally tally;
-};
-
-/// The job that starts at the root of the tree. Its schedules are the first
-/// of sequential DFS order (see the header), so it owns its search stack
-/// and tally: a budget hit finishes the search from them.
-struct RootJob {
-  explicit RootJob(const ExplorerOptions& opts)
-      : tally(opts, ScheduleTally::Keep::Smallest) {}
-
+  /// The choice path to its first schedule. Ranges are disjoint and each
+  /// starts at its leftmost schedule, so keys order jobs like dfsOrderLess.
+  std::vector<int> key;
+  TreeSearchState start;  ///< the stack it began from, for a rerun
   TreeSearchState state;
   ScheduleTally tally;
   int worker = -1;         ///< the pool worker that ran it
-  bool exhausted = false;  ///< its own subtree ran out before the pool stopped
+  bool exhausted = false;  ///< its range ran out before the pool stopped
 };
+
+struct ByRangeStart {
+  using is_transparent = void;
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    return a->key < b->key;
+  }
+};
+
+/// Estimated schedules in the unexplored siblings at depths >= d of
+/// `state`'s stack, for every d (the last entry, past the deepest node, is
+/// 0). A sibling costs what the subtree under its node's current child is
+/// estimated to hold: the product of the enabled-set sizes below it on the
+/// stack, as if every node under it branched like the current path.
+std::vector<double> estimateRange(const TreeSearchState& state) {
+  const std::vector<SearchNode>& nodes = state.nodes;
+  std::vector<double> remaining(nodes.size() + 1, 0.0);
+  double child = 1.0;  // the deepest node's current child: one schedule
+  for (std::size_t d = nodes.size(); d-- > 0;) {
+    const SearchNode& node = nodes[d];
+    // `chosen` is never in `done` on a search stack.
+    const int unexplored = node.enabled.minus(node.done).size() - 1;
+    remaining[d] = remaining[d + 1];
+    // On a deep stack `child` can overflow to infinity; 0 * inf is NaN.
+    if (unexplored > 0) remaining[d] += unexplored * child;
+    child *= node.enabled.size();
+  }
+  return remaining;
+}
 
 /// Sort `records` into sequential DFS order and keep the first `keep`.
 void keepFirstInDfsOrder(std::vector<ViolationRecord>& records, std::size_t keep) {
@@ -70,15 +91,35 @@ void keepFirstInDfsOrder(std::vector<ViolationRecord>& records, std::size_t keep
   if (records.size() > keep) records.resize(keep);
 }
 
+/// Job tallies folded into one, in DFS order of their ranges: statistics by
+/// the table, fingerprint classes by union, races deduplicated on the racy
+/// object with the leftmost job's report kept.
+struct Fold {
+  explicit Fold(const ExplorerOptions& options) : merged(options) {}
+
+  void add(const ScheduleTally& tally) {
+    merged.absorb(tally);
+    for (const trace::RaceReport& race : tally.races().distinctRaces()) {
+      if (raceUids.insert(race.objectUid).second) races.push_back(race);
+    }
+  }
+
+  ScheduleTally merged;
+  std::vector<trace::RaceReport> races;
+  std::unordered_set<runtime::Uid> raceUids;
+};
+
 }  // namespace
 
 /// Everything alive only during one explore() call: the frontier pool, the
-/// shared cache, the per-worker contexts, the root job and the global
+/// shared cache, the per-worker kits, the ranked jobs and the global
 /// coordination state.
 struct ParallelExplorer::Impl {
+  using Ranked = std::set<std::unique_ptr<Job>, ByRangeStart>;
+
   Impl(const ExplorerOptions& opts, std::optional<trace::Relation> key,
        std::uint64_t seed)
-      : options(opts), cacheKey(key), pool(opts.workers, seed), root(opts) {
+      : options(opts), cacheKey(key), pool(opts.workers, seed) {
     const int n = pool.workerCount();
     // Each worker runs its own replay engine, so the scenario's snapshot
     // budget is split evenly across them — the combined footprint stays
@@ -88,232 +129,306 @@ struct ParallelExplorer::Impl {
             ? 0
             : std::max<std::uint64_t>(
                   1, opts.snapshotBudgetBytes / static_cast<std::uint64_t>(n));
-    workers.reserve(static_cast<std::size_t>(n));
+    kits.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
-      workers.push_back(std::make_unique<WorkerContext>(opts, perWorkerBudget));
+      kits.push_back(std::make_unique<Kit>(opts, perWorkerBudget));
     }
+    auto root = std::make_unique<Job>(opts, TreeSearchState{});
+    queued.insert(root.get());
+    boundary = jobs.insert(std::move(root)).first;
+    boundaryJob.store(boundary->get(), std::memory_order_relaxed);
   }
 
   const ExplorerOptions& options;
   std::optional<trace::Relation> cacheKey;
   campaign::WorkStealingPool pool;
-  std::vector<std::unique_ptr<WorkerContext>> workers;
-  RootJob root;
+  std::vector<std::unique_ptr<Kit>> kits;  ///< one per pool worker
   core::HbrCache cache;  ///< shared; unused (empty) for plain DFS
   const Program* program = nullptr;
 
-  std::atomic<std::uint64_t> claimed{0};  ///< global budget slots taken
-  std::atomic<bool> aborted{false};       ///< budget exceeded: every job stops
-  std::atomic<std::uint64_t> frontierJobs{0};
+  /// Guards jobs, queued, boundary, frontierJobs and Job::exhausted.
+  std::mutex mutex;
+  Ranked jobs;       ///< every job, in DFS order of its range
+  std::set<Job*, ByRangeStart> queued;  ///< jobs no worker has taken yet
+  Ranked::iterator boundary;            ///< the leftmost unexhausted job
+  std::uint64_t frontierJobs = 1;       ///< jobs submitted to the pool
+  /// *boundary (nullptr past the last job), and the schedules of the
+  /// exhausted jobs left of it: read lock-free by the running jobs.
+  std::atomic<const Job*> boundaryJob{nullptr};
+  std::atomic<std::uint64_t> boundaryBase{0};
+  std::atomic<std::uint64_t> claimed{0};  ///< cache-keyed: budget slots taken
+  std::atomic<bool> stopped{false};       ///< every job stops at its next schedule
+  /// Plain DFS: a boundary job found that its shallowest split would give
+  /// away only schedules estimated past the cut, so from now on only the
+  /// boundary job splits (see the header).
+  std::atomic<bool> budgetBites{false};
 
-  void runRoot();
-  void runJob(FrontierJob job);
-  void submitJob(FrontierJob job);
-  bool search(Kit& kit, ScheduleTally& tally, TreeSearchState& state);
-  void maybeDonate(TreeSearchState& state);
+  void runNext();
+  void run(Kit& kit, Job& job);
+  bool mayRun(const Job& job);
+  void maybeDonate(Job& job);
+  void donate(Job& donor, std::size_t depth);
+  void retire(Job& job);
 
+  /// Every job ran out and the budget holds them all.
+  [[nodiscard]] bool complete() const {
+    return boundary == jobs.end() &&
+           boundaryBase.load(std::memory_order_relaxed) <= options.scheduleLimit;
+  }
   [[nodiscard]] std::vector<WorkerShare> shares() const;
   [[nodiscard]] ExplorationResult mergeComplete();
-  [[nodiscard]] ExplorationResult finishFromRoot();
+  [[nodiscard]] ExplorationResult finishAtCut();
+  void rerun(const Job& job, std::uint64_t count, ScheduleTally& tally,
+             ScheduleTally& replayStats);
 };
 
-void ParallelExplorer::Impl::submitJob(FrontierJob job) {
-  frontierJobs.fetch_add(1, std::memory_order_relaxed);
-  pool.submit([this, job = std::move(job)]() mutable {
-    runJob(std::move(job));
-  });
-}
-
-/// Stack splitting: when the pool signals an idle worker, give away the
-/// unexplored siblings of our shallowest splittable node — the largest
-/// subtree we can part with — as one job (the donee can re-split further).
-void ParallelExplorer::Impl::maybeDonate(TreeSearchState& state) {
-  if (!pool.hungry()) return;
-  for (std::size_t d = 0; d < state.nodes.size(); ++d) {
-    SearchNode& node = state.nodes[d];
-    const support::ThreadSet stealable = node.enabled.minus(node.done).minus(
-        support::ThreadSet::single(node.chosen));
-    if (stealable.empty()) continue;
-
-    FrontierJob child;
-    child.prefix.reserve(d);
-    for (std::size_t i = 0; i < d; ++i) {
-      child.prefix.push_back(state.nodes[i].chosen);
-    }
-    child.enabled = node.enabled;
-    child.done = node.enabled.minus(stealable);  // donee owns exactly these
-    node.done = node.done.unionWith(stealable);  // we never revisit them
-    node.donated = node.donated.unionWith(stealable);
-    submitJob(std::move(child));
-    return;
+/// A pool task: take the leftmost queued job and run it. Every task was
+/// submitted after its job was queued, so one is always there.
+void ParallelExplorer::Impl::runNext() {
+  Job* job = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    job = *queued.begin();
+    queued.erase(queued.begin());
   }
+  if (stopped.load(std::memory_order_relaxed)) return;
+  job->worker = pool.currentWorkerIndex();
+  LAZYHB_CHECK(job->worker >= 0);
+  run(*kits[static_cast<std::size_t>(job->worker)], *job);
 }
 
-/// Run `state`'s subtree on `kit` into `tally`, donating to hungry workers.
-/// Returns true when the subtree is exhausted, false when the budget
-/// stopped it — with `state` at the next schedule, not yet run.
-bool ParallelExplorer::Impl::search(Kit& kit, ScheduleTally& tally,
-                                    TreeSearchState& state) {
+/// Run `job`'s range on `kit`, donating to hungry workers, until it is
+/// exhausted (and retired) or the search stops it — with its stack at the
+/// next schedule, not yet run.
+void ParallelExplorer::Impl::run(Kit& kit, Job& job) {
   // This job's tree shares nothing with whatever this worker ran before:
   // divergence is at the root as far as the replay engine is concerned.
   std::size_t startDepth = kit.engine.prepareNext(0);
   for (;;) {
-    if (aborted.load(std::memory_order_relaxed)) return false;
-    // Claim a budget slot before executing, like the sequential loop checks
-    // budgetExhausted() before each schedule. Total demand is
-    // order-independent (see header), so whether this trips is a function
-    // of the scenario, not of scheduling.
-    if (claimed.fetch_add(1, std::memory_order_relaxed) >=
-        options.scheduleLimit) {
-      aborted.store(true, std::memory_order_relaxed);
-      return false;
-    }
-
+    if (!mayRun(job)) return;
     std::function<bool()> pruneHook;
     if (cacheKey) {
       pruneHook = [this, &kit] {
         return cache.checkAndInsert(kit.recorder.fingerprint(*cacheKey));
       };
     }
-    TreeScheduler scheduler(state, std::move(pruneHook), &kit.engine, startDepth);
+    TreeScheduler scheduler(job.state, std::move(pruneHook), &kit.engine, startDepth);
     const runtime::Outcome outcome =
-        tally.execute(kit.engine, kit.recorder, *program, scheduler);
+        job.tally.execute(kit.engine, kit.recorder, *program, scheduler);
     if (cacheKey && outcome != runtime::Outcome::Abandoned &&
         kit.recorder.eventCount() > 0) {
       // The final event's prefix is never tested by the scheduler (there is
       // no further pick); seed it so any worker can prune against it.
       cache.insert(kit.recorder.fingerprint(*cacheKey));
     }
-    maybeDonate(state);
-    if (!state.advance()) return true;
-    startDepth = kit.engine.prepareNext(state.checkFromDepth);
+    maybeDonate(job);
+    if (!job.state.advance()) return retire(job);
+    startDepth = kit.engine.prepareNext(job.state.checkFromDepth);
   }
 }
 
-void ParallelExplorer::Impl::runRoot() {
-  root.worker = pool.currentWorkerIndex();
-  LAZYHB_CHECK(root.worker >= 0);
-  Kit& kit = workers[static_cast<std::size_t>(root.worker)]->kit;
-  root.exhausted = search(kit, root.tally, root.state);
+/// The stop rule, checked before every schedule (see the header). A
+/// cache-keyed job claims a slot of the global budget, like the sequential
+/// loop checks budgetExhausted(); total demand is order-independent, so
+/// whether a claim fails is a function of the scenario. A plain DFS job
+/// stops when it is the boundary job and the ranked prefix already holds
+/// the budget.
+bool ParallelExplorer::Impl::mayRun(const Job& job) {
+  if (stopped.load(std::memory_order_relaxed)) return false;
+  if (cacheKey) {
+    if (claimed.fetch_add(1, std::memory_order_relaxed) < options.scheduleLimit) {
+      return true;
+    }
+  } else if (boundaryJob.load(std::memory_order_acquire) != &job ||
+             boundaryBase.load(std::memory_order_relaxed) +
+                     job.tally.result().schedulesExecuted <
+                 options.scheduleLimit) {
+    return true;
+  }
+  stopped.store(true, std::memory_order_relaxed);
+  return false;
 }
 
-void ParallelExplorer::Impl::runJob(FrontierJob job) {
-  if (aborted.load(std::memory_order_relaxed)) return;
-  const int workerIndex = pool.currentWorkerIndex();
-  LAZYHB_CHECK(workerIndex >= 0);
-  WorkerContext& cx = *workers[static_cast<std::size_t>(workerIndex)];
-
-  // Rebuild the job's subtree root as a search stack: forced single-choice
-  // nodes pin the prefix (advance() can never flip them), then the
-  // divergence node carries the children this job owns. The prefix events
-  // are replays of work already accounted elsewhere, so checkFromDepth
-  // excludes them from prune checks — exactly as the sequential search
-  // excludes a schedule's shared prefix after advance().
-  TreeSearchState state;
-  state.nodes.reserve(job.prefix.size() + 1);
-  for (const int choice : job.prefix) {
-    SearchNode forced;
-    forced.enabled = support::ThreadSet::single(choice);
-    forced.chosen = choice;
-    state.nodes.push_back(forced);
+/// When the pool signals an idle worker, split `job`'s range. By default
+/// the split is at the shallowest node with unexplored siblings, the
+/// largest piece it can part with (the donee can re-split further). In a
+/// plain DFS search the boundary job splits deeper when the subtree that
+/// split would keep is estimated to reach the cut, keeping about its share
+/// of the budget left; from then on no other job splits (see the header).
+void ParallelExplorer::Impl::maybeDonate(Job& job) {
+  if (!pool.hungry()) return;
+  const std::vector<SearchNode>& nodes = job.state.nodes;
+  std::size_t depth = 0;
+  while (depth < nodes.size() &&
+         nodes[depth].enabled.minus(nodes[depth].done).size() < 2) {
+    ++depth;
   }
-  SearchNode divergence;
-  divergence.enabled = job.enabled;
-  divergence.done = job.done;
-  divergence.chosen = job.enabled.minus(job.done).first();
-  state.nodes.push_back(divergence);
-  state.checkFromDepth = job.prefix.size();
-  (void)search(cx.kit, cx.tally, state);
+  if (depth == nodes.size()) return;  // nothing left to give away
+  if (cacheKey) return donate(job, depth);
+  if (boundaryJob.load(std::memory_order_acquire) != &job) {
+    if (!budgetBites.load(std::memory_order_relaxed)) donate(job, depth);
+    return;
+  }
+  const std::vector<double> remaining = estimateRange(job.state);
+  // The budget the ranked prefix has not used: only the boundary job knows.
+  const double left =
+      static_cast<double>(options.scheduleLimit) -
+      static_cast<double>(boundaryBase.load(std::memory_order_relaxed) +
+                          job.tally.result().schedulesExecuted);
+  if (remaining[depth + 1] < left) return donate(job, depth);
+  budgetBites.store(true, std::memory_order_relaxed);
+  // Keep the shallowest range within the share, but not nothing.
+  const double share = left / pool.workerCount();
+  while (depth + 1 < nodes.size() && remaining[depth + 1] > share) ++depth;
+  if (remaining[depth + 1] > 0) donate(job, depth);
+}
+
+/// Give every unexplored sibling at `depth` and above to a new job: a copy
+/// of the donor's stack positioned at the first of them. The donor keeps
+/// the rest of its subtree below `depth`, which precedes all it gave away.
+void ParallelExplorer::Impl::donate(Job& donor, std::size_t depth) {
+  std::vector<SearchNode>& nodes = donor.state.nodes;
+  TreeSearchState from;
+  from.nodes.assign(nodes.begin(), nodes.begin() + static_cast<std::ptrdiff_t>(depth) + 1);
+  for (std::size_t d = 0; d <= depth; ++d) {
+    nodes[d].done = nodes[d].enabled.minus(support::ThreadSet::single(nodes[d].chosen));
+  }
+  // Past the donor's subtree at `depth`, as advance() would get there.
+  for (;;) {
+    LAZYHB_CHECK(!from.nodes.empty());
+    SearchNode& node = from.nodes.back();
+    node.done.insert(node.chosen);
+    const support::ThreadSet left = node.enabled.minus(node.done);
+    if (!left.empty()) {
+      node.chosen = left.first();
+      break;
+    }
+    from.nodes.pop_back();
+  }
+  from.checkFromDepth = from.nodes.size() - 1;
+  auto job = std::make_unique<Job>(options, std::move(from));
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    queued.insert(job.get());
+    jobs.insert(std::move(job));
+    ++frontierJobs;
+  }
+  pool.submit([this] { runNext(); });
+}
+
+/// Mark `job` exhausted. When it was the boundary job, move the boundary
+/// past every exhausted job; once the exhausted prefix holds the budget
+/// (plain DFS), nothing further right can enter the cut, and all stop.
+void ParallelExplorer::Impl::retire(Job& job) {
+  const std::lock_guard<std::mutex> lock(mutex);
+  job.exhausted = true;
+  if (boundary->get() != &job) return;
+  std::uint64_t base = boundaryBase.load(std::memory_order_relaxed);
+  for (; boundary != jobs.end() && (*boundary)->exhausted; ++boundary) {
+    base += (*boundary)->tally.result().schedulesExecuted;
+  }
+  boundaryBase.store(base, std::memory_order_relaxed);
+  boundaryJob.store(boundary == jobs.end() ? nullptr : boundary->get(),
+                    std::memory_order_release);
+  if (!cacheKey && base >= options.scheduleLimit) {
+    stopped.store(true, std::memory_order_relaxed);
+  }
 }
 
 std::vector<WorkerShare> ParallelExplorer::Impl::shares() const {
-  const std::vector<std::uint64_t> steals = pool.stealsByWorker();
   std::vector<WorkerShare> byWorker;
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    std::uint64_t visited = workers[i]->tally.result().schedulesExecuted;
-    if (static_cast<int>(i) == root.worker) {
-      visited += root.tally.result().schedulesExecuted;
-    }
-    byWorker.push_back(WorkerShare{visited, steals[i]});
+  for (const std::uint64_t steals : pool.stealsByWorker()) {
+    byWorker.push_back(WorkerShare{0, steals});
+  }
+  for (const std::unique_ptr<Job>& job : jobs) {
+    if (job->worker < 0) continue;
+    byWorker[static_cast<std::size_t>(job->worker)].schedulesVisited +=
+        job->tally.result().schedulesExecuted;
   }
   return byWorker;
 }
 
-/// Deterministic merge of a complete search. Statistics fold by the table,
-/// fingerprint classes are set unions, violations are cut in DFS order,
-/// races dedup on the racy object across jobs.
+/// Deterministic merge of a complete search. Violations are cut in DFS
+/// order; plain DFS keeps its races in the leftmost job's order, which is
+/// the sequential order, and a cache-keyed search sorts them by object.
 ExplorationResult ParallelExplorer::Impl::mergeComplete() {
-  ScheduleTally merged(options);
-  std::vector<trace::RaceReport> races;
-  std::unordered_set<runtime::Uid> raceUids;
-  auto absorb = [&](const ScheduleTally& tally) {
-    merged.absorb(tally);
-    for (const trace::RaceReport& race : tally.races().distinctRaces()) {
-      if (raceUids.insert(race.objectUid).second) races.push_back(race);
-    }
-  };
-  absorb(root.tally);
-  for (const std::unique_ptr<WorkerContext>& cx : workers) {
-    absorb(cx->tally);
-    merged.addReplayStats(cx->kit.engine);
+  ParallelStats parallel{pool.workerCount(), frontierJobs, false, shares()};
+  Fold fold(options);
+  for (const std::unique_ptr<Kit>& kit : kits) fold.merged.addReplayStats(kit->engine);
+  for (auto it = jobs.begin(); it != jobs.end(); it = jobs.erase(it)) {
+    fold.add((*it)->tally);
   }
-  ExplorationResult result = std::move(merged.finish());
+  ExplorationResult result = std::move(fold.merged.finish());
   result.complete = true;
   result.hitScheduleLimit = false;
-  result.parallel = ParallelStats{pool.workerCount(),
-                                  frontierJobs.load(std::memory_order_relaxed),
-                                  false, shares()};
+  result.parallel = std::move(parallel);
   keepFirstInDfsOrder(result.violations, options.maxViolationsKept);
-  std::sort(races.begin(), races.end(),
-            [](const trace::RaceReport& a, const trace::RaceReport& b) {
-              return a.objectUid < b.objectUid;
-            });
-  result.races = std::move(races);
-  if (cacheKey) result.cacheStats = cacheStatsOf(cache);
+  if (cacheKey) {
+    std::sort(fold.races.begin(), fold.races.end(),
+              [](const trace::RaceReport& a, const trace::RaceReport& b) {
+                return a.objectUid < b.objectUid;
+              });
+    result.cacheStats = cacheStatsOf(cache);
+  }
+  result.races = std::move(fold.races);
   return result;
 }
 
-/// A plain-DFS budget hit: the root job ran the first k schedules of
-/// sequential DFS order, so take its donations back and run the next
-/// limit − k sequentially into its tally (see the header).
-ExplorationResult ParallelExplorer::Impl::finishFromRoot() {
-  std::vector<WorkerShare> byWorker = shares();
-  ScheduleTally& tally = root.tally;
-  for (const std::unique_ptr<WorkerContext>& cx : workers) {
-    tally.addReplayStats(cx->kit.engine);
-  }
-  workers.clear();  // helpers' tallies dropped, every kit's snapshots freed
+/// A plain-DFS budget hit: fold the ranked prefix's tallies in DFS order up
+/// to the first scheduleLimit schedules, rerunning the job the cut falls
+/// inside when it ran past it (see the header).
+ExplorationResult ParallelExplorer::Impl::finishAtCut() {
+  ParallelStats parallel{pool.workerCount(), frontierJobs, true, shares()};
+  Fold fold(options);
+  for (const std::unique_ptr<Kit>& kit : kits) fold.merged.addReplayStats(kit->engine);
+  kits.clear();  // every kit's snapshots freed before a rerun builds its own
 
-  TreeSearchState& state = root.state;
-  for (SearchNode& node : state.nodes) {
-    node.done = node.done.minus(node.donated);
-    node.donated = {};
+  const std::uint64_t limit = options.scheduleLimit;
+  std::uint64_t cut = 0;  // the first `cut` schedules of DFS order are folded
+  for (auto it = jobs.begin(); cut < limit; it = jobs.erase(it)) {
+    LAZYHB_CHECK(it != jobs.end());
+    const Job& job = **it;
+    const std::uint64_t ran = job.tally.result().schedulesExecuted;
+    if (cut + ran <= limit) {
+      // Only the boundary job may stop short of exhausting its range, and
+      // it stops exactly at the cut.
+      LAZYHB_CHECK(job.exhausted || cut + ran == limit);
+      fold.add(job.tally);
+      cut += ran;
+      continue;
+    }
+    ScheduleTally prefix(options, ScheduleTally::Keep::Smallest);
+    rerun(job, limit - cut, prefix, fold.merged);
+    parallel.byWorker[static_cast<std::size_t>(job.worker)].schedulesVisited +=
+        limit - cut;
+    fold.add(prefix);
+    cut = limit;
   }
-  // An exhausted root's stack ends at its deepest donation, whose chosen
-  // child is done; otherwise the stack already names the next schedule.
-  bool more = !root.exhausted || state.advance();
-  const std::uint64_t rootSchedules = tally.result().schedulesExecuted;
+  ExplorationResult result = std::move(fold.merged.finish());
+  result.hitScheduleLimit = true;
+  result.parallel = std::move(parallel);
+  keepFirstInDfsOrder(result.violations, options.maxViolationsKept);
+  result.races = std::move(fold.races);
+  return result;
+}
+
+/// Run the first `count` schedules of `job`'s range again, from the stack
+/// it started from, into `tally`. Runs on the calling thread once the pool
+/// has stopped, with a fresh kit (no fiber changes OS threads) and the
+/// whole snapshot budget; its replay statistics go to `replayStats`.
+void ParallelExplorer::Impl::rerun(const Job& job, std::uint64_t count,
+                                   ScheduleTally& tally, ScheduleTally& replayStats) {
+  TreeSearchState state = job.start;
   Kit kit(options, options.snapshotBudgetBytes);
   std::size_t startDepth = kit.engine.prepareNext(0);
-  while (more && tally.result().schedulesExecuted < options.scheduleLimit) {
+  for (std::uint64_t run = 1;; ++run) {
     TreeScheduler scheduler(state, {}, &kit.engine, startDepth);
     (void)tally.execute(kit.engine, kit.recorder, *program, scheduler);
-    more = state.advance();
-    if (more) startDepth = kit.engine.prepareNext(state.checkFromDepth);
+    if (run == count) break;
+    LAZYHB_CHECK(state.advance());
+    startDepth = kit.engine.prepareNext(state.checkFromDepth);
   }
-  // The budget bit, so the tree holds more than `limit` schedules.
-  LAZYHB_CHECK(more);
-  tally.addReplayStats(kit.engine);
-  byWorker[static_cast<std::size_t>(root.worker)].schedulesVisited +=
-      tally.result().schedulesExecuted - rootSchedules;
-
-  ExplorationResult result = std::move(tally.finish());
-  result.hitScheduleLimit = true;
-  result.parallel = ParallelStats{pool.workerCount(),
-                                  frontierJobs.load(std::memory_order_relaxed),
-                                  true, std::move(byWorker)};
-  keepFirstInDfsOrder(result.violations, options.maxViolationsKept);
-  return result;
+  replayStats.addReplayStats(kit.engine);
 }
 
 ParallelExplorer::ParallelExplorer(ExplorerOptions options,
@@ -344,16 +459,15 @@ ExplorationResult ParallelExplorer::explore(const Program& program) {
   impl.program = &program;
 
   std::vector<campaign::WorkStealingPool::Task> roots;
-  impl.frontierJobs.store(1, std::memory_order_relaxed);
-  roots.push_back([&impl] { impl.runRoot(); });
+  roots.push_back([&impl] { impl.runNext(); });
   impl.pool.run(std::move(roots));
 
-  if (!impl.aborted.load(std::memory_order_relaxed)) return impl.mergeComplete();
+  if (impl.complete()) return impl.mergeComplete();
   // The budget bit. A cache-keyed search's partial run is no prefix of the
   // sequential one: discard everything (including the polluted shared
   // cache — the fallback explorer builds its own) and redo sequentially.
   if (cacheKey_) return runSequentialFallback(program);
-  return impl.finishFromRoot();
+  return impl.finishAtCut();
 }
 
 }  // namespace lazyhb::explore

@@ -5,21 +5,26 @@
 // pruned by any worker is pruned for all. This is the multi-core shape of
 // Günther/Laarman's "Dynamic Reductions for Model Checking Concurrent
 // Software" applied to the paper's lazy-HBR reduction: workers walk
-// disjoint subtrees; the only shared mutable state is the CAS-based
-// fingerprint table (core/hbr_cache.hpp) and the work-stealing frontier
-// (campaign/work_stealing_pool.hpp).
+// disjoint ranges of the tree; the only shared mutable state is the
+// CAS-based fingerprint table (core/hbr_cache.hpp), the work-stealing
+// frontier (campaign/work_stealing_pool.hpp) and the ranked job set.
 //
 // ## Work decomposition
 //
-// A frontier job is a subtree of the schedule tree: a forced choice prefix
-// plus, at the divergence node, the set of children the job owns. Each pool
-// worker owns a full sequential exploration kit — fiber stack pool,
-// TraceRecorder, incremental prefix-replay engine — and runs jobs as plain
-// depth-first searches whose roots are pinned by the forced prefix. When
-// the pool reports hungry workers, a running worker donates the unexplored
-// siblings of its *shallowest* splittable node (the largest subtree it can
-// give away) as a new job: classic stack splitting, submitted back into the
-// same batch.
+// A frontier job is a contiguous range of sequential DFS order (a node's
+// children tried lowest pick first): a copy of a search stack whose
+// unexplored siblings are the range. Each pool worker owns a full
+// sequential exploration kit — fiber stack pool, TraceRecorder,
+// incremental prefix-replay engine — and runs jobs as plain depth-first
+// searches from their stacks; each job owns its stack and its tally. When
+// the pool reports hungry workers, a running job splits its range at some
+// depth d: one new job gets every unexplored sibling at depth d and above,
+// and the donor keeps the rest of its current subtree below d, which
+// precedes everything it gave away. Split at the shallowest node with
+// unexplored siblings — the default — this is classic stack splitting: the
+// largest subtree the job can part with. Jobs are keyed by the choice path
+// to their first schedule; the explorer keeps the queued ones in key order
+// and every pool task takes the leftmost, so queued work runs left first.
 //
 // ## Why counts are byte-identical at any worker count
 //
@@ -41,41 +46,72 @@
 // not.) Violation records merge in sequential DFS order (dfsOrderLess):
 // every tally keeps only its maxViolationsKept smallest, so the merged
 // cut is the global smallest — for plain DFS exactly the sequential run's
-// records.
+// records. Plain DFS folds its jobs' race reports in key order, keeping
+// each object's leftmost report: the sequential run's reports, in its
+// order.
 //
 // ## When the schedule budget bites
 //
 // A schedule *budget* breaks that argument mid-flight: arrival order would
-// decide which schedules fit the limit. Whether the budget bites at all is
-// order-independent (total arrivals are fixed), so workers claim budget
-// slots from one global counter, and the first claim past the limit stops
-// every job at its next claim.
+// decide which schedules fit the limit. Plain DFS therefore cuts by rank.
 //
-// Plain DFS then finishes from its leftmost job. Donation always gives
-// away *every* unexplored sibling of a job's shallowest split node, so all
-// the work a job still has lies to the left of everything it gave away,
-// in sequential DFS order (a node's children tried lowest pick first). The
-// root job's schedules are therefore exactly the first k of that order. It
-// owns its search stack and tally so both outlive the pool run, and its
-// stack stops at a node with donated children instead of popping it
-// (TreeSearchState::advance), so it still leads to every donated sibling
-// after its own subtree has run out. On a budget hit the helpers' tallies
-// are dropped, the root's donations are taken back, and the remaining
-// limit − k schedules run sequentially into the root's tally. That finish
-// runs on the calling thread once the pool has stopped, with a fresh kit
-// (no fiber changes OS threads) built after every worker's kit is released
-// (staged snapshots stay within the snapshot budget). Counts, race
-// reports and the first maxViolationsKept violation records then equal
-// DfsExplorer's at the same budget, and `parallel` describes the sharded
-// attempt; the root's worker also counts the sequential finish.
+// *Ranges.* A job's schedules are the first ones of its range, because
+// every split gives away only schedules that come after everything the
+// donor keeps. The jobs' ranges tile DFS order in key order, so the first
+// `limit` schedules are the ranked prefix: the exhausted jobs in key order
+// up to the leftmost unexhausted job (the boundary job), then the boundary
+// job's own schedules. Every job left of the boundary has run out, so the
+// boundary job alone knows its rank exactly.
 //
-// A cache-keyed search still reruns from scratch (runSequentialFallback):
-// its prune decisions depend on entries other workers inserted, so no
-// job's schedules are a prefix of the sequential order.
+// *Split rule.* Only the boundary job knows how much budget is left: the
+// limit minus its rank. When a worker is hungry, the boundary job prices
+// each unexplored sibling like the subtree under its node's current child,
+// extrapolated from the enabled-set sizes down its stack (estimateRange).
+// If the subtree a shallowest split would keep is estimated to reach the
+// cut, that split would give away only schedules past the cut; the budget
+// then bites. The boundary job splits instead as shallow as still keeps a
+// range within its share of the budget left (left / workers), and from
+// then on no other job splits: hungry workers get only what a boundary
+// job gives away, which starts before the estimated cut. Until then, and
+// in every search whose estimates stay short of the budget, every job
+// splits at its shallowest node, as in a complete search. Estimates
+// extrapolate down one path and can be off either way: one that runs low
+// leaves helpers working past the cut, and one that runs high leaves only
+// the boundary job splitting in a search the budget never cuts (correct
+// either way, only the balance suffers).
 //
-// Strategies that are inherently order-sensitive are not shardable:
-// random walks (one RNG stream), DPOR (backtrack sets mutate on visit
-// order), stopOnFirstViolation ("first" presumes an order), and the theorem
+// *Stop rule.* Before each schedule the boundary job checks whether the
+// ranked prefix already holds `limit` schedules; when a boundary job runs
+// out, the boundary moves past every exhausted job, and the same check
+// runs on the exhausted prefix. Either way every job stops at its next
+// schedule. A job right of the boundary never decides anything: it runs
+// until the boundary catches up with it or the search stops.
+//
+// *Finish.* Once the pool has stopped, the prefix's tallies fold in key
+// order, each freed as it folds, up to the cut. The boundary job stops
+// exactly at the cut, but a job that was not yet the boundary may have run
+// past it while jobs to its left were still running. The cut then falls
+// inside that job, and its first limit − (schedules before it) schedules
+// run again from the stack it started from. That rerun runs on the
+// calling thread with a fresh kit (no fiber changes OS threads) built
+// after every worker's kit is released (staged snapshots stay within the
+// snapshot budget). Counts, race reports and the first maxViolationsKept
+// violation records then equal DfsExplorer's at the same budget;
+// `parallel` describes the sharded attempt, and the rerun counts to the
+// worker that ran the job.
+//
+// A cache-keyed search still splits at the shallowest node, claims budget
+// slots from one global counter (whether the budget bites at all is
+// order-independent, because total arrivals are fixed), stops every job
+// at the first claim past the limit, and then reruns from scratch
+// (runSequentialFallback): its prune decisions depend on entries other
+// workers inserted, so no job's schedules are a prefix of the sequential
+// order.
+//
+// Some strategies and options are not shardable: random walks (no sharded
+// random explorer exists yet; each walk already runs on its own seed, so
+// the walks are independent), DPOR (backtrack sets mutate on visit order),
+// stopOnFirstViolation ("first" presumes an order), and the theorem
 // checkers (their conflict attribution is visit-ordered). The factory
 // (campaign/explorer_spec.hpp) falls back to the sequential explorer for
 // those; this class accepts only the shardable configurations.

@@ -18,10 +18,10 @@
 //     which to flake;
 //   * invariants of the parallel metadata block (worker shares sum to the
 //     total, a cache-keyed budget hit reruns sequentially);
-//   * the plain-DFS budget hit, which finishes from the root job's stack:
-//     its counts, violation records and race reports equal the sequential
-//     run's at the same budget, including when the root's own subtree ran
-//     out before the hit;
+//   * the plain-DFS budget hit, which cuts the ranked jobs' schedules at
+//     the budget: its counts, violation records and race reports equal the
+//     sequential run's at the same budget, at every budget of three
+//     programs, whichever job the cut falls in;
 //   * violation records cut in sequential DFS order on a program whose
 //     violations mix deadlocks and assertion failures.
 //
@@ -128,10 +128,10 @@ void expectSameFindings(const explore::ExplorationResult& sequential,
   }
 }
 
-/// Assert a budget-bitten sharded dfs run finished from the root job: the
+/// Assert a budget-bitten sharded dfs run was cut from its jobs: the
 /// fallback marker is set and the worker shares describe the sharded
-/// attempt plus the sequential finish.
-void expectFinishedFromRoot(const explore::ExplorationResult& parallel,
+/// attempt plus any rerun of the job the cut fell in.
+void expectFinishedAtTheCut(const explore::ExplorationResult& parallel,
                             int workers, const std::string& label) {
   EXPECT_TRUE(parallel.hitScheduleLimit) << label;
   EXPECT_FALSE(parallel.complete) << label;
@@ -291,11 +291,10 @@ TEST(ParallelMetadata, BudgetAbortRerunsSequentially) {
 // --- the plain-dfs budget hit --------------------------------------------------
 
 TEST(ParallelBudget, DfsBudgetHitFinishesFromTheRootJob) {
-  // A budget-bitten plain dfs search keeps the root job's schedules — the
-  // first of sequential DFS order — and runs the rest of the budget
-  // sequentially from its stack. Counts, violation records (in order) and
-  // race reports must equal the sequential run's at the same budget, under
-  // both memory models.
+  // A budget-bitten plain dfs search keeps the first `limit` schedules of
+  // sequential DFS order from whichever jobs ran them. Counts, violation
+  // records (in order) and race reports must equal the sequential run's at
+  // the same budget, under both memory models.
   struct Case {
     const char* program;
     memory::MemoryModel model;
@@ -331,15 +330,15 @@ TEST(ParallelBudget, DfsBudgetHitFinishesFromTheRootJob) {
                                 std::to_string(workers) + " workers";
       expectCountsIdentical(sequential, parallel, label);
       expectSameFindings(sequential, parallel, label);
-      expectFinishedFromRoot(parallel, workers, label);
+      expectFinishedAtTheCut(parallel, workers, label);
     }
   }
 }
 
 TEST(ParallelBudget, BudgetOneBelowCompleteFlakinessLoop) {
-  // One schedule short of the complete tree, the root job often runs out of
-  // its own subtree before any helper claims past the budget: the finish
-  // then starts from the root's kept stack, at its deepest donation.
+  // One schedule short of the complete tree, every job but the last often
+  // runs out before the cut is known, and the last one has run its whole
+  // range: the cut then falls one schedule before its end.
 #if defined(LAZYHB_TSAN_BUILD)
   constexpr int kIterations = 6;
   const char* const kProgram = "airline-2";  // 75 schedules
@@ -366,7 +365,58 @@ TEST(ParallelBudget, BudgetOneBelowCompleteFlakinessLoop) {
                               std::to_string(options.workers) + " workers";
     expectCountsIdentical(sequential, parallel, label);
     expectSameFindings(sequential, parallel, label);
-    expectFinishedFromRoot(parallel, options.workers, label);
+    expectFinishedAtTheCut(parallel, options.workers, label);
+  }
+}
+
+TEST(ParallelBudget, EveryBudgetMatchesSequentialDfs) {
+  // The cut at every budget: from one schedule to one past the complete
+  // tree, a sharded dfs reports what DfsExplorer reports — counts,
+  // complete / hit_schedule_limit, violation records in order and race
+  // reports — whichever job the cut falls in and whether that job ran past
+  // it. The SC programs sweep every budget; the TSO one 40 spread over it.
+  struct Case {
+    const char* program;
+    memory::MemoryModel model;
+    std::uint64_t budgets;  ///< 0: every budget
+  };
+#if defined(LAZYHB_TSAN_BUILD)
+  // Five budgets: every sharded exploration leaves TSan fiber state behind
+  // (see the top of this file), and all 76 would take the binary to ~5 GB.
+  const Case cases[] = {{"airline-2", memory::MemoryModel::Sc, 5}};  // 75 schedules
+#else
+  const Case cases[] = {{"airline-2", memory::MemoryModel::Sc, 0},     // 75 schedules
+                        {"wronglock-2", memory::MemoryModel::Sc, 0},   // 251
+                        {"dekker-unfenced", memory::MemoryModel::Tso, 40}};  // 1,214
+#endif
+  for (const Case& c : cases) {
+    const programs::ProgramSpec* spec = programs::byName(c.program);
+    ASSERT_NE(spec, nullptr) << c.program;
+    explore::ExplorerOptions options;
+    options.detectRaces = true;
+    options.memoryModel = c.model;
+    const std::uint64_t complete = runWithOptions(spec->body, "dfs", options).schedulesExecuted;
+    const std::uint64_t budgets = c.budgets == 0 ? complete + 1 : c.budgets;
+    for (std::uint64_t i = 0; i < budgets; ++i) {
+      // Budget 1 first and one past the complete tree last.
+      options.scheduleLimit = 1 + i * complete / (budgets - 1);
+      options.workers = 1;
+      const auto sequential = runWithOptions(spec->body, "dfs", options);
+      for (const int workers : kMatrixWorkerCounts) {
+        options.workers = workers;
+        const auto parallel = runWithOptions(spec->body, "dfs", options);
+        const std::string label = std::string(c.program) + " budget " +
+                                  std::to_string(options.scheduleLimit) + " @" +
+                                  std::to_string(workers) + " workers";
+        expectCountsIdentical(sequential, parallel, label);
+        expectSameFindings(sequential, parallel, label);
+        if (sequential.hitScheduleLimit) {
+          expectFinishedAtTheCut(parallel, workers, label);
+        } else {
+          EXPECT_FALSE(parallel.parallel.fellBackSequential) << label;
+        }
+      }
+    }
   }
 }
 
