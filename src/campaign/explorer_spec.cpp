@@ -16,8 +16,7 @@ std::unique_ptr<explore::Explorer> ExplorerSpec::create(
       // The tree searches' counts are order-independent, so they shard
       // whenever the options allow it (explore/parallel_explorer.hpp).
       if (explore::ParallelExplorer::shardable(options)) {
-        return std::make_unique<explore::ParallelExplorer>(options, cacheKey,
-                                                           seed);
+        return std::make_unique<explore::ParallelExplorer>(options, cacheKey);
       }
       return std::make_unique<explore::DfsExplorer>(options, cacheKey);
     case Search::Random:

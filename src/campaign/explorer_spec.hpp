@@ -37,9 +37,8 @@ struct ExplorerSpec {
   std::optional<trace::Relation> cacheKey;
   std::string name;  ///< mode name, e.g. "caching-lazy"
 
-  /// Build a fresh single-use explorer. `seed` affects Search::Random and,
-  /// when `options.workers >= 2`, the parallel frontier pool's per-worker
-  /// victim-selection RNGs. With workers >= 2 the tree searches (dfs,
+  /// Build a fresh single-use explorer. `seed` affects Search::Random
+  /// only. With workers >= 2 the tree searches (dfs,
   /// caching-full, caching-lazy, caching-value) come back as a
   /// ParallelExplorer unless an order-sensitive option forbids sharding;
   /// random and dpor always stay sequential — counts are byte-identical

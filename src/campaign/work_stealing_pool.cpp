@@ -10,8 +10,8 @@ namespace {
 
 // Which pool (if any) the calling thread serves, and at which index.
 // A thread is a worker of at most one pool — nested pools (a campaign task
-// spinning up a parallel explorer) run their workers on fresh threads, each
-// with its own binding.
+// leasing a parallel explorer's pool) run their workers on their own
+// threads, each with its own binding.
 struct WorkerBinding {
   const WorkStealingPool* pool = nullptr;
   int index = -1;
@@ -20,16 +20,15 @@ thread_local WorkerBinding tlsBinding;
 
 }  // namespace
 
-WorkStealingPool::WorkStealingPool(int workers, std::uint64_t seed) {
+WorkStealingPool::WorkStealingPool(int workers) {
   const int n = std::max(1, workers);
   deques_.resize(static_cast<std::size_t>(n));
   stealsByWorker_.assign(static_cast<std::size_t>(n), 0);
   rngs_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    // Distinct deterministic stream per worker: splitmix inside Rng spreads
-    // the (seed, index) pair, so adjacent indices don't correlate.
-    rngs_.emplace_back(seed + 0x9e3779b97f4a7c15ULL *
-                                  static_cast<std::uint64_t>(i + 1));
+    // Distinct stream per worker: splitmix inside Rng spreads the index, so
+    // adjacent workers don't correlate.
+    rngs_.emplace_back(0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(i + 1));
   }
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -105,8 +104,8 @@ bool WorkStealingPool::popTask(std::size_t self, Task& task) {
   // Own deque drained: steal from the back of the longest victim deque (the
   // back holds the tasks its owner would reach last, so stealing there
   // minimises interleaving with the victim's own pops). The scan starts at
-  // a per-worker seeded random offset, which breaks length ties without a
-  // shared RNG — reproducible for a fixed (pool seed, worker, call count).
+  // a per-worker random offset, which breaks length ties without a shared
+  // RNG.
   const std::size_t n = deques_.size();
   const std::size_t offset = n > 1 ? rngs_[self].below(n) : 0;
   std::size_t victim = n;

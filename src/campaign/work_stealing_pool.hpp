@@ -10,20 +10,21 @@
 // Dealing round-robin and letting idle workers steal from the *back* of a
 // victim's deque keeps every hardware thread busy until the frontier drains.
 //
-// Two behaviours the frontier use case added:
+// The frontier use case added dynamic submission: a running task may call
+// submit() to enqueue more work into the same batch (new frontier nodes
+// discovered mid-subtree). Worker-submitted tasks go to the submitter's own
+// deque front (LIFO, so the frontier explores depth-first and stays small);
+// run() returns only when every task, including all transitively submitted
+// ones, has finished. Idle workers therefore park on a condition variable
+// instead of exiting when the deques look empty but tasks are still in
+// flight.
 //
-//   * dynamic submission — a running task may call submit() to enqueue more
-//     work into the same batch (new frontier nodes discovered mid-subtree).
-//     Worker-submitted tasks go to the submitter's own deque front (LIFO,
-//     so the frontier explores depth-first and stays small); run() returns
-//     only when every task, including all transitively submitted ones, has
-//     finished. Idle workers therefore park on a condition variable instead
-//     of exiting when the deques look empty but tasks are still in flight.
-//   * seeded victim selection — each worker breaks steal-victim ties with
-//     its own deterministic RNG, seeded from (pool seed, worker index), so
-//     pool behaviour is reproducible run-to-run under any --jobs/--workers
-//     (a shared or unseeded RNG would make steal patterns — and with them
-//     any order-sensitive downstream state — drift between runs).
+// Threads outlive batches: between run() calls every worker waits parked on
+// a condition variable, so a pool that is kept (the parallel explorer leases
+// parked pools from a process-wide idle list) starts each batch with a
+// wake-up, not a thread start. Each worker breaks steal-victim ties with its
+// own RNG; which worker steals what follows thread timing, so nothing about
+// the steal pattern is reproducible, and no result depends on it.
 //
 // Tasks are independent and must not throw: an experiment harness has no
 // meaningful recovery from a lost result, so an escaping exception
@@ -57,11 +58,7 @@ class WorkStealingPool {
 
   /// Create `workers` OS threads (values < 1 clamp to 1). Threads persist
   /// across run() batches and park on a condition variable between them.
-  /// `seed` roots the per-worker victim-selection RNGs: worker i draws from
-  /// Rng(seed ^ mixed(i)), so the whole pool's steal behaviour is a pure
-  /// function of (seed, worker count, task timing).
-  explicit WorkStealingPool(int workers,
-                            std::uint64_t seed = kDefaultSeed);
+  explicit WorkStealingPool(int workers);
 
   /// Joins all workers. Must not be called while run() is in flight.
   ~WorkStealingPool();
@@ -112,21 +109,19 @@ class WorkStealingPool {
 
   /// Per-worker steal counts (same accumulation as tasksStolen(), attributed
   /// to the stealing worker). Index = worker. Snapshot; call between
-  /// batches for exact values.
+  /// batches for exact values, and subtract two snapshots for one batch.
   [[nodiscard]] std::vector<std::uint64_t> stealsByWorker() const;
-
-  static constexpr std::uint64_t kDefaultSeed = 0x5ca1ab1e0ddba11ULL;
 
  private:
   void workerLoop(std::size_t self);
 
   /// Pop from our own deque's front, else steal from the back of the
-  /// longest other deque (ties broken by our seeded RNG's scan offset).
+  /// longest other deque (ties broken by our RNG's scan offset).
   /// Returns false when every deque is empty. Caller holds mutex_.
   bool popTask(std::size_t self, Task& task);
 
   std::vector<std::deque<Task>> deques_;
-  std::vector<support::Rng> rngs_;             ///< per-worker, deterministic
+  std::vector<support::Rng> rngs_;             ///< per-worker victim tie-breaks
   std::vector<std::uint64_t> stealsByWorker_;
   std::vector<std::thread> workers_;
 

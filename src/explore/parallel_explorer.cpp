@@ -1,7 +1,10 @@
 #include "explore/parallel_explorer.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -20,19 +23,89 @@ namespace lazyhb::explore {
 namespace {
 
 /// A private sequential exploration kit: fiber stacks, recorder and
-/// incremental prefix-replay engine, used by one thread at a time.
+/// incremental prefix-replay engine, used by one thread at a time. A kit
+/// outlives explorations: configure() adopts one exploration's options and
+/// quiesce() ends it, keeping everything built.
 struct Kit {
-  Kit(const ExplorerOptions& opts, std::uint64_t snapshotBudgetBytes)
-      : recorder(trace::TraceRecorder::Options{.detectRaces = opts.detectRaces}),
-        engine(stackPool, recorder, opts.incremental,
-               opts.checkpointable &&
-                   runtime::Execution::checkpointingSupported(),
-               snapshotBudgetBytes) {}
+  Kit() : engine(stackPool, recorder, false, false, 0) {}
+
+  void configure(const ExplorerOptions& opts, std::uint64_t snapshotBudgetBytes) {
+    recorder.reset(trace::TraceRecorder::Options{.detectRaces = opts.detectRaces});
+    engine.configure(opts.incremental,
+                     opts.checkpointable && runtime::Execution::checkpointingSupported(),
+                     snapshotBudgetBytes);
+  }
+
+  /// Only while the exploration's program is alive: its leftover fibers
+  /// run to their end and its closures are released here.
+  void quiesce() {
+    engine.quiesce();
+    recorder.reset({});
+  }
 
   runtime::StackPool stackPool;
   trace::TraceRecorder recorder;
   PrefixReplayEngine engine;
 };
+
+/// A frontier pool and one kit per pool worker, leased whole by one
+/// exploration at a time.
+struct Crew {
+  explicit Crew(int workers) : pool(workers) {
+    for (int i = 0; i < pool.workerCount(); ++i) kits.push_back(std::make_unique<Kit>());
+  }
+
+  campaign::WorkStealingPool pool;
+  std::vector<std::unique_ptr<Kit>> kits;  ///< kits[i] serves pool worker i
+};
+
+/// The process's parked crews (see the header). Destroying it at process
+/// exit joins their threads.
+class IdleCrews {
+ public:
+  /// A parked crew of `workers` workers, or a new one when every crew of
+  /// that size is leased.
+  std::unique_ptr<Crew> lease(int workers) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      forgetIfForked();
+      // The most recently returned crew: its kits are the warmest.
+      for (auto it = idle_.rbegin(); it != idle_.rend(); ++it) {
+        if ((*it)->pool.workerCount() != workers) continue;
+        std::unique_ptr<Crew> crew = std::move(*it);
+        idle_.erase(std::next(it).base());
+        return crew;
+      }
+    }
+    return std::make_unique<Crew>(workers);
+  }
+
+  void giveBack(std::unique_ptr<Crew> crew) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    idle_.push_back(std::move(crew));
+  }
+
+  ~IdleCrews() { forgetIfForked(); }
+
+ private:
+  /// A child forked from this process inherits the parent's crews but none
+  /// of their threads: joining them would wait forever, so it leaks them.
+  void forgetIfForked() {
+    if (owner_ == ::getpid()) return;
+    for (std::unique_ptr<Crew>& crew : idle_) (void)crew.release();
+    idle_.clear();
+    owner_ = ::getpid();
+  }
+
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<Crew>> idle_;
+  pid_t owner_ = ::getpid();
+};
+
+IdleCrews& idleCrews() {
+  static IdleCrews crews;
+  return crews;
+}
 
 /// One contiguous range of sequential DFS order (see the header): a search
 /// stack whose unexplored siblings are the range, run by one pool worker
@@ -111,16 +184,20 @@ struct Fold {
 
 }  // namespace
 
-/// Everything alive only during one explore() call: the frontier pool, the
-/// shared cache, the per-worker kits, the ranked jobs and the global
-/// coordination state.
+/// Everything alive only during one explore() call: the leased crew, the
+/// shared cache, the ranked jobs and the global coordination state.
 struct ParallelExplorer::Impl {
   using Ranked = std::set<std::unique_ptr<Job>, ByRangeStart>;
 
   Impl(const ExplorerOptions& opts, std::optional<trace::Relation> key,
-       std::uint64_t seed)
-      : options(opts), cacheKey(key), pool(opts.workers, seed) {
-    const int n = pool.workerCount();
+       const Program& prog)
+      : options(opts),
+        cacheKey(key),
+        crew(idleCrews().lease(opts.workers)),
+        pool(crew->pool),
+        kits(crew->kits),
+        program(&prog),
+        stealsAtLease(pool.stealsByWorker()) {
     // Each worker runs its own replay engine, so the scenario's snapshot
     // budget is split evenly across them — the combined footprint stays
     // what the user asked for, not workers× it (0 stays unlimited).
@@ -128,23 +205,34 @@ struct ParallelExplorer::Impl {
         opts.snapshotBudgetBytes == 0
             ? 0
             : std::max<std::uint64_t>(
-                  1, opts.snapshotBudgetBytes / static_cast<std::uint64_t>(n));
-    kits.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      kits.push_back(std::make_unique<Kit>(opts, perWorkerBudget));
-    }
+                  1, opts.snapshotBudgetBytes /
+                         static_cast<std::uint64_t>(pool.workerCount()));
+    for (const std::unique_ptr<Kit>& kit : kits) kit->configure(opts, perWorkerBudget);
     auto root = std::make_unique<Job>(opts, TreeSearchState{});
     queued.insert(root.get());
     boundary = jobs.insert(std::move(root)).first;
     boundaryJob.store(boundary->get(), std::memory_order_relaxed);
   }
 
+  /// Quiesce every kit while the program is alive and park the crew.
+  ~Impl() {
+    for (const std::unique_ptr<Kit>& kit : kits) kit->quiesce();
+    idleCrews().giveBack(std::move(crew));
+  }
+
+  Impl(const Impl&) = delete;
+  Impl& operator=(const Impl&) = delete;
+
   const ExplorerOptions& options;
   std::optional<trace::Relation> cacheKey;
-  campaign::WorkStealingPool pool;
-  std::vector<std::unique_ptr<Kit>> kits;  ///< one per pool worker
+  std::unique_ptr<Crew> crew;
+  campaign::WorkStealingPool& pool;
+  std::vector<std::unique_ptr<Kit>>& kits;  ///< one per pool worker
   core::HbrCache cache;  ///< shared; unused (empty) for plain DFS
-  const Program* program = nullptr;
+  const Program* program;
+  /// The pool's steal counts when leased: by_worker reports this
+  /// exploration's steals only.
+  std::vector<std::uint64_t> stealsAtLease;
 
   /// Guards jobs, queued, boundary, frontierJobs and Job::exhausted.
   std::mutex mutex;
@@ -337,8 +425,9 @@ void ParallelExplorer::Impl::retire(Job& job) {
 
 std::vector<WorkerShare> ParallelExplorer::Impl::shares() const {
   std::vector<WorkerShare> byWorker;
-  for (const std::uint64_t steals : pool.stealsByWorker()) {
-    byWorker.push_back(WorkerShare{0, steals});
+  const std::vector<std::uint64_t> steals = pool.stealsByWorker();
+  for (std::size_t i = 0; i < steals.size(); ++i) {
+    byWorker.push_back(WorkerShare{0, steals[i] - stealsAtLease[i]});
   }
   for (const std::unique_ptr<Job>& job : jobs) {
     if (job->worker < 0) continue;
@@ -380,8 +469,10 @@ ExplorationResult ParallelExplorer::Impl::mergeComplete() {
 ExplorationResult ParallelExplorer::Impl::finishAtCut() {
   ParallelStats parallel{pool.workerCount(), frontierJobs, true, shares()};
   Fold fold(options);
-  for (const std::unique_ptr<Kit>& kit : kits) fold.merged.addReplayStats(kit->engine);
-  kits.clear();  // every kit's snapshots freed before a rerun builds its own
+  for (const std::unique_ptr<Kit>& kit : kits) {
+    fold.merged.addReplayStats(kit->engine);
+    kit->quiesce();  // every kit's snapshots freed before a rerun stages its own
+  }
 
   const std::uint64_t limit = options.scheduleLimit;
   std::uint64_t cut = 0;  // the first `cut` schedules of DFS order are folded
@@ -414,12 +505,14 @@ ExplorationResult ParallelExplorer::Impl::finishAtCut() {
 
 /// Run the first `count` schedules of `job`'s range again, from the stack
 /// it started from, into `tally`. Runs on the calling thread once the pool
-/// has stopped, with a fresh kit (no fiber changes OS threads) and the
-/// whole snapshot budget; its replay statistics go to `replayStats`.
+/// has stopped, on a quiesced kit (its fibers hold no frames, see the
+/// header) given the whole snapshot budget; its replay statistics go to
+/// `replayStats`.
 void ParallelExplorer::Impl::rerun(const Job& job, std::uint64_t count,
                                    ScheduleTally& tally, ScheduleTally& replayStats) {
   TreeSearchState state = job.start;
-  Kit kit(options, options.snapshotBudgetBytes);
+  Kit& kit = *kits.front();
+  kit.configure(options, options.snapshotBudgetBytes);
   std::size_t startDepth = kit.engine.prepareNext(0);
   for (std::uint64_t run = 1;; ++run) {
     TreeScheduler scheduler(state, {}, &kit.engine, startDepth);
@@ -432,9 +525,8 @@ void ParallelExplorer::Impl::rerun(const Job& job, std::uint64_t count,
 }
 
 ParallelExplorer::ParallelExplorer(ExplorerOptions options,
-                                   std::optional<trace::Relation> cacheKey,
-                                   std::uint64_t seed)
-    : options_(options), cacheKey_(cacheKey), seed_(seed) {
+                                   std::optional<trace::Relation> cacheKey)
+    : options_(options), cacheKey_(cacheKey) {
   LAZYHB_CHECK(shardable(options));
 }
 
@@ -454,20 +546,20 @@ ExplorationResult ParallelExplorer::runSequentialFallback(
 ExplorationResult ParallelExplorer::explore(const Program& program) {
   LAZYHB_CHECK(!explored_);
   explored_ = true;
+  {
+    Impl impl(options_, cacheKey_, program);
+    std::vector<campaign::WorkStealingPool::Task> roots;
+    roots.push_back([&impl] { impl.runNext(); });
+    impl.pool.run(std::move(roots));
 
-  Impl impl(options_, cacheKey_, seed_);
-  impl.program = &program;
-
-  std::vector<campaign::WorkStealingPool::Task> roots;
-  roots.push_back([&impl] { impl.runNext(); });
-  impl.pool.run(std::move(roots));
-
-  if (impl.complete()) return impl.mergeComplete();
-  // The budget bit. A cache-keyed search's partial run is no prefix of the
-  // sequential one: discard everything (including the polluted shared
-  // cache — the fallback explorer builds its own) and redo sequentially.
-  if (cacheKey_) return runSequentialFallback(program);
-  return impl.finishAtCut();
+    if (impl.complete()) return impl.mergeComplete();
+    if (!cacheKey_) return impl.finishAtCut();
+  }
+  // The budget bit a cache-keyed search. Its partial run is no prefix of
+  // the sequential one: discard everything (including the polluted shared
+  // cache — the fallback explorer builds its own) and, with the crew parked
+  // again, redo sequentially.
+  return runSequentialFallback(program);
 }
 
 }  // namespace lazyhb::explore

@@ -13,7 +13,7 @@
 //
 // A frontier job is a contiguous range of sequential DFS order (a node's
 // children tried lowest pick first): a copy of a search stack whose
-// unexplored siblings are the range. Each pool worker owns a full
+// unexplored siblings are the range. Each pool worker uses its own
 // sequential exploration kit — fiber stack pool, TraceRecorder,
 // incremental prefix-replay engine — and runs jobs as plain depth-first
 // searches from their stacks; each job owns its stack and its tally. When
@@ -93,9 +93,9 @@
 // past it while jobs to its left were still running. The cut then falls
 // inside that job, and its first limit − (schedules before it) schedules
 // run again from the stack it started from. That rerun runs on the
-// calling thread with a fresh kit (no fiber changes OS threads) built
-// after every worker's kit is released (staged snapshots stay within the
-// snapshot budget). Counts, race reports and the first maxViolationsKept
+// calling thread, on a leased kit given the whole snapshot budget once
+// every kit is quiesced (staged snapshots stay within the budget).
+// Counts, race reports and the first maxViolationsKept
 // violation records then equal DfsExplorer's at the same budget;
 // `parallel` describes the sharded attempt, and the rerun counts to the
 // worker that ran the job.
@@ -107,6 +107,39 @@
 // (runSequentialFallback): its prune decisions depend on entries other
 // workers inserted, so no job's schedules are a prefix of the sequential
 // order.
+//
+// ## Leased workers
+//
+// An explorer owns no threads. Each explore() leases a crew — a
+// WorkStealingPool and one kit per pool worker — from a process-wide idle
+// list keyed by worker count, and parks it there again before returning.
+// A crew is built only when every crew of that size is leased (two
+// explorations at once lease two), and the idle crews' threads are joined
+// at process exit. A child forked after a sharded exploration inherits the
+// idle list but none of its threads, so it leaks the parent's crews and
+// builds its own.
+//
+// At lease every kit adopts the exploration's options: race detection,
+// replay mode, whether the program is checkpointable, and the per-worker
+// snapshot budget. Before the crew goes back, on the calling thread and
+// while the program is still alive, every kit is quiesced: its last
+// execution's deferred teardown runs (the program's suspended fibers run
+// to their end), its threads release the program's closures, its staged
+// checkpoints are dropped, its recorder is
+// disarmed and its replay counters are zeroed. A parked crew therefore
+// retains capacity only — parked threads, fiber stacks and thread records
+// without frames or closures, recorder arrays, pooled stage storage —
+// and nothing of any program. by_worker reports the steals of this
+// exploration only.
+//
+// Fibers and OS threads: a fiber's frames are only ever resumed on the
+// thread that started them, with one exception: quiescing runs a worker's
+// leftover suspended fibers to their end on the calling thread, after the
+// batch, in teardown mode, where no scheduling point is left. A quiesced
+// kit holds no frames; re-arming a fiber starts new ones, so any thread
+// may use it next. That is why the cut rerun may run on a quiesced kit on
+// the calling thread, and why a crew may serve explorations from any
+// thread.
 //
 // Some strategies and options are not shardable: random walks (no sharded
 // random explorer exists yet; each walk already runs on its own seed, so
@@ -132,10 +165,8 @@ class ParallelExplorer final : public Explorer {
   /// key, shared by every worker, or nullopt for plain DFS.
   /// `options.workers` must be >= 2 (use DfsExplorer for 1), and options
   /// must not request stopOnFirstViolation or checkTheorems (the factory
-  /// routes those to sequential explorers). `seed` roots the frontier
-  /// pool's per-worker victim-selection RNGs.
-  ParallelExplorer(ExplorerOptions options,
-                   std::optional<trace::Relation> cacheKey, std::uint64_t seed);
+  /// routes those to sequential explorers).
+  ParallelExplorer(ExplorerOptions options, std::optional<trace::Relation> cacheKey);
   ~ParallelExplorer() override;
 
   [[nodiscard]] ExplorationResult explore(const Program& program) override;
@@ -165,7 +196,6 @@ class ParallelExplorer final : public Explorer {
 
   ExplorerOptions options_;
   std::optional<trace::Relation> cacheKey_;
-  std::uint64_t seed_;
   bool explored_ = false;
 };
 

@@ -11,12 +11,36 @@ PrefixReplayEngine::PrefixReplayEngine(runtime::StackPool& stackPool,
                                        trace::TraceRecorder& recorder,
                                        bool incremental, bool runtimeRollback,
                                        std::uint64_t snapshotBudgetBytes)
-    : stackPool_(stackPool),
-      recorder_(recorder),
-      incremental_(incremental),
-      runtimeRollback_(incremental && runtimeRollback),
-      budgetBytes_(snapshotBudgetBytes) {
+    : stackPool_(stackPool), recorder_(recorder) {
+  configure(incremental, runtimeRollback, snapshotBudgetBytes);
+}
+
+void PrefixReplayEngine::configure(bool incremental, bool runtimeRollback,
+                                   std::uint64_t snapshotBudgetBytes) {
+  LAZYHB_CHECK(stages_.empty() && stagesCreated_ == 0);
+  incremental_ = incremental;
+  runtimeRollback_ = incremental && runtimeRollback;
+  budgetBytes_ = snapshotBudgetBytes;
   LAZYHB_CHECK(!runtimeRollback_ || runtime::Execution::checkpointingSupported());
+}
+
+void PrefixReplayEngine::quiesce() {
+  // A restart runs whatever a resumable run left suspended to its end and
+  // retires every thread, releasing its closure.
+  if (exec_ != nullptr) exec_->restart(runtime::Config{}, nullptr);
+  while (!stages_.empty()) recycle(stages_.end() - 1);
+  evictedDepths_.clear();
+  pendingResume_ = false;
+  recorderArmed_ = false;
+  pendingDepth_ = 0;
+  pendingReplayed_ = 0;
+  eventsElided_ = 0;
+  eventsReplayed_ = 0;
+  rollbacks_ = 0;
+  stagesCreated_ = 0;
+  bytesStaged_ = 0;
+  evictions_ = 0;
+  replayFallbacks_ = 0;
 }
 
 void PrefixReplayEngine::stageCheckpoint(runtime::Execution& exec, std::size_t depth) {

@@ -78,6 +78,18 @@ class PrefixReplayEngine {
   PrefixReplayEngine(const PrefixReplayEngine&) = delete;
   PrefixReplayEngine& operator=(const PrefixReplayEngine&) = delete;
 
+  /// Adopt the constructor's three settings for the next exploration. Only
+  /// on a new or quiesced engine.
+  void configure(bool incremental, bool runtimeRollback,
+                 std::uint64_t snapshotBudgetBytes);
+
+  /// End an exploration while its program is still alive, keeping the
+  /// storage for the next one: the execution's deferred teardown runs and
+  /// its threads drop the program's closures, every stage is dropped, and
+  /// the accounting restarts from zero. Disarming the recorder is the
+  /// recorder's own reset (TraceRecorder::reset).
+  void quiesce();
+
   [[nodiscard]] bool incremental() const noexcept { return incremental_; }
   [[nodiscard]] bool runtimeRollback() const noexcept { return runtimeRollback_; }
 

@@ -42,6 +42,12 @@ TraceRecorder::TraceRecorder(Options options) : options_(options) {
   scratchSync_.reserve(16);
 }
 
+void TraceRecorder::reset(Options options) {
+  options_ = options;
+  pendingResume_ = nullptr;
+  resetAll();
+}
+
 void TraceRecorder::onExecutionStart(const runtime::Execution&) {
   if (pendingResume_ != nullptr) {
     // Re-executed schedule with a shared prefix: rewind to the armed

@@ -139,6 +139,12 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   TraceRecorder();  // fingerprints only
   explicit TraceRecorder(Options options);
 
+  /// Forget the current execution and any armed resume, and build what
+  /// `options` asks for from the next execution on, keeping every array's
+  /// capacity: how a recorder serves a new exploration without being
+  /// rebuilt (the parallel explorer's leased kits).
+  void reset(Options options);
+
   // --- ExecutionObserver ----------------------------------------------------
   void onExecutionStart(const runtime::Execution& exec) override;
   void onObjectRegistered(const runtime::Execution& exec, std::int32_t index,

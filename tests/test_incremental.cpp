@@ -613,8 +613,7 @@ TEST(IncrementalReplay, CountsIdenticalAcrossBudgetAndWorkerMatrix) {
           expectSameContractStats(baseline, on.explore(spec->body), label);
         } else {
           ASSERT_TRUE(explore::ParallelExplorer::shardable(options)) << label;
-          explore::ParallelExplorer on(options, /*cacheKey=*/std::nullopt,
-                                       /*seed=*/42);
+          explore::ParallelExplorer on(options, /*cacheKey=*/std::nullopt);
           expectSameContractStats(baseline, on.explore(spec->body), label);
         }
       }

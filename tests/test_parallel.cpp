@@ -23,19 +23,28 @@
 //     sequential run's at the same budget, at every budget of three
 //     programs, whichever job the cut falls in;
 //   * violation records cut in sequential DFS order on a program whose
-//     violations mix deadlocks and assertion failures.
+//     violations mix deadlocks and assertion failures;
+//   * leased crews: a sequence of explorations on the same parked workers
+//     and kits, leases taken from two threads at once and from a campaign,
+//     per-exploration steal counts, and a child forked after a sharded run.
 //
 // The suite is also half of the ThreadSanitizer CI leg (with test_core) —
 // under LAZYHB_SANITIZE=thread these same runs double as race hunts.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
+#include "campaign/campaign.hpp"
 #include "campaign/explorer_spec.hpp"
 #include "explore/explorer.hpp"
 #include "explore/parallel_explorer.hpp"
@@ -271,6 +280,30 @@ TEST(ParallelMetadata, WorkerSharesSumToTheTotal) {
   EXPECT_EQ(visited, result.schedulesExecuted);
 }
 
+TEST(ParallelMetadata, StealsAndSharesArePerExploration) {
+  // Explorations lease parked pools whose steal counters keep running:
+  // every exploration reports its own steals (one per task at most, and
+  // each job is one task) and its own visits.
+#if defined(LAZYHB_TSAN_BUILD)
+  const programs::ProgramSpec* spec = programs::byName("racy-counter-3");
+#else
+  const programs::ProgramSpec* spec = programs::byName("noisy-flags-3x2");
+#endif
+  ASSERT_NE(spec, nullptr);
+  for (int run = 0; run < 2; ++run) {
+    const auto result = runWith(*spec, "caching-lazy", 4, 20000);
+    ASSERT_TRUE(result.complete) << run;
+    std::uint64_t steals = 0;
+    std::uint64_t visited = 0;
+    for (const explore::WorkerShare& share : result.parallel.byWorker) {
+      steals += share.tasksStolen;
+      visited += share.schedulesVisited;
+    }
+    EXPECT_LE(steals, result.parallel.frontierJobs) << run;
+    EXPECT_EQ(visited, result.schedulesExecuted) << run;
+  }
+}
+
 TEST(ParallelMetadata, BudgetAbortRerunsSequentially) {
   // When the shared schedule budget bites mid-flight, whether any worker's
   // claim exceeds it is itself order-independent — but a cache-keyed
@@ -503,6 +536,208 @@ TEST(ParallelShardable, FactoryFallsBackForNonShardableKinds) {
     const auto result = runWith(*spec, mode, 8, 200);
     EXPECT_EQ(result.parallel.workers, 0) << mode;
   }
+}
+
+// --- leased crews ----------------------------------------------------------------
+
+/// One exploration of a lease sequence.
+struct LeaseCase {
+  const char* program;
+  const char* mode;
+  memory::MemoryModel model;
+  std::uint64_t limit;
+  bool detectRaces;
+  std::uint64_t snapshotBudget;  ///< 0: unlimited
+  bool incremental = true;
+};
+
+explore::ExplorerOptions leaseOptions(const LeaseCase& c, int workers) {
+  const programs::ProgramSpec* spec = programs::byName(c.program);
+  EXPECT_NE(spec, nullptr) << c.program;
+  explore::ExplorerOptions options;
+  options.scheduleLimit = c.limit;
+  options.memoryModel = c.model;
+  options.detectRaces = c.detectRaces;
+  options.snapshotBudgetBytes = c.snapshotBudget;
+  options.incremental = c.incremental;
+  options.checkpointable = spec != nullptr && spec->checkpointable;
+  options.workers = workers;
+  return options;
+}
+
+std::string leaseLabel(const LeaseCase& c, int workers) {
+  return std::string(c.program) + " x " + c.mode + " " +
+         memory::memoryModelName(c.model) + " limit " + std::to_string(c.limit) +
+         " @" + std::to_string(workers) + " workers";
+}
+
+/// Assert a sharded result equals the sequential one: contract counts, and
+/// for plain dfs the violation records in order and the race reports (a
+/// cache-keyed search promises only their number, see the header).
+void expectLeaseResultMatches(const LeaseCase& c,
+                              const explore::ExplorationResult& sequential,
+                              const explore::ExplorationResult& parallel,
+                              const std::string& label) {
+  expectCountsIdentical(sequential, parallel, label);
+  EXPECT_EQ(parallel.complete, sequential.complete) << label;
+  EXPECT_EQ(parallel.hitScheduleLimit, sequential.hitScheduleLimit) << label;
+  if (std::string(c.mode) == "dfs") expectSameFindings(sequential, parallel, label);
+}
+
+/// Run `cases` in order, each sharded at `workers` and sequentially. From
+/// one thread every sharded run leases the crew the previous one parked.
+void runLeaseSequence(const std::vector<LeaseCase>& cases, int workers) {
+  for (const LeaseCase& c : cases) {
+    const programs::ProgramSpec* spec = programs::byName(c.program);
+    ASSERT_NE(spec, nullptr) << c.program;
+    const auto sequential = runWithOptions(spec->body, c.mode, leaseOptions(c, 1));
+    const auto parallel = runWithOptions(spec->body, c.mode, leaseOptions(c, workers));
+    expectLeaseResultMatches(c, sequential, parallel, leaseLabel(c, workers));
+  }
+}
+
+constexpr std::uint64_t kUnlimited = 0;
+constexpr std::uint64_t kTinyBudget = 4096;
+
+TEST(ParallelLease, ReusedKitsMatchSequentialDfs) {
+  // Each exploration reconfigures the kits the previous one quiesced: race
+  // detection, replay mode, checkpointability and the per-worker snapshot
+  // budget all change between neighbours. It opens with the pair that
+  // breaks a kit reused without disarming its recorder: a budget-bitten
+  // dfs on non-checkpointable wronglock-3 leaves recorders armed to skip a
+  // replayed prefix, and caching-full on checkpointable disjoint-lock-3x2
+  // follows on the same kits.
+  using memory::MemoryModel;
+#if defined(LAZYHB_TSAN_BUILD)
+  const std::vector<LeaseCase> cases = {
+      {"wronglock-3", "dfs", MemoryModel::Sc, 40, true, kUnlimited},
+      {"disjoint-lock-2", "caching-full", MemoryModel::Sc, 200, false, kUnlimited},
+      {"dekker-unfenced", "dfs", MemoryModel::Tso, 40, false, kTinyBudget},
+      {"racy-counter-3", "caching-lazy", MemoryModel::Sc, 60, true, kTinyBudget},
+      {"airline-2", "dfs", MemoryModel::Sc, 75, true, kTinyBudget, false},
+      {"disjoint-lock-2", "caching-value", MemoryModel::Tso, 200, false, kUnlimited},
+  };
+#else
+  const std::vector<LeaseCase> cases = {
+      {"wronglock-3", "dfs", MemoryModel::Sc, 2000, true, kUnlimited},
+      {"disjoint-lock-3x2", "caching-full", MemoryModel::Sc, 100'000, false, kUnlimited},
+      {"disjoint-lock-3", "dfs", MemoryModel::Tso, 100'000, true, kTinyBudget},
+      {"wronglock-3", "dfs", MemoryModel::Tso, 2000, false, kTinyBudget},
+      {"noisy-flags-3x2", "caching-lazy", MemoryModel::Sc, 200, true, kUnlimited},
+      {"noisy-counter-3x2", "caching-lazy", MemoryModel::Tso, 100'000, false, kTinyBudget},
+      {"airline-2", "dfs", MemoryModel::Sc, 40, true, kTinyBudget, false},
+      {"prodcons-1x1", "caching-value", MemoryModel::Sc, 100'000, true, kUnlimited},
+      {"dekker-unfenced", "dfs", MemoryModel::Tso, 100'000, true, kUnlimited},
+      {"wronglock-3", "dfs", MemoryModel::Sc, 2000, false, kTinyBudget},
+      {"disjoint-lock-3x2", "caching-full", MemoryModel::Sc, 100'000, true, kTinyBudget},
+  };
+#endif
+  bool checkpointable = false;
+  bool reexecuted = false;
+  for (const LeaseCase& c : cases) {
+    const bool spec = programs::byName(c.program)->checkpointable;
+    checkpointable = checkpointable || spec;
+    reexecuted = reexecuted || !spec;
+  }
+  ASSERT_TRUE(checkpointable && reexecuted);
+  runLeaseSequence(cases, 4);
+}
+
+TEST(ParallelLease, ConcurrentLeasesMatchSequentialCounts) {
+  // Two threads shard at once, so they lease two crews of each size; the
+  // campaign's two jobs lease their own. Every count must still equal the
+  // sequential one.
+  using memory::MemoryModel;
+#if defined(LAZYHB_TSAN_BUILD)
+  const std::vector<LeaseCase> left = {
+      {"wronglock-3", "dfs", MemoryModel::Sc, 40, true, kUnlimited},
+      {"disjoint-lock-2", "caching-lazy", MemoryModel::Sc, 200, false, kTinyBudget},
+  };
+  const std::vector<LeaseCase> right = {
+      {"airline-2", "dfs", MemoryModel::Sc, 75, true, kTinyBudget},
+      {"racy-counter-3", "caching-full", MemoryModel::Sc, 60, false, kUnlimited},
+  };
+  constexpr std::uint64_t kCampaignLimit = 40;
+#else
+  const std::vector<LeaseCase> left = {
+      {"wronglock-3", "dfs", MemoryModel::Sc, 2000, true, kUnlimited},
+      {"disjoint-lock-3x2", "caching-full", MemoryModel::Sc, 100'000, false, kTinyBudget},
+      {"dekker-unfenced", "dfs", MemoryModel::Tso, 100'000, false, kUnlimited},
+  };
+  const std::vector<LeaseCase> right = {
+      {"noisy-counter-3x2", "caching-lazy", MemoryModel::Tso, 100'000, true, kUnlimited},
+      {"airline-2", "dfs", MemoryModel::Sc, 40, true, kTinyBudget},
+      {"wronglock-3", "dfs", MemoryModel::Tso, 2000, false, kTinyBudget},
+  };
+  constexpr std::uint64_t kCampaignLimit = 150;
+#endif
+  for (const int workers : {2, 4}) {
+    std::thread a([&] { runLeaseSequence(left, workers); });
+    std::thread b([&] { runLeaseSequence(right, workers); });
+    a.join();
+    b.join();
+  }
+
+  campaign::CampaignOptions options;
+  options.explorers = *campaign::parseExplorerList("");
+  for (const char* name : {"disjoint-lock-3", "wronglock-3", "airline-2", "lost-signal"}) {
+    const programs::ProgramSpec* spec = programs::byName(name);
+    ASSERT_NE(spec, nullptr) << name;
+    options.programs.push_back(spec);
+  }
+  options.explorer.scheduleLimit = kCampaignLimit;
+  options.explorer.detectRaces = true;
+  options.jobs = 1;
+  const auto sequential = campaign::runCampaign(options);
+  options.jobs = 2;
+  options.explorer.workers = 2;
+  const auto sharded = campaign::runCampaign(options);
+  ASSERT_EQ(sharded.cells.size(), sequential.cells.size());
+  for (std::size_t i = 0; i < sequential.cells.size(); ++i) {
+    const campaign::CellResult& want = sequential.cells[i];
+    const campaign::CellResult& got = sharded.cells[i];
+    const std::string label = want.program + " x " + want.explorer;
+    EXPECT_EQ(got.program, want.program) << label;
+    EXPECT_EQ(got.explorer, want.explorer) << label;
+    expectSameContractStats(want.stats, got.stats, label);
+  }
+}
+
+TEST(ParallelLease, ForkedChildLeasesNoParentCrew) {
+#if defined(LAZYHB_TSAN_BUILD)
+  GTEST_SKIP() << "ThreadSanitizer does not start threads in a child forked "
+                  "from a multithreaded process";
+#endif
+  // The parent parks a crew of 4 here. The child inherits the idle list but
+  // none of the crew's threads, so a lease of it would wait in run()
+  // forever; the child must build its own.
+  const programs::ProgramSpec* spec = programs::byName("disjoint-lock-3");
+  ASSERT_NE(spec, nullptr);
+  const auto sequential = runWith(*spec, "dfs", 1, 100'000);
+  const auto parent = runWith(*spec, "dfs", 4, 100'000);
+  expectCountsIdentical(sequential, parent, "parent");
+
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    const auto result = runWith(*spec, "dfs", 4, 100'000);
+    _exit(result.complete && result.schedulesExecuted == sequential.schedulesExecuted ? 0 : 1);
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  int status = 0;
+  pid_t waited = 0;
+  while ((waited = waitpid(child, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (waited == 0) {
+    kill(child, SIGKILL);
+    (void)waitpid(child, &status, 0);
+    FAIL() << "the forked child's sharded exploration did not finish in 60 s";
+  }
+  ASSERT_EQ(waited, child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -420,6 +422,92 @@ TEST(Registry, UserScenarioIsFullyOperational) {
   EXPECT_TRUE(trace.applied);
   EXPECT_TRUE(trace.violated);
   EXPECT_EQ(trace.outcome, "assertion-failure");
+}
+
+// --- program lifetime under sharding ------------------------------------------
+
+/// The generation of the last program whose Session::run has returned. A
+/// fiber of that program or an older one that runs later counts in
+/// g_lateSteps.
+std::atomic<int> g_returnedGeneration{0};
+std::atomic<int> g_lateSteps{0};
+
+/// Heap state that only the program's closure owns: the threads reach it
+/// through a raw pointer, so once the program is destroyed, a late fiber
+/// step (or a late destruction of a spawn closure) touches freed memory,
+/// which AddressSanitizer reports.
+struct ProgramHeap {
+  int generation = 0;
+  std::atomic<int> steps{0};
+};
+
+/// Reads the program's heap state when destroyed; spawn closures carry one.
+struct HeapToucher {
+  explicit HeapToucher(ProgramHeap* h) : heap(h) {}
+  HeapToucher(const HeapToucher&) = default;
+  HeapToucher& operator=(const HeapToucher&) = default;
+  ~HeapToucher() { (void)heap->steps.load(std::memory_order_relaxed); }
+
+  /// One step of the program: counts it as late when its program's run
+  /// has already returned.
+  void step() const {
+    if (heap->generation <= g_returnedGeneration.load()) g_lateSteps.fetch_add(1);
+    heap->steps.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  ProgramHeap* heap;
+};
+
+Program heapOwningProgram(int generation) {
+  auto heap = std::make_shared<ProgramHeap>();
+  heap->generation = generation;
+  return [heap] {
+    const HeapToucher toucher(heap.get());
+    Mutex m("m");
+    CondVar never("never");
+    // Never signalled: every schedule ends in a deadlock with this thread
+    // suspended in wait(), so each kit's last execution leaves fibers for
+    // a deferred teardown to run forward.
+    auto waiter = spawn([toucher, &m, &never] {
+      LockGuard guard(m);
+      never.wait(m);
+      toucher.step();
+    });
+    auto stepper = [toucher, &m] {
+      LockGuard guard(m);
+      toucher.step();
+    };
+    auto first = spawn(stepper);
+    auto second = spawn(stepper);
+    stepper();
+    first.join();
+    second.join();
+    waiter.join();
+    toucher.step();
+  };
+}
+
+TEST(SessionLifetime, NoFiberOfAShardedProgramRunsAfterItsRunReturned) {
+  // Sharded runs lease parked workers whose kits outlive the exploration.
+  // With full rollback a kit's last execution keeps its deadlocked fibers
+  // suspended until teardown; that teardown, and the release of the
+  // program's closures, must happen before run() returns, while the
+  // program lives.
+  const Session session =
+      Session().strategy("dfs").workers(4).checkpointable(true).schedules(100'000);
+  for (int generation = 1; generation <= 6; ++generation) {
+    {
+      const Program program = heapOwningProgram(generation);
+      const TestReport report = session.run(program);
+      EXPECT_TRUE(report.complete) << generation;
+      EXPECT_GT(report.schedulesExecuted, 1u) << generation;
+      EXPECT_TRUE(report.foundViolation()) << generation;
+      g_returnedGeneration.store(generation);
+    }  // the program and its heap state are gone
+    EXPECT_EQ(g_lateSteps.load(), 0) << generation;
+  }
+  (void)session.run("disjoint-lock-3");
+  EXPECT_EQ(g_lateSteps.load(), 0);
 }
 
 }  // namespace
