@@ -35,7 +35,7 @@
 namespace lazyhb {
 
 inline constexpr const char* kTestReportSchemaName = "lazyhb-test-report";
-inline constexpr int kTestReportSchemaVersion = 3;
+inline constexpr int kTestReportSchemaVersion = 4;
 
 /// A property violation with the schedule that reproduces it (feed the
 /// schedule to lazyhb::traceSchedule, or to `lazyhb replay --schedule`).
@@ -52,21 +52,12 @@ struct TestRace {
   int secondEvent = -1;
 };
 
-/// Per-theorem equivalence-checker tallies (populated when checkTheorems
-/// is on; a nonzero `conflicts` falsifies the theorem or exposes a
-/// fingerprint collision).
-struct TestTheoremStats {
-  std::uint64_t schedules = 0;
-  std::uint64_t classes = 0;
-  std::uint64_t states = 0;
-  std::uint64_t conflicts = 0;
-};
-
 /// The self-describing result of one Session::run: every statistic the
 /// engine reports (the ExplorationStats base — the extended §3 chain reads
 /// distinctStates <= distinctValueClasses <= distinctLazyHbrs <=
-/// distinctHbrs <= schedulesExecuted), the configuration echo and the
-/// findings.
+/// distinctHbrs <= schedulesExecuted, and Theorems 2.1/2.2 and value
+/// soundness say hbrConflicts, lazyHbrConflicts and valueConflicts are 0),
+/// the configuration echo and the findings.
 struct TestReport : ExplorationStats {
   // Identity and configuration echo.
   std::string scenario;  ///< registered scenario name; empty for ad-hoc programs
@@ -83,11 +74,6 @@ struct TestReport : ExplorationStats {
   // Findings.
   std::vector<TestViolation> violations;
   std::vector<TestRace> races;
-  TestTheoremStats theorem21;  ///< full HBR -> state (when checkTheorems)
-  TestTheoremStats theorem22;  ///< lazy HBR -> state (when checkTheorems)
-  /// Value class -> state (when checkTheorems): the observation-centric
-  /// soundness check behind the caching-value strategy. Schema v2.
-  TestTheoremStats theoremValue;
 
   double wallSeconds = 0.0;
 
@@ -128,8 +114,6 @@ class Session {
   Session& memoryModel(std::string model);
   /// Run the sync-HB data-race detector on every execution.
   Session& detectRaces(bool on = true);
-  /// Feed every terminal schedule through the Theorem 2.1/2.2 checkers.
-  Session& checkTheorems(bool on = true);
   /// Stop the whole exploration at the first violation (testing-tool mode;
   /// the default keeps exploring and counting).
   Session& stopOnFirstViolation(bool on = true);
@@ -145,10 +129,10 @@ class Session {
   /// Shard the scenario's schedule tree across this many OS threads
   /// (default 1 = sequential). Only the tree searches with
   /// order-independent counts shard ("dfs", "caching-full", "caching-lazy",
-  /// "caching-value"); other strategies — and order-sensitive option
-  /// combinations such as stopOnFirstViolation or checkTheorems — run
-  /// sequentially whatever this is set to. Every count in the TestReport is
-  /// byte-identical at any worker count.
+  /// "caching-value"); other strategies — and order-sensitive options
+  /// such as stopOnFirstViolation — run sequentially whatever this is set
+  /// to. Every count in the TestReport is byte-identical at any worker
+  /// count.
   Session& workers(int count);
   /// Byte budget for staged incremental-replay snapshots (0 = unlimited;
   /// default: the LAZYHB_SNAPSHOT_BUDGET environment variable, else
@@ -188,7 +172,6 @@ class Session {
     std::uint64_t seed = 42;
     std::string memoryModel = "sc";
     bool detectRaces = false;
-    bool checkTheorems = false;
     bool stopOnFirstViolation = false;
     std::uint32_t maxViolationsKept = 16;
     bool incremental = true;

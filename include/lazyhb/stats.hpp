@@ -53,6 +53,13 @@ struct ExplorationStats {
   /// Same operations, same values observed, same visible state.
   std::uint64_t distinctValueClasses = 0;
   std::uint64_t distinctStates = 0;
+  // Soundness: terminal classes of the Full, Lazy and Value relations whose
+  // schedules reached two or more distinct states. Theorems 2.1/2.2 and
+  // value soundness say each is 0; anything else is a counterexample or a
+  // fingerprint collision.
+  std::uint64_t hbrConflicts = 0;
+  std::uint64_t lazyHbrConflicts = 0;
+  std::uint64_t valueConflicts = 0;
   std::uint64_t totalEvents = 0;  ///< logical events, elided ones included
   /// Prefix events never re-executed thanks to runtime rollback. Executed
   /// events are totalEvents - eventsElided.

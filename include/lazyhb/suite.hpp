@@ -41,7 +41,7 @@ namespace lazyhb {
 /// The lazyhb-bench-report schema Suite::run and `lazyhb bench` write
 /// (docs/bench-report-schema.md).
 inline constexpr const char* kSuiteReportSchemaName = "lazyhb-bench-report";
-inline constexpr int kSuiteReportSchemaVersion = 9;
+inline constexpr int kSuiteReportSchemaVersion = 10;
 
 /// One (scenario, strategy) cell of the suite matrix — the public mirror of
 /// the campaign report's cell block: every statistic (the ExplorationStats

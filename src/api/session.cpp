@@ -26,15 +26,6 @@
 namespace lazyhb {
 namespace {
 
-TestTheoremStats toTheoremStats(const core::EquivalenceChecker::Stats& stats) {
-  TestTheoremStats out;
-  out.schedules = stats.schedules;
-  out.classes = stats.classes;
-  out.states = stats.states;
-  out.conflicts = stats.conflicts;
-  return out;
-}
-
 std::vector<TestRace> toRaces(const std::vector<trace::RaceReport>& races) {
   std::vector<TestRace> out;
   out.reserve(races.size());
@@ -103,11 +94,6 @@ Session& Session::detectRaces(bool on) {
   return *this;
 }
 
-Session& Session::checkTheorems(bool on) {
-  config_.checkTheorems = on;
-  return *this;
-}
-
 Session& Session::stopOnFirstViolation(bool on) {
   config_.stopOnFirstViolation = on;
   return *this;
@@ -172,7 +158,6 @@ TestReport Session::run(const Program& program) const {
   options.maxEventsPerSchedule = config_.maxEventsPerSchedule;
   options.memoryModel = resolveMemoryModel(config_.memoryModel);
   options.detectRaces = config_.detectRaces;
-  options.checkTheorems = config_.checkTheorems;
   options.stopOnFirstViolation = config_.stopOnFirstViolation;
   options.maxViolationsKept = config_.maxViolationsKept;
   options.incremental = config_.incremental;
@@ -226,10 +211,6 @@ TestReport Session::run(const Program& program) const {
     report.violations.push_back(std::move(v));
   }
   report.races = toRaces(result.races);
-
-  report.theorem21 = toTheoremStats(result.theorem21);
-  report.theorem22 = toTheoremStats(result.theorem22);
-  report.theoremValue = toTheoremStats(result.theoremValue);
   report.wallSeconds = elapsed.count();
   return report;
 }
@@ -294,19 +275,6 @@ std::string TestReport::toJson() const {
   json.endArray();
 
   campaign::writeStatBlocks(json, *this);
-
-  auto writeTheorem = [&json](const char* name, const TestTheoremStats& t) {
-    json.key(name).beginObject();
-    json.field("schedules", t.schedules);
-    json.field("classes", t.classes);
-    json.field("states", t.states);
-    json.field("conflicts", t.conflicts);
-    json.endObject();
-  };
-  writeTheorem("theorem_21", theorem21);
-  writeTheorem("theorem_22", theorem22);
-  writeTheorem("theorem_value", theoremValue);
-
   json.field("wall_seconds", wallSeconds);
   json.endObject();
   return json.str() + "\n";

@@ -245,7 +245,6 @@ CampaignResult runCampaign(const CampaignOptions& options) {
     JournalConfig config;
     static_cast<CampaignConfig&>(config) = configEcho(options);
     config.detectRaces = options.explorer.detectRaces;
-    config.checkTheorems = options.explorer.checkTheorems;
     config.stopOnFirstViolation = options.explorer.stopOnFirstViolation;
     config.explorers = explorerNames;
     for (const programs::ProgramSpec* spec : corpus) {

@@ -1,10 +1,12 @@
 #include "campaign/checkpoint.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "campaign/report.hpp"
@@ -23,7 +25,7 @@ namespace fs = std::filesystem;
 
 constexpr const char* kManifestName = "manifest.json";
 constexpr const char* kJournalSchemaName = "lazyhb-campaign-journal";
-constexpr int kJournalSchemaVersion = 1;
+constexpr int kJournalSchemaVersion = 2;
 
 [[noreturn]] void raise(const std::string& message) {
   throw std::runtime_error("lazyhb: " + message);
@@ -44,7 +46,6 @@ std::string manifestDocument(const JournalConfig& config) {
   json.field("snapshot_budget", config.snapshotBudgetBytes);
   json.field("memory_model", config.memoryModel);
   json.field("detect_races", config.detectRaces);
-  json.field("check_theorems", config.checkTheorems);
   json.field("stop_on_first_violation", config.stopOnFirstViolation);
   json.field("shard_index", static_cast<std::int64_t>(config.shardIndex));
   json.field("shard_count", static_cast<std::int64_t>(config.shardCount));
@@ -84,25 +85,23 @@ void writeFileAtomic(const std::string& path, const std::string& document) {
   }
 }
 
-/// The matrix index of a `cell-<i>.json` entry, or npos for anything else
-/// (the manifest, tmp leftovers, stray files).
+/// The file record() writes for the cell at matrix slot `index`.
+std::string cellFileName(std::size_t index) {
+  return "cell-" + std::to_string(index) + ".json";
+}
+
+/// The matrix index of a `cell-<i>.json` entry in exactly the form
+/// cellFileName writes, or npos for anything else (the manifest, tmp
+/// leftovers, stray files, and names with leading zeros or an index that
+/// does not fit, which would otherwise alias another slot).
 std::size_t cellIndexFromName(const std::string& name) {
-  constexpr const char* kPrefix = "cell-";
-  constexpr const char* kSuffix = ".json";
-  const std::size_t prefixLen = std::strlen(kPrefix);
-  const std::size_t suffixLen = std::strlen(kSuffix);
-  if (name.size() <= prefixLen + suffixLen) return std::string::npos;
-  if (name.compare(0, prefixLen, kPrefix) != 0) return std::string::npos;
-  if (name.compare(name.size() - suffixLen, suffixLen, kSuffix) != 0) {
-    return std::string::npos;
-  }
+  constexpr std::string_view kPrefix = "cell-";
+  if (!name.starts_with(kPrefix)) return std::string::npos;
   std::size_t index = 0;
-  for (std::size_t i = prefixLen; i < name.size() - suffixLen; ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return std::string::npos;
-    index = index * 10 + static_cast<std::size_t>(c - '0');
-  }
-  return index;
+  const char* digits = name.data() + kPrefix.size();
+  const auto [end, error] = std::from_chars(digits, name.data() + name.size(), index);
+  if (error != std::errc{} || end == digits) return std::string::npos;
+  return name == cellFileName(index) ? index : std::string::npos;
 }
 
 }  // namespace
@@ -162,7 +161,14 @@ CampaignJournal::CampaignJournal(std::string directory,
       raise("campaign journal '" + directory_ + "' holds out-of-range cell '" +
             name + "'");
     }
-    loaded_.emplace(index, readJournalCell(readFile(entry.path().string()), name));
+    CellResult cell = readJournalCell(readFile(entry.path().string()), name);
+    const std::string& program = config.programs[index / config.explorers.size()];
+    const std::string& explorer = config.explorers[index % config.explorers.size()];
+    if (cell.program != program || cell.explorer != explorer) {
+      raise("campaign journal cell '" + name + "' holds " + cell.program + " x " +
+            cell.explorer + ", but its slot is " + program + " x " + explorer);
+    }
+    loaded_.emplace(index, std::move(cell));
   }
 }
 
@@ -170,9 +176,7 @@ void CampaignJournal::record(std::size_t index, const CellResult& cell) {
   support::JsonWriter json;
   writeCellJson(json, cell);
   const std::string document = json.str() + "\n";
-  const std::string path =
-      (fs::path(directory_) / ("cell-" + std::to_string(index) + ".json"))
-          .string();
+  const std::string path = (fs::path(directory_) / cellFileName(index)).string();
   // Distinct cells write distinct files; the lock just keeps the
   // write+rename sequences from interleaving their error reporting.
   const std::lock_guard<std::mutex> guard(writeMutex_);

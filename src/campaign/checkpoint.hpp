@@ -38,7 +38,6 @@ namespace lazyhb::campaign {
 /// the on-disk manifest gates a resume.
 struct JournalConfig : CampaignConfig {
   bool detectRaces = false;
-  bool checkTheorems = false;
   bool stopOnFirstViolation = false;
   /// Explorer / program name lists in matrix order — cell indices are only
   /// meaningful relative to these.
@@ -59,8 +58,10 @@ class CampaignJournal {
  public:
   /// Throws std::runtime_error when the directory cannot be created, when
   /// an existing manifest does not match `config`, when a cell file is
-  /// unreadable, or when `requireExisting` and there is no manifest (the
-  /// CLI's --resume against an empty directory).
+  /// unreadable or holds another slot's (program, explorer), or when
+  /// `requireExisting` and there is no manifest (the CLI's --resume against
+  /// an empty directory). Only the exact names record() writes are cell
+  /// files; any other name is a stray file and is ignored.
   CampaignJournal(std::string directory, const JournalConfig& config,
                   bool requireExisting);
 

@@ -62,9 +62,9 @@ void writeCellJson(support::JsonWriter& json, const CellResult& cell);
 /// every top-level statistic of the table must be present, and so must
 /// every row of an optional block that is present, each as an unsigned
 /// integer (a bool for `complete` and `hit_schedule_limit`).
-/// Fields the report does not carry (violation reproducers, race reports,
-/// theorem tallies) come back at their defaults — the journal and the
-/// report reader only ever need the report-visible projection.
+/// Fields the report does not carry (violation reproducers, race reports)
+/// come back at their defaults — the journal and the report reader only
+/// ever need the report-visible projection.
 [[nodiscard]] bool parseCellJson(const support::JsonValue& value,
                                  CellResult* cell, std::string* error);
 

@@ -22,9 +22,10 @@ namespace lazyhb::cli {
 namespace {
 
 // merge and diff share these: 1 when the count contract is broken (a
-// conflicting duplicate, or a missing or extra cell), 2 when an input is not
-// a readable v9 report or cannot be combined with the others, 3 when the
-// output cannot be written.
+// conflicting duplicate, or a missing or extra cell; for merge also a §3
+// violation or a theorem conflict), 2 when an input is not a readable v10
+// report or cannot be combined with the others, 3 when the output cannot
+// be written.
 constexpr int kExitOk = 0;
 constexpr int kExitViolation = 1;
 constexpr int kExitUsage = 2;
@@ -148,7 +149,6 @@ bool sessionFrom(const support::Options& options, Session* session) {
       .seed(static_cast<std::uint64_t>(options.getInt("seed")))
       .memoryModel(memoryModel)
       .detectRaces(options.getFlag("races"))
-      .checkTheorems(options.getFlag("theorems"))
       .stopOnFirstViolation(options.getFlag("stop-on-violation"))
       .incremental(incremental)
       .workers(workers)
@@ -168,7 +168,6 @@ void addExplorerFlags(support::Options& options) {
   addMemoryModelFlag(options);
   addSnapshotBudgetFlag(options);
   options.addFlag("races", "run the sync-HB data-race detector");
-  options.addFlag("theorems", "feed terminal schedules to the theorem checkers");
   options.addFlag("stop-on-violation", "stop at the first violation");
 }
 
@@ -204,6 +203,41 @@ void addResultRow(support::Table& table, const std::string& label,
   table.cell(report.distinctValueClasses);
   table.cell(report.distinctStates);
   table.cell(std::string(report.complete ? "yes" : report.hitScheduleLimit ? "limit" : "no"));
+}
+
+/// "<n> HBR, <n> lazy-HBR and <n> value-class conflict(s)": the classes
+/// that reached two or more terminal states, which Theorems 2.1/2.2 and
+/// value soundness say never happens.
+std::string conflictCounts(const ExplorationStats& stats) {
+  return support::withCommas(stats.hbrConflicts) + " HBR, " +
+         support::withCommas(stats.lazyHbrConflicts) + " lazy-HBR and " +
+         support::withCommas(stats.valueConflicts) + " value-class conflict(s)";
+}
+
+bool conflictFree(const ExplorationStats& stats) {
+  return stats.hbrConflicts == 0 && stats.lazyHbrConflicts == 0 &&
+         stats.valueConflicts == 0;
+}
+
+/// The theorems line `bench` and `merge` print after the section-3 one,
+/// naming every cell with a conflict. Returns whether there is none.
+bool printTheoremLine(std::FILE* out, const campaign::CampaignResult& result) {
+  if (conflictFree(result.totals)) {
+    std::fprintf(out,
+                 "theorems 2.1/2.2 and value soundness (one terminal state per "
+                 "HBR, lazy HBR and value class): hold on all %zu cells\n",
+                 result.cells.size());
+    return true;
+  }
+  std::fprintf(out, "theorems 2.1/2.2 and value soundness: VIOLATED, %s:\n",
+               conflictCounts(result.totals).c_str());
+  for (const campaign::CellResult& cell : result.cells) {
+    if (!conflictFree(cell.stats)) {
+      std::fprintf(out, "  %s x %s: %s\n", cell.program.c_str(),
+                   cell.explorer.c_str(), conflictCounts(cell.stats).c_str());
+    }
+  }
+  return false;
 }
 
 std::vector<std::string> resultHeaders() {
@@ -281,32 +315,8 @@ int cmdExplore(int argc, char** argv) {
                support::withCommas(report.totalEvents).c_str(),
                support::withCommas(report.eventsElided).c_str(),
                support::withCommas(report.eventsReplayed).c_str());
-  if (options.getFlag("theorems")) {
-    std::fprintf(
-        human,
-        "theorem 2.1 (full HBR -> state): %llu schedules, %llu classes, "
-        "%llu states, %llu conflicts\n",
-        static_cast<unsigned long long>(report.theorem21.schedules),
-        static_cast<unsigned long long>(report.theorem21.classes),
-        static_cast<unsigned long long>(report.theorem21.states),
-        static_cast<unsigned long long>(report.theorem21.conflicts));
-    std::fprintf(
-        human,
-        "theorem 2.2 (lazy HBR -> state): %llu schedules, %llu classes, "
-        "%llu states, %llu conflicts\n",
-        static_cast<unsigned long long>(report.theorem22.schedules),
-        static_cast<unsigned long long>(report.theorem22.classes),
-        static_cast<unsigned long long>(report.theorem22.states),
-        static_cast<unsigned long long>(report.theorem22.conflicts));
-    std::fprintf(
-        human,
-        "value soundness (value class -> state): %llu schedules, %llu "
-        "classes, %llu states, %llu conflicts\n",
-        static_cast<unsigned long long>(report.theoremValue.schedules),
-        static_cast<unsigned long long>(report.theoremValue.classes),
-        static_cast<unsigned long long>(report.theoremValue.states),
-        static_cast<unsigned long long>(report.theoremValue.conflicts));
-  }
+  std::fprintf(human, "theorems 2.1/2.2 and value soundness: %s\n",
+               conflictCounts(report).c_str());
   printViolations(human, report);
   printRaces(human, report);
   if (!out.empty()) {
@@ -478,9 +488,10 @@ int cmdBench(int argc, char** argv) {
   support::Options options(
       "lazyhb bench",
       "run the (program x explorer) campaign matrix in parallel, check the "
-      "section-3 chain on every cell, print the paper's Figure 2 (with dpor) "
-      "and Figure 3 (with caching-full and caching-lazy) summaries, and emit "
-      "a machine-readable JSON report");
+      "section-3 chain and Theorems 2.1/2.2 and value soundness on every "
+      "cell, print the paper's Figure 2 (with dpor) and Figure 3 (with "
+      "caching-full and caching-lazy) summaries, and emit a machine-readable "
+      "JSON report");
   options.addString("explorers", "",
                     "comma-separated explorer modes (default: all of " +
                         campaign::explorerNamesHelp() + ")");
@@ -716,6 +727,7 @@ int cmdBench(int argc, char** argv) {
       }
     }
   }
+  const bool theoremsHold = printTheoremLine(stdout, result);
   printFigureLines(result.programs);
 
   const std::string out = options.getString("out");
@@ -725,7 +737,8 @@ int cmdBench(int argc, char** argv) {
     }
     if (out != "-") std::printf("report: %s\n", out.c_str());
   }
-  return result.inequalityViolations == 0 ? kExitOk : kExitViolation;
+  return result.inequalityViolations == 0 && theoremsHold ? kExitOk
+                                                          : kExitViolation;
 }
 
 // --- merge and diff ----------------------------------------------------------
@@ -736,7 +749,8 @@ int cmdMerge(int argc, char** argv) {
       "merge shard/resume bench reports into one report: "
       "disjoint cells union, identical duplicates dedupe, totals and the "
       "section-3 check are recomputed from the merged cells; conflicting "
-      "duplicate counts are a hard error");
+      "duplicate counts are a hard error, and so is a section-3 violation "
+      "or a theorem conflict in any cell (exit 1)");
   options.addString("out", "-",
                     "write the merged report to this path ('-': stdout)");
   if (!options.parse(argc, argv)) return options.parseError() ? kExitUsage : kExitOk;
@@ -769,16 +783,19 @@ int cmdMerge(int argc, char** argv) {
           out, campaign::writeReportJson(merged.result, &merged.provenance))) {
     return kExitIo;
   }
-  if (out != "-") {
-    std::printf("merged %zu report(s) -> %s: %zu cell(s), %zu program(s); "
-                "section-3 inequality %s\n",
-                paths.size(), out.c_str(), merged.result.cells.size(),
-                merged.result.programs.size(),
-                merged.result.inequalityViolations == 0
-                    ? "holds on all cells"
-                    : "VIOLATED");
-  }
-  return merged.result.inequalityViolations == 0 ? kExitOk : kExitViolation;
+  // With `--out -` stdout carries the merged document alone, and the
+  // verdicts move to stderr.
+  std::FILE* human = out == "-" ? stderr : stdout;
+  std::fprintf(human,
+               "merged %zu report(s) -> %s: %zu cell(s), %zu program(s); "
+               "section-3 inequality %s\n",
+               paths.size(), out.c_str(), merged.result.cells.size(),
+               merged.result.programs.size(),
+               merged.result.inequalityViolations == 0 ? "holds on all cells"
+                                                       : "VIOLATED");
+  const bool theoremsHold = printTheoremLine(human, merged.result);
+  return merged.result.inequalityViolations == 0 && theoremsHold ? kExitOk
+                                                                 : kExitViolation;
 }
 
 int cmdDiff(int argc, char** argv) {

@@ -25,7 +25,8 @@ namespace lazyhb::cli {
 /// Entry point: dispatch argv[1] to a subcommand. Returns the process exit
 /// status: 0 on success, 2 on usage errors, 1 when a violation was found by
 /// `explore --fail-on-violation`, a replay ends in a violation, or a bench
-/// campaign sees a §3 inequality violation, and 3 when the arguments were
+/// campaign or merged report holds a §3 inequality violation or a theorem
+/// conflict, and 3 when the arguments were
 /// fine but a requested output file (bench --out) could not be written.
 [[nodiscard]] int run(int argc, char** argv);
 

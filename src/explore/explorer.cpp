@@ -109,9 +109,13 @@ CacheStats cacheStatsOf(const core::HbrCache& cache) {
   return stats;
 }
 
+void ClassStates::merge(const ClassStates& other) {
+  for (const auto& [cls, state] : other.firstStates_) record(cls, state);
+  conflicted_.insert(other.conflicted_.begin(), other.conflicted_.end());
+}
+
 ScheduleTally::ScheduleTally(const ExplorerOptions& options, Keep keep)
-    : checkTheorems_(options.checkTheorems),
-      detectRaces_(options.detectRaces),
+    : detectRaces_(options.detectRaces),
       keepViolations_(options.maxViolationsKept),
       keep_(keep) {
   config_.maxEventsPerSchedule = options.maxEventsPerSchedule;
@@ -141,19 +145,11 @@ runtime::Outcome ScheduleTally::execute(PrefixReplayEngine& engine,
   switch (outcome) {
     case runtime::Outcome::Terminal: {
       ++result_.terminalSchedules;
-      const support::Hash128 hbr = recorder.fingerprint(trace::Relation::Full);
-      const support::Hash128 lazy = recorder.fingerprint(trace::Relation::Lazy);
-      const support::Hash128 value = recorder.fingerprint(trace::Relation::Value);
       const support::Hash128 state = exec.stateFingerprint();
-      hbrs_.insert(hbr);
-      lazyHbrs_.insert(lazy);
-      valueClasses_.insert(value);
+      hbrs_.record(recorder.fingerprint(trace::Relation::Full), state);
+      lazyHbrs_.record(recorder.fingerprint(trace::Relation::Lazy), state);
+      valueClasses_.record(recorder.fingerprint(trace::Relation::Value), state);
       states_.insert(state);
-      if (checkTheorems_) {
-        thm21_.record(hbr, state);
-        thm22_.record(lazy, state);
-        thmValue_.record(value, state);
-      }
       break;
     }
     case runtime::Outcome::Deadlock:
@@ -205,9 +201,9 @@ void ScheduleTally::addReplayStats(const PrefixReplayEngine& engine) {
 
 void ScheduleTally::absorb(const ScheduleTally& other) {
   foldStats(result_, other.result_);
-  hbrs_.insert(other.hbrs_.begin(), other.hbrs_.end());
-  lazyHbrs_.insert(other.lazyHbrs_.begin(), other.lazyHbrs_.end());
-  valueClasses_.insert(other.valueClasses_.begin(), other.valueClasses_.end());
+  hbrs_.merge(other.hbrs_);
+  lazyHbrs_.merge(other.lazyHbrs_);
+  valueClasses_.merge(other.valueClasses_);
   states_.insert(other.states_.begin(), other.states_.end());
   result_.violations.insert(result_.violations.end(),
                             other.result_.violations.begin(),
@@ -219,11 +215,9 @@ ExplorationResult& ScheduleTally::finish() {
   result_.distinctLazyHbrs = lazyHbrs_.size();
   result_.distinctValueClasses = valueClasses_.size();
   result_.distinctStates = states_.size();
-  if (checkTheorems_) {
-    result_.theorem21 = thm21_.stats();
-    result_.theorem22 = thm22_.stats();
-    result_.theoremValue = thmValue_.stats();
-  }
+  result_.hbrConflicts = hbrs_.conflicts();
+  result_.lazyHbrConflicts = lazyHbrs_.conflicts();
+  result_.valueConflicts = valueClasses_.conflicts();
   result_.races = races_.distinctRaces();
   return result_;
 }

@@ -28,10 +28,10 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "core/equivalence.hpp"
 #include "core/hbr_cache.hpp"
 #include "core/race_detector.hpp"
 #include "explore/prefix_replay.hpp"
@@ -72,8 +72,6 @@ struct ExplorerOptions {
   bool stopOnFirstViolation = false;
   /// Run the sync-HB data-race detector on every execution.
   bool detectRaces = false;
-  /// Feed every terminal schedule through the Theorem 2.1/2.2 checkers.
-  bool checkTheorems = false;
   /// Keep at most this many violation records.
   std::uint32_t maxViolationsKept = 16;
   /// Incremental prefix replay (explore/prefix_replay.hpp): tree searches
@@ -103,9 +101,9 @@ struct ExplorerOptions {
   /// search. Only the tree searches with order-independent counts support
   /// sharding (dfs and the caching modes); for other strategies — or
   /// option combinations that are inherently order-sensitive
-  /// (stopOnFirstViolation, checkTheorems) — the factory falls back to the
-  /// sequential explorer and this field is advisory. All observable counts
-  /// are byte-identical at any worker count.
+  /// (stopOnFirstViolation) — the factory falls back to the sequential
+  /// explorer and this field is advisory. All observable counts are
+  /// byte-identical at any worker count.
   int workers = 1;
   /// Memory model every execution runs under (memory/memory_model.hpp).
   /// Sc is the default and leaves all behaviour — counts, fingerprints,
@@ -177,12 +175,6 @@ struct ExplorationResult : ExplorationStats {
   /// wall-clock-dependent prefix of the full exploration.
   bool timedOut = false;
   std::vector<ViolationRecord> violations;
-  core::EquivalenceChecker::Stats theorem21;  ///< full HBR -> state (if enabled)
-  core::EquivalenceChecker::Stats theorem22;  ///< lazy HBR -> state (if enabled)
-  /// Value soundness: value fingerprint -> state must stay a function (the
-  /// empirical bar the caching-value pruning rests on; same machinery as
-  /// Theorems 2.1/2.2, populated when checkTheorems is on).
-  core::EquivalenceChecker::Stats theoremValue;
   std::vector<trace::RaceReport> races;
   ParallelStats parallel;  ///< zero-workers unless sharded (see above)
 
@@ -233,6 +225,9 @@ void forEachStat(Visit&& visit, Stats&... stats) {
   visit(StatSpec{"lazy_hbrs", Top, Contract, Sum}, stats.distinctLazyHbrs...);
   visit(StatSpec{"value_classes", Top, Contract, Sum}, stats.distinctValueClasses...);
   visit(StatSpec{"states", Top, Contract, Sum}, stats.distinctStates...);
+  visit(StatSpec{"hbr_conflicts", Top, Contract, Sum}, stats.hbrConflicts...);
+  visit(StatSpec{"lazy_hbr_conflicts", Top, Contract, Sum}, stats.lazyHbrConflicts...);
+  visit(StatSpec{"value_conflicts", Top, Contract, Sum}, stats.valueConflicts...);
   visit(StatSpec{"events", Top, Contract, Sum}, stats.totalEvents...);
   visit(StatSpec{"events_elided", Top, Scoreboard, Sum}, stats.eventsElided...);
   visit(StatSpec{"events_replayed", Top, Scoreboard, Sum}, stats.eventsReplayed...);
@@ -279,6 +274,35 @@ void foldStats(ExplorationStats& into, const ExplorationStats& from);
 /// The CacheStats snapshot of a prefix cache at the end of a search.
 [[nodiscard]] CacheStats cacheStatsOf(const core::HbrCache& cache);
 
+/// The terminal classes of one relation (Full, Lazy or Value
+/// fingerprints), each mapped to the state its first schedule reached, and
+/// the classes another of whose schedules reached a different state.
+/// Theorems 2.1/2.2 and value soundness say there are none, so the
+/// conflict set stays empty and a class costs one node, as in a plain set.
+/// Whether a class reached two or more states depends neither on the order
+/// its schedules arrive in nor on how they split between maps merged later,
+/// so size() and conflicts() are exact for any visit order.
+class ClassStates {
+ public:
+  /// One terminal schedule of class `cls` reached `state`.
+  void record(support::Hash128 cls, support::Hash128 state) {
+    const auto [it, inserted] = firstStates_.try_emplace(cls, state);
+    if (!inserted && it->second != state) conflicted_.insert(cls);
+  }
+
+  /// Union in another map's classes, first states and conflicts.
+  void merge(const ClassStates& other);
+
+  [[nodiscard]] std::uint64_t size() const noexcept { return firstStates_.size(); }
+  /// Classes that reached two or more states.
+  [[nodiscard]] std::uint64_t conflicts() const noexcept { return conflicted_.size(); }
+
+ private:
+  std::unordered_map<support::Hash128, support::Hash128, support::Hash128Hasher>
+      firstStates_;
+  std::unordered_set<support::Hash128, support::Hash128Hasher> conflicted_;
+};
+
 /// The per-schedule accounting shared by every explorer: ExplorerBase owns
 /// one, and ParallelExplorer gives each worker its own and absorbs them
 /// after the run. execute() is the explore loop's hot path — no virtual
@@ -308,12 +332,12 @@ class ScheduleTally {
   void addReplayStats(const PrefixReplayEngine& engine);
 
   /// Fold another worker's tally in, before finish(): statistics by the
-  /// table, fingerprint sets by union, violation records appended
-  /// (unbounded, in no particular order).
+  /// table, terminal classes and states by union, violation records
+  /// appended (unbounded, in no particular order).
   void absorb(const ScheduleTally& other);
 
-  /// Complete the result: distinct-class counts from the fingerprint sets,
-  /// theorem tallies, races.
+  /// Complete the result: distinct-class and conflict counts from the
+  /// class maps, distinct states, races.
   ExplorationResult& finish();
 
   [[nodiscard]] ExplorationResult& result() noexcept { return result_; }
@@ -321,26 +345,20 @@ class ScheduleTally {
   [[nodiscard]] const core::RaceAggregator& races() const noexcept { return races_; }
 
  private:
-  using Hash128Set = std::unordered_set<support::Hash128, support::Hash128Hasher>;
-
   /// Record `v` if the keep policy has room for it. Keep::Smallest holds
   /// the records as a max-heap in DFS order, so the front is the one a
   /// smaller record displaces.
   void keepViolation(const runtime::Violation& v);
 
   runtime::Config config_;
-  bool checkTheorems_;
   bool detectRaces_;
   std::size_t keepViolations_;
   Keep keep_;
   ExplorationResult result_;
-  Hash128Set hbrs_;
-  Hash128Set lazyHbrs_;
-  Hash128Set valueClasses_;
-  Hash128Set states_;
-  core::EquivalenceChecker thm21_;
-  core::EquivalenceChecker thm22_;
-  core::EquivalenceChecker thmValue_;
+  ClassStates hbrs_;
+  ClassStates lazyHbrs_;
+  ClassStates valueClasses_;
+  std::unordered_set<support::Hash128, support::Hash128Hasher> states_;
   core::RaceAggregator races_;
 };
 

@@ -40,7 +40,9 @@
 // of arrivals at each are therefore invariant under arrival order, and all
 // of schedules / terminal / pruned / violation counts, distinct-fingerprint
 // set sizes, total events, and cache lookup / hit / insertion / entry
-// counts are sums over that quotient. (What is NOT invariant: which
+// counts are sums over that quotient. The theorem-conflict counts are
+// exact too: whether a class reached two or more states depends only on
+// the set of schedules that reached it (explore::ClassStates). (What is NOT invariant: which
 // concrete schedule witnesses a violation class — the reproducer schedules
 // in `violations` may differ between runs in caching mode; their count may
 // not.) Violation records merge in sequential DFS order (dfsOrderLess):
@@ -143,9 +145,8 @@
 //
 // Some strategies and options are not shardable: random walks (no sharded
 // random explorer exists yet; each walk already runs on its own seed, so
-// the walks are independent), DPOR (backtrack sets mutate on visit order),
-// stopOnFirstViolation ("first" presumes an order), and the theorem
-// checkers (their conflict attribution is visit-ordered). The factory
+// the walks are independent), DPOR (backtrack sets mutate on visit order)
+// and stopOnFirstViolation ("first" presumes an order). The factory
 // (campaign/explorer_spec.hpp) falls back to the sequential explorer for
 // those; this class accepts only the shardable configurations.
 
@@ -164,8 +165,8 @@ class ParallelExplorer final : public Explorer {
   /// Shards DfsExplorer(options, cacheKey): `cacheKey` is its prefix-cache
   /// key, shared by every worker, or nullopt for plain DFS.
   /// `options.workers` must be >= 2 (use DfsExplorer for 1), and options
-  /// must not request stopOnFirstViolation or checkTheorems (the factory
-  /// routes those to sequential explorers).
+  /// must not request stopOnFirstViolation (the factory routes it to
+  /// sequential explorers).
   ParallelExplorer(ExplorerOptions options, std::optional<trace::Relation> cacheKey);
   ~ParallelExplorer() override;
 
@@ -177,13 +178,12 @@ class ParallelExplorer final : public Explorer {
 
   /// True when `options` can be sharded at all (the factory's gate):
   /// workers >= 2 and none of the order-sensitive options — no
-  /// stop-on-first-violation, no theorem checking, no wall-clock timeout
-  /// (which schedules fit a deadline depends on visit order), no progress
-  /// tick callback (ticks from racing workers would interleave).
+  /// stop-on-first-violation, no wall-clock timeout (which schedules fit a
+  /// deadline depends on visit order), no progress tick callback (ticks
+  /// from racing workers would interleave).
   [[nodiscard]] static bool shardable(const ExplorerOptions& options) noexcept {
     return options.workers >= 2 && !options.stopOnFirstViolation &&
-           !options.checkTheorems && options.wallTimeoutSeconds <= 0.0 &&
-           !options.onScheduleTick;
+           options.wallTimeoutSeconds <= 0.0 && !options.onScheduleTick;
   }
 
  private:

@@ -3,7 +3,8 @@
 // Uniform random scheduling: each schedule picks uniformly among the
 // enabled threads at every point. No reduction — this is the quick-and-dirty
 // bug hunter and the fuzzing backend of the property-test suite (random
-// schedules feed the Theorem 2.1/2.2 checkers with diverse linearizations).
+// schedules put diverse linearizations under the Theorem 2.1/2.2 and
+// value-soundness conflict counts).
 // Deterministic given (seed): schedule k is reproducible from seed+k.
 // Walks share no prefix beyond the root, so on the runtime-rollback tier
 // (checkpointable program, fast-fiber build) each walk after the first

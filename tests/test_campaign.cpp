@@ -421,11 +421,15 @@ TEST(Report, VersionedAndStructurallySound) {
   const std::string json = campaign::writeReportJson(result);
 
   EXPECT_NE(json.find("\"schema\": \"lazyhb-bench-report\""), std::string::npos);
-  EXPECT_NE(json.find("\"version\": 9"), std::string::npos);
+  EXPECT_NE(json.find("\"version\": 10"), std::string::npos);
   // config.workers, config.snapshot_budget and config.memory_model are
   // required (the report readers refuse a report without them), and every
   // cell carries its value-class count.
   EXPECT_NE(json.find("\"value_classes\""), std::string::npos);
+  // v10: the three theorem-conflict counts, 0 on a sound engine.
+  EXPECT_NE(json.find("\"hbr_conflicts\": 0"), std::string::npos);
+  EXPECT_NE(json.find("\"lazy_hbr_conflicts\": 0"), std::string::npos);
+  EXPECT_NE(json.find("\"value_conflicts\": 0"), std::string::npos);
   EXPECT_NE(json.find("\"memory_model\": \"sc\""), std::string::npos);
   // An SC campaign buffers nothing, so no cell emits the optional v8
   // per-cell tso block.

@@ -1,10 +1,11 @@
 // Unit tests for the core module: the HBR prefix cache (including its
-// concurrency properties), the theorem checkers and race aggregation; and
-// the campaign folds built on them: the Figure 2/3 summaries and the §3
-// counting chain.
+// concurrency properties), the terminal class maps the theorem-conflict
+// counts come from, and race aggregation; and the campaign folds built on
+// them: the Figure 2/3 summaries and the §3 counting chain.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -15,8 +16,8 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
-#include "core/equivalence.hpp"
 #include "core/hbr_cache.hpp"
+#include "explore/explorer.hpp"
 
 namespace {
 
@@ -254,29 +255,70 @@ TEST(HbrCacheConcurrent, SentinelCollidingKeysStayExact) {
   EXPECT_FALSE(cache.contains(support::Hash128{kBusy, kPerClass}));
 }
 
-TEST(EquivalenceChecker, DetectsTheoremConflicts) {
-  core::EquivalenceChecker checker;
-  EXPECT_TRUE(checker.record(hash128(1), hash128(100)));  // new class
-  EXPECT_TRUE(checker.record(hash128(1), hash128(100)));  // consistent repeat
-  EXPECT_TRUE(checker.record(hash128(2), hash128(200)));
-  EXPECT_FALSE(checker.record(hash128(1), hash128(999)));  // conflict!
-  const auto& stats = checker.stats();
-  EXPECT_EQ(stats.schedules, 4u);
-  EXPECT_EQ(stats.classes, 2u);
-  EXPECT_EQ(stats.states, 3u);
-  EXPECT_EQ(stats.conflicts, 1u);
+/// Record (class, state) pairs, as terminal schedules do.
+explore::ClassStates classStates(
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>>& schedules) {
+  explore::ClassStates classes;
+  for (const auto& [cls, state] : schedules) classes.record(hash128(cls), hash128(state));
+  return classes;
 }
 
-TEST(EquivalenceChecker, ManyClassesOneState) {
+TEST(ClassStates, AClassCountsOneConflictWhateverItsStatesAndOrder) {
+  // Class 1 reaches three states, class 2 one state twice, class 3 two
+  // states: two conflicts in every arrival order.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> schedules = {
+      {1, 100}, {1, 100}, {1, 555}, {1, 999}, {2, 200}, {2, 200}, {3, 300}, {3, 301}};
+  int orders = 0;
+  do {
+    const explore::ClassStates classes = classStates(schedules);
+    EXPECT_EQ(classes.size(), 3u);
+    EXPECT_EQ(classes.conflicts(), 2u);
+    ++orders;
+  } while (std::next_permutation(schedules.begin(), schedules.end()));
+  EXPECT_EQ(orders, 10080);  // 8! / (2! * 2!) distinct orders
+}
+
+TEST(ClassStates, ManyClassesOneStateIsNoConflict) {
   // The lazy-HBR promise in miniature: classes may exceed states, never
   // the other way round per class.
-  core::EquivalenceChecker checker;
-  for (std::uint64_t c = 0; c < 50; ++c) {
-    EXPECT_TRUE(checker.record(hash128(c), hash128(42)));
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> schedules;
+  for (std::uint64_t c = 0; c < 50; ++c) schedules.emplace_back(c, 42);
+  const explore::ClassStates classes = classStates(schedules);
+  EXPECT_EQ(classes.size(), 50u);
+  EXPECT_EQ(classes.conflicts(), 0u);
+}
+
+TEST(ClassStates, MergingInEitherOrderGivesTheSameRows) {
+  // Two workers' shares of one search: a class conflicted in a alone, one
+  // in b alone, one with the same state in both, one in each map only.
+  const explore::ClassStates a = classStates({{1, 10}, {1, 11}, {3, 30}, {4, 40}});
+  const explore::ClassStates b = classStates({{2, 20}, {2, 21}, {3, 30}, {5, 50}});
+  explore::ClassStates ab = a;
+  ab.merge(b);
+  explore::ClassStates ba = b;
+  ba.merge(a);
+  const explore::ClassStates whole = classStates(
+      {{1, 10}, {1, 11}, {3, 30}, {4, 40}, {2, 20}, {2, 21}, {3, 30}, {5, 50}});
+  for (const explore::ClassStates* merged : {&ab, &ba}) {
+    EXPECT_EQ(merged->size(), whole.size());
+    EXPECT_EQ(merged->conflicts(), whole.conflicts());
   }
-  EXPECT_EQ(checker.stats().classes, 50u);
-  EXPECT_EQ(checker.stats().states, 1u);
-  EXPECT_EQ(checker.stats().conflicts, 0u);
+  EXPECT_EQ(whole.size(), 5u);
+  EXPECT_EQ(whole.conflicts(), 2u);
+}
+
+TEST(ClassStates, AClassWhoseFirstStatesDifferAcrossMapsCountsOnce) {
+  // Neither map alone saw a conflict; together class 7 reached two states.
+  explore::ClassStates a = classStates({{7, 70}, {7, 70}});
+  const explore::ClassStates b = classStates({{7, 71}});
+  a.merge(b);
+  EXPECT_EQ(a.size(), 1u);
+  EXPECT_EQ(a.conflicts(), 1u);
+  // A third state, or the same maps merged again, still make one conflict.
+  a.merge(classStates({{7, 72}}));
+  a.merge(b);
+  EXPECT_EQ(a.size(), 1u);
+  EXPECT_EQ(a.conflicts(), 1u);
 }
 
 /// One exploration's statistics. The engine counts a value class for every

@@ -1,6 +1,6 @@
 // End-to-end explorer tests: the paper's Figure 1 example, completeness of
 // DPOR and the caching explorers against naive enumeration, the §3 counting
-// chain, and the Theorem 2.1/2.2 checkers.
+// chain, and the Theorem 2.1/2.2 and value-soundness conflict counts.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 namespace {
 
 using namespace lazyhb;
+using lazyhb::testing::expectNoConflicts;
 using lazyhb::testing::figure1Program;
 using lazyhb::testing::runCaching;
 using lazyhb::testing::runDfs;
@@ -28,9 +29,7 @@ TEST(Figure1, NaiveEnumerationCounts) {
   // Sanity: the paper's counting chain, extended with value classes.
   EXPECT_EQ(campaign::checkCountingChain("figure1", result, 200'000), "");
   // Theorems hold across every explored schedule.
-  EXPECT_EQ(result.theorem21.conflicts, 0u);
-  EXPECT_EQ(result.theorem22.conflicts, 0u);
-  EXPECT_EQ(result.theoremValue.conflicts, 0u);
+  expectNoConflicts(result, "figure1");
 }
 
 TEST(Figure1, DporExploresOnePerHbrClass) {
@@ -80,8 +79,7 @@ TEST(CoarseLocking, LazyHbrCollapsesDisjointCriticalSections) {
   EXPECT_EQ(result.distinctStates, 1u);
   EXPECT_EQ(result.distinctLazyHbrs, 1u);   // the paper's headline effect
   EXPECT_GT(result.distinctHbrs, 1u);       // regular HBR sees 2 classes
-  EXPECT_EQ(result.theorem22.conflicts, 0u);
-  EXPECT_EQ(result.theoremValue.conflicts, 0u);
+  expectNoConflicts(result, "disjoint-coarse");
 }
 
 // Racy counter: two unsynchronised read-modify-write pairs; the lost-update
@@ -104,9 +102,7 @@ TEST(RacyCounter, MultipleStatesAndTheoremsHold) {
   EXPECT_EQ(result.distinctStates, 2u);
   // No mutexes: lazy HBR == HBR (points on the diagonal of Figure 2).
   EXPECT_EQ(result.distinctLazyHbrs, result.distinctHbrs);
-  EXPECT_EQ(result.theorem21.conflicts, 0u);
-  EXPECT_EQ(result.theorem22.conflicts, 0u);
-  EXPECT_EQ(result.theoremValue.conflicts, 0u);
+  expectNoConflicts(result, "racy-counter");
 }
 
 TEST(RacyCounter, DporFindsAllStates) {
@@ -191,8 +187,7 @@ TEST(LockedCounter, SixHbrClassesOneLazyClass) {
   // All critical sections write the same variable c... the writes conflict,
   // so the lazy HBR still orders them: 6 classes remain.
   EXPECT_EQ(result.distinctLazyHbrs, 6u);
-  EXPECT_EQ(result.theorem22.conflicts, 0u);
-  EXPECT_EQ(result.theoremValue.conflicts, 0u);
+  expectNoConflicts(result, "locked-counter-3");
 }
 
 // Same three threads, but each under the lock touches only its OWN variable:
@@ -305,9 +300,11 @@ TEST_P(CompletenessSweep, ReducedExplorersMatchNaive) {
   const auto program = programByIndex(GetParam());
   const auto naive = runDfs(program);
   ASSERT_TRUE(naive.complete) << "naive search must exhaust the space";
+  expectNoConflicts(naive, "dfs");
 
   const auto dpor = runDpor(program);
   EXPECT_TRUE(dpor.complete);
+  expectNoConflicts(dpor, "dpor");
   EXPECT_EQ(dpor.distinctHbrs, naive.distinctHbrs);
   EXPECT_EQ(dpor.distinctLazyHbrs, naive.distinctLazyHbrs);
   EXPECT_EQ(dpor.distinctStates, naive.distinctStates);
@@ -317,6 +314,7 @@ TEST_P(CompletenessSweep, ReducedExplorersMatchNaive) {
     const auto cached = runCaching(program, relation);
     const std::string key = trace::relationName(relation);
     EXPECT_TRUE(cached.complete) << "relation=" << key;
+    expectNoConflicts(cached, "relation=" + key);
     EXPECT_EQ(cached.distinctStates, naive.distinctStates) << "relation=" << key;
     EXPECT_EQ(cached.distinctValueClasses, naive.distinctValueClasses)
         << "relation=" << key;
@@ -327,10 +325,6 @@ TEST_P(CompletenessSweep, ReducedExplorersMatchNaive) {
     }
     EXPECT_LE(cached.schedulesExecuted, naive.schedulesExecuted) << "relation=" << key;
   }
-  // Theorems checked on the naive run already; also check DPOR's view.
-  EXPECT_EQ(naive.theorem21.conflicts, 0u);
-  EXPECT_EQ(naive.theorem22.conflicts, 0u);
-  EXPECT_EQ(naive.theoremValue.conflicts, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSmallPrograms, CompletenessSweep, ::testing::Range(0, 9));

@@ -7,6 +7,7 @@
 #include <array>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "explore/dfs_explorer.hpp"
@@ -32,11 +33,18 @@ inline void expectSameContractStats(const ExplorationStats& a,
       a, b);
 }
 
+/// Expect Theorems 2.1/2.2 and value soundness on every terminal schedule
+/// `stats` counted: no HBR, lazy-HBR or value class reached two states.
+inline void expectNoConflicts(const ExplorationStats& stats, const std::string& label) {
+  EXPECT_EQ(stats.hbrConflicts, 0u) << label;
+  EXPECT_EQ(stats.lazyHbrConflicts, 0u) << label;
+  EXPECT_EQ(stats.valueConflicts, 0u) << label;
+}
+
 inline explore::ExplorerOptions smallOptions(std::uint64_t limit = 200'000) {
   explore::ExplorerOptions options;
   options.scheduleLimit = limit;
   options.maxEventsPerSchedule = 4096;
-  options.checkTheorems = true;
   return options;
 }
 
@@ -56,6 +64,22 @@ inline explore::ExplorationResult runCaching(const explore::Program& p, trace::R
                                              std::uint64_t limit = 200'000) {
   explore::DfsExplorer explorer(smallOptions(limit), r);
   return explorer.explore(p);
+}
+
+/// One run of each systematic explorer with `options`, labelled with its
+/// name: dfs, dpor, caching-full, caching-lazy and caching-value, in that
+/// order.
+inline std::vector<std::pair<std::string, explore::ExplorationResult>> runSystematic(
+    const explore::Program& p, const explore::ExplorerOptions& options) {
+  std::vector<std::pair<std::string, explore::ExplorationResult>> runs;
+  runs.emplace_back("dfs", explore::DfsExplorer(options).explore(p));
+  runs.emplace_back("dpor", explore::DporExplorer(options).explore(p));
+  for (const auto relation :
+       {trace::Relation::Full, trace::Relation::Lazy, trace::Relation::Value}) {
+    runs.emplace_back(std::string("caching-") + trace::relationName(relation),
+                      explore::DfsExplorer(options, relation).explore(p));
+  }
+  return runs;
 }
 
 /// The Full, Lazy and Value prefix fingerprints, in that order.

@@ -521,10 +521,6 @@ TEST(ParallelShardable, OrderSensitiveConfigurationsStaySequential) {
   options.workers = 4;
   options.stopOnFirstViolation = true;  // "first" is visit-order defined
   EXPECT_FALSE(explore::ParallelExplorer::shardable(options));
-
-  options.stopOnFirstViolation = false;
-  options.checkTheorems = true;  // checkers are single-threaded accumulators
-  EXPECT_FALSE(explore::ParallelExplorer::shardable(options));
 }
 
 TEST(ParallelShardable, FactoryFallsBackForNonShardableKinds) {

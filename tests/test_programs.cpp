@@ -1,20 +1,37 @@
 // Benchmark-corpus tests: registry integrity, per-benchmark sanity under a
-// budgeted exploration (the §3 counting chain and Theorems 2.1/2.2 must hold
-// on every benchmark), and bug/no-bug classification: DPOR must find the
-// violation in every known-buggy benchmark and must find none elsewhere.
+// budgeted exploration (the §3 counting chain, Theorems 2.1/2.2 and value
+// soundness must hold on every benchmark under every systematic explorer),
+// and bug/no-bug classification: DPOR must find the violation in every
+// known-buggy benchmark and must find none elsewhere.
 
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "campaign/campaign.hpp"
-#include "explore/dpor_explorer.hpp"
 #include "programs/registry.hpp"
 #include "test_helpers.hpp"
 
 namespace {
 
 using namespace lazyhb;
+
+/// Run every systematic explorer on `body` with `options` and check, for
+/// each, the §3 counting chain (extended with value classes) and Theorems
+/// 2.1/2.2 and value soundness on every terminal schedule it saw. Returns
+/// DPOR's result, the one the bug classification reads.
+explore::ExplorationResult checkSystematic(const std::string& name,
+                                           const explore::Program& body,
+                                           const explore::ExplorerOptions& options) {
+  explore::ExplorationResult dpor;
+  for (auto& [explorer, result] : lazyhb::testing::runSystematic(body, options)) {
+    const std::string label = name + " x " + explorer;
+    EXPECT_EQ(campaign::checkCountingChain(label, result, options.scheduleLimit), "");
+    lazyhb::testing::expectNoConflicts(result, label);
+    if (explorer == "dpor") dpor = std::move(result);
+  }
+  return dpor;
+}
 
 TEST(Registry, HasExactly87UniqueBenchmarks) {
   const auto& corpus = programs::all();
@@ -49,13 +66,8 @@ class CorpusSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(CorpusSweep, CountingChainAndTheoremsHold) {
   const auto& spec = programs::all()[static_cast<std::size_t>(GetParam())];
-
-  explore::ExplorerOptions options;
-  options.scheduleLimit = 1500;
-  options.maxEventsPerSchedule = 4096;
-  options.checkTheorems = true;
-  explore::DporExplorer explorer(options);
-  const auto result = explorer.explore(spec.body);
+  const auto result =
+      checkSystematic(spec.name, spec.body, lazyhb::testing::smallOptions(1500));
 
   // Every benchmark must actually run: schedules executed, events committed,
   // and no API usage errors.
@@ -64,13 +76,6 @@ TEST_P(CorpusSweep, CountingChainAndTheoremsHold) {
   for (const auto& v : result.violations) {
     EXPECT_NE(v.kind, runtime::Outcome::UsageError) << spec.name << ": " << v.message;
   }
-
-  // The paper's §3 counting chain, extended with value classes.
-  EXPECT_EQ(campaign::checkCountingChain(spec.name, result, options.scheduleLimit), "");
-
-  // Theorems 2.1 and 2.2 on every terminal schedule seen.
-  EXPECT_EQ(result.theorem21.conflicts, 0u) << spec.name;
-  EXPECT_EQ(result.theorem22.conflicts, 0u) << spec.name;
 
   // Bug classification: known-buggy benchmarks must reveal a violation
   // within the budget; sound benchmarks must not. A bugRequiresTso bug is
@@ -98,31 +103,22 @@ INSTANTIATE_TEST_SUITE_P(
 // The same sweep under TSO, over the weak-memory family: the unfenced
 // litmus variants must reveal their violation (which the SC sweep above
 // just proved unreachable), the fenced variants must stay violation-free,
-// and the counting chain and theorem checkers must hold on TSO executions
-// exactly as on SC ones.
+// and the counting chain and theorem-conflict counts must hold on TSO
+// executions exactly as on SC ones.
 class WeakMemTsoSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(WeakMemTsoSweep, TsoBugClassificationAndChainsHold) {
   const auto weakmem = programs::byFamily("weakmem");
   const auto& spec = *weakmem[static_cast<std::size_t>(GetParam())];
-
-  explore::ExplorerOptions options;
-  options.scheduleLimit = 1500;
-  options.maxEventsPerSchedule = 4096;
-  options.checkTheorems = true;
+  explore::ExplorerOptions options = lazyhb::testing::smallOptions(1500);
   options.memoryModel = memory::MemoryModel::Tso;
-  explore::DporExplorer explorer(options);
-  const auto result = explorer.explore(spec.body);
+  const auto result = checkSystematic(spec.name, spec.body, options);
 
   EXPECT_GT(result.schedulesExecuted, 0u) << spec.name;
   EXPECT_TRUE(result.complete) << spec.name;
   for (const auto& v : result.violations) {
     EXPECT_NE(v.kind, runtime::Outcome::UsageError) << spec.name << ": " << v.message;
   }
-
-  EXPECT_EQ(campaign::checkCountingChain(spec.name, result, options.scheduleLimit), "");
-  EXPECT_EQ(result.theorem21.conflicts, 0u) << spec.name;
-  EXPECT_EQ(result.theorem22.conflicts, 0u) << spec.name;
 
   if (spec.hasKnownBug) {
     EXPECT_TRUE(result.foundViolation()) << spec.name << " TSO bug not found";

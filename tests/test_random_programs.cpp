@@ -6,7 +6,8 @@
 //
 //   * naive DFS enumerates the space (seeds whose spaces exceed the cap are
 //     still theorem-checked, just not completeness-compared);
-//   * Theorems 2.1 and 2.2 must hold over every terminal schedule;
+//   * Theorems 2.1/2.2 and value soundness must hold over every terminal
+//     schedule of every explorer (no conflicts in its counts);
 //   * the section-3 counting chain must hold on every explorer's counts;
 //   * DPOR and the caching explorers under all three keys must reach
 //     exactly the same distinct terminal states (and lazy HBRs) as naive
@@ -137,9 +138,8 @@ TEST_P(RandomProgramSweep, AllExplorersAgree) {
   const auto naive = lazyhb::testing::runDfs(program, kCap);
 
   // Theorems and the counting chain hold regardless of completeness.
-  EXPECT_EQ(naive.theorem21.conflicts, 0u) << "seed " << seed;
-  EXPECT_EQ(naive.theorem22.conflicts, 0u) << "seed " << seed;
   const std::string where = "seed " + std::to_string(seed);
+  lazyhb::testing::expectNoConflicts(naive, where + " dfs");
   EXPECT_EQ(campaign::checkCountingChain(where + " dfs", naive, kCap), "");
 
   if (!naive.complete) {
@@ -153,8 +153,7 @@ TEST_P(RandomProgramSweep, AllExplorersAgree) {
   EXPECT_EQ(dpor.distinctLazyHbrs, naive.distinctLazyHbrs) << "seed " << seed;
   EXPECT_LE(dpor.schedulesExecuted, naive.schedulesExecuted);
   EXPECT_EQ(dpor.foundViolation(), naive.foundViolation()) << "seed " << seed;
-  EXPECT_EQ(dpor.theorem21.conflicts, 0u);
-  EXPECT_EQ(dpor.theorem22.conflicts, 0u);
+  lazyhb::testing::expectNoConflicts(dpor, where + " dpor");
   EXPECT_EQ(campaign::checkCountingChain(where + " dpor", dpor, kCap), "");
 
   for (const auto relation :
@@ -162,6 +161,7 @@ TEST_P(RandomProgramSweep, AllExplorersAgree) {
     const auto cached = lazyhb::testing::runCaching(program, relation, kCap);
     const std::string label = where + " relation=" + trace::relationName(relation);
     ASSERT_TRUE(cached.complete) << label;
+    lazyhb::testing::expectNoConflicts(cached, label);
     EXPECT_EQ(campaign::checkCountingChain(label, cached, kCap), "");
     EXPECT_EQ(cached.distinctStates, naive.distinctStates) << label;
     EXPECT_EQ(cached.distinctValueClasses, naive.distinctValueClasses) << label;

@@ -148,6 +148,15 @@ campaign::JournalConfig journalConfigFor(const campaign::CampaignOptions& option
   return config;
 }
 
+/// fabricatedCell(schedules) named for matrix slot `index` of `config`.
+campaign::CellResult fabricatedCellAt(const campaign::JournalConfig& config,
+                                      std::size_t index, std::uint64_t schedules) {
+  campaign::CellResult cell = fabricatedCell(schedules);
+  cell.program = config.programs[index / config.explorers.size()];
+  cell.explorer = config.explorers[index % config.explorers.size()];
+  return cell;
+}
+
 TEST(Journal, RecordsAndReloadsCells) {
   const TempDir dir;
   const auto options = smallCampaign(1);
@@ -156,13 +165,45 @@ TEST(Journal, RecordsAndReloadsCells) {
     campaign::CampaignJournal journal(dir.path(), config, false);
     EXPECT_EQ(journal.completedCount(), 0u);
     EXPECT_FALSE(journal.completed(3));
-    journal.record(3, fabricatedCell(42));
+    journal.record(3, fabricatedCellAt(config, 3, 42));
   }
   campaign::CampaignJournal reopened(dir.path(), config, true);
   EXPECT_EQ(reopened.completedCount(), 1u);
   ASSERT_TRUE(reopened.completed(3));
   EXPECT_FALSE(reopened.completed(2));
-  expectSameCounts(reopened.loaded(3), fabricatedCell(42));
+  expectSameCounts(reopened.loaded(3), fabricatedCellAt(config, 3, 42));
+}
+
+// A cell file loads only into the slot it was written for: a name that is
+// not exactly cell-<i>.json (leading zeros, an index that wraps) is a stray
+// file, and a file whose cell belongs to another slot fails the resume.
+TEST(Journal, CellsLoadOnlyIntoTheirOwnSlot) {
+  const TempDir dir;
+  const auto config = journalConfigFor(smallCampaign(1));
+  {
+    campaign::CampaignJournal journal(dir.path(), config, false);
+    journal.record(0, fabricatedCellAt(config, 0, 10));
+    journal.record(1, fabricatedCellAt(config, 1, 11));
+  }
+  const fs::path cell1 = fs::path(dir.path()) / "cell-1.json";
+  // 2^64 and 2^64 + 1 wrap to slots 0 and 1 in 64-bit arithmetic.
+  for (const char* alias : {"cell-00.json", "cell-01.json", "cell-+1.json",
+                            "cell-18446744073709551616.json",
+                            "cell-18446744073709551617.json"}) {
+    fs::copy_file(cell1, fs::path(dir.path()) / alias);
+  }
+  fs::remove(cell1);
+  {
+    const campaign::CampaignJournal reopened(dir.path(), config, true);
+    EXPECT_EQ(reopened.completedCount(), 1u);
+    ASSERT_TRUE(reopened.completed(0));
+    expectSameCounts(reopened.loaded(0), fabricatedCellAt(config, 0, 10));
+  }
+  // Slot 2's file holding slot 1's cell.
+  fs::copy_file(fs::path(dir.path()) / "cell-01.json",
+                fs::path(dir.path()) / "cell-2.json");
+  EXPECT_THROW(campaign::CampaignJournal(dir.path(), config, true),
+               std::runtime_error);
 }
 
 TEST(Journal, RejectsConfigMismatch) {
@@ -574,11 +615,11 @@ TEST(Diff, RefusesReportsOfDifferentMemoryModels) {
 
 TEST(Diff, RefusesOtherSchemaVersions) {
   const std::string current = fabricatedDocument(fabricatedCell(10));
-  std::string v8 = current;
-  const std::string version = "\"version\": 9";
-  v8.replace(v8.find(version), version.size(), "\"version\": 8");
-  EXPECT_NE(diffRefusal(current, v8).find("schema version 8"), std::string::npos);
-  EXPECT_NE(diffRefusal(v8, current).find("schema version 8"), std::string::npos);
+  std::string older = current;
+  const std::string version = "\"version\": 10";
+  older.replace(older.find(version), version.size(), "\"version\": 9");
+  EXPECT_NE(diffRefusal(current, older).find("schema version 9"), std::string::npos);
+  EXPECT_NE(diffRefusal(older, current).find("schema version 9"), std::string::npos);
 }
 
 // Counts depend on the budget, the event cap and the seed by design, so a

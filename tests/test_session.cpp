@@ -287,22 +287,24 @@ TEST(TestReportJson, VersionedAndStructurallySound) {
   const TestReport report = Session()
                                 .strategy("caching-lazy")
                                 .schedules(kParityLimit)
-                                .checkTheorems(true)
                                 .run("session-test-overdraft");
   const std::string json = report.toJson();
 
   EXPECT_NE(json.find("\"schema\": \"lazyhb-test-report\""), std::string::npos);
-  EXPECT_NE(json.find("\"version\": 3"), std::string::npos);
+  EXPECT_NE(json.find("\"version\": 4"), std::string::npos);
   EXPECT_NE(json.find("\"scenario\": \"session-test-overdraft\""),
             std::string::npos);
   EXPECT_NE(json.find("\"strategy\": \"caching-lazy\""), std::string::npos);
   EXPECT_NE(json.find("\"violations\""), std::string::npos);
   EXPECT_NE(json.find("\"kind\": \"assertion-failure\""), std::string::npos);
   EXPECT_NE(json.find("\"cache\""), std::string::npos);
-  EXPECT_NE(json.find("\"theorem_22\""), std::string::npos);
-  // v2 adds the value-class count and the value-soundness checker block.
+  // v2 adds the value-class count; v4 the three theorem-conflict counts,
+  // replacing the theorem checker blocks.
   EXPECT_NE(json.find("\"value_classes\""), std::string::npos);
-  EXPECT_NE(json.find("\"theorem_value\""), std::string::npos);
+  for (const char* row : {"hbr_conflicts", "lazy_hbr_conflicts", "value_conflicts"}) {
+    EXPECT_NE(json.find("\"" + std::string(row) + "\": 0"), std::string::npos) << row;
+  }
+  EXPECT_EQ(json.find("\"theorem_"), std::string::npos);
   EXPECT_EQ(json.back(), '\n');
 
   // Structural sanity without a parser: balanced braces/brackets (the
