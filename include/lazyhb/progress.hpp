@@ -2,7 +2,8 @@
 //
 // One event type flows through every layer that reports progress: a
 // sequential exploration emits ScheduleTick (Session::onProgress), the
-// campaign runner emits the Cell* lifecycle events and one final
+// campaign runner emits per cell CellStarted, CellFailed when the cell's
+// explorer threw, and always CellFinished, then one final
 // CampaignFinished (Suite::onProgress, `lazyhb bench --progress` /
 // --progress-json). Consumers switch on `kind` and read the fields that
 // apply; unused fields are zero/empty.
@@ -33,9 +34,7 @@ struct ProgressEvent {
     ScheduleTick,      ///< a sequential exploration passed a tick boundary
     CellStarted,       ///< a campaign cell began executing
     CellFinished,      ///< a campaign cell completed (possibly from a journal)
-    CellRetried,       ///< a cell attempt timed out / threw; another follows
-    CellTimedOut,      ///< a cell exhausted its retries on timeouts
-    CellFailed,        ///< a cell exhausted its retries on errors
+    CellFailed,        ///< a cell's explorer threw; CellFinished follows
     CampaignFinished,  ///< the whole matrix is done
   };
 
@@ -46,7 +45,6 @@ struct ProgressEvent {
   std::uint64_t scheduleLimit = 0;
   std::size_t cellsDone = 0;   ///< finished cells, campaign events only
   std::size_t cellsTotal = 0;  ///< cells this run will execute (the shard's)
-  int attempt = 1;             ///< 1-based attempt number (supervisor retries)
   double wallSeconds = 0.0;    ///< elapsed wall time of the emitting scope
   bool fromCheckpoint = false; ///< CellFinished satisfied from a journal
 };
@@ -60,8 +58,6 @@ using ProgressCallback = std::function<void(const ProgressEvent&)>;
     case ProgressEvent::Kind::ScheduleTick: return "schedule_tick";
     case ProgressEvent::Kind::CellStarted: return "cell_started";
     case ProgressEvent::Kind::CellFinished: return "cell_finished";
-    case ProgressEvent::Kind::CellRetried: return "cell_retried";
-    case ProgressEvent::Kind::CellTimedOut: return "cell_timed_out";
     case ProgressEvent::Kind::CellFailed: return "cell_failed";
     case ProgressEvent::Kind::CampaignFinished: return "campaign_finished";
   }

@@ -5,8 +5,10 @@
 // whole (scenario × strategy) matrix and returns a self-describing
 // SuiteReport. It is a thin adapter over the same campaign runner the CLI's
 // `bench` subcommand drives, so every durability feature rides along:
-// checkpointed resume, shard slicing, per-cell timeouts and retries, and
-// the serialized progress-event stream.
+// checkpointed resume, shard slicing, failed-cell recording and the
+// serialized progress-event stream. A cell is bounded by schedules() and
+// maxEventsPerSchedule() alone, so its counts depend on nothing but the
+// configuration.
 //
 //   const lazyhb::SuiteReport report = lazyhb::Suite()
 //                                          .add("peterson")
@@ -41,23 +43,20 @@ namespace lazyhb {
 /// The lazyhb-bench-report schema Suite::run and `lazyhb bench` write
 /// (docs/bench-report-schema.md).
 inline constexpr const char* kSuiteReportSchemaName = "lazyhb-bench-report";
-inline constexpr int kSuiteReportSchemaVersion = 10;
+inline constexpr int kSuiteReportSchemaVersion = 11;
 
 /// One (scenario, strategy) cell of the suite matrix — the public mirror of
 /// the campaign report's cell block: every statistic (the ExplorationStats
 /// base; the §3 chain reads distinctStates <= distinctValueClasses <=
 /// distinctLazyHbrs <= distinctHbrs <= schedulesExecuted) plus the cell's
-/// identity and supervisor verdicts.
+/// identity and provenance.
 struct SuiteCell : ExplorationStats {
   std::string scenario;
   std::string family;
   std::string strategy;
 
-  // Supervisor / durability provenance.
-  bool timedOut = false;       ///< final attempt hit the cell timeout
   bool fromCheckpoint = false; ///< loaded from the journal, not re-run
-  int attempts = 1;            ///< > 1: the cell retried
-  std::string error;           ///< non-empty: every attempt threw
+  std::string error;           ///< non-empty: the explorer threw; counts are zero
 
   double wallSeconds = 0.0;
   bool inequalityHolds = true;
@@ -74,11 +73,8 @@ struct SuiteReport {
   int inequalityViolations = 0;  ///< cells whose §3 chain failed (expect 0)
   double wallSeconds = 0.0;
 
-  // Durability / supervisor tallies.
   std::size_t cellsFromCheckpoint = 0;
-  int cellsTimedOut = 0;
   int cellsFailed = 0;
-  int cellsRetried = 0;
 
   // The shard this run covered (0-based; 0/1 when unsharded).
   int shardIndex = 0;
@@ -145,12 +141,6 @@ class Suite {
   /// Require checkpointDir() to hold an existing journal — run() then
   /// throws std::runtime_error instead of silently starting fresh.
   Suite& resumeOnly(bool on = true);
-  /// Per-cell wall-clock budget in seconds (0 = none); a cell over budget
-  /// stops at the next schedule boundary and is marked timedOut.
-  Suite& cellTimeout(double seconds);
-  /// Extra attempts after a timeout or exception before a cell is recorded
-  /// as timedOut/failed (the campaign survives poisoned cells either way).
-  Suite& cellRetries(int count);
   /// Campaign lifecycle events (serialized; lazyhb/progress.hpp documents
   /// the contract).
   Suite& onProgress(ProgressCallback callback);
@@ -174,8 +164,6 @@ class Suite {
     int shardCount = 1;
     std::string checkpointDir;
     bool resumeOnly = false;
-    double cellTimeoutSeconds = 0.0;
-    int cellRetries = 0;
     ProgressCallback progress;
   };
 

@@ -83,16 +83,6 @@ Suite& Suite::resumeOnly(bool on) {
   return *this;
 }
 
-Suite& Suite::cellTimeout(double seconds) {
-  config_.cellTimeoutSeconds = seconds;
-  return *this;
-}
-
-Suite& Suite::cellRetries(int count) {
-  config_.cellRetries = count;
-  return *this;
-}
-
 Suite& Suite::onProgress(ProgressCallback callback) {
   config_.progress = std::move(callback);
   return *this;
@@ -135,8 +125,6 @@ SuiteReport Suite::run() const {
   options.shardCount = config_.shardCount;
   options.checkpointDir = config_.checkpointDir;
   options.requireExistingJournal = config_.resumeOnly;
-  options.cellTimeoutSeconds = config_.cellTimeoutSeconds;
-  options.cellRetries = config_.cellRetries;
   options.onProgress = config_.progress;
 
   const campaign::CampaignResult result = campaign::runCampaign(options);
@@ -150,9 +138,7 @@ SuiteReport Suite::run() const {
     out.scenario = cell.program;
     out.family = cell.family;
     out.strategy = cell.explorer;
-    out.timedOut = cell.timedOut;
     out.fromCheckpoint = cell.fromCheckpoint;
-    out.attempts = cell.attempts;
     out.error = cell.error;
     out.wallSeconds = cell.wallSeconds;
     out.inequalityHolds = cell.inequalityHolds();
@@ -163,9 +149,7 @@ SuiteReport Suite::run() const {
   report.inequalityViolations = result.inequalityViolations;
   report.wallSeconds = result.wallSeconds;
   report.cellsFromCheckpoint = result.cellsFromCheckpoint;
-  report.cellsTimedOut = result.cellsTimedOut;
   report.cellsFailed = result.cellsFailed;
-  report.cellsRetried = result.cellsRetried;
   report.shardIndex = result.config.shardIndex;
   report.shardCount = result.config.shardCount;
   return report;

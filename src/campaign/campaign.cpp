@@ -130,9 +130,7 @@ CampaignResult foldCells(std::vector<CellResult> cells,
     result.cpuSeconds += cell.wallSeconds;
     if (!cell.inequalityHolds()) ++result.inequalityViolations;
     if (cell.fromCheckpoint) ++result.cellsFromCheckpoint;
-    if (cell.timedOut) ++result.cellsTimedOut;
     if (cell.failed()) ++result.cellsFailed;
-    if (cell.attempts > 1) ++result.cellsRetried;
   }
 
   for (ExplorerTotals& totals : result.perExplorer) {
@@ -276,7 +274,6 @@ CampaignResult runCampaign(const CampaignOptions& options) {
     event.strategy = cell.explorer;
     event.schedulesExecuted = cell.stats.schedulesExecuted;
     event.scheduleLimit = options.explorer.scheduleLimit;
-    event.attempt = cell.attempts;
     event.wallSeconds = cell.wallSeconds;
     event.fromCheckpoint = cell.fromCheckpoint;
     event.cellsDone = ++cellsDone;
@@ -291,7 +288,6 @@ CampaignResult runCampaign(const CampaignOptions& options) {
 
   std::vector<WorkStealingPool::Task> tasks;
   tasks.reserve(shardCells);
-  const int maxAttempts = 1 + (options.cellRetries > 0 ? options.cellRetries : 0);
   for (std::size_t p = 0; p < corpus.size(); ++p) {
     for (std::size_t e = 0; e < explorers.size(); ++e) {
       const std::size_t index = p * explorers.size() + e;
@@ -320,11 +316,9 @@ CampaignResult runCampaign(const CampaignOptions& options) {
         cell.explorer = spec.name;
 
         // Per-cell options: the checkpointable contract is a property of
-        // the program, not of the campaign; the wall-clock budget is the
-        // supervisor's.
+        // the program, not of the campaign.
         explore::ExplorerOptions cellOptions = options.explorer;
         cellOptions.checkpointable = program->checkpointable;
-        cellOptions.wallTimeoutSeconds = options.cellTimeoutSeconds;
 
         {
           ProgressEvent event;
@@ -335,62 +329,30 @@ CampaignResult runCampaign(const CampaignOptions& options) {
           emitEvent(std::move(event));
         }
 
-        // The supervisor: re-run a timed-out or throwing cell up to
-        // cellRetries extra times; a cell that fails every attempt is
-        // recorded with its error and zero counts, and the campaign
-        // continues past it.
-        int attempt = 0;
-        for (;;) {
-          ++attempt;
-          cell.stats = {};
-          cell.error.clear();
-          const auto cellStart = Clock::now();
-          try {
-            auto explorer = spec.create(cellOptions, options.seed);
-            cell.stats = explorer->explore(program->body);
-          } catch (const std::exception& e) {
-            cell.stats = {};
-            cell.error = e.what();
-          } catch (...) {
-            cell.stats = {};
-            cell.error = "unknown exception";
-          }
-          cell.wallSeconds = secondsSince(cellStart);
-          if ((cell.failed() || cell.stats.timedOut) && attempt < maxAttempts) {
-            ProgressEvent event;
-            event.kind = ProgressEvent::Kind::CellRetried;
-            event.scenario = cell.program;
-            event.strategy = cell.explorer;
-            event.schedulesExecuted = cell.stats.schedulesExecuted;
-            event.scheduleLimit = options.explorer.scheduleLimit;
-            event.attempt = attempt;
-            event.wallSeconds = cell.wallSeconds;
-            emitEvent(std::move(event));
-            continue;
-          }
-          break;
+        // A cell whose explorer throws is recorded with its error and zero
+        // counts, and the campaign continues past it.
+        const auto cellStart = Clock::now();
+        try {
+          auto explorer = spec.create(cellOptions, options.seed);
+          cell.stats = explorer->explore(program->body);
+        } catch (const std::exception& e) {
+          cell.error = e.what();
+        } catch (...) {
+          cell.error = "unknown exception";
         }
-        cell.attempts = attempt;
-        cell.timedOut = cell.stats.timedOut;
+        cell.wallSeconds = secondsSince(cellStart);
         cell.eventsPerSecond = eventsPerSecond(cell.stats, cell.wallSeconds);
         cell.executedEventsPerSecond =
             executedEventsPerSecond(cell.stats, cell.wallSeconds);
         if (!cell.failed()) {
-          // A timed-out prefix still satisfies the §3 chain (every count is
-          // a prefix of the full run's), so the check stays on.
           cell.inequalityDiagnostic = checkCountingChain(
               cell.program, cell.stats, options.explorer.scheduleLimit);
-        }
-
-        if (cell.timedOut || cell.failed()) {
+        } else {
           ProgressEvent event;
-          event.kind = cell.failed() ? ProgressEvent::Kind::CellFailed
-                                     : ProgressEvent::Kind::CellTimedOut;
+          event.kind = ProgressEvent::Kind::CellFailed;
           event.scenario = cell.program;
           event.strategy = cell.explorer;
-          event.schedulesExecuted = cell.stats.schedulesExecuted;
           event.scheduleLimit = options.explorer.scheduleLimit;
-          event.attempt = cell.attempts;
           event.wallSeconds = cell.wallSeconds;
           emitEvent(std::move(event));
         }

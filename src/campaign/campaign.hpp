@@ -45,11 +45,7 @@ struct CellResult {
   /// per-event-cost view, immune to elision inflating the numerator.
   double executedEventsPerSecond = 0.0;
   std::string inequalityDiagnostic;      ///< empty when the §3 chain holds
-
-  // Supervisor provenance (campaign-level resilience; see runCampaign).
-  int attempts = 1;       ///< explorer runs consumed (> 1: the cell retried)
-  bool timedOut = false;  ///< final attempt hit CampaignOptions::cellTimeoutSeconds
-  std::string error;      ///< non-empty: every attempt threw; counts are zero
+  std::string error;  ///< non-empty: the explorer threw; counts are zero
   /// Loaded from a campaign journal instead of being re-run (resume); the
   /// wall-clock fields are the original run's.
   bool fromCheckpoint = false;
@@ -144,11 +140,8 @@ struct CampaignResult {
   std::uint64_t tasksStolen = 0; ///< work-stealing load-balance diagnostic
   int jobs = 1;                  ///< worker threads actually used
 
-  // Durability / supervisor tallies.
   std::size_t cellsFromCheckpoint = 0;  ///< satisfied from the journal
-  int cellsTimedOut = 0;                ///< cells whose final attempt timed out
-  int cellsFailed = 0;                  ///< cells whose every attempt threw
-  int cellsRetried = 0;                 ///< cells that needed more than one attempt
+  int cellsFailed = 0;                  ///< cells whose explorer threw
 };
 
 struct CampaignOptions {
@@ -156,25 +149,16 @@ struct CampaignOptions {
   std::vector<ExplorerSpec> explorers;
   /// Programs to run (empty: the whole registered corpus).
   std::vector<const programs::ProgramSpec*> programs;
-  /// Per-cell exploration options (budget, event cap, ...).
+  /// Per-cell exploration options. A cell is bounded by the schedule
+  /// budget and the per-schedule event cap alone; a cell whose explorer
+  /// throws is recorded once with its error and zero counts, and the
+  /// campaign continues past it.
   explore::ExplorerOptions explorer;
   /// Seed for the random explorer; identical in every cell so per-cell
   /// results do not depend on matrix position.
   std::uint64_t seed = 42;
   /// Worker threads; <= 0 picks std::thread::hardware_concurrency().
   int jobs = 0;
-
-  // --- supervisor -----------------------------------------------------------
-  /// Per-cell wall-clock budget in seconds (0 = none). A cell that exceeds
-  /// it stops at the next schedule boundary and is marked timedOut; the
-  /// campaign continues. Timed-out counts are wall-clock-dependent, so
-  /// report consumers exclude them from count comparisons.
-  double cellTimeoutSeconds = 0.0;
-  /// Extra attempts after a timeout or an exception before the cell is
-  /// recorded as timedOut/failed. A cell whose explorer throws on every
-  /// attempt is recorded with zero counts and its error message — the
-  /// campaign survives a poisoned cell instead of dying.
-  int cellRetries = 0;
 
   // --- sharding -------------------------------------------------------------
   /// Run only the cells with matrix index % shardCount == shardIndex
@@ -196,9 +180,9 @@ struct CampaignOptions {
   bool requireExistingJournal = false;
 
   /// Progress hook: the campaign lifecycle events of lazyhb/progress.hpp
-  /// (CellStarted/CellFinished/CellRetried/CellTimedOut/CellFailed and one
-  /// final CampaignFinished). Invoked from worker threads but serialized —
-  /// never two callbacks concurrently.
+  /// (CellStarted/CellFailed/CellFinished and one final CampaignFinished).
+  /// Invoked from worker threads but serialized — never two callbacks
+  /// concurrently.
   ProgressCallback onProgress;
 };
 

@@ -25,7 +25,7 @@ namespace fs = std::filesystem;
 
 constexpr const char* kManifestName = "manifest.json";
 constexpr const char* kJournalSchemaName = "lazyhb-campaign-journal";
-constexpr int kJournalSchemaVersion = 2;
+constexpr int kJournalSchemaVersion = 3;
 
 [[noreturn]] void raise(const std::string& message) {
   throw std::runtime_error("lazyhb: " + message);

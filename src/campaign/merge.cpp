@@ -181,15 +181,12 @@ std::string serializeCell(const CellResult& cell) {
 }
 
 /// Deterministic, argument-order-independent preference between duplicate
-/// copies of one cell: healthy beats failed, finished beats timed-out,
-/// deeper beats shallower; the serialized form breaks the final tie so
-/// merging is commutative down to the byte.
+/// copies of one cell: healthy beats failed; the serialized form breaks the
+/// tie so merging is commutative down to the byte. Two clean copies have
+/// equal contract statistics (or the merge raised CountConflict), and a
+/// failed copy has zero counts, so no count needs ranking.
 bool preferred(const CellResult& a, const CellResult& b) {
   if (a.failed() != b.failed()) return !a.failed();
-  if (a.timedOut != b.timedOut) return !a.timedOut;
-  if (a.stats.schedulesExecuted != b.stats.schedulesExecuted) {
-    return a.stats.schedulesExecuted > b.stats.schedulesExecuted;
-  }
   return serializeCell(a) <= serializeCell(b);
 }
 
@@ -268,8 +265,7 @@ MergeOutcome mergeReports(const std::vector<std::string>& documents,
         continue;
       }
       CellResult& kept = it->second;
-      const bool bothClean = !kept.failed() && !kept.timedOut &&
-                             !cell.failed() && !cell.timedOut;
+      const bool bothClean = !kept.failed() && !cell.failed();
       const std::string conflicts =
           bothClean ? contractConflicts(kept.stats, cell.stats) : std::string();
       if (!conflicts.empty()) {
@@ -371,15 +367,9 @@ DiffOutcome diffReports(const std::string& baseline,
       continue;
     }
     const CellResult* b = found->second;
-    // A timed-out cell stopped at a wall-clock-dependent schedule; a failed
-    // one holds whatever its last crashing attempt reached.
-    std::string unstable;
-    if (a->failed() || b->failed()) unstable = "failed";
-    if (a->timedOut || b->timedOut) {
-      unstable += unstable.empty() ? "timed_out" : ", timed_out";
-    }
-    if (!unstable.empty()) {
-      diff.skipped.push_back(name(key) + " [" + unstable + "]");
+    // A failed cell's explorer threw; its zero counts compare to nothing.
+    if (a->failed() || b->failed()) {
+      diff.skipped.push_back(name(key) + " [failed]");
       continue;
     }
     ++diff.compared;

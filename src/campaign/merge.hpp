@@ -1,7 +1,7 @@
 // lazyhb/campaign/merge.hpp
 //
 // Reading campaign reports back: `lazyhb merge` and `lazyhb diff`. Both
-// parse their inputs with one reader (schema v10 only; every statistic must
+// parse their inputs with one reader (schema v11 only; every statistic must
 // be present with its table type) and compare cells with one function over
 // the StatClass::Contract rows of explore/explorer.hpp's statistics table.
 //
@@ -16,8 +16,8 @@
 //   * duplicate cells with identical contract statistics — deduplicated
 //     (one copy kept, chosen by a deterministic, order-independent
 //     preference); scoreboard statistics may differ.
-//   * duplicate cells where one copy timed out or failed — the healthy /
-//     deeper copy wins (a resumed shard overlaps a partial one).
+//   * duplicate cells where one copy failed — the healthy copy wins (a
+//     rerun shard overlaps one whose explorer threw).
 //   * duplicate CLEAN cells with different contract statistics — a hard
 //     error naming each differing statistic and both values: two complete
 //     runs of one configuration can never disagree under the determinism
@@ -84,15 +84,15 @@ struct DiffOutcome {
   std::size_t compared = 0;             ///< clean cells present in both
   std::vector<std::string> missing;     ///< cells only the baseline has
   std::vector<std::string> extra;       ///< cells only the candidate has
-  std::vector<std::string> skipped;     ///< "<cell> [failed, timed_out]"
+  std::vector<std::string> skipped;     ///< "<cell> [failed]"
   std::vector<std::string> mismatches;  ///< "<cell>: <path> <a> vs <b>, ..."
   std::vector<RateRow> rates;           ///< per (explorer, workers), then overall
   /// No mismatch, no missing cell, and no extra one unless allowed.
   bool contractHolds = false;
 };
 
-/// Compare two report documents. A timed-out or failed copy makes its cell
-/// incomparable (skipped). Throws std::runtime_error on malformed input,
+/// Compare two report documents. A failed copy makes its cell incomparable
+/// (skipped). Throws std::runtime_error on malformed input,
 /// schema/version mismatch, or reports whose memory_model, limit,
 /// max_events or seed differ — those change counts by design.
 [[nodiscard]] DiffOutcome diffReports(const std::string& baseline,

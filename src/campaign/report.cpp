@@ -138,10 +138,8 @@ void writeCellJson(support::JsonWriter& json, const CellResult& cell) {
   json.field("holds", cell.inequalityHolds());
   json.field("diagnostic", cell.inequalityDiagnostic);
   json.endObject();
-  // Supervisor provenance, emitted only off the defaults; the reader
-  // restores absent fields to them.
-  if (cell.timedOut) json.field("timed_out", true);
-  if (cell.attempts > 1) json.field("attempts", static_cast<std::int64_t>(cell.attempts));
+  // Provenance, emitted only off the defaults; the reader restores absent
+  // fields to them.
   if (cell.failed()) json.field("error", cell.error);
   if (cell.fromCheckpoint) json.field("from_checkpoint", true);
   writeStatBlocks(json, cell.stats);
@@ -197,9 +195,6 @@ bool parseCellJson(const support::JsonValue& value, CellResult* cell,
   if (const support::JsonValue* inequality = value.find("inequality")) {
     cell->inequalityDiagnostic = inequality->stringAt("diagnostic");
   }
-  cell->timedOut = value.boolAt("timed_out");
-  cell->stats.timedOut = cell->timedOut;
-  cell->attempts = static_cast<int>(value.intAt("attempts", 1));
   cell->error = value.stringAt("error");
   cell->fromCheckpoint = value.boolAt("from_checkpoint");
   if (const support::JsonValue* parallel = value.find("parallel")) {
@@ -275,15 +270,9 @@ std::string writeReportJson(const CampaignResult& result,
   json.field("tasks_stolen", result.tasksStolen);
   json.field("inequality_violations",
              static_cast<std::int64_t>(result.inequalityViolations));
-  // Supervisor and durability tallies, off-default only, as per cell.
-  if (result.cellsTimedOut > 0) {
-    json.field("cells_timed_out", static_cast<std::int64_t>(result.cellsTimedOut));
-  }
+  // Failure and durability tallies, off-default only, as per cell.
   if (result.cellsFailed > 0) {
     json.field("cells_failed", static_cast<std::int64_t>(result.cellsFailed));
-  }
-  if (result.cellsRetried > 0) {
-    json.field("cells_retried", static_cast<std::int64_t>(result.cellsRetried));
   }
   if (result.cellsFromCheckpoint > 0) {
     json.field("cells_from_checkpoint",

@@ -235,11 +235,6 @@ ExplorerBase::ExplorerBase(ExplorerOptions options, bool fullClocks)
 ExplorationResult ExplorerBase::explore(const Program& program) {
   LAZYHB_CHECK(!explored_);
   explored_ = true;
-  if (options_.wallTimeoutSeconds > 0.0) {
-    deadline_ = std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(options_.wallTimeoutSeconds));
-  }
   runSearch(program);
   tally_.addReplayStats(engine_);
   if (const core::HbrCache* cache = prefixCache()) {
@@ -249,8 +244,7 @@ ExplorationResult ExplorerBase::explore(const Program& program) {
 }
 
 bool ExplorerBase::budgetExhausted() const noexcept {
-  return deadlineExpired_ ||
-         tally_.result().schedulesExecuted >= options_.scheduleLimit;
+  return tally_.result().schedulesExecuted >= options_.scheduleLimit;
 }
 
 bool ExplorerBase::shouldStopForViolation() const noexcept {
@@ -268,11 +262,6 @@ runtime::Outcome ExplorerBase::executeSchedule(const Program& program,
   if (options_.onScheduleTick && options_.tickIntervalSchedules > 0 &&
       result.schedulesExecuted % options_.tickIntervalSchedules == 0) {
     options_.onScheduleTick(result.schedulesExecuted);
-  }
-  if (options_.wallTimeoutSeconds > 0.0 && !deadlineExpired_ &&
-      std::chrono::steady_clock::now() >= deadline_) {
-    deadlineExpired_ = true;
-    result.timedOut = true;
   }
   return outcome;
 }

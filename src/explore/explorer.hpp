@@ -21,7 +21,6 @@
 
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -111,13 +110,6 @@ struct ExplorerOptions {
   /// per-thread store buffers whose flush points become scheduler-visible
   /// transitions; every strategy explores them like thread picks.
   memory::MemoryModel memoryModel = memory::MemoryModel::Sc;
-  /// Wall-clock budget for the whole exploration in seconds (0 = none).
-  /// Checked at schedule boundaries; on expiry the search stops and the
-  /// result is marked timedOut — its counts are then a wall-clock-dependent
-  /// prefix, so the report readers (`lazyhb diff`, `lazyhb merge`) treat
-  /// timed-out cells as incomparable. A nonzero timeout is order-sensitive and
-  /// disables intra-scenario sharding (ParallelExplorer::shardable).
-  double wallTimeoutSeconds = 0.0;
   /// Progress hook: invoked synchronously on the exploring thread after
   /// every tickIntervalSchedules-th schedule with the running schedule
   /// count. Must not re-enter the explorer. Order-sensitive for sharding
@@ -171,9 +163,6 @@ struct ParallelStats {
 /// ExplorationStats base, one row each in the table below) plus the
 /// findings only the engine and the test report carry.
 struct ExplorationResult : ExplorationStats {
-  /// wallTimeoutSeconds expired mid-search: the counts are a
-  /// wall-clock-dependent prefix of the full exploration.
-  bool timedOut = false;
   std::vector<ViolationRecord> violations;
   std::vector<trace::RaceReport> races;
   ParallelStats parallel;  ///< zero-workers unless sharded (see above)
@@ -434,8 +423,6 @@ class ExplorerBase : public Explorer {
 
  private:
   ExplorerOptions options_;
-  std::chrono::steady_clock::time_point deadline_{};  ///< zero: no timeout
-  bool deadlineExpired_ = false;
   runtime::StackPool stackPool_;
   trace::TraceRecorder recorder_;
   ScheduleTally tally_;

@@ -178,12 +178,11 @@ class ParallelExplorer final : public Explorer {
 
   /// True when `options` can be sharded at all (the factory's gate):
   /// workers >= 2 and none of the order-sensitive options — no
-  /// stop-on-first-violation, no wall-clock timeout (which schedules fit a
-  /// deadline depends on visit order), no progress tick callback (ticks
-  /// from racing workers would interleave).
+  /// stop-on-first-violation, no progress tick callback (ticks from racing
+  /// workers would interleave).
   [[nodiscard]] static bool shardable(const ExplorerOptions& options) noexcept {
     return options.workers >= 2 && !options.stopOnFirstViolation &&
-           options.wallTimeoutSeconds <= 0.0 && !options.onScheduleTick;
+           !options.onScheduleTick;
   }
 
  private:

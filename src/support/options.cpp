@@ -1,8 +1,7 @@
 #include "support/options.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <stdexcept>
 
 #include "support/diagnostics.hpp"
 
@@ -23,11 +22,14 @@ std::vector<std::string> splitCsv(const std::string& csv) {
 }
 
 void Options::addInt(const std::string& name, std::int64_t defaultValue,
-                     const std::string& help) {
+                     const std::string& help, std::int64_t min, std::int64_t max) {
+  LAZYHB_CHECK(min <= defaultValue && defaultValue <= max);
   Entry e;
   e.kind = Entry::Kind::Int;
   e.help = help;
   e.intValue = defaultValue;
+  e.intMin = min;
+  e.intMax = max;
   LAZYHB_CHECK(entries_.emplace(name, std::move(e)).second);
   declarationOrder_.push_back(name);
 }
@@ -95,14 +97,22 @@ bool Options::parse(int argc, char** argv) {
       case Entry::Kind::Int: {
         const auto value = takeValue();
         if (!value) return false;
-        try {
-          entry.intValue = std::stoll(*value);
-        } catch (const std::exception&) {
-          std::fprintf(stderr, "%s: option --%s expects an integer, got '%s'\n",
-                       programName_.c_str(), name.c_str(), value->c_str());
+        // from_chars takes no space, '+' or suffix and reports overflow,
+        // so only a whole decimal integer that fits gets through.
+        std::int64_t parsed = 0;
+        const char* end = value->data() + value->size();
+        const auto [stop, error] = std::from_chars(value->data(), end, parsed);
+        if (error != std::errc{} || stop != end || parsed < entry.intMin ||
+            parsed > entry.intMax) {
+          std::fprintf(stderr,
+                       "%s: option --%s expects an integer in [%lld, %lld], got '%s'\n",
+                       programName_.c_str(), name.c_str(),
+                       static_cast<long long>(entry.intMin),
+                       static_cast<long long>(entry.intMax), value->c_str());
           parseError_ = true;
           return false;
         }
+        entry.intValue = parsed;
         break;
       }
       case Entry::Kind::String: {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -26,8 +27,12 @@ class Options {
   Options(std::string programName, std::string description)
       : programName_(std::move(programName)), description_(std::move(description)) {}
 
-  /// Declare an integer option with default value.
-  void addInt(const std::string& name, std::int64_t defaultValue, const std::string& help);
+  /// Declare an integer option with default value, accepting only values in
+  /// [min, max]. A value must be a decimal integer in full ("12abc", "1e5"
+  /// and "10k" are rejected, not truncated).
+  void addInt(const std::string& name, std::int64_t defaultValue, const std::string& help,
+              std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+              std::int64_t max = std::numeric_limits<std::int64_t>::max());
   /// Declare a boolean flag (false by default; present => true; also accepts
   /// --name=true/false).
   void addFlag(const std::string& name, const std::string& help);
@@ -62,6 +67,8 @@ class Options {
     enum class Kind { Int, Flag, String } kind;
     std::string help;
     std::int64_t intValue = 0;
+    std::int64_t intMin = 0;
+    std::int64_t intMax = 0;
     bool flagValue = false;
     std::string stringValue;
     bool set = false;  ///< supplied on the command line

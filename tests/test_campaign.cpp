@@ -421,7 +421,7 @@ TEST(Report, VersionedAndStructurallySound) {
   const std::string json = campaign::writeReportJson(result);
 
   EXPECT_NE(json.find("\"schema\": \"lazyhb-bench-report\""), std::string::npos);
-  EXPECT_NE(json.find("\"version\": 10"), std::string::npos);
+  EXPECT_NE(json.find("\"version\": 11"), std::string::npos);
   // config.workers, config.snapshot_budget and config.memory_model are
   // required (the report readers refuse a report without them), and every
   // cell carries its value-class count.
@@ -435,7 +435,6 @@ TEST(Report, VersionedAndStructurallySound) {
   // per-cell tso block.
   EXPECT_EQ(json.find("\"tso\""), std::string::npos);
   // A clean unsharded run emits none of the v5 optional fields.
-  EXPECT_EQ(json.find("\"timed_out\""), std::string::npos);
   EXPECT_EQ(json.find("\"shard\""), std::string::npos);
   EXPECT_NE(json.find("\"workers\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"snapshot_budget\""), std::string::npos);

@@ -213,12 +213,33 @@ TEST(Options, RejectsUnknownOption) {
   EXPECT_TRUE(options.parseError());
 }
 
+// A value is a decimal integer in full and within the declared range: a
+// numeric prefix ("12abc", "1e5", "10k") is rejected rather than
+// truncated, and a value outside the range rather than wrapped.
 TEST(Options, RejectsNonIntegerValue) {
-  Options options("test", "test options");
-  options.addInt("limit", 100, "limit");
-  const char* argv[] = {"test", "--limit", "abc"};
-  EXPECT_FALSE(options.parse(3, const_cast<char**>(argv)));
-  EXPECT_TRUE(options.parseError());
+  for (const char* value : {"abc", "12abc", "1e5", "10k", "", " 42", "+42", "4.0", "-1",
+                            "4294967296", "9223372036854775808"}) {
+    SCOPED_TRACE(value);
+    Options options("test", "test options");
+    options.addInt("limit", 100, "limit", 0, 4294967295);
+    const char* argv[] = {"test", "--limit", value};
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(options.parse(3, const_cast<char**>(argv)));
+    const std::string diagnostic = testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(options.parseError());
+    EXPECT_NE(diagnostic.find("--limit expects an integer in [0, 4294967295]"),
+              std::string::npos)
+        << diagnostic;
+    EXPECT_EQ(options.getInt("limit"), 100);
+  }
+  // The bounds themselves are accepted.
+  for (const char* value : {"0", "4294967295"}) {
+    Options options("test", "test options");
+    options.addInt("limit", 100, "limit", 0, 4294967295);
+    const char* argv[] = {"test", "--limit", value};
+    ASSERT_TRUE(options.parse(3, const_cast<char**>(argv))) << value;
+    EXPECT_EQ(std::to_string(options.getInt("limit")), value);
+  }
 }
 
 TEST(Options, EqualsAndSpaceFormsAreEquivalent) {
