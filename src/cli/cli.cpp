@@ -1,11 +1,13 @@
 #include "cli/cli.hpp"
 
+#include <charconv>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -380,24 +382,25 @@ bool parseShard(const std::string& text, int* index, int* count) {
                  text.c_str());
     return false;
   };
-  const std::size_t slash = text.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= text.size()) {
+  // from_chars over each whole half, as for every integer flag
+  // (support::Options): an empty half, a space, a '+' or a suffix fails,
+  // and a '-' fails the range test.
+  const auto whole = [](std::string_view half, int* value) {
+    const char* end = half.data() + half.size();
+    const auto [stop, error] = std::from_chars(half.data(), end, *value);
+    return error == std::errc{} && stop == end;
+  };
+  const std::string_view spec = text;
+  const std::size_t slash = spec.find('/');
+  int i = 0;
+  int n = 0;
+  if (slash == std::string_view::npos || !whole(spec.substr(0, slash), &i) ||
+      !whole(spec.substr(slash + 1), &n) || n < 1 || i < 1 || i > n) {
     return bad();
   }
-  try {
-    std::size_t consumed = 0;
-    const int i = std::stoi(text.substr(0, slash), &consumed);
-    if (consumed != slash) return bad();
-    const std::string denominator = text.substr(slash + 1);
-    const int n = std::stoi(denominator, &consumed);
-    if (consumed != denominator.size()) return bad();
-    if (n < 1 || i < 1 || i > n) return bad();
-    *index = i - 1;
-    *count = n;
-    return true;
-  } catch (const std::exception&) {
-    return bad();
-  }
+  *index = i - 1;
+  *count = n;
+  return true;
 }
 
 /// One --progress-json line per event: a machine-readable single-line JSON

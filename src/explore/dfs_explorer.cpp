@@ -8,7 +8,7 @@ bool TreeSearchState::advance() {
   while (!nodes.empty()) {
     SearchNode& node = nodes.back();
     node.done.insert(node.chosen);
-    const support::ThreadSet remaining = node.enabled.minus(node.done);
+    const support::ThreadSet remaining = node.todo.minus(node.done);
     if (!remaining.empty()) {
       node.chosen = remaining.first();
       checkFromDepth = nodes.size() - 1;
@@ -20,11 +20,13 @@ bool TreeSearchState::advance() {
 }
 
 TreeScheduler::TreeScheduler(TreeSearchState& state, std::function<bool()> prunePrefix,
-                             PrefixReplayEngine* engine, std::size_t startDepth)
+                             PrefixReplayEngine* engine, std::size_t startDepth,
+                             TreeReduction* reduction)
     : state_(state),
       prunePrefix_(std::move(prunePrefix)),
       engine_(engine),
-      depth_(startDepth) {}
+      depth_(startDepth),
+      reduction_(reduction) {}
 
 int TreeScheduler::pick(runtime::Execution& exec) {
   // The event committed by the previous pick is the deepest prefix; test it
@@ -34,27 +36,42 @@ int TreeScheduler::pick(runtime::Execution& exec) {
       return kAbandon;
     }
   }
-  if (depth_ < state_.nodes.size()) {
-    const SearchNode& node = state_.nodes[depth_];
+  std::vector<SearchNode>& nodes = state_.nodes;
+  if (depth_ < nodes.size()) {
+    const SearchNode& node = nodes[depth_];
     LAZYHB_CHECK(exec.enabled().contains(node.chosen));
-    // A replayed node with unexplored siblings left is a future divergence
-    // point: keep it checkpointed.
+    // A replayed node with children left to visit is a future divergence
+    // point: keep it checkpointed. Sleeping children count: a deeper race
+    // analysis can wake them.
     if (engine_ != nullptr &&
-        !node.enabled.minus(node.done).minus(support::ThreadSet::single(node.chosen))
+        !node.todo.minus(node.done).minus(support::ThreadSet::single(node.chosen))
              .empty()) {
       engine_->stageCheckpoint(exec, depth_);
     }
-    ++depth_;
-    return node.chosen;
+  } else {
+    SearchNode node;
+    node.enabled = exec.enabled();
+    if (reduction_ != nullptr) {
+      reduction_->analyzeRaces(exec, nodes);
+      node.sleep = childSleep_;
+    }
+    const support::ThreadSet awake = node.enabled.minus(node.sleep);
+    if (awake.empty()) {
+      return kAbandon;  // every enabled transition is covered elsewhere
+    }
+    node.chosen = awake.first();
+    // Under a reduction the search is not (yet) known to return here.
+    node.todo = reduction_ != nullptr ? support::ThreadSet::single(node.chosen)
+                                      : node.enabled;
+    nodes.push_back(node);
+    if (engine_ != nullptr && node.todo.size() > 1) {
+      engine_->stageCheckpoint(exec, depth_);
+    }
   }
-  SearchNode node;
-  node.enabled = exec.enabled();
-  node.chosen = node.enabled.first();
-  state_.nodes.push_back(node);
-  if (engine_ != nullptr && node.enabled.size() > 1) {
-    engine_->stageCheckpoint(exec, depth_);
+  const SearchNode& node = nodes[depth_++];
+  if (reduction_ != nullptr) {
+    childSleep_ = reduction_->childSleep(exec, node);
   }
-  ++depth_;
   return node.chosen;
 }
 
@@ -66,6 +83,9 @@ DfsExplorer::DfsExplorer(ExplorerOptions options,
     cache_.emplace();
   }
 }
+
+DfsExplorer::DfsExplorer(ExplorerOptions options, TreeReduction& reduction)
+    : ExplorerBase(options, /*fullClocks=*/true), reduction_(&reduction) {}
 
 void DfsExplorer::runSearch(const Program& program) {
   std::function<bool()> prunePrefix;
@@ -84,7 +104,8 @@ void DfsExplorer::runSearch(const Program& program) {
     if (shouldStopForViolation()) {
       return;
     }
-    TreeScheduler scheduler(state, prunePrefix, &prefixEngine(), startDepth);
+    TreeScheduler scheduler(state, prunePrefix, &prefixEngine(), startDepth,
+                            reduction_);
     const runtime::Outcome outcome = executeSchedule(program, scheduler);
     if (cache_ && outcome != runtime::Outcome::Abandoned &&
         recorder().eventCount() > 0) {

@@ -2,7 +2,10 @@
 //
 // Dynamic partial-order reduction (Flanagan & Godefroid, POPL 2005) with
 // sleep sets — the POR technique the paper's Figure 2 experiment runs (it
-// uses the regular HBR).
+// uses the regular HBR). It is the tree search of explore/dfs_explorer.hpp
+// (TreeSearchState, TreeScheduler, DfsExplorer's loop) under this
+// explorer's TreeReduction: the race analysis, the sleep rule and the Full
+// clock rows the race analysis reads.
 //
 // At every new state along the current path, for every thread p with a
 // pending operation, DPOR finds the most recent executed event i that is
@@ -10,8 +13,9 @@
 // happen-before it. Such an (i, p) pair is a race the current schedule
 // ordered one way; exploring p first from the state *before* i covers the
 // other way, so p (or, if p was not enabled there, some thread that can lead
-// to p) is added to that state's backtrack set. Depth-first search then only
-// descends into backtrack-set children instead of all enabled children.
+// to p) is added to that state's backtrack set, its node's `todo`. The
+// search then only descends into `todo` children instead of all enabled
+// children.
 //
 // Sleep sets additionally prune schedules that merely commute independent
 // transitions already explored at the same node. DPOR consults no prefix
@@ -20,37 +24,30 @@
 
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
-#include "core/dependence.hpp"
-#include "explore/explorer.hpp"
+#include "explore/dfs_explorer.hpp"
 #include "support/thread_set.hpp"
 
 namespace lazyhb::explore {
 
-class DporExplorer final : public ExplorerBase {
+class DporExplorer final : public DfsExplorer, private TreeReduction {
  public:
   explicit DporExplorer(ExplorerOptions options);
 
- protected:
-  void runSearch(const Program& program) override;
-
  private:
-  struct DporNode {
-    support::ThreadSet enabled;
-    support::ThreadSet backtrack;
-    support::ThreadSet done;
-    support::ThreadSet sleepIn;  ///< threads asleep on entry to this node
-    int chosen = -1;
-  };
+  /// The Flanagan–Godefroid backtrack-set update, for every thread with a
+  /// pending operation (enabled or blocked).
+  void analyzeRaces(const runtime::Execution& exec,
+                    std::vector<SearchNode>& nodes) override;
 
-  friend class DporScheduler;
+  /// Threads asleep at `node` (or already fully explored there) whose
+  /// pending operation is independent of the transition just chosen.
+  [[nodiscard]] support::ThreadSet childSleep(const runtime::Execution& exec,
+                                              const SearchNode& node) override;
 
-  /// Deepest-first sibling advance honouring backtrack and sleep sets.
-  bool advance();
-
-  std::vector<DporNode> nodes_;
-  std::size_t checkFromDepth_ = 0;
+  std::vector<std::int32_t> conflictScratch_;  ///< findCandidate's, reused
 };
 
 }  // namespace lazyhb::explore

@@ -14,7 +14,9 @@
 //                      HBR caching, Value value-class caching
 //                      (explore/dfs_explorer.hpp).
 //   DporExplorer     — Flanagan–Godefroid dynamic partial-order reduction
-//                      with sleep sets (explore/dpor_explorer.hpp).
+//                      with sleep sets: DfsExplorer's search under a
+//                      race-analysis TreeReduction
+//                      (explore/dpor_explorer.hpp).
 //   RandomExplorer   — uniform random walks (explore/random_explorer.hpp).
 //   ParallelExplorer — DfsExplorer sharded across threads
 //                      (explore/parallel_explorer.hpp).

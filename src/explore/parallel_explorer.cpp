@@ -149,7 +149,7 @@ std::vector<double> estimateRange(const TreeSearchState& state) {
   for (std::size_t d = nodes.size(); d-- > 0;) {
     const SearchNode& node = nodes[d];
     // `chosen` is never in `done` on a search stack.
-    const int unexplored = node.enabled.minus(node.done).size() - 1;
+    const int unexplored = node.todo.minus(node.done).size() - 1;
     remaining[d] = remaining[d + 1];
     // On a deep stack `child` can overflow to infinity; 0 * inf is NaN.
     if (unexplored > 0) remaining[d] += unexplored * child;
@@ -348,7 +348,7 @@ void ParallelExplorer::Impl::maybeDonate(Job& job) {
   const std::vector<SearchNode>& nodes = job.state.nodes;
   std::size_t depth = 0;
   while (depth < nodes.size() &&
-         nodes[depth].enabled.minus(nodes[depth].done).size() < 2) {
+         nodes[depth].todo.minus(nodes[depth].done).size() < 2) {
     ++depth;
   }
   if (depth == nodes.size()) return;  // nothing left to give away
@@ -379,21 +379,10 @@ void ParallelExplorer::Impl::donate(Job& donor, std::size_t depth) {
   TreeSearchState from;
   from.nodes.assign(nodes.begin(), nodes.begin() + static_cast<std::ptrdiff_t>(depth) + 1);
   for (std::size_t d = 0; d <= depth; ++d) {
-    nodes[d].done = nodes[d].enabled.minus(support::ThreadSet::single(nodes[d].chosen));
+    nodes[d].done = nodes[d].todo.minus(support::ThreadSet::single(nodes[d].chosen));
   }
-  // Past the donor's subtree at `depth`, as advance() would get there.
-  for (;;) {
-    LAZYHB_CHECK(!from.nodes.empty());
-    SearchNode& node = from.nodes.back();
-    node.done.insert(node.chosen);
-    const support::ThreadSet left = node.enabled.minus(node.done);
-    if (!left.empty()) {
-      node.chosen = left.first();
-      break;
-    }
-    from.nodes.pop_back();
-  }
-  from.checkFromDepth = from.nodes.size() - 1;
+  // Past the donor's subtree at `depth`.
+  LAZYHB_CHECK(from.advance());
   auto job = std::make_unique<Job>(options, std::move(from));
   {
     const std::lock_guard<std::mutex> lock(mutex);

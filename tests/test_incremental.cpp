@@ -348,32 +348,41 @@ TEST(IncrementalReplay, CachingAndDporCountsIdenticalAcrossModes) {
 TEST(IncrementalReplay, ElisionAccountingIsConsistent) {
   const programs::ProgramSpec* spec = programs::byName("noisy-counter-3x2");
   ASSERT_NE(spec, nullptr);
-  explore::DfsExplorer off(optionsFor(false, false));
-  const explore::ExplorationResult base = off.explore(spec->body);
-  EXPECT_EQ(base.eventsElided, 0u);
-  EXPECT_GT(base.eventsReplayed, 0u);  // replays exist; they are just re-run
+  // DPOR stages by the tree search's one rule (explore/dfs_explorer.hpp)
+  // over its backtrack sets; a DPOR that stopped staging would still pass
+  // every count gate, so its replay statistics are checked like dfs's.
+  for (const bool dpor : {false, true}) {
+    SCOPED_TRACE(dpor ? "dpor" : "dfs");
+    const auto run = [&](const explore::ExplorerOptions& options) {
+      if (dpor) return explore::DporExplorer(options).explore(spec->body);
+      return explore::DfsExplorer(options).explore(spec->body);
+    };
+    const explore::ExplorationResult base = run(optionsFor(false, false));
+    EXPECT_EQ(base.eventsElided, 0u);
+    EXPECT_GT(base.eventsReplayed, 0u);  // replays exist; they are just re-run
 
-  // At the engine default every divergence finds its stage; at 512 bytes
-  // (less than one stage) eviction and the replay fallback run constantly.
-  for (const std::uint64_t budget : {explore::defaultSnapshotBudgetBytes(), std::uint64_t{512}}) {
-    SCOPED_TRACE("budget " + std::to_string(budget));
-    explore::ExplorerOptions options = optionsFor(true, spec->checkpointable);
-    options.snapshotBudgetBytes = budget;
-    explore::DfsExplorer on(options);
-    const explore::ExplorationResult fast = on.explore(spec->body);
-    EXPECT_EQ(fast.totalEvents, base.totalEvents);
-    if (runtime::Execution::checkpointingSupported()) {
-      EXPECT_GT(fast.eventsElided, 0u);
-      // Elided + replayed per schedule == divergence depth, so the two
-      // modes partition the same redundant-prefix total at any budget —
-      // a fallback only moves events from elided to replayed.
-      EXPECT_EQ(fast.eventsElided + fast.eventsReplayed, base.eventsReplayed);
-      if (budget == 512) {
-        EXPECT_GT(fast.checkpointStats.evictions, 0u);
-        EXPECT_GT(fast.checkpointStats.replayFallbacks, 0u);
+    // At the engine default every divergence finds its stage; at 512 bytes
+    // (less than one stage) eviction and the replay fallback run constantly.
+    for (const std::uint64_t budget :
+         {explore::defaultSnapshotBudgetBytes(), std::uint64_t{512}}) {
+      SCOPED_TRACE("budget " + std::to_string(budget));
+      explore::ExplorerOptions options = optionsFor(true, spec->checkpointable);
+      options.snapshotBudgetBytes = budget;
+      const explore::ExplorationResult fast = run(options);
+      EXPECT_EQ(fast.totalEvents, base.totalEvents);
+      if (runtime::Execution::checkpointingSupported()) {
+        EXPECT_GT(fast.eventsElided, 0u);
+        // Elided + replayed per schedule == divergence depth, so the two
+        // modes partition the same redundant-prefix total at any budget —
+        // a fallback only moves events from elided to replayed.
+        EXPECT_EQ(fast.eventsElided + fast.eventsReplayed, base.eventsReplayed);
+        if (budget == 512) {
+          EXPECT_GT(fast.checkpointStats.evictions, 0u);
+          EXPECT_GT(fast.checkpointStats.replayFallbacks, 0u);
+        }
       }
+      EXPECT_LE(fast.eventsElided, fast.totalEvents);
     }
-    EXPECT_LE(fast.eventsElided, fast.totalEvents);
   }
 }
 
