@@ -59,6 +59,9 @@ void Execution::restart(const Config& config, ExecutionObserver* observer) {
   resumable_ = false;
   picking_ = false;
   pickEnabled_ = support::ThreadSet{};
+  ready_.clear();
+  blocking_.clear();
+  flushPicks_.clear();
   teardownFuel_ = 0;
   outcome_ = Outcome::Terminal;
   clearViolation();
@@ -124,7 +127,7 @@ void Execution::driveLoop(Scheduler& scheduler) {
       outcome_ = Outcome::EventLimit;
       break;
     }
-    pickEnabled_ = scanEnabled();
+    pickEnabled_ = buildEnabled();
     if (pickEnabled_.empty()) {
       if (allFinished()) {
         outcome_ = Outcome::Terminal;
@@ -154,6 +157,9 @@ void Execution::driveLoop(Scheduler& scheduler) {
       // oldest buffered store of the designated thread lands in memory.
       commitFlush(memory::flushPickOwner(pick));
     } else {
+      // The grant: the thread leaves the ready set until it publishes again.
+      ready_.erase(pick);
+      blocking_.erase(pick);
       advance(pick);
     }
   }
@@ -315,6 +321,17 @@ void Execution::restore(const Snapshot& s) {
   });
   retireObjectsAbove(s.objectCount);
 
+  // The maintained enabled sets, rebuilt from the restored thread table and
+  // store buffers.
+  ready_.clear();
+  blocking_.clear();
+  flushPicks_.clear();
+  for (int tid = 0; tid < static_cast<int>(s.threadCount); ++tid) {
+    const ThreadRec& t = threads_[static_cast<std::size_t>(tid)];
+    if (t.status == ThreadStatus::Pending && t.pendingOp.valid) markReady(tid);
+    if (!t.storeBuffer.empty()) flushPicks_.insert(memory::kFlushPickOffset + tid);
+  }
+
   events_.resize(s.depth);
   choices_.resize(s.depth);
   done_ = false;
@@ -402,6 +419,7 @@ void Execution::publishAndPark(OpKind kind, std::int32_t object,
   ThreadRec& me = threads_[static_cast<std::size_t>(currentThread_)];
   LAZYHB_CHECK(me.status == ThreadStatus::Pending && !me.pendingOp.valid);
   me.pendingOp = PendingOp{true, kind, object, mutexObject, targetThread, aux};
+  markReady(currentThread_);
   me.fiber->yieldToHost();
   // Woken. Either the scheduler granted the operation, or the execution is
   // being torn down (in which case the operation is a no-op for the caller).
@@ -432,7 +450,8 @@ std::int32_t Execution::recordEvent(OpKind kind, std::int32_t object,
                                     const std::uint64_t* valueOverride) {
   if (abandoning_) return -1;  // teardown-time operations are not events
   ThreadRec& me = threads_[static_cast<std::size_t>(currentThread_)];
-  EventRecord event;
+  const auto index = static_cast<std::int32_t>(events_.size());
+  EventRecord& event = events_.emplace_back();
   event.threadIndex = currentThread_;
   event.indexInThread = me.eventsExecuted++;
   event.kind = kind;
@@ -461,30 +480,20 @@ std::int32_t Execution::recordEvent(OpKind kind, std::int32_t object,
     event.joinPredecessor = me.joinPredecessor;
     me.joinPredecessor = -1;
   }
-  const auto index = static_cast<std::int32_t>(events_.size());
   me.lastEventIndex = index;
-  events_.push_back(event);
-  if (observer_ != nullptr) observer_->onEvent(*this, events_.back());
+  if (observer_ != nullptr) observer_->onEvent(*this, event);
   return index;
 }
 
-support::ThreadSet Execution::scanEnabled() const {
-  support::ThreadSet result;
-  for (int tid = 0; tid < threadCount(); ++tid) {
-    const ThreadRec& t = threads_[static_cast<std::size_t>(tid)];
-    if (t.status == ThreadStatus::Pending && t.pendingOp.valid && isEnabled(t)) {
-      result.insert(tid);
-    }
-  }
-  if (tso_) {
-    // One flush pick per non-empty store buffer — independent of the owner
-    // thread's status, so a thread that finished (or parked) with buffered
-    // stores still gets them drained before the run can end.
-    for (int tid = 0; tid < threadCount(); ++tid) {
-      if (!threads_[static_cast<std::size_t>(tid)].storeBuffer.empty()) {
-        result.insert(memory::kFlushPickOffset + tid);
-      }
-    }
+support::ThreadSet Execution::buildEnabled() const {
+  // A ready thread whose operation cannot block is enabled as it stands;
+  // only the blocking subset is checked against the object table. Flush
+  // picks are independent of the owner thread's status, so a thread that
+  // finished (or parked) with buffered stores still gets them drained
+  // before the run can end.
+  support::ThreadSet result = ready_.minus(blocking_).unionWith(flushPicks_);
+  for (const int tid : blocking_) {
+    if (isEnabled(threads_[static_cast<std::size_t>(tid)])) result.insert(tid);
   }
   return result;
 }
@@ -709,6 +718,7 @@ bool Execution::stageStoreTso(std::int32_t object, std::int64_t bits) {
   }
   touchBuffer(currentThread_);
   me.storeBuffer.push_back(StoreBufferEntry{object, bits, 0});
+  flushPicks_.insert(memory::kFlushPickOffset + currentThread_);
   const auto depth = static_cast<std::uint32_t>(me.storeBuffer.size());
   if (depth > maxBufferedStores_) maxBufferedStores_ = depth;
   stagedStore_ = true;
@@ -731,6 +741,7 @@ void Execution::commitFlush(int tid) {
   touchBuffer(tid);
   const StoreBufferEntry entry = t.storeBuffer.front();
   t.storeBuffer.erase(t.storeBuffer.begin());
+  if (t.storeBuffer.empty()) flushPicks_.erase(memory::kFlushPickOffset + tid);
   touchObject(entry.object);
   ObjectInfo& obj = objects_[static_cast<std::size_t>(entry.object)];
   obj.a = entry.bits;
@@ -742,7 +753,7 @@ void Execution::commitFlush(int tid) {
   // the owner's; threadIndex in the flush-pick range) and its own per-agent
   // event counter, so labels stay schedule-invariant and program order among
   // one thread's flushes mirrors the buffer's FIFO discipline.
-  EventRecord event;
+  EventRecord& event = events_.emplace_back();
   event.threadIndex = memory::kFlushPickOffset + tid;
   event.indexInThread = t.flushCount++;
   event.kind = OpKind::Flush;
@@ -750,8 +761,7 @@ void Execution::commitFlush(int tid) {
   event.objectUid = obj.uid;
   event.objectIndex = entry.object;
   event.valueHash = entry.valueHash;
-  events_.push_back(event);
-  if (observer_ != nullptr) observer_->onEvent(*this, events_.back());
+  if (observer_ != nullptr) observer_->onEvent(*this, event);
 }
 
 void Execution::fenceNow() {
@@ -859,6 +869,7 @@ void Execution::condSignal(std::int32_t condvar) {
     w.status = ThreadStatus::Pending;
     w.pendingOp.valid = true;
     w.signalPredecessor = signalEvent;
+    markReady(waiter);
   }
 }
 
@@ -874,6 +885,7 @@ void Execution::condBroadcast(std::int32_t condvar) {
     w.status = ThreadStatus::Pending;
     w.pendingOp.valid = true;
     w.signalPredecessor = signalEvent;
+    markReady(waiter);
   }
   cv.waiters.clear();
 }
@@ -1025,6 +1037,9 @@ void Execution::teardownUnfinished() {
       t.status = ThreadStatus::Finished;
     }
   }
+  // Every thread has finished; only buffered stores may still be pending.
+  ready_.clear();
+  blocking_.clear();
   abandoning_ = false;
 }
 

@@ -208,11 +208,12 @@ class Execution {
   /// (memory::kFlushPickOffset + t) per thread with a non-empty store
   /// buffer. Flush picks ignore the owning thread's status: a thread may
   /// finish, park or block with stores still buffered, and those stores
-  /// must still be able to drain. While Scheduler::pick runs this is the
-  /// set the host loop already computed for the scheduling point (one scan
-  /// per pick); elsewhere it scans the thread table.
+  /// must still be able to drain. Built from the maintained sets (see
+  /// ready_), re-checking only the threads whose operation can block;
+  /// while Scheduler::pick runs it is the set the host loop built for the
+  /// scheduling point.
   [[nodiscard]] support::ThreadSet enabled() const {
-    return picking_ ? pickEnabled_ : scanEnabled();
+    return picking_ ? pickEnabled_ : buildEnabled();
   }
 
   /// Number of threads created so far (indices are [0, threadCount())).
@@ -472,6 +473,35 @@ class Execution {
   void publishAndPark(OpKind kind, std::int32_t object, std::int32_t mutexObject,
                       int targetThread, std::uint64_t aux);
 
+  /// True when an operation of `kind` can be disabled at a scheduling
+  /// point (isEnabled may return false for it): blocking acquires and
+  /// joins, and under TSO every kind but Read, Write and Yield, which wait
+  /// for the issuer's store buffer to drain.
+  [[nodiscard]] bool canBlock(OpKind kind) const noexcept {
+    switch (kind) {
+      case OpKind::Lock:
+      case OpKind::Reacquire:
+      case OpKind::SemAcquire:
+      case OpKind::Join:
+        return true;
+      case OpKind::Read:
+      case OpKind::Write:
+      case OpKind::Yield:
+        return false;
+      default:
+        return tso_;
+    }
+  }
+
+  /// Enter `tid`, whose operation was just published, into the ready set,
+  /// and into the blocking subset when its operation can block.
+  void markReady(int tid) {
+    ready_.insert(tid);
+    if (canBlock(threads_[static_cast<std::size_t>(tid)].pendingOp.kind)) {
+      blocking_.insert(tid);
+    }
+  }
+
   /// Append a committed event for the current thread and notify observers.
   /// Returns the event's global index. `valueOverride`, when non-null,
   /// supplies the event's valueHash instead of the object's memory value —
@@ -516,7 +546,7 @@ class Execution {
   void logObject(std::int32_t index, const ObjectInfo& o);
   void logBuffer(int tid, const ThreadRec& t);
 
-  [[nodiscard]] support::ThreadSet scanEnabled() const;
+  [[nodiscard]] support::ThreadSet buildEnabled() const;
   [[nodiscard]] bool isEnabled(const ThreadRec& t) const;
   [[nodiscard]] bool allFinished() const;
   void teardownUnfinished();
@@ -555,6 +585,16 @@ class Execution {
   /// Scheduler::pick is running: enabled() returns pickEnabled_.
   bool picking_ = false;
   support::ThreadSet pickEnabled_;
+  /// The enabled set, kept up to date instead of scanned for at every
+  /// pick: threads with a published, ungranted operation (entered by
+  /// publishAndPark and a condvar wake-up, left at the grant); the subset
+  /// of them whose operation can block (canBlock), the only ones
+  /// buildEnabled re-checks; and under TSO the flush picks, one per thread
+  /// with buffered stores (stageStoreTso, commitFlush). restore() rebuilds
+  /// all three from the restored thread table.
+  support::ThreadSet ready_;
+  support::ThreadSet blocking_;
+  support::ThreadSet flushPicks_;
   std::uint32_t teardownFuel_ = 0;
   Outcome outcome_ = Outcome::Terminal;
   Violation violation_;

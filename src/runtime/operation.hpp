@@ -131,13 +131,15 @@ struct EventRecord {
   std::uint64_t valueHash = 0;
 
   /// Schedule-invariant label hash: identifies *which* operation this is
-  /// independently of where in the schedule it ran.
+  /// independently of where in the schedule it ran. Four multiply-folds:
+  /// thread x (per-thread index, kind), object x (mutex, aux), then the two
+  /// words into 128 bits. `mutexUid ^ aux` is unambiguous because the only
+  /// events with a mutex (Wait, Reacquire) all have aux 0.
   [[nodiscard]] support::Hash128 labelHash() const noexcept {
-    const std::uint64_t a =
-        threadUid ^ support::mix64((static_cast<std::uint64_t>(indexInThread) << 16) |
-                                   (static_cast<std::uint64_t>(kind) << 8));
-    const std::uint64_t b = objectUid ^ support::mix64(aux + 0x51ULL) ^ mutexUid;
-    return support::hash128(a, b);
+    const std::uint64_t op =
+        (static_cast<std::uint64_t>(indexInThread) << 8) | static_cast<std::uint64_t>(kind);
+    return support::hash128(support::foldPair(threadUid, op),
+                            support::foldPair(objectUid, mutexUid ^ aux));
   }
 
   bool operator==(const EventRecord&) const = default;

@@ -2,13 +2,39 @@
 //
 // Hashing primitives used throughout the library.
 //
+// Two families live here. The scalar seed hashes — mix64 (the splitmix64
+// finaliser), hashCombine and everything derived from them (support::Rng,
+// object uids, value hashes) — are fixed: random walks and perfbench derive
+// their seeds from them, so changing one changes which walks run.
+//
 // The partial-order fingerprints at the heart of lazy-HBR caching are built
-// from these: a strong 64-bit mixer (splitmix64 finaliser), a 128-bit value
-// type with order-sensitive mixing, and an order-*insensitive* multiset
-// accumulator used to fingerprint sets of per-event hashes.
+// from the other family, which sits on the per-event path: a 128-bit value
+// type with order-sensitive mixing and an order-*insensitive* multiset
+// accumulator over such values. Their mixer is a multiply-fold: one
+// 64x64->128-bit multiply of the two (keyed) inputs, whose high and low
+// halves are xored together (wyhash's "mum"). Every bit of a product's high
+// half depends on every bit of both factors, so every output bit depends on
+// every input bit, at one multiply per 64-bit output word.
+//
+// 128-bit collision argument. Each word of a Hash128 comes from its own
+// chain of keyed multiply-folds: mixedWith and the multiset accumulator mix
+// lo words only with lo words and hi words with hi words, and hash128
+// computes its two words from the same inputs under different keys.
+// Treating a keyed multiply-fold as a random function of its two inputs,
+// two different inputs collide in one word with probability ~2^-64 and in
+// the other independently, so two distinct partial orders share a
+// fingerprint with probability ~2^-128: over 10^9 distinct prefixes (~2^59
+// pairs) that is below 2^-68. The fold is not a bijection (a factor that
+// xors to zero annihilates the other input), but hitting a key exactly is
+// itself a 2^-64 event per mix. An event label's two inner words (thread x
+// per-thread index x kind, object x mutex x aux) are 64 bits each;
+// tests/test_support.cpp feeds 2^20 structured labels (sequential uids x
+// indices x op kinds) through the mixer and finds no collision in either
+// word of the result.
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -35,20 +61,51 @@ namespace lazyhb::support {
   return mix64(a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
 }
 
+/// The fingerprint mixer's primitive: the 128-bit product of `a` and `b`,
+/// folded to 64 bits by xoring its high and low halves.
+[[nodiscard]] constexpr std::uint64_t mulFold(std::uint64_t a, std::uint64_t b) noexcept {
+  const unsigned __int128 product = static_cast<unsigned __int128>(a) * b;
+  return static_cast<std::uint64_t>(product) ^ static_cast<std::uint64_t>(product >> 64);
+}
+
+namespace detail {
+/// The fingerprint mixers' keys: the first outputs of splitmix64 seeded
+/// with 0 (no hand-picked constants), made odd. Each mixing step xors its
+/// two inputs with its own pair of keys before the multiply.
+inline constexpr std::array<std::uint64_t, 22> kMixKeys = [] {
+  std::array<std::uint64_t, 22> keys{};
+  for (std::uint64_t i = 0; i < keys.size(); ++i) {
+    keys[i] = mix64(0x9e3779b97f4a7c15ULL * (i + 1)) | 1;
+  }
+  return keys;
+}();
+}  // namespace detail
+
+/// Keyed multiply-fold of two 64-bit words into one, order-sensitively.
+[[nodiscard]] constexpr std::uint64_t foldPair(std::uint64_t a, std::uint64_t b) noexcept {
+  return mulFold(a ^ detail::kMixKeys[0], b ^ detail::kMixKeys[1]);
+}
+
 /// A 128-bit hash value. Used for partial-order fingerprints where the cost
-/// of a collision is a silently-pruned schedule; at 128 bits the collision
-/// probability over even 10^9 distinct prefixes is negligible (< 10^-20).
+/// of a collision is a silently-pruned schedule (see the collision argument
+/// above).
 struct Hash128 {
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
 
   friend constexpr bool operator==(const Hash128&, const Hash128&) = default;
 
-  /// Order-sensitive combine of two 128-bit hashes. By value throughout:
-  /// Hash128 is two registers under the SysV ABI, so indirection would only
-  /// add a load on the per-event fingerprint path.
+  /// Order-sensitive combine of two 128-bit hashes, one multiply per word.
+  /// By value throughout: Hash128 is two registers under the SysV ABI, so
+  /// indirection would only add a load on the per-event fingerprint path.
   [[nodiscard]] constexpr Hash128 mixedWith(Hash128 o) const noexcept {
-    return Hash128{hashCombine(lo, o.lo), hashCombine(hi ^ 0xabcdef0123456789ULL, o.hi)};
+    return Hash128{mulFold(lo ^ detail::kMixKeys[2], o.lo ^ detail::kMixKeys[3]),
+                   mulFold(hi ^ detail::kMixKeys[4], o.hi ^ detail::kMixKeys[5])};
+  }
+
+  /// Mix one 64-bit word into both halves (an observed value into a label).
+  [[nodiscard]] constexpr Hash128 mixedWith(std::uint64_t word) const noexcept {
+    return mixedWith(Hash128{word, word});
   }
 
   /// True iff this is the default (all-zero) hash.
@@ -60,14 +117,14 @@ struct Hash128 {
 
 /// Hash a 64-bit value into a 128-bit one using two independent streams.
 [[nodiscard]] constexpr Hash128 hash128(std::uint64_t x) noexcept {
-  return Hash128{mix64(x ^ 0x243f6a8885a308d3ULL), mix64(x ^ 0x13198a2e03707344ULL)};
+  return Hash128{mulFold(x ^ detail::kMixKeys[6], detail::kMixKeys[7]),
+                 mulFold(x ^ detail::kMixKeys[8], detail::kMixKeys[9])};
 }
 
-/// Hash a pair.
+/// Hash a pair, order-sensitively: one keyed multiply-fold per word.
 [[nodiscard]] constexpr Hash128 hash128(std::uint64_t a, std::uint64_t b) noexcept {
-  const Hash128 ha = hash128(a);
-  const Hash128 hb = hash128(b);
-  return ha.mixedWith(hb);
+  return Hash128{mulFold(a ^ detail::kMixKeys[10], b ^ detail::kMixKeys[11]),
+                 mulFold(a ^ detail::kMixKeys[12], b ^ detail::kMixKeys[13])};
 }
 
 /// FNV-1a over raw bytes; adequate for strings/labels off the hot path.
@@ -102,7 +159,7 @@ struct MultisetHash {
   constexpr void add(Hash128 h) noexcept {
     sumLo += h.lo;
     sumHi += h.hi;
-    zip += mix64(h.lo ^ (h.hi * 0x9e3779b97f4a7c15ULL));
+    zip += zipTerm(h);
     ++count;
   }
 
@@ -110,18 +167,23 @@ struct MultisetHash {
   constexpr void remove(Hash128 h) noexcept {
     sumLo -= h.lo;
     sumHi -= h.hi;
-    zip -= mix64(h.lo ^ (h.hi * 0x9e3779b97f4a7c15ULL));
+    zip -= zipTerm(h);
     --count;
   }
 
   [[nodiscard]] constexpr Hash128 digest() const noexcept {
-    const std::uint64_t a = mix64(sumLo ^ mix64(count));
-    const std::uint64_t b = mix64(sumHi + 0x2545f4914f6cdd1dULL * count);
-    const std::uint64_t c = mix64(zip ^ 0x9e3779b97f4a7c15ULL);
-    return Hash128{hashCombine(a, c), hashCombine(b, mix64(c + count))};
+    const std::uint64_t z = mulFold(zip ^ detail::kMixKeys[16], count ^ detail::kMixKeys[17]);
+    return Hash128{mulFold(sumLo ^ detail::kMixKeys[18], z ^ detail::kMixKeys[19]),
+                   mulFold(sumHi ^ detail::kMixKeys[20], z ^ detail::kMixKeys[21])};
   }
 
   friend constexpr bool operator==(const MultisetHash&, const MultisetHash&) = default;
+
+ private:
+  /// An element's share of `zip`: both of its words, folded nonlinearly.
+  [[nodiscard]] static constexpr std::uint64_t zipTerm(Hash128 h) noexcept {
+    return mulFold(h.lo ^ detail::kMixKeys[14], h.hi ^ detail::kMixKeys[15]);
+  }
 };
 
 /// std::hash adaptor so Hash128 can key unordered containers directly.

@@ -23,14 +23,9 @@ const char* relationName(Relation r) noexcept {
 
 namespace {
 
-/// Salt separating the value-equivalence hash domain from the Full/Lazy ones.
+/// Salt separating the condvar-queue folds of the value state from the
+/// variables' (uid, value) pairs.
 constexpr std::uint64_t kValueDomain = 0x3c4dULL;
-
-/// One value-observation contribution: hash of an observed value, salted
-/// away from every other 64-bit quantity the fingerprints mix.
-[[nodiscard]] support::Hash128 observedValueHash(std::uint64_t value) noexcept {
-  return support::hash128(value ^ 0x0b5e55edULL, kValueDomain);
-}
 
 }  // namespace
 
@@ -79,7 +74,7 @@ void TraceRecorder::resetAll() {
 support::Hash128 TraceRecorder::cvQueueContribution(const ObjectHistory& h) noexcept {
   support::Hash128 fold = support::hash128(h.uid ^ 0xc01dfeedULL, kValueDomain);
   for (const runtime::Uid waiter : h.cvQueue) {
-    fold = fold.mixedWith(support::hash128(waiter));
+    fold = fold.mixedWith(waiter);
   }
   return fold;
 }
@@ -108,7 +103,8 @@ void TraceRecorder::onObjectRegistered(const runtime::Execution&, std::int32_t i
   // objects born past the stage.
   if (kind == ObjectKind::Var) {
     h.valueHash = initialValueHash;
-    valueState_.add(support::hash128(uid, h.valueHash));
+    h.valueTerm = support::hash128(uid, initialValueHash);
+    valueState_.add(h.valueTerm);
   } else if (kind == ObjectKind::CondVar) {
     valueState_.add(cvQueueContribution(h));
   }
@@ -176,15 +172,6 @@ void TraceRecorder::restore(const Snapshot& s) {
 }
 
 void TraceRecorder::armResume(const Snapshot& s) { pendingResume_ = &s; }
-
-TraceRecorder::ObjectHistory& TraceRecorder::history(std::int32_t objectIndex) {
-  const auto i = static_cast<std::size_t>(objectIndex);
-  if (i >= objects_.size()) {
-    objects_.resize(i + 1);
-  }
-  objectCount_ = std::max(objectCount_, i + 1);
-  return objects_[i];
-}
 
 const ClockArena& TraceRecorder::arena(Relation r) const {
   // Rows exist only for relations a consumer declared at construction; the
@@ -265,8 +252,10 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
   support::Hash128 lazy = label;
   // Value-equivalence contribution: the label alone — no causal mixing;
   // forgetting who produced an observed value is the whole coarsening —
-  // plus, for reads and RMWs, the value observed.
-  support::Hash128 observed = label.mixedWith(support::hash128(kValueDomain));
+  // with, for reads and RMWs, the value observed mixed in. It has an
+  // accumulator of its own, so it needs no salt against the Full and Lazy
+  // event hashes.
+  support::Hash128 observed = label;
   switch (ev.kind) {
     case OpKind::Read: {
       full = lazy = label.mixedWith(history(ev.objectIndex).epoch);
@@ -274,7 +263,7 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
       // SC the variable's pre-value, under TSO possibly a value forwarded
       // from the reader's own store buffer, which the memory mirror cannot
       // know.
-      observed = observed.mixedWith(observedValueHash(ev.valueHash));
+      observed = label.mixedWith(ev.valueHash);
       break;
     }
     case OpKind::Write:
@@ -290,14 +279,16 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
       full = lazy = label.mixedWith(openEpoch(h.epoch, label));
       // An RMW observes the pre-value; Execution has already committed the
       // post-value, so the recorder's own mirror is consulted.
-      if (ev.kind == OpKind::Rmw) observed = observed.mixedWith(observedValueHash(h.valueHash));
+      if (ev.kind == OpKind::Rmw) observed = label.mixedWith(h.valueHash);
       // Final-visible effect: swap the variable's (uid, value) pair in the
       // value-state accumulator for the committed post-value. Overwritten
       // intermediate values leave no trace — that is where value
-      // equivalence prunes beyond the lazy HBR.
+      // equivalence prunes beyond the lazy HBR. The pair leaving is the
+      // one kept since it entered, so it is not hashed again.
       if (ev.valueHash != h.valueHash) {
-        valueState_.remove(support::hash128(h.uid, h.valueHash));
-        valueState_.add(support::hash128(h.uid, ev.valueHash));
+        valueState_.remove(h.valueTerm);
+        h.valueTerm = support::hash128(h.uid, ev.valueHash);
+        valueState_.add(h.valueTerm);
         h.valueHash = ev.valueHash;
       }
       break;

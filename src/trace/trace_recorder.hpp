@@ -248,6 +248,9 @@ class TraceRecorder final : public runtime::ExecutionObserver {
     /// (Execution commits the post-value before recording the event, so the
     /// recorder keeps the pre-value itself — a read/RMW observes this).
     std::uint64_t valueHash = 0;
+    /// The variable's current (uid, valueHash) contribution to valueState_,
+    /// kept so that a write removes it without hashing it again.
+    support::Hash128 valueTerm;
     /// Value equivalence: mirror of the condvar's FIFO wait queue, as
     /// thread UIDs in arrival order. Signal wakes the front deterministically,
     /// so arrival *order* is observable state an abelian multiset of labels
@@ -285,6 +288,7 @@ class TraceRecorder final : public runtime::ExecutionObserver {
       epoch = {};
       lazyEpoch = {};
       valueHash = 0;
+      valueTerm = {};
       cvQueue.clear();
       lastWrite = -1;
       readersSinceWrite.clear();
@@ -333,7 +337,14 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   /// every queue change so the accumulator can remove/add the pair.
   [[nodiscard]] static support::Hash128 cvQueueContribution(const ObjectHistory& h) noexcept;
 
-  ObjectHistory& history(std::int32_t objectIndex);
+  /// The history of an object, growing the table on first sight. Inline:
+  /// onEvent reaches it several times per event.
+  ObjectHistory& history(std::int32_t objectIndex) {
+    const auto i = static_cast<std::size_t>(objectIndex);
+    if (i >= objects_.size()) [[unlikely]] objects_.resize(i + 1);
+    if (i >= objectCount_) objectCount_ = i + 1;
+    return objects_[i];
+  }
   /// The clock matrix of `r`; fails a LAZYHB_CHECK unless it is built.
   [[nodiscard]] const ClockArena& arena(Relation r) const;
   /// Sync-HB race check of a variable access against the pre-update race

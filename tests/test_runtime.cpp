@@ -2,7 +2,10 @@
 // semaphore counting, nested spawn identity, stack-pool reuse, fibers
 // re-armed on their own stacks, restarted executions matching fresh ones,
 // teardown robustness when executions are pruned at every possible depth,
-// and enabled-set correctness around blocking operations.
+// and enabled-set correctness around blocking operations — including, at
+// every pick of random walks and tree searches over the whole corpus under
+// SC and TSO, the maintained enabled set against one recomputed from the
+// public accessors.
 
 #include <gtest/gtest.h>
 
@@ -12,11 +15,15 @@
 #include <vector>
 
 #include "explore/dfs_explorer.hpp"
+#include "explore/prefix_replay.hpp"
+#include "explore/random_explorer.hpp"
 #include "explore/replay.hpp"
 #include "memory/memory_model.hpp"
+#include "programs/registry.hpp"
 #include "runtime/api.hpp"
 #include "runtime/fiber.hpp"
 #include "test_helpers.hpp"
+#include "trace/trace_recorder.hpp"
 
 namespace {
 
@@ -530,6 +537,154 @@ TEST(Runtime, EnabledSetTracksBlocking) {
   // Either way the probe must have observed the disabled pending lock.
   (void)outcome;
   EXPECT_TRUE(sched.sawBlockedLock);
+}
+
+/// Recomputes the enabled set at every pick from the public accessors
+/// alone — pending operations, thread status and the object table, and
+/// under TSO the flush picks' pending flushes — compares it with the set
+/// Execution maintains, then forwards the pick. The engine's own
+/// LAZYHB_ASSERTs are compiled out of release builds; this check is not.
+class EnabledSetOracle final : public runtime::Scheduler {
+ public:
+  explicit EnabledSetOracle(runtime::Scheduler& inner) : inner_(inner) {}
+
+  int pick(Execution& exec) override {
+    ++picks_;
+    const support::ThreadSet expected = recompute(exec);
+    if (exec.enabled() != expected && mismatches_++ == 0) {
+      firstMismatch_ = "pick " + std::to_string(exec.choices().size()) + ": enabled() " +
+                       std::to_string(exec.enabled().raw()) + ", recomputed " +
+                       std::to_string(expected.raw());
+    }
+    return inner_.pick(exec);
+  }
+
+  [[nodiscard]] std::uint64_t picks() const { return picks_; }
+  [[nodiscard]] std::uint64_t mismatches() const { return mismatches_; }
+  [[nodiscard]] const std::string& firstMismatch() const { return firstMismatch_; }
+
+ private:
+  static support::ThreadSet recompute(const Execution& exec) {
+    const bool tso = exec.memoryModel() == memory::MemoryModel::Tso;
+    const auto buffered = [&](int tid) {
+      return tso && exec.pending(memory::kFlushPickOffset + tid).valid;
+    };
+    support::ThreadSet result;
+    for (int tid = 0; tid < exec.threadCount(); ++tid) {
+      if (buffered(tid)) result.insert(memory::kFlushPickOffset + tid);
+      const runtime::PendingOp op = exec.pending(tid);
+      if (!op.valid || exec.threadFinished(tid)) continue;
+      bool enabled = true;
+      switch (op.kind) {
+        case runtime::OpKind::Lock: enabled = exec.object(op.object).a == -1; break;
+        case runtime::OpKind::Reacquire: enabled = exec.object(op.mutexObject).a == -1; break;
+        case runtime::OpKind::SemAcquire: enabled = exec.object(op.object).a > 0; break;
+        case runtime::OpKind::Join:
+          enabled = exec.threadFinished(op.targetThread) && !buffered(op.targetThread);
+          break;
+        default: break;
+      }
+      // Under TSO everything but plain loads, stores and yields waits for
+      // the issuer's buffer to drain.
+      const bool fenced = op.kind != runtime::OpKind::Read &&
+                          op.kind != runtime::OpKind::Write &&
+                          op.kind != runtime::OpKind::Yield;
+      if (fenced && buffered(tid)) enabled = false;
+      if (enabled) result.insert(tid);
+    }
+    return result;
+  }
+
+  runtime::Scheduler& inner_;
+  std::uint64_t picks_ = 0;
+  std::uint64_t mismatches_ = 0;
+  std::string firstMismatch_;
+};
+
+// Under ThreadSanitizer the fibers run on the ucontext backend, and libtsan
+// traps (a CHECK in its stack depot: a shadow call stack of 65,536 frames)
+// once this process has switched fibers often enough: the corpus oracle
+// below passes at 3 walks and a 40-schedule dfs per program and traps at 4
+// and 60. The TSan leg therefore runs it at 2 walks and a 20-schedule dfs
+// per program — still every corpus program and both loops on the ucontext
+// backend — and every other build at the full sizes.
+#if defined(__SANITIZE_THREAD__)
+#define LAZYHB_TSAN_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define LAZYHB_TSAN_BUILD 1
+#endif
+#endif
+#if defined(LAZYHB_TSAN_BUILD)
+constexpr std::uint64_t kOracleWalks = 2;
+constexpr int kOracleDfsSchedules = 20;
+#else
+constexpr std::uint64_t kOracleWalks = 50;
+constexpr int kOracleDfsSchedules = 2000;
+#endif
+
+/// Every corpus program under `model`: kOracleWalks random walks
+/// (RandomExplorer's loop, rolled back to the root checkpoint on
+/// checkpointable programs) and a dfs of kOracleDfsSchedules schedules (the
+/// tree search's loop, with its checkpoint stages and rollbacks), each on
+/// its own engine as an exploration builds it, every pick checked by
+/// EnabledSetOracle.
+void expectEnabledSetMatchesOnCorpus(memory::MemoryModel model) {
+  runtime::Config config;
+  config.maxEventsPerSchedule = explore::ExplorerOptions{}.maxEventsPerSchedule;
+  config.memoryModel = model;
+  for (const programs::ProgramSpec& spec : programs::all()) {
+    SCOPED_TRACE(spec.name);
+    // Runs `loop(engine, runOne)` on a fresh engine; runOne executes one
+    // schedule under the oracle.
+    const auto exploration = [&](const auto& loop) {
+      trace::TraceRecorder recorder;
+      StackPool pool;
+      explore::PrefixReplayEngine engine(
+          pool, recorder, /*incremental=*/true,
+          spec.checkpointable && Execution::checkpointingSupported(),
+          explore::defaultSnapshotBudgetBytes());
+      std::uint64_t picks = 0;
+      const auto runOne = [&](runtime::Scheduler& inner) {
+        EnabledSetOracle oracle(inner);
+        const explore::PrefixReplayEngine::Session session =
+            engine.beginSchedule(config, &recorder);
+        (void)(session.resumed ? session.exec->resume(oracle)
+                               : session.exec->run(spec.body, oracle));
+        EXPECT_EQ(oracle.mismatches(), 0u) << oracle.firstMismatch();
+        picks += oracle.picks();
+      };
+      loop(engine, runOne);
+      EXPECT_GT(picks, 0u);
+    };
+
+    exploration([](explore::PrefixReplayEngine& engine, const auto& runOne) {
+      explore::PrefixReplayEngine* root = engine.runtimeRollback() ? &engine : nullptr;
+      for (std::uint64_t k = 0; k < kOracleWalks; ++k) {
+        if (root != nullptr && k > 0) (void)root->prepareNext(0);
+        explore::RandomScheduler walk(support::mix64(7 + k), root);
+        runOne(walk);
+      }
+    });
+    exploration([](explore::PrefixReplayEngine& engine, const auto& runOne) {
+      explore::TreeSearchState state;
+      std::size_t startDepth = 0;
+      for (int schedule = 0; schedule < kOracleDfsSchedules; ++schedule) {
+        explore::TreeScheduler tree(state, {}, &engine, startDepth);
+        runOne(tree);
+        if (!state.advance()) break;
+        startDepth = engine.prepareNext(state.checkFromDepth);
+      }
+    });
+  }
+}
+
+TEST(Runtime, MaintainedEnabledSetMatchesRecomputedSc) {
+  expectEnabledSetMatchesOnCorpus(memory::MemoryModel::Sc);
+}
+
+TEST(Runtime, MaintainedEnabledSetMatchesRecomputedTso) {
+  expectEnabledSetMatchesOnCorpus(memory::MemoryModel::Tso);
 }
 
 TEST(Runtime, ViolationSchedulesReplayExactly) {
