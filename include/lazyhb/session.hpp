@@ -132,7 +132,7 @@ class Session {
   /// "caching-value"); other strategies — and order-sensitive options
   /// such as stopOnFirstViolation — run sequentially whatever this is set
   /// to. Every count in the TestReport is byte-identical at any worker
-  /// count.
+  /// count. At most 256: run() throws std::invalid_argument above it.
   Session& workers(int count);
   /// Byte budget for staged incremental-replay snapshots (0 = unlimited;
   /// default: the LAZYHB_SNAPSHOT_BUDGET environment variable, else
@@ -154,7 +154,7 @@ class Session {
   Session& progressInterval(std::uint64_t schedules);
 
   /// Explore an ad-hoc program. Throws std::invalid_argument for an
-  /// unknown strategy name.
+  /// unknown strategy name or more than 256 workers.
   [[nodiscard]] TestReport run(const Program& program) const;
   /// Explore a registered scenario by name (inheriting its checkpointable
   /// trait). Throws std::invalid_argument for an unknown scenario name.

@@ -43,7 +43,7 @@ namespace lazyhb {
 /// The lazyhb-bench-report schema Suite::run and `lazyhb bench` write
 /// (docs/bench-report-schema.md).
 inline constexpr const char* kSuiteReportSchemaName = "lazyhb-bench-report";
-inline constexpr int kSuiteReportSchemaVersion = 11;
+inline constexpr int kSuiteReportSchemaVersion = 12;
 
 /// One (scenario, strategy) cell of the suite matrix — the public mirror of
 /// the campaign report's cell block: every statistic (the ExplorationStats
@@ -126,10 +126,12 @@ class Suite {
   /// reports never merge.
   Suite& memoryModel(std::string model);
   /// Campaign worker threads fanning cells out (<= 0: one per hardware
-  /// thread). Counts are byte-identical at any value.
+  /// thread, at most 256 / workers()). Counts are byte-identical at any
+  /// value.
   Suite& jobs(int count);
   /// Intra-cell worker threads sharding each scenario's schedule tree
-  /// (dfs/caching-* only; counts stay byte-identical).
+  /// (dfs/caching-* only; counts stay byte-identical). jobs() × workers()
+  /// may not exceed 256.
   Suite& workers(int count);
   /// Run only this 0-based slice of the cell matrix (cells with
   /// index % count == index_). Shard reports merge back to the unsharded
@@ -146,7 +148,8 @@ class Suite {
   Suite& onProgress(ProgressCallback callback);
 
   /// Run the configured matrix. Throws std::invalid_argument for unknown
-  /// names or a bad shard spec, std::runtime_error for journal problems.
+  /// names, a bad shard spec or jobs() × workers() above 256 (before any
+  /// cell runs), std::runtime_error for journal problems.
   [[nodiscard]] SuiteReport run() const;
 
  private:

@@ -22,6 +22,7 @@
 #include "memory/memory_model.hpp"
 #include "programs/registry.hpp"
 #include "support/json_writer.hpp"
+#include "support/worker_pool.hpp"
 
 namespace lazyhb {
 namespace {
@@ -151,6 +152,12 @@ TestReport Session::run(const Program& program) const {
     throw std::invalid_argument("lazyhb: unknown strategy '" +
                                 config_.strategy + "' (expected one of: " +
                                 campaign::explorerNamesHelp(true) + ")");
+  }
+  if (config_.workers > support::kMaxWorkerThreads) {
+    throw std::invalid_argument(
+        "lazyhb: workers(" + std::to_string(config_.workers) +
+        ") exceeds the bound of " + std::to_string(support::kMaxWorkerThreads) +
+        " threads");
   }
 
   explore::ExplorerOptions options;

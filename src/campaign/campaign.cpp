@@ -1,13 +1,14 @@
 #include "campaign/campaign.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "campaign/checkpoint.hpp"
-#include "campaign/work_stealing_pool.hpp"
 #include "support/diagnostics.hpp"
+#include "support/worker_pool.hpp"
 
 namespace lazyhb::campaign {
 namespace {
@@ -176,12 +177,6 @@ void Aggregator::submit(std::size_t index, CellResult cell) {
   filled_[index] = true;
 }
 
-std::size_t Aggregator::cellCount() const noexcept {
-  std::size_t count = 0;
-  for (const bool filled : filled_) count += filled ? 1 : 0;
-  return count;
-}
-
 CampaignResult Aggregator::finish() {
   const std::lock_guard<std::mutex> guard(mutex_);
   std::vector<CellResult> cells;
@@ -213,10 +208,20 @@ CampaignResult runCampaign(const CampaignOptions& options) {
     }
   }
 
+  // The campaign runs `jobs` cells at once, and each sharded cell leases a
+  // crew of `workers` threads: refuse more threads than the bound in all
+  // before any pool exists.
+  const int workers = std::max(1, options.explorer.workers);
   int jobs = options.jobs;
   if (jobs <= 0) {
-    jobs = static_cast<int>(std::thread::hardware_concurrency());
-    if (jobs <= 0) jobs = 1;
+    const int hardware = static_cast<int>(std::thread::hardware_concurrency());
+    jobs = std::max(1, std::min(hardware, support::kMaxWorkerThreads / workers));
+  }
+  if (static_cast<std::int64_t>(jobs) * workers > support::kMaxWorkerThreads) {
+    throw std::invalid_argument(
+        "lazyhb: " + std::to_string(jobs) + " job(s) x " + std::to_string(workers) +
+        " worker(s) per cell exceeds the bound of " +
+        std::to_string(support::kMaxWorkerThreads) + " threads");
   }
 
   std::vector<std::string> explorerNames;
@@ -286,7 +291,7 @@ CampaignResult runCampaign(const CampaignOptions& options) {
     ++cellsDone;
   };
 
-  std::vector<WorkStealingPool::Task> tasks;
+  std::vector<support::WorkerPool::Task> tasks;
   tasks.reserve(shardCells);
   for (std::size_t p = 0; p < corpus.size(); ++p) {
     for (std::size_t e = 0; e < explorers.size(); ++e) {
@@ -370,12 +375,11 @@ CampaignResult runCampaign(const CampaignOptions& options) {
     }
   }
 
-  WorkStealingPool pool(jobs);
+  support::WorkerPool pool(jobs);
   pool.run(std::move(tasks));
 
   CampaignResult result = aggregator.finish();
   result.wallSeconds = secondsSince(campaignStart);
-  result.tasksStolen = pool.tasksStolen();
   result.jobs = pool.workerCount();
   result.config = configEcho(options);
 

@@ -4,7 +4,7 @@
 // benchmark run under every technique, with the interesting quantities (the
 // §3 chain, the Figure 2/3 redundancy gaps) emerging only from the
 // aggregate. This layer owns the (program × explorer) matrix: it fans the
-// cells out across hardware threads (WorkStealingPool), times each cell,
+// cells out across hardware threads (support::WorkerPool), times each cell,
 // checks each cell's §3 chain, feeds a thread-safe Aggregator, and folds
 // the cells into per-program and per-explorer summaries plus campaign
 // totals. The Figure 2 and Figure 3 summaries fold the per-program rows.
@@ -137,7 +137,6 @@ struct CampaignResult {
   int inequalityViolations = 0;  ///< cells whose §3 chain failed (expect 0)
   double wallSeconds = 0.0;      ///< end-to-end campaign wall time
   double cpuSeconds = 0.0;       ///< sum of per-cell wall times
-  std::uint64_t tasksStolen = 0; ///< work-stealing load-balance diagnostic
   int jobs = 1;                  ///< worker threads actually used
 
   std::size_t cellsFromCheckpoint = 0;  ///< satisfied from the journal
@@ -157,7 +156,10 @@ struct CampaignOptions {
   /// Seed for the random explorer; identical in every cell so per-cell
   /// results do not depend on matrix position.
   std::uint64_t seed = 42;
-  /// Worker threads; <= 0 picks std::thread::hardware_concurrency().
+  /// Worker threads; <= 0 picks std::thread::hardware_concurrency(), at
+  /// most support::kMaxWorkerThreads / explorer.workers. runCampaign()
+  /// throws std::invalid_argument, before any pool exists, when jobs ×
+  /// explorer.workers exceeds support::kMaxWorkerThreads.
   int jobs = 0;
 
   // --- sharding -------------------------------------------------------------
@@ -207,10 +209,6 @@ class Aggregator {
 
   /// Record the cell at matrix slot `index` (program-major order).
   void submit(std::size_t index, CellResult cell);
-
-  /// Cells submitted so far. Not synchronized with in-flight submit()s;
-  /// call from the coordinating thread (between pool phases) only.
-  [[nodiscard]] std::size_t cellCount() const noexcept;
 
   /// Fold the submitted cells into summaries and totals. Consumes the
   /// aggregator.

@@ -23,7 +23,6 @@ struct ParsedReport {
   std::vector<CellResult> cells;
   std::vector<MergeSource> sources;  ///< flattened provenance contribution
   double wallSeconds = 0.0;
-  std::uint64_t tasksStolen = 0;
 };
 
 [[noreturn]] void raise(const std::string& label, const std::string& message) {
@@ -109,7 +108,6 @@ ParsedReport parseReport(const std::string& document, const std::string& label) 
 
   if (const support::JsonValue* totals = root->find("totals")) {
     report.wallSeconds = totals->doubleAt("wall_seconds");
-    report.tasksStolen = totals->uintAt("tasks_stolen");
   }
 
   // Provenance: a previously merged report contributes its own sources
@@ -301,14 +299,13 @@ MergeOutcome mergeReports(const std::vector<std::string>& documents,
   outcome.result.config.shardIndex = 0;
   outcome.result.config.shardCount = 1;
 
-  // Cross-report aggregates with no per-cell decomposition: wall time is
-  // the slowest input (shards run concurrently); steal counts just sum.
-  // jobs has no meaning for a merged report and reads 0.
+  // Wall time has no per-cell decomposition: it is the slowest input
+  // (shards run concurrently). jobs has no meaning for a merged report and
+  // reads 0.
   outcome.result.jobs = 0;
   for (const ParsedReport& report : reports) {
     outcome.result.wallSeconds =
         std::max(outcome.result.wallSeconds, report.wallSeconds);
-    outcome.result.tasksStolen += report.tasksStolen;
     for (const MergeSource& source : report.sources) {
       outcome.provenance.sources.push_back(source);
     }

@@ -1,7 +1,7 @@
 // lazyhb/campaign/merge.hpp
 //
 // Reading campaign reports back: `lazyhb merge` and `lazyhb diff`. Both
-// parse their inputs with one reader (schema v11 only; every statistic must
+// parse their inputs with one reader (schema v12 only; every statistic must
 // be present with its table type) and compare cells with one function over
 // the StatClass::Contract rows of explore/explorer.hpp's statistics table.
 //

@@ -267,7 +267,6 @@ std::string writeReportJson(const CampaignResult& result,
   json.field("cpu_seconds", result.cpuSeconds);
   json.field("events_per_second", result.eventsPerSecond);
   json.field("executed_events_per_second", result.executedEventsPerSecond);
-  json.field("tasks_stolen", result.tasksStolen);
   json.field("inequality_violations",
              static_cast<std::int64_t>(result.inequalityViolations));
   // Failure and durability tallies, off-default only, as per cell.

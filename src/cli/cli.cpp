@@ -1,7 +1,6 @@
 #include "cli/cli.hpp"
 
 #include <charconv>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -21,13 +20,14 @@
 #include "support/json_writer.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
+#include "support/worker_pool.hpp"
 
 namespace lazyhb::cli {
 namespace {
 
 // merge and diff share these: 1 when the count contract is broken (a
 // conflicting duplicate, or a missing or extra cell; for merge also a §3
-// violation or a theorem conflict), 2 when an input is not a readable v11
+// violation or a theorem conflict), 2 when an input is not a readable v12
 // report or cannot be combined with the others, 3 when the output cannot
 // be written.
 constexpr int kExitOk = 0;
@@ -91,10 +91,11 @@ bool parseIncremental(const support::Options& options, bool* enabled) {
 }
 
 // The accepted ranges of the integer flags: a schedule budget or seed fits
-// 63 bits, an event cap 32, a thread count an int.
+// 63 bits, an event cap 32, and a thread count the bound on the threads one
+// command may start.
 constexpr std::int64_t kMaxCount = INT64_MAX;
 constexpr std::int64_t kMaxEvents = UINT32_MAX;
-constexpr std::int64_t kMaxThreadCount = INT_MAX;
+constexpr std::int64_t kMaxThreadCount = support::kMaxWorkerThreads;
 
 void addMaxEventsFlag(support::Options& options) {
   options.addInt("max-events", 65536, "per-schedule event budget", 0, kMaxEvents);
@@ -491,8 +492,10 @@ int cmdBench(int argc, char** argv) {
   options.addString("programs", "",
                     "comma-separated program or family names (default: the "
                     "full corpus)");
-  options.addInt("jobs", 0, "worker threads (0: one per hardware thread)", 0,
-                 kMaxThreadCount);
+  options.addInt("jobs", 0,
+                 "worker threads (0: one per hardware thread); --jobs x "
+                 "--workers may not exceed 256",
+                 0, kMaxThreadCount);
   options.addInt("workers", 1,
                  "intra-cell worker threads sharding each scenario's schedule "
                  "tree (dfs/caching-* only; counts stay byte-identical)",
@@ -612,7 +615,8 @@ int cmdBench(int argc, char** argv) {
   try {
     result = campaign::runCampaign(campaignOptions);
   } catch (const std::exception& error) {
-    // Journal mismatch / nothing to resume / bad shard spec.
+    // Journal mismatch / nothing to resume / bad shard spec / more threads
+    // than the bound.
     std::fprintf(stderr, "%s\n", error.what());
     return kExitUsage;
   }
@@ -637,11 +641,9 @@ int cmdBench(int argc, char** argv) {
     table.cell(t.wallSeconds);
   }
   std::fprintf(human,
-               "campaign: %zu programs x %zu explorers = %zu cells, "
-               "%d job(s), %llu task(s) stolen\n",
+               "campaign: %zu programs x %zu explorers = %zu cells, %d job(s)\n",
                result.programs.size(), result.perExplorer.size(),
-               result.cells.size(), result.jobs,
-               static_cast<unsigned long long>(result.tasksStolen));
+               result.cells.size(), result.jobs);
   if (result.config.shardCount > 1) {
     std::fprintf(human,
                  "shard %d/%d: this report covers only its slice of the "

@@ -137,9 +137,9 @@ struct ViolationRecord {
 }
 
 /// Per-worker share of a parallel exploration (explore/parallel_explorer.hpp):
-/// how many schedules the worker ran and how many frontier tasks it stole.
-/// The campaign report surfaces these so load imbalance is visible per
-/// cell.
+/// how many schedules the worker ran, and how many of its jobs another
+/// worker had split off (handoffs; the root job never counts). The campaign
+/// report surfaces these so load imbalance is visible per cell.
 struct WorkerShare {
   std::uint64_t schedulesVisited = 0;
   std::uint64_t tasksStolen = 0;

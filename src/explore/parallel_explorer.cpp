@@ -11,12 +11,12 @@
 #include <unordered_set>
 #include <vector>
 
-#include "campaign/work_stealing_pool.hpp"
 #include "core/hbr_cache.hpp"
 #include "explore/dfs_explorer.hpp"
 #include "explore/prefix_replay.hpp"
 #include "runtime/execution.hpp"
 #include "support/diagnostics.hpp"
+#include "support/worker_pool.hpp"
 
 namespace lazyhb::explore {
 
@@ -55,7 +55,7 @@ struct Crew {
     for (int i = 0; i < pool.workerCount(); ++i) kits.push_back(std::make_unique<Kit>());
   }
 
-  campaign::WorkStealingPool pool;
+  support::WorkerPool pool;
   std::vector<std::unique_ptr<Kit>> kits;  ///< kits[i] serves pool worker i
 };
 
@@ -126,6 +126,7 @@ struct Job {
   TreeSearchState state;
   ScheduleTally tally;
   int worker = -1;         ///< the pool worker that ran it
+  int donor = -1;          ///< the worker that split it off; -1 for the root
   bool exhausted = false;  ///< its range ran out before the pool stopped
 };
 
@@ -196,8 +197,7 @@ struct ParallelExplorer::Impl {
         crew(idleCrews().lease(opts.workers)),
         pool(crew->pool),
         kits(crew->kits),
-        program(&prog),
-        stealsAtLease(pool.stealsByWorker()) {
+        program(&prog) {
     // Each worker runs its own replay engine, so the scenario's snapshot
     // budget is split evenly across them — the combined footprint stays
     // what the user asked for, not workers× it (0 stays unlimited).
@@ -226,13 +226,10 @@ struct ParallelExplorer::Impl {
   const ExplorerOptions& options;
   std::optional<trace::Relation> cacheKey;
   std::unique_ptr<Crew> crew;
-  campaign::WorkStealingPool& pool;
+  support::WorkerPool& pool;
   std::vector<std::unique_ptr<Kit>>& kits;  ///< one per pool worker
   core::HbrCache cache;  ///< shared; unused (empty) for plain DFS
   const Program* program;
-  /// The pool's steal counts when leased: by_worker reports this
-  /// exploration's steals only.
-  std::vector<std::uint64_t> stealsAtLease;
 
   /// Guards jobs, queued, boundary, frontierJobs and Job::exhausted.
   std::mutex mutex;
@@ -384,6 +381,7 @@ void ParallelExplorer::Impl::donate(Job& donor, std::size_t depth) {
   // Past the donor's subtree at `depth`.
   LAZYHB_CHECK(from.advance());
   auto job = std::make_unique<Job>(options, std::move(from));
+  job->donor = donor.worker;
   {
     const std::lock_guard<std::mutex> lock(mutex);
     queued.insert(job.get());
@@ -412,16 +410,15 @@ void ParallelExplorer::Impl::retire(Job& job) {
   }
 }
 
+/// Each worker's schedules, and its handoffs: the jobs it ran that another
+/// worker had split off.
 std::vector<WorkerShare> ParallelExplorer::Impl::shares() const {
-  std::vector<WorkerShare> byWorker;
-  const std::vector<std::uint64_t> steals = pool.stealsByWorker();
-  for (std::size_t i = 0; i < steals.size(); ++i) {
-    byWorker.push_back(WorkerShare{0, steals[i] - stealsAtLease[i]});
-  }
+  std::vector<WorkerShare> byWorker(static_cast<std::size_t>(pool.workerCount()));
   for (const std::unique_ptr<Job>& job : jobs) {
     if (job->worker < 0) continue;
-    byWorker[static_cast<std::size_t>(job->worker)].schedulesVisited +=
-        job->tally.result().schedulesExecuted;
+    WorkerShare& share = byWorker[static_cast<std::size_t>(job->worker)];
+    share.schedulesVisited += job->tally.result().schedulesExecuted;
+    if (job->donor >= 0 && job->donor != job->worker) ++share.tasksStolen;
   }
   return byWorker;
 }
@@ -537,7 +534,7 @@ ExplorationResult ParallelExplorer::explore(const Program& program) {
   explored_ = true;
   {
     Impl impl(options_, cacheKey_, program);
-    std::vector<campaign::WorkStealingPool::Task> roots;
+    std::vector<support::WorkerPool::Task> roots;
     roots.push_back([&impl] { impl.runNext(); });
     impl.pool.run(std::move(roots));
 

@@ -6,8 +6,8 @@
 // Günther/Laarman's "Dynamic Reductions for Model Checking Concurrent
 // Software" applied to the paper's lazy-HBR reduction: workers walk
 // disjoint ranges of the tree; the only shared mutable state is the
-// CAS-based fingerprint table (core/hbr_cache.hpp), the work-stealing
-// frontier (campaign/work_stealing_pool.hpp) and the ranked job set.
+// CAS-based fingerprint table (core/hbr_cache.hpp), the worker pool's task
+// queue (support/worker_pool.hpp) and the ranked job set.
 //
 // ## Work decomposition
 //
@@ -113,7 +113,7 @@
 // ## Leased workers
 //
 // An explorer owns no threads. Each explore() leases a crew — a
-// WorkStealingPool and one kit per pool worker — from a process-wide idle
+// WorkerPool and one kit per pool worker — from a process-wide idle
 // list keyed by worker count, and parks it there again before returning.
 // A crew is built only when every crew of that size is leased (two
 // explorations at once lease two), and the idle crews' threads are joined
@@ -131,8 +131,9 @@
 // disarmed and its replay counters are zeroed. A parked crew therefore
 // retains capacity only — parked threads, fiber stacks and thread records
 // without frames or closures, recorder arrays, pooled stage storage —
-// and nothing of any program. by_worker reports the steals of this
-// exploration only.
+// and nothing of any program. by_worker counts this exploration's
+// handoffs: a job run by a worker other than the one that split it off
+// counts once, to the worker that ran it; the root job never counts.
 //
 // Fibers and OS threads: a fiber's frames are only ever resumed on the
 // thread that started them, with one exception: quiescing runs a worker's

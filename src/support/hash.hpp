@@ -187,9 +187,12 @@ struct MultisetHash {
 };
 
 /// std::hash adaptor so Hash128 can key unordered containers directly.
+/// Every key is a multiply-fold digest (MultisetHash::digest, mixedWith,
+/// hash128) whose words are already uniform, so the low word serves as the
+/// bucket hash as it stands.
 struct Hash128Hasher {
   [[nodiscard]] std::size_t operator()(Hash128 h) const noexcept {
-    return static_cast<std::size_t>(h.lo ^ mix64(h.hi));
+    return static_cast<std::size_t>(h.lo);
   }
 };
 

@@ -45,7 +45,14 @@ class ThreadSet {
     return (bits_ & bitFor(tid)) != 0;
   }
   [[nodiscard]] constexpr bool empty() const noexcept { return bits_ == 0; }
-  [[nodiscard]] constexpr int size() const noexcept { return std::popcount(bits_); }
+  /// A branch-free bit count: std::popcount compiles to a libgcc call
+  /// where the target has no popcnt instruction (the x86-64 baseline).
+  [[nodiscard]] constexpr int size() const noexcept {
+    std::uint64_t x = bits_ - ((bits_ >> 1) & 0x5555555555555555ULL);
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return static_cast<int>((x * 0x0101010101010101ULL) >> 56);
+  }
 
   /// Smallest element; set must be non-empty.
   [[nodiscard]] constexpr int first() const noexcept {

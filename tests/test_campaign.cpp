@@ -1,25 +1,29 @@
 // Tests for the campaign layer: the shared ExplorerSpec factory, the JSON
-// writer, the work-stealing pool, determinism of the parallel campaign
+// writer, the worker pool, determinism of the parallel campaign
 // (identical per-cell counts whatever --jobs is), aggregation, and the
 // versioned report — including the HbrCache footprint stat it surfaces.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <limits>
+#include <stdexcept>
 #include <thread>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/campaign.hpp"
 #include "campaign/explorer_spec.hpp"
 #include "campaign/report.hpp"
-#include "campaign/work_stealing_pool.hpp"
 #include "core/hbr_cache.hpp"
 #include "programs/registry.hpp"
+#include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
+#include "support/worker_pool.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -167,14 +171,14 @@ TEST(JsonWriter, NonFiniteDoublesBecomeNull) {
   EXPECT_EQ(json.str(), "[\n  null,\n  null\n]");
 }
 
-// --- work-stealing pool ------------------------------------------------------
+// --- worker pool -------------------------------------------------------------
 
-TEST(WorkStealingPool, RunsEveryTaskExactlyOnce) {
-  campaign::WorkStealingPool pool(4);
+TEST(WorkerPool, RunsEveryTaskExactlyOnce) {
+  support::WorkerPool pool(4);
   EXPECT_EQ(pool.workerCount(), 4);
   constexpr std::size_t kTasks = 200;
   std::vector<std::atomic<int>> ran(kTasks);
-  std::vector<campaign::WorkStealingPool::Task> tasks;
+  std::vector<support::WorkerPool::Task> tasks;
   tasks.reserve(kTasks);
   for (std::size_t i = 0; i < kTasks; ++i) {
     tasks.push_back([&ran, i] { ran[i].fetch_add(1); });
@@ -185,12 +189,12 @@ TEST(WorkStealingPool, RunsEveryTaskExactlyOnce) {
   }
 }
 
-TEST(WorkStealingPool, ReusableAcrossBatchesAndClampsWorkers) {
-  campaign::WorkStealingPool pool(0);  // clamps to 1
+TEST(WorkerPool, ReusableAcrossBatchesAndClampsWorkers) {
+  support::WorkerPool pool(0);  // clamps to 1
   EXPECT_EQ(pool.workerCount(), 1);
   std::atomic<int> counter{0};
   for (int batch = 0; batch < 3; ++batch) {
-    std::vector<campaign::WorkStealingPool::Task> tasks;
+    std::vector<support::WorkerPool::Task> tasks;
     for (int i = 0; i < 10; ++i) {
       tasks.push_back([&counter] { counter.fetch_add(1); });
     }
@@ -201,14 +205,14 @@ TEST(WorkStealingPool, ReusableAcrossBatchesAndClampsWorkers) {
   EXPECT_EQ(counter.load(), 30);
 }
 
-TEST(WorkStealingPool, BackToBackBatchesWithManyWorkers) {
-  // Regression: run() deals the next batch into the deques while straggler
-  // workers from the previous batch may still be scanning them for steal
-  // victims — every push must take the deque mutex.
-  campaign::WorkStealingPool pool(8);
+TEST(WorkerPool, BackToBackBatchesWithManyWorkers) {
+  // Regression: run() queues the next batch while straggler workers from
+  // the previous batch may still be waking up and checking the queue —
+  // every push must take the queue mutex.
+  support::WorkerPool pool(8);
   std::atomic<int> counter{0};
   for (int batch = 0; batch < 50; ++batch) {
-    std::vector<campaign::WorkStealingPool::Task> tasks;
+    std::vector<support::WorkerPool::Task> tasks;
     for (int i = 0; i < 16; ++i) {
       tasks.push_back([&counter] { counter.fetch_add(1); });
     }
@@ -217,30 +221,12 @@ TEST(WorkStealingPool, BackToBackBatchesWithManyWorkers) {
   EXPECT_EQ(counter.load(), 50 * 16);
 }
 
-TEST(WorkStealingPool, UnevenTasksGetStolen) {
-  // Worker 0 is dealt one long task plus most of the short ones (round
-  // robin); with 4 workers something must be stolen to finish.
-  campaign::WorkStealingPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<campaign::WorkStealingPool::Task> tasks;
-  for (int i = 0; i < 64; ++i) {
-    tasks.push_back([&counter] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      counter.fetch_add(1);
-    });
-  }
-  pool.run(std::move(tasks));
-  EXPECT_EQ(counter.load(), 64);
-  // Stealing is timing-dependent; only assert the counter is sane.
-  EXPECT_LE(pool.tasksStolen(), 64u);
-}
-
-TEST(WorkStealingPool, HungryOnlyWhenAWorkerParksOnAnEmptyFrontier) {
-  // Two workers, two tasks: while both run a task they popped, the empty
-  // deques mean nothing — nobody is idle, so nobody should split work off.
+TEST(WorkerPool, HungryOnlyWhenAWorkerParksOnAnEmptyFrontier) {
+  // Two workers, two tasks: while both run a task they took, the empty
+  // queue means nothing — nobody is idle, so nobody should split work off.
   // Once one task ends and its worker parks, the survivor sees hunger; a
   // submitted task feeds the parked worker at once.
-  campaign::WorkStealingPool pool(2);
+  support::WorkerPool pool(2);
   std::atomic<int> running{0};
   std::atomic<bool> releaseSecond{false};
   std::atomic<bool> hungryWhileBothRun{true};
@@ -251,7 +237,7 @@ TEST(WorkStealingPool, HungryOnlyWhenAWorkerParksOnAnEmptyFrontier) {
     running.fetch_add(1);
     while (running.load() < 2) std::this_thread::yield();
   };
-  std::vector<campaign::WorkStealingPool::Task> tasks;
+  std::vector<support::WorkerPool::Task> tasks;
   tasks.push_back([&] {
     waitForBoth();
     hungryWhileBothRun = pool.hungry();
@@ -324,6 +310,42 @@ TEST(Campaign, PerCellCountsIdenticalAcrossJobCounts) {
   }
   EXPECT_EQ(serial.totals.schedulesExecuted, parallel.totals.schedulesExecuted);
   EXPECT_EQ(serial.totals.totalEvents, parallel.totals.totalEvents);
+}
+
+/// One cell, `explorer` on disjoint-lock-2, at `jobs` and `workers`.
+campaign::CampaignOptions oneCell(const char* explorer, int jobs, int workers) {
+  campaign::CampaignOptions options;
+  options.explorers = *campaign::parseExplorerList(explorer);
+  options.programs.push_back(programs::byName("disjoint-lock-2"));
+  options.explorer.scheduleLimit = 10;
+  options.explorer.workers = workers;
+  options.jobs = jobs;
+  return options;
+}
+
+TEST(Campaign, RefusesMoreThreadsThanTheBoundBeforeAnyPoolExists) {
+  // jobs x workers one past the bound, either factor past it alone, and
+  // auto jobs with workers past it: each is refused, and no pool is built.
+  constexpr int kBound = support::kMaxWorkerThreads;
+  const std::uint64_t pools = support::WorkerPool::poolsBuilt();
+  for (const auto& [jobs, workers] :
+       {std::pair{17, 16}, std::pair{kBound + 1, 1}, std::pair{1, kBound + 1},
+        std::pair{0, kBound + 1}}) {
+    EXPECT_THROW((void)campaign::runCampaign(oneCell("dfs", jobs, workers)),
+                 std::invalid_argument)
+        << jobs << " x " << workers;
+  }
+  EXPECT_EQ(support::WorkerPool::poolsBuilt(), pools);
+}
+
+TEST(Campaign, AutoJobsStayWithinTheThreadBound) {
+  // --jobs 0 resolves to min(hardware threads, bound / workers). A random
+  // cell never shards, so its workers start no crew.
+  const int workers = support::kMaxWorkerThreads / 2;
+  const auto result = campaign::runCampaign(oneCell("random", 0, workers));
+  const int hardware = static_cast<int>(std::thread::hardware_concurrency());
+  EXPECT_EQ(result.jobs, std::max(1, std::min(hardware, 2)));
+  EXPECT_EQ(result.cells.size(), 1u);
 }
 
 TEST(Campaign, InequalityHoldsAndTotalsAddUp) {
@@ -421,7 +443,14 @@ TEST(Report, VersionedAndStructurallySound) {
   const std::string json = campaign::writeReportJson(result);
 
   EXPECT_NE(json.find("\"schema\": \"lazyhb-bench-report\""), std::string::npos);
-  EXPECT_NE(json.find("\"version\": 11"), std::string::npos);
+  EXPECT_NE(json.find("\"version\": 12"), std::string::npos);
+  // v12: totals carries no campaign-wide tasks_stolen.
+  std::string parseError;
+  const auto parsed = support::JsonValue::parse(json, &parseError);
+  ASSERT_NE(parsed, nullptr) << parseError;
+  const support::JsonValue* totals = parsed->find("totals");
+  ASSERT_NE(totals, nullptr);
+  EXPECT_FALSE(totals->has("tasks_stolen"));
   // config.workers, config.snapshot_budget and config.memory_model are
   // required (the report readers refuse a report without them), and every
   // cell carries its value-class count.

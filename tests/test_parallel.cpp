@@ -281,9 +281,9 @@ TEST(ParallelMetadata, WorkerSharesSumToTheTotal) {
 }
 
 TEST(ParallelMetadata, StealsAndSharesArePerExploration) {
-  // Explorations lease parked pools whose steal counters keep running:
-  // every exploration reports its own steals (one per task at most, and
-  // each job is one task) and its own visits.
+  // Explorations lease parked pools, and every one reports its own
+  // handoffs (a job run by a worker other than the one that split it off;
+  // never the root job) and its own visits.
 #if defined(LAZYHB_TSAN_BUILD)
   const programs::ProgramSpec* spec = programs::byName("racy-counter-3");
 #else
@@ -299,7 +299,7 @@ TEST(ParallelMetadata, StealsAndSharesArePerExploration) {
       steals += share.tasksStolen;
       visited += share.schedulesVisited;
     }
-    EXPECT_LE(steals, result.parallel.frontierJobs) << run;
+    EXPECT_LE(steals, result.parallel.frontierJobs - 1) << run;
     EXPECT_EQ(visited, result.schedulesExecuted) << run;
   }
 }

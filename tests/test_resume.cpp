@@ -635,12 +635,12 @@ TEST(Diff, RefusesReportsOfDifferentMemoryModels) {
 TEST(Diff, RefusesOtherSchemaVersions) {
   const std::string current = fabricatedDocument(fabricatedCell(10));
   std::string older = current;
-  const std::string version = "\"version\": 11";
-  older.replace(older.find(version), version.size(), "\"version\": 10");
-  EXPECT_NE(diffRefusal(current, older).find("schema version 10"), std::string::npos);
-  EXPECT_NE(diffRefusal(older, current).find("schema version 10"), std::string::npos);
-  // merge refuses it the same way: a v10 cell may hold a prefix cut by a
-  // wall-clock timeout, which a v11 reader would load as a clean cell.
+  const std::string version = "\"version\": 12";
+  older.replace(older.find(version), version.size(), "\"version\": 11");
+  EXPECT_NE(diffRefusal(current, older).find("schema version 11"), std::string::npos);
+  EXPECT_NE(diffRefusal(older, current).find("schema version 11"), std::string::npos);
+  // merge refuses it the same way: the readers accept the current version
+  // only, whichever fields changed (v12 dropped totals.tasks_stolen).
   EXPECT_THROW((void)campaign::mergeReports({older}, {"older"}), std::runtime_error);
 }
 

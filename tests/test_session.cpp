@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -25,6 +26,7 @@
 #include "lazyhb/lazyhb.hpp"
 #include "memory/memory_model.hpp"
 #include "programs/registry.hpp"
+#include "support/worker_pool.hpp"
 
 namespace {
 
@@ -189,6 +191,31 @@ TEST(Session, UnknownStrategyThrows) {
   EXPECT_THROW((void)Session().strategy("bfs").run("disjoint-lock-2"),
                std::invalid_argument);
   EXPECT_THROW((void)Session().strategy("").run([] {}), std::invalid_argument);
+}
+
+TEST(Session, RefusesMoreWorkersThanTheThreadBound) {
+  // Refused before any pool exists: a crew of that size is never built.
+  const std::uint64_t pools = support::WorkerPool::poolsBuilt();
+  EXPECT_THROW((void)Session()
+                   .strategy("dfs")
+                   .workers(support::kMaxWorkerThreads + 1)
+                   .run("disjoint-lock-2"),
+               std::invalid_argument);
+  EXPECT_EQ(support::WorkerPool::poolsBuilt(), pools);
+}
+
+TEST(Suite, RefusesMoreThreadsThanTheBound) {
+  // workers or jobs one past the bound, or jobs x workers past it: refused
+  // before any pool exists.
+  const auto oneCell = [] {
+    return Suite().add("disjoint-lock-2").strategies({"dfs"}).schedules(10);
+  };
+  constexpr int kBound = support::kMaxWorkerThreads;
+  const std::uint64_t pools = support::WorkerPool::poolsBuilt();
+  EXPECT_THROW((void)oneCell().workers(kBound + 1).run(), std::invalid_argument);
+  EXPECT_THROW((void)oneCell().jobs(kBound + 1).run(), std::invalid_argument);
+  EXPECT_THROW((void)oneCell().jobs(17).workers(16).run(), std::invalid_argument);
+  EXPECT_EQ(support::WorkerPool::poolsBuilt(), pools);
 }
 
 TEST(Session, UnknownScenarioThrows) {

@@ -196,6 +196,34 @@ TEST(ThreadSet, FirstNAndIteration) {
   EXPECT_TRUE(ThreadSet::firstN(0).empty());
 }
 
+TEST(ThreadSet, SizeMatchesALoopCount) {
+  // Structured words (every single bit, every prefix and suffix, the
+  // alternating and byte-lane masks, the extremes) and random ones.
+  std::vector<std::uint64_t> words = {0, ~0ULL, 0x5555555555555555ULL,
+                                      0xaaaaaaaaaaaaaaaaULL, 0x3333333333333333ULL,
+                                      0x0f0f0f0f0f0f0f0fULL, 0x00ff00ff00ff00ffULL,
+                                      0x0101010101010101ULL, 0x8080808080808080ULL};
+  for (int b = 0; b < 64; ++b) {
+    words.push_back(1ULL << b);
+    words.push_back(~0ULL << b);
+    words.push_back(~0ULL >> b);
+  }
+  Rng rng(7);
+  for (int i = 0; i < 10'000; ++i) words.push_back(rng.nextU64());
+  for (const std::uint64_t word : words) {
+    ThreadSet set;
+    int count = 0;
+    for (int b = 0; b < 64; ++b) {
+      if ((word >> b) & 1) {
+        set.insert(b);
+        ++count;
+      }
+    }
+    ASSERT_EQ(set.raw(), word);
+    EXPECT_EQ(set.size(), count) << std::hex << word;
+  }
+}
+
 TEST(UndoLog, LogsFirstTouchPerEpochAndRollsBackNewestFirst) {
   UndoLog<int> log;
   std::uint64_t a = 0;
