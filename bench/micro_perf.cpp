@@ -103,6 +103,29 @@ void BM_RandomExploration1k(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomExploration1k);
 
+/// One thread storing to a Shared<int> 64 times: every pick continues the
+/// running thread, so each event is granted in place on its fiber, with no
+/// switch. Reported per event.
+void sameThreadProgram() {
+  Shared<int> x{0, "x"};
+  for (int i = 0; i < 64; ++i) x.store(i);
+}
+
+void BM_SameThreadEvents(benchmark::State& state) {
+  constexpr std::uint64_t kWalks = 1000;
+  for (auto _ : state) {
+    explore::ExplorerOptions options;
+    options.scheduleLimit = kWalks;
+    explore::RandomExplorer explorer(options, 42);
+    benchmark::DoNotOptimize(explorer.explore(sameThreadProgram));
+  }
+  // Seconds per event, printed with an SI prefix ("49n" is 49 ns).
+  state.counters["per_event"] = benchmark::Counter(
+      static_cast<double>(kWalks * 64),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SameThreadEvents);
+
 void BM_DporExplorationComplete(benchmark::State& state) {
   for (auto _ : state) {
     explore::ExplorerOptions options;

@@ -28,6 +28,24 @@ TreeScheduler::TreeScheduler(TreeSearchState& state, std::function<bool()> prune
       depth_(startDepth),
       reduction_(reduction) {}
 
+bool TreeScheduler::revisited(const runtime::Execution& exec) const {
+  const std::vector<SearchNode>& nodes = state_.nodes;
+  if (depth_ < nodes.size()) {
+    // A replayed node with children left to visit. Sleeping children
+    // count: a deeper race analysis can wake them.
+    const SearchNode& node = nodes[depth_];
+    return !node.todo.minus(node.done).minus(support::ThreadSet::single(node.chosen))
+                .empty();
+  }
+  // A new node whose `todo` will hold more than one thread.
+  return reduction_ == nullptr && exec.enabled().size() > 1;
+}
+
+bool TreeScheduler::pickCapturesNothing(const runtime::Execution& exec) const {
+  // The elision tier's stage captures only the recorder.
+  return engine_ == nullptr || !engine_->runtimeRollback() || !revisited(exec);
+}
+
 int TreeScheduler::pick(runtime::Execution& exec) {
   // The event committed by the previous pick is the deepest prefix; test it
   // against the prune hook unless it was a replay.
@@ -36,18 +54,12 @@ int TreeScheduler::pick(runtime::Execution& exec) {
       return kAbandon;
     }
   }
+  // A node the search will revisit is a future divergence point: keep it
+  // checkpointed.
+  if (engine_ != nullptr && revisited(exec)) engine_->stageCheckpoint(exec, depth_);
   std::vector<SearchNode>& nodes = state_.nodes;
   if (depth_ < nodes.size()) {
-    const SearchNode& node = nodes[depth_];
-    LAZYHB_CHECK(exec.enabled().contains(node.chosen));
-    // A replayed node with children left to visit is a future divergence
-    // point: keep it checkpointed. Sleeping children count: a deeper race
-    // analysis can wake them.
-    if (engine_ != nullptr &&
-        !node.todo.minus(node.done).minus(support::ThreadSet::single(node.chosen))
-             .empty()) {
-      engine_->stageCheckpoint(exec, depth_);
-    }
+    LAZYHB_CHECK(exec.enabled().contains(nodes[depth_].chosen));
   } else {
     SearchNode node;
     node.enabled = exec.enabled();
@@ -64,9 +76,6 @@ int TreeScheduler::pick(runtime::Execution& exec) {
     node.todo = reduction_ != nullptr ? support::ThreadSet::single(node.chosen)
                                       : node.enabled;
     nodes.push_back(node);
-    if (engine_ != nullptr && node.todo.size() > 1) {
-      engine_->stageCheckpoint(exec, depth_);
-    }
   }
   const SearchNode& node = nodes[depth_++];
   if (reduction_ != nullptr) {

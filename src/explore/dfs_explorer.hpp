@@ -110,8 +110,14 @@ class TreeScheduler final : public runtime::Scheduler {
                          TreeReduction* reduction = nullptr);
 
   int pick(runtime::Execution& exec) override;
+  /// True unless the pick stages a checkpoint on the engine's full tier.
+  [[nodiscard]] bool pickCapturesNothing(const runtime::Execution& exec) const override;
 
  private:
+  /// The search returns to the node at depth_, so its pick stages a
+  /// checkpoint there.
+  [[nodiscard]] bool revisited(const runtime::Execution& exec) const;
+
   TreeSearchState& state_;
   std::function<bool()> prunePrefix_;
   PrefixReplayEngine* engine_;

@@ -26,6 +26,10 @@ class RandomScheduler final : public runtime::Scheduler {
       : rng_(seed), rootStage_(rootStage) {}
 
   int pick(runtime::Execution& exec) override;
+  /// Every pick but the one that stages the root checkpoint.
+  [[nodiscard]] bool pickCapturesNothing(const runtime::Execution&) const override {
+    return rootStage_ == nullptr;
+  }
 
  private:
   support::Rng rng_;

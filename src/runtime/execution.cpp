@@ -59,6 +59,8 @@ void Execution::restart(const Config& config, ExecutionObserver* observer) {
   resumable_ = false;
   picking_ = false;
   pickEnabled_ = support::ThreadSet{};
+  scheduler_ = nullptr;
+  hostStep_ = kNoStep;
   ready_.clear();
   blocking_.clear();
   flushPicks_.clear();
@@ -104,8 +106,9 @@ Outcome Execution::run(const std::function<void()>& body, Scheduler& scheduler) 
     root.uid = kRootThreadUid;
     root.objectIndex = 0;
   }
+  scheduler_ = &scheduler;
   advance(0);
-  driveLoop(scheduler);
+  driveLoop();
   return finishRun();
 }
 
@@ -113,59 +116,81 @@ Outcome Execution::resume(Scheduler& scheduler) {
   LAZYHB_CHECK(ran_ && resumable_ && !done_);
   LAZYHB_CHECK(g_current == nullptr);
   g_current = this;
-  driveLoop(scheduler);
+  scheduler_ = &scheduler;
+  driveLoop();
   return finishRun();
 }
 
-void Execution::driveLoop(Scheduler& scheduler) {
+void Execution::driveLoop() {
   for (;;) {
-    if (violation_.kind != Outcome::Terminal) {
+    // A fiber that yielded from its own scheduling point left the step it
+    // decided; a thread that finished, parked or failed, and resume(),
+    // leave kNoStep.
+    int step = std::exchange(hostStep_, kNoStep);
+    if (step == kNoStep || step == kHostPicks) {
+      step = schedulingPoint(/*onFiber=*/false, step == kHostPicks);
+    }
+    if (step >= 0) {
+      advance(step);
+      continue;
+    }
+    if (step == Scheduler::kAbandon) {
+      outcome_ = Outcome::Abandoned;
+    } else if (violation_.kind != Outcome::Terminal) {
       outcome_ = violation_.kind;
-      break;
-    }
-    if (events_.size() >= config_.maxEventsPerSchedule) {
+    } else if (events_.size() >= config_.maxEventsPerSchedule) {
       outcome_ = Outcome::EventLimit;
-      break;
-    }
-    pickEnabled_ = buildEnabled();
-    if (pickEnabled_.empty()) {
-      if (allFinished()) {
-        outcome_ = Outcome::Terminal;
-      } else {
-        outcome_ = Outcome::Deadlock;
-        recordViolation(Outcome::Deadlock, "deadlock; blocked threads:");
-        for (int tid = 0; tid < threadCount(); ++tid) {
-          if (threads_[static_cast<std::size_t>(tid)].status != ThreadStatus::Finished) {
-            violation_.message += ' ';
-            violation_.message += std::to_string(tid);
-          }
+    } else if (allFinished()) {
+      outcome_ = Outcome::Terminal;  // no enabled pick, nothing left to run
+    } else {
+      outcome_ = Outcome::Deadlock;
+      recordViolation(Outcome::Deadlock, "deadlock; blocked threads:");
+      for (int tid = 0; tid < threadCount(); ++tid) {
+        if (threads_[static_cast<std::size_t>(tid)].status != ThreadStatus::Finished) {
+          violation_.message += ' ';
+          violation_.message += std::to_string(tid);
         }
       }
-      break;
+    }
+    return;
+  }
+}
+
+int Execution::schedulingPoint(bool onFiber, bool enabledBuilt) {
+  for (;; enabledBuilt = false) {
+    if (!enabledBuilt) {
+      if (violation_.kind != Outcome::Terminal ||
+          events_.size() >= config_.maxEventsPerSchedule) {
+        return kRunEnds;
+      }
+      pickEnabled_ = buildEnabled();
+      if (pickEnabled_.empty()) return kRunEnds;
     }
     picking_ = true;
-    const int pick = scheduler.pick(*this);
-    picking_ = false;
-    if (pick == Scheduler::kAbandon) {
-      outcome_ = Outcome::Abandoned;
-      break;
+    if (onFiber && !scheduler_->pickCapturesNothing(*this)) {
+      picking_ = false;
+      return kHostPicks;
     }
+    const int pick = scheduler_->pick(*this);
+    picking_ = false;
+    if (pick == Scheduler::kAbandon) return pick;
     LAZYHB_CHECK(pickEnabled_.contains(pick));
     choices_.push_back(pick);
-    if (tso_ && memory::isFlushPick(pick)) {
-      // A flush pick commits an event without resuming any fiber: the
-      // oldest buffered store of the designated thread lands in memory.
-      commitFlush(memory::flushPickOwner(pick));
-    } else {
+    if (!tso_ || !memory::isFlushPick(pick)) {
       // The grant: the thread leaves the ready set until it publishes again.
       ready_.erase(pick);
       blocking_.erase(pick);
-      advance(pick);
+      return pick;
     }
+    // A flush pick commits an event without resuming any fiber: the oldest
+    // buffered store of the designated thread lands in memory, and the
+    // scheduling point repeats.
+    commitFlush(memory::flushPickOwner(pick));
   }
 }
 
 Outcome Execution::finishRun() {
+  scheduler_ = nullptr;
   endObjectCount_ = objects_.size();
   done_ = true;
   // Resumable executions stay restorable: teardown is deferred until the
@@ -334,6 +359,7 @@ void Execution::restore(const Snapshot& s) {
 
   events_.resize(s.depth);
   choices_.resize(s.depth);
+  hostStep_ = kNoStep;
   done_ = false;
   outcome_ = Outcome::Terminal;
   clearViolation();
@@ -420,13 +446,30 @@ void Execution::publishAndPark(OpKind kind, std::int32_t object,
   LAZYHB_CHECK(me.status == ThreadStatus::Pending && !me.pendingOp.valid);
   me.pendingOp = PendingOp{true, kind, object, mutexObject, targetThread, aux};
   markReady(currentThread_);
-  me.fiber->yieldToHost();
+  // This publish is a scheduling point: run it here, on this fiber, when
+  // the scheduler allows.
+  if (scheduler_ != nullptr && grantedOnFiber()) return;
+  threads_[static_cast<std::size_t>(currentThread_)].fiber->yieldToHost();
   // Woken. Either the scheduler granted the operation, or the execution is
   // being torn down (in which case the operation is a no-op for the caller).
   threads_[static_cast<std::size_t>(currentThread_)].pendingOp.valid = false;
   if (abandoning_) {
     consumeTeardownFuel();
   }
+}
+
+bool Execution::grantedOnFiber() {
+  const int step = schedulingPoint(/*onFiber=*/true, false);
+  if (step != currentThread_) {
+    hostStep_ = step;
+    return false;
+  }
+  // Granted in place. The stack moves on as if resumed, so its image
+  // version moves too.
+  ThreadRec& me = threads_[static_cast<std::size_t>(currentThread_)];
+  ++me.advanceCount;
+  me.pendingOp.valid = false;
+  return true;
 }
 
 void Execution::consumeTeardownFuel() {
@@ -967,7 +1010,11 @@ int Execution::spawnThread(std::function<void()> fn) {
   // "unspecified but valid", and later snapshots copy the slot.
   threads_[static_cast<std::size_t>(currentThread_)].pendingSpawnFn = nullptr;
 
+  // The child runs to its first publish inside this commit. That publish is
+  // no scheduling point: the child parks and hands control back here.
+  Scheduler* const scheduler = std::exchange(scheduler_, nullptr);
   advance(childIndex);
+  scheduler_ = scheduler;
   return childIndex;
 }
 

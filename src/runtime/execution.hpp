@@ -4,10 +4,19 @@
 //
 // The engine runs every logical thread on a fiber and multiplexes them on
 // the calling OS thread. A thread runs until it reaches its next *visible
-// operation* (see operation.hpp), publishes the operation descriptor, and
-// yields; the host loop then asks the Scheduler which enabled thread may
+// operation* (see operation.hpp) and publishes the operation descriptor;
+// at that scheduling point the Scheduler picks which enabled thread may
 // commit its pending operation. One pick == one committed event, so the
 // sequence of picks is a complete, replayable encoding of the schedule.
+//
+// Who runs a scheduling point. The publishing thread's own fiber runs it
+// when the scheduler declares that the pick stages no checkpoint
+// (Scheduler::pickCapturesNothing): a pick of that same thread is granted
+// in place, with no fiber switch; a pick of another thread, or the end of
+// the run, is handed to the host loop already decided. Every other
+// scheduling point (a pick that may capture a snapshot, a thread that
+// finished, parked or failed) runs on the host loop. Both callers share
+// one function, so the picks and the events are the same either way.
 //
 // This structure gives explorers exactly what dynamic partial-order
 // reduction needs: at every scheduling point, the pending operation of every
@@ -79,6 +88,18 @@ class Scheduler {
   /// Called at every scheduling point. Must return a member of
   /// exec.enabled(), or kAbandon to abandon the execution.
   virtual int pick(Execution& exec) = 0;
+
+  /// Asked at a scheduling point reached on the fiber of the thread that
+  /// just published, before pick(). Returning true declares that the next
+  /// pick stages no execution checkpoint (it does not call
+  /// Execution::capture, which needs every fiber suspended): the pick then
+  /// runs on that fiber, and when it names the publishing thread the grant
+  /// costs no fiber switch. The default, false, keeps every pick on the
+  /// host.
+  [[nodiscard]] virtual bool pickCapturesNothing(const Execution& exec) const {
+    (void)exec;
+    return false;
+  }
 };
 
 /// Passive listener for execution lifecycle and events (the trace module's
@@ -185,7 +206,8 @@ class Execution {
   class Snapshot;
 
   /// Capture the current scheduling point into `s`, reusing its storage
-  /// (only callable from Scheduler::pick, when every fiber is suspended).
+  /// (only callable from a Scheduler::pick that runs on the host, when
+  /// every fiber is suspended; a pick on a fiber aborts here).
   /// Returns the snapshot's approximate resident bytes: dominated by the
   /// fiber stack images, which adjacent snapshots share — each referenced
   /// image counts in full, an upper bound.
@@ -210,8 +232,8 @@ class Execution {
   /// finish, park or block with stores still buffered, and those stores
   /// must still be able to drain. Built from the maintained sets (see
   /// ready_), re-checking only the threads whose operation can block;
-  /// while Scheduler::pick runs it is the set the host loop built for the
-  /// scheduling point.
+  /// while Scheduler::pick runs it is the set built for the scheduling
+  /// point.
   [[nodiscard]] support::ThreadSet enabled() const {
     return picking_ ? pickEnabled_ : buildEnabled();
   }
@@ -380,7 +402,8 @@ class Execution {
     std::int32_t joinPredecessor = -1;    ///< staged just before a Join event
     std::int32_t lastEventIndex = -1;
     std::int32_t objectIndex = -1;        ///< this thread's own Thread object
-    /// Times this thread's fiber has been resumed. The stack is a pure
+    /// Times this thread has been advanced: resumed by the host (or its
+    /// spawner), or granted in place on its own fiber. The stack is a pure
     /// function of (shared prefix, advanceCount), which makes this the
     /// version tag for snapshot image sharing.
     std::uint32_t advanceCount = 0;
@@ -462,16 +485,44 @@ class Execution {
   /// (deferred teardown; destructor and restart()).
   void finishDeferredTeardown();
 
-  /// The scheduling loop shared by run() and resume().
-  void driveLoop(Scheduler& scheduler);
+  /// Steps a scheduling point returns besides a thread to grant (and
+  /// Scheduler::kAbandon).
+  static constexpr int kRunEnds = -2;   ///< a violation, the event limit or no enabled pick
+  static constexpr int kHostPicks = -3; ///< on a fiber: the scheduler declined; pickEnabled_ is built
+  static constexpr int kNoStep = -4;    ///< no scheduling point ran on a fiber
+
+  /// The host loop shared by run() and resume(): runs the scheduling
+  /// points no fiber ran or finished, grants picks, ends the run.
+  void driveLoop();
+
+  /// One scheduling point under scheduler_, run by the host loop and by
+  /// publishAndPark: the end-of-run checks, the enabled set, the pick, and
+  /// TSO flush commits (a flush pick commits here and the point repeats).
+  /// Returns the thread to grant (already out of the ready set),
+  /// Scheduler::kAbandon or kRunEnds. `onFiber`: ask the scheduler first
+  /// whether its pick may run on the publishing fiber, and return
+  /// kHostPicks when it may not. `enabledBuilt`: a fiber returned
+  /// kHostPicks; resume at the pick. Inlined into both callers (defined in
+  /// execution.cpp, their only TU), so the host loop pays no call for it.
+  [[gnu::always_inline]] inline int schedulingPoint(bool onFiber, bool enabledBuilt);
 
   /// Common tail of run()/resume(): end-state bound, teardown (unless
   /// resumable), observer notification.
   Outcome finishRun();
 
-  /// Yield the current fiber until the scheduler grants its pending op.
+  /// Publish the current thread's next operation and return once it is
+  /// granted: at once when the scheduling point this publish reaches runs
+  /// on the thread's fiber and picks the thread itself, else after
+  /// yielding to the host until a later grant.
   void publishAndPark(OpKind kind, std::int32_t object, std::int32_t mutexObject,
                       int targetThread, std::uint64_t aux);
+
+  /// publishAndPark's scheduling point, run on the publishing fiber: true
+  /// when it granted the publishing thread in place; otherwise it leaves
+  /// its step in hostStep_ for the host loop. Kept out of line, so the
+  /// frame a parked thread suspends in (and every fiber image captured
+  /// there) does not grow.
+  [[gnu::noinline]] bool grantedOnFiber();
 
   /// True when an operation of `kind` can be disabled at a scheduling
   /// point (isEnabled may return false for it): blocking acquires and
@@ -582,9 +633,17 @@ class Execution {
   bool done_ = false;
   bool abandoning_ = false;
   bool resumable_ = false;
-  /// Scheduler::pick is running: enabled() returns pickEnabled_.
+  /// Scheduler::pick (or its pickCapturesNothing hook) is running:
+  /// enabled() returns pickEnabled_.
   bool picking_ = false;
   support::ThreadSet pickEnabled_;
+  /// The scheduler of the run in flight; null outside run()/resume() and
+  /// inside a spawn commit, whose child's first publish is no scheduling
+  /// point.
+  Scheduler* scheduler_ = nullptr;
+  /// What a scheduling point run on a fiber left for the host loop: a
+  /// thread to grant, kAbandon, kRunEnds, kHostPicks, or kNoStep.
+  int hostStep_ = kNoStep;
   /// The enabled set, kept up to date instead of scanned for at every
   /// pick: threads with a published, ungranted operation (entered by
   /// publishAndPark and a condvar wake-up, left at the grant); the subset

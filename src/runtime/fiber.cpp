@@ -9,6 +9,10 @@
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/common_interface_defs.h>
 #endif
+#if defined(__SANITIZE_THREAD__) || LAZYHB_HAS_FEATURE(thread_sanitizer)
+#define LAZYHB_TSAN_FIBERS 1
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace lazyhb::runtime {
 
@@ -41,6 +45,17 @@ void StackPool::release(std::unique_ptr<char[]> stack) {
 #else
 #define LAZYHB_ASAN_START(saveSlot, bottom, size) ((void)0)
 #define LAZYHB_ASAN_FINISH(save, bottomOut, sizeOut) ((void)0)
+#endif
+
+// ThreadSanitizer keeps one shadow call stack per fiber it is told about;
+// untold, it grows the OS thread's across switches until libtsan traps.
+// Each Fiber owns a TSan fiber, and every switch names the context it
+// enters: resume() the fiber's, yieldToHost() and the final switch the
+// caller's (the host, or the spawning fiber).
+#if defined(LAZYHB_TSAN_FIBERS)
+#define LAZYHB_TSAN_SWITCH(fiber) __tsan_switch_to_fiber((fiber), 0)
+#else
+#define LAZYHB_TSAN_SWITCH(fiber) ((void)0)
 #endif
 
 #if defined(LAZYHB_FAST_FIBER)
@@ -236,6 +251,12 @@ void Fiber::armEntry() {
   makecontext(&fiberContext_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
               static_cast<unsigned>(self >> 32),
               static_cast<unsigned>(self & 0xffffffffu));
+#if defined(LAZYHB_TSAN_FIBERS)
+  // A finished run never returns through its trampoline, so its TSan fiber
+  // still holds the frames it ended in: start from a new one.
+  if (tsanFiber_ != nullptr) __tsan_destroy_fiber(tsanFiber_);
+  tsanFiber_ = __tsan_create_fiber(0);
+#endif
 }
 
 void Fiber::trampoline(unsigned hi, unsigned lo) {
@@ -259,6 +280,7 @@ void Fiber::run() {
   // Dying fiber: null save slot tells the sanitizer to destroy its fake
   // stack rather than expect a return.
   LAZYHB_ASAN_START(nullptr, hostStackBottom_, hostStackSize_);
+  LAZYHB_TSAN_SWITCH(tsanCaller_);
   LAZYHB_CHECK(swapcontext(&fiberContext_, &hostContext_) == 0);
   LAZYHB_UNREACHABLE("resumed a finished fiber");
 }
@@ -267,12 +289,17 @@ void Fiber::resume() {
   LAZYHB_CHECK(!finished_);
   started_ = true;
   LAZYHB_ASAN_START(&hostFakeStack_, stack_.get(), pool_.stackBytes());
+#if defined(LAZYHB_TSAN_FIBERS)
+  tsanCaller_ = __tsan_get_current_fiber();
+#endif
+  LAZYHB_TSAN_SWITCH(tsanFiber_);
   LAZYHB_CHECK(swapcontext(&hostContext_, &fiberContext_) == 0);
   LAZYHB_ASAN_FINISH(hostFakeStack_, nullptr, nullptr);
 }
 
 void Fiber::yieldToHost() {
   LAZYHB_ASAN_START(&fiberFakeStack_, hostStackBottom_, hostStackSize_);
+  LAZYHB_TSAN_SWITCH(tsanCaller_);
   LAZYHB_CHECK(swapcontext(&fiberContext_, &hostContext_) == 0);
   LAZYHB_ASAN_FINISH(fiberFakeStack_, nullptr, nullptr);
 }
@@ -293,6 +320,9 @@ Fiber::~Fiber() {
   // An unfinished fiber being destroyed would leak whatever RAII state its
   // stack holds; the engine always abandons fibers before destruction.
   LAZYHB_CHECK(finished_ || !started_);
+#if defined(LAZYHB_TSAN_FIBERS)
+  if (tsanFiber_ != nullptr) __tsan_destroy_fiber(tsanFiber_);
+#endif
   pool_.release(std::move(stack_));
 }
 
@@ -338,5 +368,6 @@ void Fiber::restoreFrom(const FiberImage&) {
 
 #undef LAZYHB_ASAN_START
 #undef LAZYHB_ASAN_FINISH
+#undef LAZYHB_TSAN_SWITCH
 
 }  // namespace lazyhb::runtime

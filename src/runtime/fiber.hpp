@@ -2,14 +2,16 @@
 //
 // Stackful cooperative fibers.
 //
-// Each logical thread of a program under test runs on a fiber; the scheduler
-// runs on the host context. On x86-64 and aarch64 the switch is a
-// hand-rolled swap of the callee-saved register file (~10 ns, no kernel
-// involvement); elsewhere it falls back to POSIX ucontext, whose swapcontext
-// carries a rt_sigprocmask syscall per switch (~25% of campaign wall time
-// when it is the switch primitive — see docs/performance.md). Either way the
-// whole engine stays on one OS thread, so there is no data race in the
-// engine itself.
+// Each logical thread of a program under test runs on a fiber; the host
+// loop runs on the host context (execution.hpp says which scheduling points
+// run on a fiber instead). On x86-64 and aarch64 the switch is a
+// hand-rolled swap of the callee-saved register file with no kernel
+// involvement: a round trip, resume plus yield, takes 27–38 ns
+// (BM_FiberRoundTrip, bench/micro_perf.cpp). Elsewhere it falls back to
+// POSIX ucontext, whose swapcontext carries a rt_sigprocmask syscall per
+// switch (~25% of campaign wall time when it is the switch primitive — see
+// docs/performance.md). Either way the whole engine stays on one OS
+// thread, so there is no data race in the engine itself.
 //
 // Fast-fiber builds additionally support *snapshotting*: while a fiber is
 // suspended (or finished), the used portion of its stack plus its saved
@@ -181,11 +183,15 @@ class Fiber {
 #endif
   bool started_ = false;
   bool finished_ = false;
-  // Sanitizer fiber-switch bookkeeping (unused in plain builds).
+  // Sanitizer fiber-switch bookkeeping (unused in plain builds): ASan's
+  // fake stacks and stack bounds, and under TSan this fiber's TSan context
+  // and the one that last resumed it (the ucontext backend).
   void* hostFakeStack_ = nullptr;
   void* fiberFakeStack_ = nullptr;
   const void* hostStackBottom_ = nullptr;
   std::size_t hostStackSize_ = 0;
+  void* tsanFiber_ = nullptr;
+  void* tsanCaller_ = nullptr;
 };
 
 }  // namespace lazyhb::runtime

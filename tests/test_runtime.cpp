@@ -5,10 +5,12 @@
 // and enabled-set correctness around blocking operations — including, at
 // every pick of random walks and tree searches over the whole corpus under
 // SC and TSO, the maintained enabled set against one recomputed from the
-// public accessors.
+// public accessors, and every schedule of those loops with its picks run
+// on the publishing fibers against the same schedule picked on the host.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -558,6 +560,10 @@ class EnabledSetOracle final : public runtime::Scheduler {
     }
     return inner_.pick(exec);
   }
+  /// Forwarded, so picks that run on a fiber are checked too.
+  bool pickCapturesNothing(const Execution& exec) const override {
+    return inner_.pickCapturesNothing(exec);
+  }
 
   [[nodiscard]] std::uint64_t picks() const { return picks_; }
   [[nodiscard]] std::uint64_t mismatches() const { return mismatches_; }
@@ -601,13 +607,15 @@ class EnabledSetOracle final : public runtime::Scheduler {
   std::string firstMismatch_;
 };
 
-// Under ThreadSanitizer the fibers run on the ucontext backend, and libtsan
-// traps (a CHECK in its stack depot: a shadow call stack of 65,536 frames)
-// once this process has switched fibers often enough: the corpus oracle
-// below passes at 3 walks and a 40-schedule dfs per program and traps at 4
-// and 60. The TSan leg therefore runs it at 2 walks and a 20-schedule dfs
-// per program — still every corpus program and both loops on the ucontext
-// backend — and every other build at the full sizes.
+// Under ThreadSanitizer the fibers run on the ucontext backend, where
+// fiber.cpp names every switch to libtsan (__tsan_switch_to_fiber). Without
+// those annotations libtsan traps (a CHECK in its stack depot: a shadow
+// call stack of 65,536 frames) once this process has switched fibers often
+// enough, at 4 walks and a 60-schedule dfs per program. With them the TSan
+// leg runs the corpus loops below at 8 walks and a 200-schedule dfs per
+// program (still every corpus program and both loops on the ucontext
+// backend, about two minutes there), and every other build at the full
+// sizes.
 #if defined(__SANITIZE_THREAD__)
 #define LAZYHB_TSAN_BUILD 1
 #elif defined(__has_feature)
@@ -616,66 +624,102 @@ class EnabledSetOracle final : public runtime::Scheduler {
 #endif
 #endif
 #if defined(LAZYHB_TSAN_BUILD)
-constexpr std::uint64_t kOracleWalks = 2;
-constexpr int kOracleDfsSchedules = 20;
+constexpr std::uint64_t kOracleWalks = 8;
+constexpr int kOracleDfsSchedules = 200;
 #else
 constexpr std::uint64_t kOracleWalks = 50;
 constexpr int kOracleDfsSchedules = 2000;
 #endif
 
-/// Every corpus program under `model`: kOracleWalks random walks
-/// (RandomExplorer's loop, rolled back to the root checkpoint on
-/// checkpointable programs) and a dfs of kOracleDfsSchedules schedules (the
-/// tree search's loop, with its checkpoint stages and rollbacks), each on
-/// its own engine as an exploration builds it, every pick checked by
-/// EnabledSetOracle.
-void expectEnabledSetMatchesOnCorpus(memory::MemoryModel model) {
+/// What one schedule of a corpus loop showed: its choices, how it ended,
+/// its events, its Full/Lazy/Value fingerprints and its state.
+struct ScheduleRecord {
+  std::vector<int> choices;
+  Outcome outcome = Outcome::Terminal;
+  std::size_t events = 0;
+  support::Hash128 full;
+  support::Hash128 lazy;
+  support::Hash128 value;
+  support::Hash128 state;
+  bool operator==(const ScheduleRecord&) const = default;
+};
+
+/// Runs one schedule under a decorator of `inner`: builds the decorator,
+/// calls `execute` with it, then checks what it saw.
+using Decorate = std::function<void(
+    runtime::Scheduler& inner, const std::function<void(runtime::Scheduler&)>& execute)>;
+
+/// `spec` under `model` through one loop, on its own engine as an
+/// exploration builds it: kOracleWalks random walks (RandomExplorer's loop,
+/// rolled back to the root checkpoint on checkpointable programs) when
+/// `walks`, else a dfs of kOracleDfsSchedules schedules (the tree search's
+/// loop, with its checkpoint stages and rollbacks). Every schedule runs
+/// under `decorate`.
+std::vector<ScheduleRecord> runCorpusLoop(const programs::ProgramSpec& spec,
+                                          memory::MemoryModel model, bool walks,
+                                          const Decorate& decorate) {
   runtime::Config config;
   config.maxEventsPerSchedule = explore::ExplorerOptions{}.maxEventsPerSchedule;
   config.memoryModel = model;
+  trace::TraceRecorder recorder;
+  StackPool pool;
+  explore::PrefixReplayEngine engine(
+      pool, recorder, /*incremental=*/true,
+      spec.checkpointable && Execution::checkpointingSupported(),
+      explore::defaultSnapshotBudgetBytes());
+  std::vector<ScheduleRecord> records;
+  const auto runOne = [&](runtime::Scheduler& inner) {
+    decorate(inner, [&](runtime::Scheduler& scheduler) {
+      const explore::PrefixReplayEngine::Session session =
+          engine.beginSchedule(config, &recorder);
+      Execution& exec = *session.exec;
+      ScheduleRecord& record = records.emplace_back();
+      record.outcome = session.resumed ? exec.resume(scheduler)
+                                       : exec.run(spec.body, scheduler);
+      record.choices = exec.choices();
+      record.events = exec.events().size();
+      record.full = recorder.fingerprint(trace::Relation::Full);
+      record.lazy = recorder.fingerprint(trace::Relation::Lazy);
+      record.value = recorder.fingerprint(trace::Relation::Value);
+      record.state = exec.stateFingerprint();
+    });
+  };
+  if (walks) {
+    explore::PrefixReplayEngine* root = engine.runtimeRollback() ? &engine : nullptr;
+    for (std::uint64_t k = 0; k < kOracleWalks; ++k) {
+      if (root != nullptr && k > 0) (void)root->prepareNext(0);
+      explore::RandomScheduler walk(support::mix64(7 + k), root);
+      runOne(walk);
+    }
+  } else {
+    explore::TreeSearchState state;
+    std::size_t startDepth = 0;
+    for (int schedule = 0; schedule < kOracleDfsSchedules; ++schedule) {
+      explore::TreeScheduler tree(state, {}, &engine, startDepth);
+      runOne(tree);
+      if (!state.advance()) break;
+      startDepth = engine.prepareNext(state.checkFromDepth);
+    }
+  }
+  return records;
+}
+
+/// Every corpus program under `model`, through both loops of
+/// runCorpusLoop, every pick checked by EnabledSetOracle.
+void expectEnabledSetMatchesOnCorpus(memory::MemoryModel model) {
   for (const programs::ProgramSpec& spec : programs::all()) {
     SCOPED_TRACE(spec.name);
-    // Runs `loop(engine, runOne)` on a fresh engine; runOne executes one
-    // schedule under the oracle.
-    const auto exploration = [&](const auto& loop) {
-      trace::TraceRecorder recorder;
-      StackPool pool;
-      explore::PrefixReplayEngine engine(
-          pool, recorder, /*incremental=*/true,
-          spec.checkpointable && Execution::checkpointingSupported(),
-          explore::defaultSnapshotBudgetBytes());
+    for (const bool walks : {true, false}) {
       std::uint64_t picks = 0;
-      const auto runOne = [&](runtime::Scheduler& inner) {
-        EnabledSetOracle oracle(inner);
-        const explore::PrefixReplayEngine::Session session =
-            engine.beginSchedule(config, &recorder);
-        (void)(session.resumed ? session.exec->resume(oracle)
-                               : session.exec->run(spec.body, oracle));
-        EXPECT_EQ(oracle.mismatches(), 0u) << oracle.firstMismatch();
-        picks += oracle.picks();
-      };
-      loop(engine, runOne);
+      (void)runCorpusLoop(spec, model, walks,
+                          [&](runtime::Scheduler& inner, const auto& execute) {
+                            EnabledSetOracle oracle(inner);
+                            execute(oracle);
+                            EXPECT_EQ(oracle.mismatches(), 0u) << oracle.firstMismatch();
+                            picks += oracle.picks();
+                          });
       EXPECT_GT(picks, 0u);
-    };
-
-    exploration([](explore::PrefixReplayEngine& engine, const auto& runOne) {
-      explore::PrefixReplayEngine* root = engine.runtimeRollback() ? &engine : nullptr;
-      for (std::uint64_t k = 0; k < kOracleWalks; ++k) {
-        if (root != nullptr && k > 0) (void)root->prepareNext(0);
-        explore::RandomScheduler walk(support::mix64(7 + k), root);
-        runOne(walk);
-      }
-    });
-    exploration([](explore::PrefixReplayEngine& engine, const auto& runOne) {
-      explore::TreeSearchState state;
-      std::size_t startDepth = 0;
-      for (int schedule = 0; schedule < kOracleDfsSchedules; ++schedule) {
-        explore::TreeScheduler tree(state, {}, &engine, startDepth);
-        runOne(tree);
-        if (!state.advance()) break;
-        startDepth = engine.prepareNext(state.checkFromDepth);
-      }
-    });
+    }
   }
 }
 
@@ -686,6 +730,148 @@ TEST(Runtime, MaintainedEnabledSetMatchesRecomputedSc) {
 TEST(Runtime, MaintainedEnabledSetMatchesRecomputedTso) {
   expectEnabledSetMatchesOnCorpus(memory::MemoryModel::Tso);
 }
+
+/// Forwards every pick and the in-fiber hook, counting the picks the hook
+/// lets run on the publishing fiber.
+class FiberPicksCounted final : public runtime::Scheduler {
+ public:
+  explicit FiberPicksCounted(runtime::Scheduler& inner) : inner_(inner) {}
+  int pick(Execution& exec) override { return inner_.pick(exec); }
+  bool pickCapturesNothing(const Execution& exec) const override {
+    const bool onFiber = inner_.pickCapturesNothing(exec);
+    fiberPicks_ += onFiber ? 1 : 0;
+    return onFiber;
+  }
+  [[nodiscard]] std::uint64_t fiberPicks() const { return fiberPicks_; }
+
+ private:
+  runtime::Scheduler& inner_;
+  mutable std::uint64_t fiberPicks_ = 0;
+};
+
+/// Forwards every pick but keeps the hook's default: every scheduling
+/// point runs on the host loop.
+class HostPicks final : public runtime::Scheduler {
+ public:
+  explicit HostPicks(runtime::Scheduler& inner) : inner_(inner) {}
+  int pick(Execution& exec) override { return inner_.pick(exec); }
+
+ private:
+  runtime::Scheduler& inner_;
+};
+
+/// Every corpus program under `model`, through both loops of
+/// runCorpusLoop, twice: with the schedulers' own in-fiber picks, and with
+/// every pick on the host. Each schedule must be the same in both runs.
+void expectInFiberPicksMatchHostPicks(memory::MemoryModel model) {
+  std::uint64_t fiberPicks = 0;
+  for (const programs::ProgramSpec& spec : programs::all()) {
+    SCOPED_TRACE(spec.name);
+    for (const bool walks : {true, false}) {
+      SCOPED_TRACE(walks ? "random walks" : "dfs");
+      const std::vector<ScheduleRecord> inFiber = runCorpusLoop(
+          spec, model, walks, [&](runtime::Scheduler& inner, const auto& execute) {
+            FiberPicksCounted counted(inner);
+            execute(counted);
+            fiberPicks += counted.fiberPicks();
+          });
+      const std::vector<ScheduleRecord> onHost = runCorpusLoop(
+          spec, model, walks, [](runtime::Scheduler& inner, const auto& execute) {
+            HostPicks host(inner);
+            execute(host);
+          });
+      ASSERT_EQ(inFiber.size(), onHost.size());
+      for (std::size_t i = 0; i < inFiber.size(); ++i) {
+        ASSERT_TRUE(inFiber[i] == onHost[i]) << "schedule " << i;
+      }
+    }
+  }
+  EXPECT_GT(fiberPicks, 0u);
+}
+
+TEST(Runtime, InFiberPicksMatchHostPicksSc) {
+  expectInFiberPicksMatchHostPicks(memory::MemoryModel::Sc);
+}
+
+TEST(Runtime, InFiberPicksMatchHostPicksTso) {
+  expectInFiberPicksMatchHostPicks(memory::MemoryModel::Tso);
+}
+
+/// Picks the lowest enabled thread, always on the publishing fiber.
+class FirstEnabledOnFiber final : public runtime::Scheduler {
+ public:
+  int pick(Execution& exec) override {
+    ++picks_;
+    return exec.enabled().first();
+  }
+  bool pickCapturesNothing(const Execution&) const override { return true; }
+  [[nodiscard]] std::size_t picks() const { return picks_; }
+
+ private:
+  std::size_t picks_ = 0;
+};
+
+TEST(Runtime, SpawnedChildsFirstPublishIsNoSchedulingPoint) {
+  // A child publishes its first operation inside the parent's spawn
+  // commit, and parks there. Were that publish a scheduling point, t2's
+  // would pick t1 (the lowest enabled thread, blocked on m at its own
+  // first publish and enabled since) and hand that grant to main instead
+  // of the host: t1 would be picked but never run, one pick more than the
+  // events committed, and main's join would deadlock.
+  FirstEnabledOnFiber sched;
+  StackPool pool;
+  Execution exec(Config{}, pool, nullptr);
+  const Outcome outcome = exec.run(
+      [] {
+        Mutex m("m");
+        Shared<int> x{0, "x"};
+        m.lock();
+        auto t1 = spawn([&] {
+          m.lock();
+          x.store(1);
+          m.unlock();
+        });
+        m.unlock();
+        auto t2 = spawn([&] { x.store(2); });
+        x.store(3);
+        t1.join();
+        t2.join();
+      },
+      sched);
+  EXPECT_EQ(outcome, Outcome::Terminal);
+  EXPECT_EQ(sched.picks(), exec.events().size());
+  EXPECT_EQ(exec.choices().size(), exec.events().size());
+}
+
+#if GTEST_HAS_DEATH_TEST
+/// Declares that its pick captures nothing, then captures anyway.
+class CapturesOnFiber final : public runtime::Scheduler {
+ public:
+  int pick(Execution& exec) override {
+    (void)exec.capture(snapshot_);
+    return exec.enabled().first();
+  }
+  bool pickCapturesNothing(const Execution&) const override { return true; }
+
+ private:
+  Execution::Snapshot snapshot_;
+};
+
+void runCapturingOnFiber() {
+  CapturesOnFiber sched;
+  StackPool pool;
+  Execution exec(Config{}, pool, nullptr);
+  exec.enableResumable();
+  (void)exec.run([] { Shared<int> x{0, "x"}; x.store(1); }, sched);
+}
+
+TEST(RuntimeDeathTest, CaptureFromAnInFiberPickAborts) {
+  // The wrong opt-in runs the capture on a fiber, while that thread's
+  // stack is live: capture() aborts instead of saving a torn snapshot.
+  if (!Execution::checkpointingSupported()) GTEST_SKIP() << "no snapshots in this build";
+  EXPECT_DEATH(runCapturingOnFiber(), "invariant violated");
+}
+#endif
 
 TEST(Runtime, ViolationSchedulesReplayExactly) {
   auto body = [] {
