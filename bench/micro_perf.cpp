@@ -14,6 +14,7 @@
 #include "explore/dpor_explorer.hpp"
 #include "explore/random_explorer.hpp"
 #include "explore/replay.hpp"
+#include "lazyhb/lazyhb.hpp"
 #include "memory/memory_model.hpp"
 #include "runtime/api.hpp"
 #include "runtime/fiber.hpp"
@@ -135,6 +136,22 @@ void BM_DporExplorationComplete(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DporExplorationComplete);
+
+/// One stop-on-first-violation hunt through the public facade, the unit of
+/// perfbench's bug-hunt workload: explorer construction and its kit lease,
+/// the schedules up to the violation, the report, and parking the kit.
+/// Both hunts end within a few schedules, so per-exploration setup is most
+/// of what they cost.
+void BM_SessionRunHunt(benchmark::State& state, const char* scenario,
+                       const char* memoryModel) {
+  const Session session =
+      Session().strategy("dfs").memoryModel(memoryModel).stopOnFirstViolation();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(session.run(scenario));
+  }
+}
+BENCHMARK_CAPTURE(BM_SessionRunHunt, lost_signal_sc, "lost-signal", "sc");
+BENCHMARK_CAPTURE(BM_SessionRunHunt, sb_unfenced_tso, "sb-unfenced", "tso");
 
 // --- vector clocks ------------------------------------------------------------
 

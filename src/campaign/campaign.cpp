@@ -209,7 +209,7 @@ CampaignResult runCampaign(const CampaignOptions& options) {
   }
 
   // The campaign runs `jobs` cells at once, and each sharded cell leases a
-  // crew of `workers` threads: refuse more threads than the bound in all
+  // pool of `workers` threads: refuse more threads than the bound in all
   // before any pool exists.
   const int workers = std::max(1, options.explorer.workers);
   int jobs = options.jobs;

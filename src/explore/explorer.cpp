@@ -4,7 +4,9 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <type_traits>
+#include <utility>
 
 #include "support/diagnostics.hpp"
 
@@ -222,21 +224,68 @@ ExplorationResult& ScheduleTally::finish() {
   return result_;
 }
 
+ExplorationKit::ExplorationKit() : engine(stackPool, recorder, false, false, 0) {}
+
+void ExplorationKit::configure(const ExplorerOptions& options,
+                               std::uint64_t snapshotBudgetBytes, bool fullClocks) {
+  recorder.reset(trace::TraceRecorder::Options{.detectRaces = options.detectRaces,
+                                               .fullClocks = fullClocks});
+  engine.configure(options.incremental,
+                   options.checkpointable && runtime::Execution::checkpointingSupported(),
+                   snapshotBudgetBytes);
+}
+
+void ExplorationKit::quiesce() {
+  engine.quiesce();
+  recorder.reset({});
+}
+
+namespace {
+
+/// The process's parked kits, the most recently parked last. Destroying it
+/// at process exit frees them.
+struct IdleKits {
+  std::mutex mutex;
+  std::vector<std::unique_ptr<ExplorationKit>> kits;
+};
+
+IdleKits& idleKits() {
+  static IdleKits idle;
+  return idle;
+}
+
+}  // namespace
+
+void ParkKit::operator()(ExplorationKit* kit) const noexcept {
+  kit->quiesce();
+  IdleKits& idle = idleKits();
+  const std::lock_guard<std::mutex> lock(idle.mutex);
+  idle.kits.emplace_back(kit);
+}
+
+KitLease leaseKit() {
+  IdleKits& idle = idleKits();
+  {
+    const std::lock_guard<std::mutex> lock(idle.mutex);
+    if (!idle.kits.empty()) {
+      KitLease kit(idle.kits.back().release());
+      idle.kits.pop_back();
+      return kit;
+    }
+  }
+  return KitLease(new ExplorationKit);
+}
+
 ExplorerBase::ExplorerBase(ExplorerOptions options, bool fullClocks)
-    : options_(options),
-      recorder_(trace::TraceRecorder::Options{.detectRaces = options.detectRaces,
-                                              .fullClocks = fullClocks}),
-      tally_(options),
-      engine_(stackPool_, recorder_, options.incremental,
-              options.checkpointable &&
-                  runtime::Execution::checkpointingSupported(),
-              options.snapshotBudgetBytes) {}
+    : options_(std::move(options)), kit_(leaseKit()), tally_(options_) {
+  kit_->configure(options_, options_.snapshotBudgetBytes, fullClocks);
+}
 
 ExplorationResult ExplorerBase::explore(const Program& program) {
   LAZYHB_CHECK(!explored_);
   explored_ = true;
   runSearch(program);
-  tally_.addReplayStats(engine_);
+  tally_.addReplayStats(kit_->engine);
   if (const core::HbrCache* cache = prefixCache()) {
     result().cacheStats = cacheStatsOf(*cache);
   }
@@ -258,7 +307,7 @@ runtime::Outcome ExplorerBase::executeSchedule(const Program& program,
     result.hitScheduleLimit = true;
   }
   const runtime::Outcome outcome =
-      tally_.execute(engine_, recorder_, program, scheduler);
+      tally_.execute(kit_->engine, kit_->recorder, program, scheduler);
   if (options_.onScheduleTick && options_.tickIntervalSchedules > 0 &&
       result.schedulesExecuted % options_.tickIntervalSchedules == 0) {
     options_.onScheduleTick(result.schedulesExecuted);

@@ -153,9 +153,11 @@ struct ParallelStats {
   /// The schedule budget bit mid-flight (whether it bites at all is
   /// order-independent, so this triggers identically at any worker
   /// count). Plain DFS keeps the first schedules of sequential DFS order
-  /// from the jobs that ran them, reruns sequentially at most the part of
-  /// one job before the cut, and `byWorker` describes the sharded attempt;
-  /// a cache-keyed search reruns from scratch and `byWorker` is empty
+  /// from the jobs that ran them and reruns sequentially at most the part
+  /// of one job before the cut; a cache-keyed search discards its sharded
+  /// attempt and reruns from scratch. Either way `frontierJobs` and
+  /// `byWorker` describe the sharded attempt: a cache-keyed one's shares
+  /// sum to the limit, the schedules it ran and discarded
   /// (explore/parallel_explorer.hpp).
   bool fellBackSequential = false;
   std::vector<WorkerShare> byWorker;
@@ -353,6 +355,55 @@ class ScheduleTally {
   core::RaceAggregator races_;
 };
 
+/// The storage one sequential search runs on: the fiber stack pool, the
+/// trace recorder and the incremental prefix-replay engine, used by one
+/// thread at a time. Kits outlive explorations. Every exploration leases
+/// one from a process-wide idle list (leaseKit): ExplorerBase one for its
+/// whole life, ParallelExplorer one per pool worker for each explore().
+/// configure() adopts one exploration's options, and the lease ends by
+/// quiescing the kit and parking it again. A parked kit holds capacity
+/// only — thread records and fibers without frames or closures, their
+/// stacks, recorder arrays, pooled stage storage — and nothing of any
+/// program, so any thread may lease it next and a steady-state exploration
+/// builds no stack, execution, recorder table or stage.
+class ExplorationKit {
+ public:
+  ExplorationKit();
+
+  ExplorationKit(const ExplorationKit&) = delete;
+  ExplorationKit& operator=(const ExplorationKit&) = delete;
+
+  /// Adopt one exploration's options: race detection and `fullClocks`
+  /// (see ExplorerBase) for the recorder; replay mode, whether the program
+  /// is checkpointable, and `snapshotBudgetBytes` for the engine. Only on
+  /// a new or quiesced kit.
+  void configure(const ExplorerOptions& options, std::uint64_t snapshotBudgetBytes,
+                 bool fullClocks = false);
+
+  /// End an exploration, keeping everything built. Only while its program
+  /// is alive: the last execution's deferred teardown runs the program's
+  /// suspended fibers to their end, its threads drop the program's
+  /// closures, staged checkpoints are dropped, the recorder is disarmed
+  /// and the replay counters restart from zero.
+  void quiesce();
+
+  runtime::StackPool stackPool;
+  trace::TraceRecorder recorder;
+  PrefixReplayEngine engine;
+};
+
+/// Ends a lease: quiesces the kit and parks it on the idle list.
+struct ParkKit {
+  void operator()(ExplorationKit* kit) const noexcept;
+};
+
+/// A leased kit; destroying the lease parks the kit.
+using KitLease = std::unique_ptr<ExplorationKit, ParkKit>;
+
+/// The most recently parked kit (its storage is the warmest), or a new one
+/// when every kit is leased. Thread-safe.
+[[nodiscard]] KitLease leaseKit();
+
 /// The exploration interface: run a program's schedule space once, return
 /// the accumulated statistics. Sequential strategies implement it through
 /// ExplorerBase below; ParallelExplorer implements it directly (its result
@@ -371,8 +422,11 @@ class Explorer {
   [[nodiscard]] virtual const ExplorerOptions& options() const noexcept = 0;
 };
 
-/// Shared plumbing for the sequential explorers: owns the stack pool, the
-/// trace recorder and the statistics, and runs one schedule at a time.
+/// Shared plumbing for the sequential explorers: leases an ExplorationKit
+/// (stack pool, trace recorder and prefix-replay engine) for its whole
+/// life, owns the statistics, and runs one schedule at a time. The
+/// destructor quiesces and parks the kit, so the program under test must
+/// outlive the explorer: its suspended fibers run to their end there.
 class ExplorerBase : public Explorer {
  public:
   /// `fullClocks`: the strategy reads Full clock rows from recorder()
@@ -409,7 +463,7 @@ class ExplorerBase : public Explorer {
   /// to their schedulers (checkpoint staging) and call prepareNext() with
   /// each divergence depth; the returned start depth seeds the next
   /// scheduler.
-  [[nodiscard]] PrefixReplayEngine& prefixEngine() noexcept { return engine_; }
+  [[nodiscard]] PrefixReplayEngine& prefixEngine() noexcept { return kit_->engine; }
 
   /// True when the schedule budget is exhausted (strategies must stop).
   [[nodiscard]] bool budgetExhausted() const noexcept;
@@ -417,7 +471,7 @@ class ExplorerBase : public Explorer {
   /// True when the search should stop for a found violation.
   [[nodiscard]] bool shouldStopForViolation() const noexcept;
 
-  [[nodiscard]] trace::TraceRecorder& recorder() noexcept { return recorder_; }
+  [[nodiscard]] trace::TraceRecorder& recorder() noexcept { return kit_->recorder; }
   [[nodiscard]] ExplorationResult& result() noexcept { return tally_.result(); }
 
   /// Mark the search as having visited every schedule class.
@@ -425,10 +479,8 @@ class ExplorerBase : public Explorer {
 
  private:
   ExplorerOptions options_;
-  runtime::StackPool stackPool_;
-  trace::TraceRecorder recorder_;
+  KitLease kit_;
   ScheduleTally tally_;
-  PrefixReplayEngine engine_;  ///< after stackPool_/recorder_: destroyed first
   bool explored_ = false;
 };
 

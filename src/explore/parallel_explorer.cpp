@@ -22,89 +22,51 @@ namespace lazyhb::explore {
 
 namespace {
 
-/// A private sequential exploration kit: fiber stacks, recorder and
-/// incremental prefix-replay engine, used by one thread at a time. A kit
-/// outlives explorations: configure() adopts one exploration's options and
-/// quiesce() ends it, keeping everything built.
-struct Kit {
-  Kit() : engine(stackPool, recorder, false, false, 0) {}
-
-  void configure(const ExplorerOptions& opts, std::uint64_t snapshotBudgetBytes) {
-    recorder.reset(trace::TraceRecorder::Options{.detectRaces = opts.detectRaces});
-    engine.configure(opts.incremental,
-                     opts.checkpointable && runtime::Execution::checkpointingSupported(),
-                     snapshotBudgetBytes);
-  }
-
-  /// Only while the exploration's program is alive: its leftover fibers
-  /// run to their end and its closures are released here.
-  void quiesce() {
-    engine.quiesce();
-    recorder.reset({});
-  }
-
-  runtime::StackPool stackPool;
-  trace::TraceRecorder recorder;
-  PrefixReplayEngine engine;
-};
-
-/// A frontier pool and one kit per pool worker, leased whole by one
-/// exploration at a time.
-struct Crew {
-  explicit Crew(int workers) : pool(workers) {
-    for (int i = 0; i < pool.workerCount(); ++i) kits.push_back(std::make_unique<Kit>());
-  }
-
-  support::WorkerPool pool;
-  std::vector<std::unique_ptr<Kit>> kits;  ///< kits[i] serves pool worker i
-};
-
-/// The process's parked crews (see the header). Destroying it at process
+/// The process's parked pools (see the header). Destroying it at process
 /// exit joins their threads.
-class IdleCrews {
+class IdlePools {
  public:
-  /// A parked crew of `workers` workers, or a new one when every crew of
+  /// A parked pool of `workers` workers, or a new one when every pool of
   /// that size is leased.
-  std::unique_ptr<Crew> lease(int workers) {
+  std::unique_ptr<support::WorkerPool> lease(int workers) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       forgetIfForked();
-      // The most recently returned crew: its kits are the warmest.
       for (auto it = idle_.rbegin(); it != idle_.rend(); ++it) {
-        if ((*it)->pool.workerCount() != workers) continue;
-        std::unique_ptr<Crew> crew = std::move(*it);
+        if ((*it)->workerCount() != workers) continue;
+        std::unique_ptr<support::WorkerPool> pool = std::move(*it);
         idle_.erase(std::next(it).base());
-        return crew;
+        return pool;
       }
     }
-    return std::make_unique<Crew>(workers);
+    return std::make_unique<support::WorkerPool>(workers);
   }
 
-  void giveBack(std::unique_ptr<Crew> crew) {
+  void giveBack(std::unique_ptr<support::WorkerPool> pool) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    idle_.push_back(std::move(crew));
+    idle_.push_back(std::move(pool));
   }
 
-  ~IdleCrews() { forgetIfForked(); }
+  ~IdlePools() { forgetIfForked(); }
 
  private:
-  /// A child forked from this process inherits the parent's crews but none
+  /// A child forked from this process inherits the parent's pools but none
   /// of their threads: joining them would wait forever, so it leaks them.
   void forgetIfForked() {
     if (owner_ == ::getpid()) return;
-    for (std::unique_ptr<Crew>& crew : idle_) (void)crew.release();
+    for (std::unique_ptr<support::WorkerPool>& pool : idle_) (void)pool.release();
     idle_.clear();
     owner_ = ::getpid();
   }
 
   std::mutex mutex_;
-  std::vector<std::unique_ptr<Crew>> idle_;
+  std::vector<std::unique_ptr<support::WorkerPool>> idle_;
   pid_t owner_ = ::getpid();
 };
 
-IdleCrews& idleCrews() {
-  static IdleCrews crews;
-  return crews;
+IdlePools& idlePools() {
+  static IdlePools pools;
+  return pools;
 }
 
 /// One contiguous range of sequential DFS order (see the header): a search
@@ -185,8 +147,9 @@ struct Fold {
 
 }  // namespace
 
-/// Everything alive only during one explore() call: the leased crew, the
-/// shared cache, the ranked jobs and the global coordination state.
+/// Everything alive only during one explore() call: the leased pool and
+/// kits, the shared cache, the ranked jobs and the global coordination
+/// state.
 struct ParallelExplorer::Impl {
   using Ranked = std::set<std::unique_ptr<Job>, ByRangeStart>;
 
@@ -194,9 +157,8 @@ struct ParallelExplorer::Impl {
        const Program& prog)
       : options(opts),
         cacheKey(key),
-        crew(idleCrews().lease(opts.workers)),
-        pool(crew->pool),
-        kits(crew->kits),
+        leasedPool(idlePools().lease(opts.workers)),
+        pool(*leasedPool),
         program(&prog) {
     // Each worker runs its own replay engine, so the scenario's snapshot
     // budget is split evenly across them — the combined footprint stays
@@ -207,17 +169,20 @@ struct ParallelExplorer::Impl {
             : std::max<std::uint64_t>(
                   1, opts.snapshotBudgetBytes /
                          static_cast<std::uint64_t>(pool.workerCount()));
-    for (const std::unique_ptr<Kit>& kit : kits) kit->configure(opts, perWorkerBudget);
+    for (int i = 0; i < pool.workerCount(); ++i) {
+      kits.push_back(leaseKit());
+      kits.back()->configure(opts, perWorkerBudget);
+    }
     auto root = std::make_unique<Job>(opts, TreeSearchState{});
     queued.insert(root.get());
     boundary = jobs.insert(std::move(root)).first;
     boundaryJob.store(boundary->get(), std::memory_order_relaxed);
   }
 
-  /// Quiesce every kit while the program is alive and park the crew.
+  /// Park every kit, quiesced while the program is alive, and the pool.
   ~Impl() {
-    for (const std::unique_ptr<Kit>& kit : kits) kit->quiesce();
-    idleCrews().giveBack(std::move(crew));
+    kits.clear();
+    idlePools().giveBack(std::move(leasedPool));
   }
 
   Impl(const Impl&) = delete;
@@ -225,9 +190,9 @@ struct ParallelExplorer::Impl {
 
   const ExplorerOptions& options;
   std::optional<trace::Relation> cacheKey;
-  std::unique_ptr<Crew> crew;
+  std::unique_ptr<support::WorkerPool> leasedPool;
   support::WorkerPool& pool;
-  std::vector<std::unique_ptr<Kit>>& kits;  ///< one per pool worker
+  std::vector<KitLease> kits;  ///< kits[i] serves pool worker i
   core::HbrCache cache;  ///< shared; unused (empty) for plain DFS
   const Program* program;
 
@@ -249,7 +214,7 @@ struct ParallelExplorer::Impl {
   std::atomic<bool> budgetBites{false};
 
   void runNext();
-  void run(Kit& kit, Job& job);
+  void run(ExplorationKit& kit, Job& job);
   bool mayRun(const Job& job);
   void maybeDonate(Job& job);
   void donate(Job& donor, std::size_t depth);
@@ -285,7 +250,7 @@ void ParallelExplorer::Impl::runNext() {
 /// Run `job`'s range on `kit`, donating to hungry workers, until it is
 /// exhausted (and retired) or the search stops it — with its stack at the
 /// next schedule, not yet run.
-void ParallelExplorer::Impl::run(Kit& kit, Job& job) {
+void ParallelExplorer::Impl::run(ExplorationKit& kit, Job& job) {
   // This job's tree shares nothing with whatever this worker ran before:
   // divergence is at the root as far as the replay engine is concerned.
   std::size_t startDepth = kit.engine.prepareNext(0);
@@ -429,7 +394,7 @@ std::vector<WorkerShare> ParallelExplorer::Impl::shares() const {
 ExplorationResult ParallelExplorer::Impl::mergeComplete() {
   ParallelStats parallel{pool.workerCount(), frontierJobs, false, shares()};
   Fold fold(options);
-  for (const std::unique_ptr<Kit>& kit : kits) fold.merged.addReplayStats(kit->engine);
+  for (const KitLease& kit : kits) fold.merged.addReplayStats(kit->engine);
   for (auto it = jobs.begin(); it != jobs.end(); it = jobs.erase(it)) {
     fold.add((*it)->tally);
   }
@@ -455,7 +420,7 @@ ExplorationResult ParallelExplorer::Impl::mergeComplete() {
 ExplorationResult ParallelExplorer::Impl::finishAtCut() {
   ParallelStats parallel{pool.workerCount(), frontierJobs, true, shares()};
   Fold fold(options);
-  for (const std::unique_ptr<Kit>& kit : kits) {
+  for (const KitLease& kit : kits) {
     fold.merged.addReplayStats(kit->engine);
     kit->quiesce();  // every kit's snapshots freed before a rerun stages its own
   }
@@ -497,7 +462,7 @@ ExplorationResult ParallelExplorer::Impl::finishAtCut() {
 void ParallelExplorer::Impl::rerun(const Job& job, std::uint64_t count,
                                    ScheduleTally& tally, ScheduleTally& replayStats) {
   TreeSearchState state = job.start;
-  Kit& kit = *kits.front();
+  ExplorationKit& kit = *kits.front();
   kit.configure(options, options.snapshotBudgetBytes);
   std::size_t startDepth = kit.engine.prepareNext(0);
   for (std::uint64_t run = 1;; ++run) {
@@ -518,20 +483,20 @@ ParallelExplorer::ParallelExplorer(ExplorerOptions options,
 
 ParallelExplorer::~ParallelExplorer() = default;
 
-ExplorationResult ParallelExplorer::runSequentialFallback(
-    const Program& program) {
+ExplorationResult ParallelExplorer::runSequentialFallback(const Program& program,
+                                                          ParallelStats attempt) {
   ExplorerOptions sequential = options_;
   sequential.workers = 1;
   DfsExplorer explorer(sequential, cacheKey_);
   ExplorationResult result = explorer.explore(program);
-  result.parallel.workers = options_.workers;
-  result.parallel.fellBackSequential = true;
+  result.parallel = std::move(attempt);
   return result;
 }
 
 ExplorationResult ParallelExplorer::explore(const Program& program) {
   LAZYHB_CHECK(!explored_);
   explored_ = true;
+  ParallelStats attempt;
   {
     Impl impl(options_, cacheKey_, program);
     std::vector<support::WorkerPool::Task> roots;
@@ -540,12 +505,14 @@ ExplorationResult ParallelExplorer::explore(const Program& program) {
 
     if (impl.complete()) return impl.mergeComplete();
     if (!cacheKey_) return impl.finishAtCut();
+    attempt = ParallelStats{impl.pool.workerCount(), impl.frontierJobs, true, impl.shares()};
   }
   // The budget bit a cache-keyed search. Its partial run is no prefix of
-  // the sequential one: discard everything (including the polluted shared
-  // cache — the fallback explorer builds its own) and, with the crew parked
-  // again, redo sequentially.
-  return runSequentialFallback(program);
+  // the sequential one: discard its counts (and the polluted shared cache;
+  // the fallback explorer builds its own) and, with the kits and the pool
+  // parked again, redo sequentially. `parallel` still describes the
+  // discarded attempt.
+  return runSequentialFallback(program, std::move(attempt));
 }
 
 }  // namespace lazyhb::explore

@@ -14,7 +14,7 @@
 // A frontier job is a contiguous range of sequential DFS order (a node's
 // children tried lowest pick first): a copy of a search stack whose
 // unexplored siblings are the range. Each pool worker uses its own
-// sequential exploration kit — fiber stack pool, TraceRecorder,
+// ExplorationKit (explore/explorer.hpp) — fiber stack pool, TraceRecorder,
 // incremental prefix-replay engine — and runs jobs as plain depth-first
 // searches from their stacks; each job owns its stack and its tally. When
 // the pool reports hungry workers, a running job splits its range at some
@@ -95,7 +95,7 @@
 // past it while jobs to its left were still running. The cut then falls
 // inside that job, and its first limit − (schedules before it) schedules
 // run again from the stack it started from. That rerun runs on the
-// calling thread, on a leased kit given the whole snapshot budget once
+// calling thread, on a worker's kit given the whole snapshot budget once
 // every kit is quiesced (staged snapshots stay within the budget).
 // Counts, race reports and the first maxViolationsKept
 // violation records then equal DfsExplorer's at the same budget;
@@ -108,30 +108,34 @@
 // at the first claim past the limit, and then reruns from scratch
 // (runSequentialFallback): its prune decisions depend on entries other
 // workers inserted, so no job's schedules are a prefix of the sequential
-// order.
+// order. Its `parallel` block still describes the discarded attempt,
+// whose worker shares sum to the limit.
 //
 // ## Leased workers
 //
-// An explorer owns no threads. Each explore() leases a crew — a
-// WorkerPool and one kit per pool worker — from a process-wide idle
-// list keyed by worker count, and parks it there again before returning.
-// A crew is built only when every crew of that size is leased (two
-// explorations at once lease two), and the idle crews' threads are joined
-// at process exit. A child forked after a sharded exploration inherits the
-// idle list but none of its threads, so it leaks the parent's crews and
-// builds its own.
+// An explorer owns no threads and no storage: a pool leases threads and a
+// kit leases storage. Each explore() leases a WorkerPool from a
+// process-wide idle list keyed by worker count, and one ExplorationKit
+// per pool worker from the idle kits every explorer shares
+// (explore/explorer.hpp); it parks them all again before returning. A
+// pool is built only when every pool of that size is leased (two
+// explorations at once lease two), and the idle pools' threads are
+// joined at process exit. A child forked after a sharded exploration
+// inherits the idle pools but none of their threads, so it leaks the
+// parent's pools and builds its own; the idle kits hold no threads, and
+// it leases them as they are.
 //
 // At lease every kit adopts the exploration's options: race detection,
 // replay mode, whether the program is checkpointable, and the per-worker
-// snapshot budget. Before the crew goes back, on the calling thread and
+// snapshot budget. Before the kits go back, on the calling thread and
 // while the program is still alive, every kit is quiesced: its last
 // execution's deferred teardown runs (the program's suspended fibers run
 // to their end), its threads release the program's closures, its staged
-// checkpoints are dropped, its recorder is
-// disarmed and its replay counters are zeroed. A parked crew therefore
-// retains capacity only — parked threads, fiber stacks and thread records
-// without frames or closures, recorder arrays, pooled stage storage —
-// and nothing of any program. by_worker counts this exploration's
+// checkpoints are dropped, its recorder is disarmed and its replay
+// counters are zeroed. A parked pool retains its parked threads and a
+// parked kit capacity only — fiber stacks and thread records without
+// frames or closures, recorder arrays, pooled stage storage — and
+// nothing of any program. by_worker counts this exploration's
 // handoffs: a job run by a worker other than the one that split it off
 // counts once, to the worker that ran it; the root job never counts.
 //
@@ -141,8 +145,8 @@
 // batch, in teardown mode, where no scheduling point is left. A quiesced
 // kit holds no frames; re-arming a fiber starts new ones, so any thread
 // may use it next. That is why the cut rerun may run on a quiesced kit on
-// the calling thread, and why a crew may serve explorations from any
-// thread.
+// the calling thread, and why pools and kits may serve explorations from
+// any thread.
 //
 // Some strategies and options are not shardable: random walks (no sharded
 // random explorer exists yet; each walk already runs on its own seed, so
@@ -190,9 +194,10 @@ class ParallelExplorer final : public Explorer {
   struct Impl;
 
   /// Re-run the scenario with DfsExplorer(options, cacheKey) (a
-  /// cache-keyed search's budget hit). Returns its result with
-  /// parallel.fellBackSequential set.
-  [[nodiscard]] ExplorationResult runSequentialFallback(const Program& program);
+  /// cache-keyed search's budget hit). Returns its result with `parallel`
+  /// describing `attempt`, the discarded sharded run.
+  [[nodiscard]] ExplorationResult runSequentialFallback(const Program& program,
+                                                        ParallelStats attempt);
 
   ExplorerOptions options_;
   std::optional<trace::Relation> cacheKey_;

@@ -9,7 +9,8 @@
 //
 // Width handling: the stride persists across reset() (cross-execution
 // reuse), so after the first execution of a program the arena never
-// re-strides again. When an execution spawns a thread index beyond the
+// re-strides again; resetWidth() returns it to the initial width for the
+// next exploration. When an execution spawns a thread index beyond the
 // current stride, widen() re-strides every existing row in place,
 // zero-padding the new components (a missing component is zero by the
 // clock convention, so widening never changes a clock's value).
@@ -35,11 +36,22 @@ inline void joinClockSpans(std::uint32_t* dst, const std::uint32_t* src,
 
 class ClockArena {
  public:
-  explicit ClockArena(std::uint32_t stride = 8) : stride_(stride) {}
+  /// The row width a new arena starts with.
+  static constexpr std::uint32_t kInitialStride = 8;
+
+  explicit ClockArena(std::uint32_t stride = kInitialStride) : stride_(stride) {}
 
   /// Drop all rows, keeping the stride and the allocation (steady-state
   /// executions perform no allocation here).
   void reset() noexcept { rowCount_ = 0; }
+
+  /// Drop all rows and return to the initial width, keeping the
+  /// allocation: what a new exploration starts from, so that one program's
+  /// wide rows do not outlive it.
+  void resetWidth() noexcept {
+    rowCount_ = 0;
+    stride_ = kInitialStride;
+  }
 
   /// Drop every row past the first `rows` — the arena-side half of the
   /// recorder's restore(snapshot). Rows are append-only, so rolling a

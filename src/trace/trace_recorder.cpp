@@ -41,6 +41,10 @@ void TraceRecorder::reset(Options options) {
   options_ = options;
   pendingResume_ = nullptr;
   resetAll();
+  // A TSO exploration widens the rows to its flush agents' picks (32 + t);
+  // the next exploration starts narrow again. Both share one stride.
+  syncClocks_.resetWidth();
+  fullClocks_.resetWidth();
 }
 
 void TraceRecorder::onExecutionStart(const runtime::Execution&) {
@@ -132,7 +136,9 @@ std::size_t TraceRecorder::capture(Snapshot& s) {
   // update of any history log it again.
   s.undoMark = undo_.mark();
   s.raceCount = races_.size();
-  return sizeof(Snapshot) + s.threadLastEvent.capacity() * sizeof(std::int32_t);
+  // size(), not capacity(): a pooled snapshot's spare capacity depends on
+  // what it held before, and the staged bytes may not.
+  return sizeof(Snapshot) + s.threadLastEvent.size() * sizeof(std::int32_t);
 }
 
 void TraceRecorder::logHistory(std::int32_t index, const ObjectHistory& h) {

@@ -141,8 +141,9 @@ class TraceRecorder final : public runtime::ExecutionObserver {
 
   /// Forget the current execution and any armed resume, and build what
   /// `options` asks for from the next execution on, keeping every array's
-  /// capacity: how a recorder serves a new exploration without being
-  /// rebuilt (the parallel explorer's leased kits).
+  /// capacity but returning the clock rows to their initial width: how a
+  /// recorder serves a new exploration without being rebuilt (the leased
+  /// kits of explore/explorer.hpp).
   void reset(Options options);
 
   // --- ExecutionObserver ----------------------------------------------------

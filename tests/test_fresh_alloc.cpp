@@ -1,7 +1,9 @@
 // The recycled-execution invariant: once warmed up, a fresh terminal
 // schedule handed out by the replay engine allocates nothing. The program's
 // own allocations are excluded by construction (no heap state, spawn
-// closures small enough for std::function's inline buffer).
+// closures small enough for std::function's inline buffer). And the leased
+// kit invariant: once one exploration has run, the next one builds no
+// fiber stack.
 //
 // This binary replaces the global allocator with a counting one, so it is a
 // suite of its own: no other test runs with the replacement.
@@ -13,6 +15,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "explore/dfs_explorer.hpp"
 #include "explore/prefix_replay.hpp"
 #include "memory/memory_model.hpp"
 #include "runtime/api.hpp"
@@ -23,10 +26,16 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocations{0};
+/// Counted allocations of at least g_largeBytes bytes.
+std::atomic<std::size_t> g_largeBytes{SIZE_MAX};
+std::atomic<std::uint64_t> g_largeAllocations{0};
 
 void* countedAlloc(std::size_t bytes, std::size_t alignment) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (bytes >= g_largeBytes.load(std::memory_order_relaxed)) {
+      g_largeAllocations.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   if (bytes == 0) bytes = 1;
   if (alignment <= alignof(std::max_align_t)) return std::malloc(bytes);
@@ -158,6 +167,35 @@ TEST(FreshExecution, SteadyStateTsoSchedulesAllocateNothing) {
   EXPECT_EQ(allocationsOverFreshSchedules(memory::MemoryModel::Tso), 0u);
 }
 
+/// Allocations of a fiber stack's size or more made by one exploration of
+/// twoThreads (construction to destruction) after another one warmed up.
+std::uint64_t stackSizedAllocationsOfAWarmExploration(memory::MemoryModel model) {
+  explore::ExplorerOptions options;
+  options.scheduleLimit = 64;
+  options.memoryModel = model;
+  const std::function<void()> program = twoThreads;
+  auto exploreOnce = [&] {
+    explore::DfsExplorer explorer(options);
+    EXPECT_GT(explorer.explore(program).terminalSchedules, 0u);
+  };
+  exploreOnce();  // warm-up: leases and fills a kit
+  g_largeBytes.store(runtime::StackPool{}.stackBytes());
+  g_largeAllocations.store(0);
+  g_counting.store(true);
+  exploreOnce();
+  g_counting.store(false);
+  g_largeBytes.store(SIZE_MAX);
+  return g_largeAllocations.load();
+}
+
+TEST(LeasedKit, SteadyStateExplorationBuildsNoStack) {
+  EXPECT_EQ(stackSizedAllocationsOfAWarmExploration(memory::MemoryModel::Sc), 0u);
+}
+
+TEST(LeasedKit, SteadyStateTsoExplorationBuildsNoStack) {
+  EXPECT_EQ(stackSizedAllocationsOfAWarmExploration(memory::MemoryModel::Tso), 0u);
+}
+
 TEST(FreshExecution, CounterSeesTheEngineAllocate) {
   // The instrument works: the first schedule builds the execution, its
   // fibers and its logs.
@@ -173,6 +211,19 @@ TEST(FreshExecution, CounterSeesTheEngineAllocate) {
   }
   g_counting.store(false);
   EXPECT_GT(g_allocations.load(), 0u);
+}
+
+TEST(LeasedKit, CounterSeesAStackBuilt) {
+  // The instrument works: a stack pool with none to reuse allocates one of
+  // stackBytes().
+  runtime::StackPool pool;
+  g_largeBytes.store(pool.stackBytes());
+  g_largeAllocations.store(0);
+  g_counting.store(true);
+  pool.release(pool.acquire());
+  g_counting.store(false);
+  g_largeBytes.store(SIZE_MAX);
+  EXPECT_EQ(g_largeAllocations.load(), 1u);
 }
 
 }  // namespace

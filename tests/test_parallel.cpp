@@ -309,7 +309,8 @@ TEST(ParallelMetadata, BudgetAbortRerunsSequentially) {
   // claim exceeds it is itself order-independent — but a cache-keyed
   // search's partial tallies are not a prefix of the sequential run, so the
   // explorer discards them and reruns sequentially. The result must carry
-  // the fallback marker, the sequential run's counts, and no worker shares.
+  // the fallback marker, the sequential run's counts, and the discarded
+  // attempt's worker shares: one per worker, summing to the budget.
   const programs::ProgramSpec* spec = programs::byName("noisy-flags-3x2");
   ASSERT_NE(spec, nullptr);
   const auto sequential = runWith(*spec, "caching-lazy", 1, 200);
@@ -317,7 +318,13 @@ TEST(ParallelMetadata, BudgetAbortRerunsSequentially) {
   const auto parallel = runWith(*spec, "caching-lazy", 4, 200);
   EXPECT_TRUE(parallel.parallel.fellBackSequential);
   EXPECT_EQ(parallel.parallel.workers, 4);
-  EXPECT_TRUE(parallel.parallel.byWorker.empty());
+  EXPECT_GE(parallel.parallel.frontierJobs, 1u);
+  ASSERT_EQ(parallel.parallel.byWorker.size(), 4u);
+  std::uint64_t discarded = 0;
+  for (const explore::WorkerShare& share : parallel.parallel.byWorker) {
+    discarded += share.schedulesVisited;
+  }
+  EXPECT_EQ(discarded, 200u);
   expectCountsIdentical(sequential, parallel, "budget-abort fallback");
 }
 

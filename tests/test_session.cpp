@@ -185,6 +185,69 @@ TEST(SessionParity, ViolationSchedulesReplayIdentically) {
   }
 }
 
+// --- leased kits ---------------------------------------------------------------
+
+TEST(SessionKits, ReusedKitsLeaveNoTrace) {
+  // Every exploration leases a kit (stack pool, recorder, replay engine)
+  // that earlier explorations of the process used (explore/explorer.hpp).
+  // Nothing they left behind may show in the next one: not a TSO hunt's
+  // wide clock rows and snapshots of 33+ threads, a six-thread program's
+  // stacks and thread records, a sharded run's worker kits, nor a random
+  // walk's race detector. Each probe runs, the others run, and the probe
+  // runs again: every statistic, scoreboard rows included, must repeat.
+  struct Probe {
+    const char* program;
+    const char* strategy;
+    const char* model;
+    std::uint64_t snapshotBudget;  ///< 0: unlimited
+  };
+  const Probe probes[] = {
+      {"noisy-counter-3x2", "dpor", "sc", 0},
+      {"prodcons-1x1", "dpor", "sc", 4096},
+      {"sb-unfenced", "dpor", "tso", 0},
+      {"noisy-counter-3x2", "caching-lazy", "tso", 4096},
+  };
+  auto run = [](const Probe& probe) {
+    return Session()
+        .strategy(probe.strategy)
+        .schedules(kParityLimit)
+        .memoryModel(probe.model)
+        .snapshotBudget(probe.snapshotBudget)
+        .run(probe.program);
+  };
+  for (const Probe& probe : probes) {
+    SCOPED_TRACE(std::string(probe.program) + " x " + probe.strategy + " under " +
+                 probe.model);
+    const TestReport first = run(probe);
+    (void)Session()
+        .strategy("dpor")
+        .memoryModel("tso")
+        .stopOnFirstViolation()
+        .run("dekker-unfenced");
+    (void)Session().strategy("dfs").schedules(kParityLimit).run("disjoint-lock-5x2");
+    (void)Session()
+        .strategy("caching-lazy")
+        .workers(2)
+        .schedules(kParityLimit)
+        .run("noisy-flags-3x2");
+    (void)Session()
+        .strategy("random")
+        .schedules(kParityLimit)
+        .detectRaces()
+        .run("racy-counter-3");
+    const TestReport again = run(probe);
+    explore::forEachStat(
+        [](const explore::StatSpec& stat, const auto& got, const auto& want) {
+          EXPECT_EQ(got, want) << explore::statPath(stat);
+        },
+        again, first);
+    ASSERT_EQ(again.violations.size(), first.violations.size());
+    for (std::size_t i = 0; i < first.violations.size(); ++i) {
+      EXPECT_EQ(again.violations[i].schedule, first.violations[i].schedule);
+    }
+  }
+}
+
 // --- Session behaviour -------------------------------------------------------
 
 TEST(Session, UnknownStrategyThrows) {
@@ -516,15 +579,10 @@ Program heapOwningProgram(int generation) {
   };
 }
 
-TEST(SessionLifetime, NoFiberOfAShardedProgramRunsAfterItsRunReturned) {
-  // Sharded runs lease parked workers whose kits outlive the exploration.
-  // With full rollback a kit's last execution keeps its deadlocked fibers
-  // suspended until teardown; that teardown, and the release of the
-  // program's closures, must happen before run() returns, while the
-  // program lives.
-  const Session session =
-      Session().strategy("dfs").workers(4).checkpointable(true).schedules(100'000);
-  for (int generation = 1; generation <= 6; ++generation) {
+/// Run generations [first, first + 6) of heapOwningProgram under `session`,
+/// each destroyed as soon as its run returns, and expect no late step.
+void expectNoLateSteps(const Session& session, int first) {
+  for (int generation = first; generation < first + 6; ++generation) {
     {
       const Program program = heapOwningProgram(generation);
       const TestReport report = session.run(program);
@@ -535,8 +593,29 @@ TEST(SessionLifetime, NoFiberOfAShardedProgramRunsAfterItsRunReturned) {
     }  // the program and its heap state are gone
     EXPECT_EQ(g_lateSteps.load(), 0) << generation;
   }
+}
+
+TEST(SessionLifetime, NoFiberOfAShardedProgramRunsAfterItsRunReturned) {
+  // Sharded runs lease parked workers whose kits outlive the exploration.
+  // With full rollback a kit's last execution keeps its deadlocked fibers
+  // suspended until teardown; that teardown, and the release of the
+  // program's closures, must happen before run() returns, while the
+  // program lives.
+  const Session session =
+      Session().strategy("dfs").workers(4).checkpointable(true).schedules(100'000);
+  expectNoLateSteps(session, 1);
   (void)session.run("disjoint-lock-3");
   EXPECT_EQ(g_lateSteps.load(), 0);
+}
+
+TEST(SessionLifetime, NoFiberOfASequentialProgramRunsAfterItsRunReturned) {
+  // A sequential explorer's leased kit is parked when the explorer is
+  // destroyed, inside run(), and the next run leases it again. Its last
+  // execution's deadlocked fibers must run to their end there, not at the
+  // next run's first schedule, when the program is gone. Its generations
+  // follow the sharded test's, which may have run in this process.
+  expectNoLateSteps(
+      Session().strategy("dfs").checkpointable(true).schedules(100'000), 101);
 }
 
 }  // namespace

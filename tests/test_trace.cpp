@@ -621,6 +621,51 @@ TEST(RecorderConsumersDeathTest, ReadingUnmaintainedCursorsAborts) {
   }
 }
 
+// --- one recorder across explorations -------------------------------------------
+
+/// Run `program` once, first enabled pick at every point, observed by
+/// `recorder`.
+void runOnce(TraceRecorder& recorder, const explore::Program& program,
+             memory::MemoryModel model) {
+  runtime::StackPool pool;
+  runtime::Config config;
+  config.memoryModel = model;
+  runtime::Execution exec(config, pool, &recorder);
+  explore::FixedScheduler scheduler({});
+  (void)exec.run(program, scheduler);
+}
+
+TEST(RecorderReset, NextExplorationStartsWithNarrowClockRows) {
+  // Under TSO the flush agents sit at picks 32 + t, so a TSO run widens the
+  // clock rows to 40 columns. A recorder reset for the next exploration
+  // (a reused kit) must not keep them for an SC program.
+  const programs::ProgramSpec* spec = programs::byName("sb-unfenced");
+  ASSERT_NE(spec, nullptr);
+  TraceRecorder recorder(TraceRecorder::Options{.fullClocks = true});
+  runOnce(recorder, spec->body, memory::MemoryModel::Tso);
+  ASSERT_GT(recorder.eventClock(Relation::Full, 0).width(), 8u);
+  recorder.reset(TraceRecorder::Options{.fullClocks = true});
+  runOnce(recorder, spec->body, memory::MemoryModel::Sc);
+  EXPECT_EQ(recorder.eventClock(Relation::Full, 0).width(), 8u);
+}
+
+TEST(RecorderSnapshot, CapturedBytesIgnoreSpareCapacity) {
+  // capture() refills a pooled snapshot in place. The bytes it reports
+  // (checkpoint.bytes_staged) must count what the snapshot holds, not the
+  // capacity a capture of more threads left in it.
+  const programs::ProgramSpec* spec = programs::byName("sb-unfenced");
+  ASSERT_NE(spec, nullptr);
+  TraceRecorder recorder(TraceRecorder::Options{.fullClocks = true});
+  TraceRecorder::Snapshot reused;
+  runOnce(recorder, spec->body, memory::MemoryModel::Tso);
+  const std::size_t wide = recorder.capture(reused);  // flush agents: 33+ threads
+  runOnce(recorder, spec->body, memory::MemoryModel::Sc);
+  TraceRecorder::Snapshot fresh;
+  const std::size_t narrow = recorder.capture(fresh);
+  ASSERT_LT(narrow, wide);
+  EXPECT_EQ(recorder.capture(reused), narrow);
+}
+
 // --- value-class fingerprints ------------------------------------------------
 
 /// Enumerate every terminal schedule of `program`; return the distinct
